@@ -9,7 +9,8 @@ randomness (there is no seed because there is nothing to seed; the
 
 Caps may also be set through environment variables DENPDS_TABLE_CAP,
 DENPDS_PROFILE_CAP, DENPDS_SPECTRUM_CAP, DENPDS_NEIGHBOR_CAP and
-DENPDS_ENUM_CAP.
+DENPDS_ENUM_CAP; a flag wins over its variable, and a cap that is not a
+non-negative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -32,14 +33,9 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
+def _usage_error(message: str):
+    print("error: %s" % message, file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _dump_json(doc: dict) -> str:
@@ -74,7 +70,9 @@ def _add_common(sub: argparse.ArgumentParser, caps=True) -> None:
     )
     sub.add_argument("-o", "--output", help="output path (default stdout)")
     sub.add_argument("--format", choices=["json", "text"], default="json")
-    sub.add_argument("--parallel", type=int, default=0, help="worker threads (0 = off)")
+    sub.add_argument(
+        "--parallel", type=int, default=0, help="worker threads for the literal sweeps (0 = off)"
+    )
     sub.add_argument(
         "--seedless",
         action="store_true",
@@ -88,24 +86,33 @@ def _add_common(sub: argparse.ArgumentParser, caps=True) -> None:
         sub.add_argument("--enum-cap", type=int, default=None)
 
 
+def _cap(args, name: str, default: int) -> int:
+    """The --NAME-cap flag, else DENPDS_NAME_CAP, else the default; a cap is
+    a non-negative integer."""
+    value = getattr(args, "%s_cap" % name, None)
+    source = "--%s-cap" % name
+    if value is None:
+        source = "DENPDS_%s_CAP" % name.upper()
+        raw = os.environ.get(source)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            _usage_error("%s must be an integer, got %r" % (source, raw))
+    if value < 0:
+        _usage_error("%s must be non-negative, got %d" % (source, value))
+    return value
+
+
 def _caps_from(args) -> tuple[int, vf.Caps, int]:
-    table = args.table_cap if getattr(args, "table_cap", None) else _env_cap(
-        "DENPDS_TABLE_CAP", DEFAULT_TABLE_CAP
-    )
+    table = _cap(args, "table", DEFAULT_TABLE_CAP)
     caps = vf.Caps(
-        profile=args.profile_cap
-        if getattr(args, "profile_cap", None)
-        else _env_cap("DENPDS_PROFILE_CAP", vf.DEFAULT_PROFILE_CAP),
-        spectrum=args.spectrum_cap
-        if getattr(args, "spectrum_cap", None)
-        else _env_cap("DENPDS_SPECTRUM_CAP", vf.DEFAULT_SPECTRUM_CAP),
-        neighbor=args.neighbor_cap
-        if getattr(args, "neighbor_cap", None)
-        else _env_cap("DENPDS_NEIGHBOR_CAP", vf.DEFAULT_NEIGHBOR_CAP),
+        profile=_cap(args, "profile", vf.DEFAULT_PROFILE_CAP),
+        spectrum=_cap(args, "spectrum", vf.DEFAULT_SPECTRUM_CAP),
+        neighbor=_cap(args, "neighbor", vf.DEFAULT_NEIGHBOR_CAP),
     )
-    enum_cap = args.enum_cap if getattr(args, "enum_cap", None) else _env_cap(
-        "DENPDS_ENUM_CAP", cd.DEFAULT_ENUM_CAP
-    )
+    enum_cap = _cap(args, "enum", cd.DEFAULT_ENUM_CAP)
     return table, caps, enum_cap
 
 
@@ -317,17 +324,24 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
+def _spectrum(tower: Tower, pds: PdsSet, enum_cap: int) -> vf.CharacterSpectrum:
+    """The spectrum behind the code and the geometry: v = q^dim, so the
+    enumeration cap, already checked, is the cap that gates it."""
+    return vf.character_spectrum(pds, vf.GroupIndexer(tower), cap=enum_cap)
+
+
 def cmd_code(args) -> int:
     tower, pds, _ = _load_or_build(args)
     if pds.provenance not in ("primal", "dual"):
         print("error: code export needs a primal or dual set", file=sys.stderr)
         return EXIT_USAGE
-    _, caps, enum_cap = _caps_from(args)
+    _, _, enum_cap = _caps_from(args)
     tp = tower.params
+    cd.require_message_cap(tp.q, tp.dim_q, enum_cap)
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
     gm = cd.build_code(S, ctx)
-    enum = cd.weight_enumerator(gm, ctx, cap=enum_cap, threads=args.parallel)
+    enum = cd.spectral_weight_enumerator(_spectrum(tower, pds, enum_cap), gm)
     fam = "primal" if pds.provenance == "primal" else "dual"
     expected = pm.code_params(tp.q, tp.m, tp.ell, tp.r, fam)
     kernel = tp.q ** (gm.dim - gm.rank)
@@ -363,9 +377,10 @@ def cmd_geometry(args) -> int:
         return EXIT_USAGE
     _, _, enum_cap = _caps_from(args)
     tp = tower.params
+    cd.require_hyperplane_cap(tp.q, tp.dim_q, enum_cap)
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
-    profile = cd.hyperplane_profile(S, ctx, cap=enum_cap, threads=args.parallel)
+    profile = cd.spectral_hyperplane_profile(_spectrum(tower, pds, enum_cap), S)
     fam = "primal" if pds.provenance == "primal" else "dual"
     expected = pm.projective_params(tp.q, tp.m, tp.ell, tp.r, fam)
     check = cd.check_two_intersection(profile, expected)

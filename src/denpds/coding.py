@@ -2,9 +2,18 @@
 
 Group elements are coordinatized over GF(q) by the power bases of the two
 deterministic field generators; a scale-closed set collapses to one
-projective point per GF(q)* orbit.  The hyperplane profile and the weight
-enumerator are separate exhaustive sweeps (all normalized dual vectors,
-all q^dim messages) so the geometry and the code check each other.
+projective point per GF(q)* orbit.
+
+The hyperplane profile and the weight enumerator each have two routes.
+The literal routes, ``hyperplane_profile`` and ``weight_enumerator``, are
+exhaustive sweeps (all normalized dual vectors, all q^dim messages).  The
+transform routes, ``spectral_hyperplane_profile`` and
+``spectral_weight_enumerator``, read both off the exact character spectrum
+of the set: a scale-closed set D of n(q - 1) elements meets the hyperplane
+of the nonzero character u in (n + chi_u(D)) / q points, each hyperplane
+belongs to q - 1 characters, and the message of u has weight
+n - (n + chi_u(D)) / q.  The CLI takes the transform routes; the tests
+compare them with the literal ones.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import numpy as np
 from . import params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .verify import CheckItem, _chunk_ranges, _run_chunks
+from .verify import CharacterSpectrum, CheckItem, _chunk_ranges, _run_chunks
 
 DEFAULT_ENUM_CAP = 1 << 16
 
@@ -137,11 +146,20 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     return ProjectiveSet(ctx.q, ctx.dim, uniq)
 
 
+def require_hyperplane_cap(q: int, dim: int, cap: int) -> None:
+    if q**dim > cap:
+        raise CapExceededError("hyperplane enumeration above cap %d" % cap)
+
+
+def require_message_cap(q: int, dim: int, cap: int) -> None:
+    if q**dim > cap:
+        raise CapExceededError("message sweep above cap %d" % cap)
+
+
 def _normalized_duals(q: int, dim: int, qa: QArith, cap: int) -> np.ndarray:
     """All hyperplane representatives: nonzero vectors with first nonzero 1."""
+    require_hyperplane_cap(q, dim, cap)
     total = q**dim
-    if total > cap:
-        raise CapExceededError("hyperplane enumeration above cap %d" % cap)
     vals = np.arange(1, total, dtype=np.int64)
     digs = np.empty((total - 1, dim), dtype=np.int64)
     for i in range(dim):
@@ -237,9 +255,8 @@ def weight_enumerator(
 ) -> dict[int, int]:
     """Exhaustive weight counts over all q^dim messages."""
     q, dim, n = gm.q, gm.dim, gm.n
+    require_message_cap(q, dim, cap)
     total = q**dim
-    if total > cap:
-        raise CapExceededError("message sweep above cap %d" % cap)
     qa = ctx.qa
     cw = np.zeros((1, n), dtype=np.int64)
     for t in range(dim):
@@ -258,6 +275,41 @@ def weight_enumerator(
     if counts.sum() != total:
         raise InternalError("message count mismatch")
     if counts[0] != q ** (dim - gm.rank):
+        raise InternalError("zero-weight count must equal the kernel size")
+    return {int(w): int(c) for w, c in enumerate(counts) if c}
+
+
+def _intersection_sizes(spectrum: CharacterSpectrum, q: int, dim: int, n: int) -> np.ndarray:
+    """|S meet H_u| = (n + chi_u(D)) / q for every nonzero character u."""
+    if spectrum.v != q**dim or spectrum.k != n * (q - 1):
+        raise InternalError("spectrum does not belong to this point set")
+    if not spectrum.all_rational():
+        raise InternalError("a scale-closed set has rational character sums")
+    shifted = n + spectrum.values[1:]
+    if (shifted % q).any():
+        raise InternalError("n + chi must be divisible by q")
+    return shifted // q
+
+
+def spectral_hyperplane_profile(spectrum: CharacterSpectrum, S: ProjectiveSet) -> dict[int, int]:
+    """``hyperplane_profile`` from the spectrum of the set S collapses."""
+    sizes = _intersection_sizes(spectrum, S.q, S.dim, S.n)
+    counts = np.bincount(sizes, minlength=S.n + 1)
+    if (counts % (S.q - 1)).any():
+        raise InternalError("each hyperplane belongs to q - 1 characters")
+    counts //= S.q - 1
+    if counts.sum() != (S.q**S.dim - 1) // (S.q - 1):
+        raise InternalError("hyperplane count mismatch")
+    return {int(h): int(c) for h, c in enumerate(counts) if c}
+
+
+def spectral_weight_enumerator(spectrum: CharacterSpectrum, gm: GeneratorMatrix) -> dict[int, int]:
+    """``weight_enumerator`` from the spectrum of the set whose points are
+    the columns of gm; the zero message is added by hand."""
+    sizes = _intersection_sizes(spectrum, gm.q, gm.dim, gm.n)
+    counts = np.bincount(gm.n - sizes, minlength=gm.n + 1)
+    counts[0] += 1
+    if counts[0] != gm.q ** (gm.dim - gm.rank):
         raise InternalError("zero-weight count must equal the kernel size")
     return {int(w): int(c) for w, c in enumerate(counts) if c}
 

@@ -2,10 +2,15 @@
 
 Nothing here trusts the construction: expected parameters are recomputed
 from the closed forms, membership is re-tested, and every count is an
-exact integer.  Character sums are computed by a dimension-wise transform
-over Z_p^n that keeps, for every character, the vector of counts of each
-p-th root of unity; a sum is a rational integer exactly when all nonzero
-root powers occur equally often.  No floating point is used anywhere.
+exact integer.  Character sums are computed by the dimension-wise transform
+of ``denpds.transform``, which keeps, for every character, the vector of
+counts of each p-th root of unity; a sum is a rational integer exactly when
+all nonzero root powers occur equally often.  No floating point is used
+anywhere.
+
+The difference profile has two routes: ``transform_profile`` derives it
+from the character spectrum (the route ``verify_pds`` takes), and
+``difference_profile`` counts all k(k-1) differences literally.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modp, params as pm
+from . import modp, params as pm, transform as tf
 from .construct import DELSARTE_TAG, PdsSet, Subspace, Tower, dual_subspace
 from .errors import (
     CapExceededError,
@@ -29,6 +34,7 @@ DEFAULT_PROFILE_CAP = 1 << 16
 DEFAULT_SPECTRUM_CAP = 1 << 20
 DEFAULT_NEIGHBOR_CAP = 1 << 12
 CHUNK_TARGET_BYTES = 32 << 20
+NEIGHBOR_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,14 @@ class GroupIndexer:
             w.setflags(write=False)
             self._cache["weights"] = w
         return w
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Group index of a - b, elementwise with broadcasting: the XOR of
+        the indices for p = 2, digit-wise subtraction mod p otherwise."""
+        if self.p == 2:
+            return a ^ b
+        d = self.digits_all()
+        return ((d[a] - d[b]) % self.p) @ self.weights()
 
     def neg_perm(self) -> np.ndarray:
         perm = self._cache.get("neg")
@@ -248,31 +262,26 @@ def character_spectrum(
     indexer: GroupIndexer,
     cap: int = DEFAULT_SPECTRUM_CAP,
 ) -> CharacterSpectrum:
-    v, p, n = indexer.v, indexer.p, indexer.n
+    v, p = indexer.v, indexer.p
     if v > cap:
         raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
     idx = indexer.indices_of(pds)
-    counts = np.zeros((v, p), dtype=np.int64)
-    counts[idx, 0] = 1
-    for i in range(n):
-        block = p**i
-        high = v // (block * p)
-        a4 = counts.reshape(high, p, block, p)
-        out = np.empty_like(a4)
-        for c in range(p):
-            acc = np.zeros((high, block, p), dtype=np.int64)
-            for d in range(p):
-                acc += np.roll(a4[:, d], shift=(c * d) % p, axis=-1)
-            out[:, c] = acc
-        counts = out.reshape(v, p)
-    if p == 2:
-        rational = np.ones(v, dtype=bool)
-    else:
-        rational = (counts[:, 1:] == counts[:, 1:2]).all(axis=1)
-    values = counts[:, 0] - counts[:, 1]
+    counts = tf.forward(tf.indicator(idx, v, p))
+    values, rational = tf.values(counts)
     if counts[0, 0] != len(idx) or counts[0, 1:].any():
         raise InternalError("principal character must sum to |D|")
     return CharacterSpectrum(counts, values, rational, len(idx))
+
+
+def transform_profile(spectrum: CharacterSpectrum) -> DifferenceProfile:
+    """The difference profile of the set whose spectrum is given, by the
+    convolution theorem: c(h) = inverse(chi * conj(chi))(h) / v, less the
+    k self-differences at h = 0.  Equal to ``difference_profile``."""
+    counts = tf.difference_counts(spectrum.counts, spectrum.k)
+    if counts[0] != spectrum.k:
+        raise InternalError("self-differences must account for index 0 exactly")
+    counts[0] = 0
+    return DifferenceProfile(counts, spectrum.k, spectrum.v)
 
 
 @dataclass
@@ -462,35 +471,33 @@ def srg_common_neighbors(
     cap: int = DEFAULT_NEIGHBOR_CAP,
     threads: int = 0,
 ) -> CheckItem:
-    """Common-neighbor counts of (0, g) in the Cayley graph, computed from
-    the membership indicator alone; vertex-transitivity makes the base
-    vertex exhaustive.  Full pass up to the cap, deterministic sample above."""
-    v, p = indexer.v, indexer.p
+    """Common-neighbor counts of (0, g) in the Cayley graph, counted literally
+    as #{d in D : d - g in D} from the membership indicator; vertex-
+    transitivity makes the base vertex exhaustive.  Full pass up to the cap,
+    deterministic sample above."""
+    v = indexer.v
     exp = expected_params(pds)
     idx = indexer.indices_of(pds)
-    member = np.zeros(v, dtype=np.int64)
-    member[idx] = 1
+    member = np.zeros(v, dtype=bool)
+    member[idx] = True
     sampled = v > cap
     if sampled:
         stride = (v + cap - 1) // cap
         targets = np.arange(1, v, stride, dtype=np.int64)
     else:
         targets = np.arange(1, v, dtype=np.int64)
-    digits = indexer.digits_all()
-    weights = indexer.weights()
-    chunk = max(1, CHUNK_TARGET_BYTES // (v * indexer.n * 8))
+    # int64 bytes per target: k indices, times n digits for the digit route
+    per_target = max(len(idx), 1) * 8 * (1 if indexer.p == 2 else indexer.n)
+    chunk = max(1, NEIGHBOR_CHUNK_BYTES // per_target)
     ranges = _chunk_ranges(len(targets), chunk)
 
     def one(rng):
         lo, hi = rng
         gs = targets[lo:hi]
-        # indices of h - g for all h, per g in the chunk
-        diff = (digits[None, :, :] - digits[gs][:, None, :]) % p
-        perm = diff @ weights
-        return member[perm] @ member
+        return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
 
     cn = np.concatenate(_run_chunks(one, ranges, threads))
-    want = np.where(member[targets] == 1, exp.lam, exp.mu)
+    want = np.where(member[targets], exp.lam, exp.mu)
     bad = np.flatnonzero(cn != want)
     ok = len(bad) == 0 and int(member.sum()) == exp.k
     witnesses = [
@@ -651,7 +658,12 @@ def verify_pds(
     caps: Caps = Caps(),
     threads: int = 0,
 ) -> SrgCheckReport:
-    """Run every oracle that fits under the caps and collect a report."""
+    """Run every oracle that fits under the caps and collect a report.
+
+    The difference profile of ``pds-differences`` comes from the character
+    spectrum by the exact transform (``transform_profile``), not from the
+    literal sweep of ``difference_profile``; ``common-neighbors`` counts
+    literally.  ``threads`` splits only that literal sweep."""
     indexer = GroupIndexer(tower)
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
@@ -664,14 +676,15 @@ def verify_pds(
         "k": pds.k,
     }
     v = tower.params.v
+    # the profile is derived from the spectrum, so the spectrum is computed
+    # when either cap admits v; each cap still gates only its own checks
+    either = max(caps.profile, caps.spectrum)
+    spectrum = character_spectrum(pds, indexer, cap=either) if v <= either else None
     if v <= caps.profile:
-        profile = difference_profile(pds, indexer, cap=caps.profile, threads=threads)
-        report.add(check_pds(pds, indexer, profile, exp))
+        report.add(check_pds(pds, indexer, transform_profile(spectrum), exp))
     else:
         report.add(_skip("pds-differences", "cap"))
-    spectrum = None
     if v <= caps.spectrum:
-        spectrum = character_spectrum(pds, indexer, cap=caps.spectrum)
         report.add(check_two_valued(spectrum, exp))
         if R is not None and pds.provenance in ("primal", "dual", "delsarte-dual"):
             report.add(check_case_split(pds, tower, indexer, spectrum, R))

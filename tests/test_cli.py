@@ -191,3 +191,60 @@ def test_subspace_flags(tmp_path):
         "--subspace-coords", "0,1",
     )
     assert res2.returncode == 0
+
+
+def test_verify_swapped_element_fails_both_difference_checks(tmp_path):
+    """A set file with one element swapped for a non-element: the transform
+    profile and the literal common-neighbour count both reject it."""
+    out = tmp_path / "d.json"
+    run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(out))
+    doc = json.loads(out.read_text())
+    members = {tuple(e) for e in doc["elements"]}
+    outsider = next(
+        [i, j] for i in range(-1, 3) for j in range(-1, 15)
+        if (i, j) != (-1, -1) and (i, j) not in members
+    )
+    doc["elements"] = doc["elements"][1:] + [outsider]
+    out.write_text(json.dumps(doc))
+    ver = run("verify", "--set", str(out))
+    assert ver.returncode == 1
+    names = {c["name"]: c["status"] for c in json.loads(ver.stdout)["checks"]}
+    assert names["pds-differences"] == "fail"
+    assert names["common-neighbors"] == "fail"
+
+
+def test_enum_cap_refuses_before_any_output(tmp_path):
+    for cmd in ("code", "geometry"):
+        out = tmp_path / ("%s.json" % cmd)
+        res = run(cmd, "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--enum-cap", "32", "-o", str(out))
+        assert res.returncode == 3, cmd
+        assert res.stderr.startswith("resource cap exceeded: "), cmd
+        assert not out.exists(), cmd
+
+
+def test_zero_caps_are_honored():
+    res = run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--table-cap", "0")
+    assert res.returncode == 3
+    ver = run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--profile-cap", "0")
+    assert ver.returncode == 0
+    names = {c["name"]: c["status"] for c in json.loads(ver.stdout)["checks"]}
+    assert names["pds-differences"] == names["common-neighbors"] == "skip"
+    assert names["two-valued-spectrum"] == "pass"
+
+
+def test_bad_caps_exit_two_with_one_line(tmp_path):
+    import os
+
+    tower = ["-p", "2", "-m", "2", "-l", "1", "-r", "1"]
+    cases = [
+        (["verify", *tower, "--profile-cap", "-5"], {}),
+        (["code", *tower, "--enum-cap", "-1"], {}),
+        (["verify", *tower], {"DENPDS_PROFILE_CAP": "abc"}),
+        (["construct", *tower], {"DENPDS_TABLE_CAP": "-3"}),
+    ]
+    for argv, extra in cases:
+        res = subprocess.run(CLI + argv, capture_output=True, text=True, env=dict(os.environ, **extra))
+        assert res.returncode == 2, (argv, extra)
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, extra, res.stderr)
