@@ -125,16 +125,19 @@ def _tower_params(args) -> TowerParams:
 
 
 def _subspace(tower: Tower, args):
-    if getattr(args, "subspace_exps", None):
-        exps = [int(x) for x in args.subspace_exps.split(",") if x != ""]
-        return tower.subspace_from_exponents(exps)
-    if getattr(args, "subspace_coords", None):
-        rows = [
-            [int(x) for x in row.replace(",", " ").split()]
-            for row in args.subspace_coords.split(";")
-            if row.strip()
-        ]
-        return tower.subspace_from_coeff_rows(rows)
+    try:
+        if getattr(args, "subspace_exps", None):
+            exps = [int(x) for x in args.subspace_exps.split(",") if x != ""]
+            return tower.subspace_from_exponents(exps)
+        if getattr(args, "subspace_coords", None):
+            rows = [
+                [int(x) for x in row.replace(",", " ").split()]
+                for row in args.subspace_coords.split(";")
+                if row.strip()
+            ]
+            return tower.subspace_from_coeff_rows(rows)
+    except ValueError as exc:
+        _usage_error("a subspace basis is a list of integers: %s" % exc)
     return tower.default_subspace()
 
 
@@ -291,14 +294,24 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _load_or_build(args) -> tuple[Tower, PdsSet, object]:
-    table_cap, _, _ = _caps_from(args)
-    if getattr(args, "set_file", None):
-        with open(args.set_file) as fh:
+def _read_set_file(path: str, table_cap: int) -> tuple[Tower, PdsSet, object]:
+    """A file that is not a well-formed set file is a usage error."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
         tower, pds = pds_from_json_dict(doc, table_cap=table_cap)
         R = tower.subspace_from_coeff_rows(pds.subspace_rows)
-        return tower, pds, R
+    except KeyError as exc:
+        _usage_error("set file %s: missing key %s" % (path, exc))
+    except (ValueError, TypeError) as exc:
+        _usage_error("set file %s: %s" % (path, exc))
+    return tower, pds, R
+
+
+def _load_or_build(args) -> tuple[Tower, PdsSet, object]:
+    table_cap, _, _ = _caps_from(args)
+    if getattr(args, "set_file", None):
+        return _read_set_file(args.set_file, table_cap)
     tp = _tower_params(args)
     tower = Tower(tp, table_cap=table_cap)
     R = _subspace(tower, args)

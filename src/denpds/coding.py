@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import params as pm
-from .construct import PdsSet, Tower
+from .construct import GroupIndexer, PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .verify import CharacterSpectrum, CheckItem, _chunk_ranges, _run_chunks
+from .verify import CharacterSpectrum, CheckItem, _chunk_ranges
 
 DEFAULT_ENUM_CAP = 1 << 16
 
@@ -82,29 +82,21 @@ class CodingContext:
             tower.f2.dlog[e2.apply_packed(s)] for s in range(1, self.q)
         ]
 
-    def pair_coords(self, pair: tuple[int, int]) -> np.ndarray:
-        i, j = pair
-        a = 0 if i < 0 else self.tower.f1.antilog[i]
-        b = 0 if j < 0 else self.tower.f2.antilog[j]
-        return np.concatenate([self.coords1[a], self.coords2[b]])
-
-    def set_coords(self, pds: PdsSet) -> np.ndarray:
-        return np.stack([self.pair_coords(e) for e in pds.sorted_elements()])
-
     def check_scale_closed(self, pds: PdsSet) -> None:
         """The diagonal GF(q)* action must permute the set."""
-        ord1, ord2 = self.tower.f1.order, self.tower.f2.order
-        elems = pds.elements
+        f1, f2 = self.tower.f1, self.tower.f2
+        a, b = pds.elements % f1.size, pds.elements // f1.size
+        dlog_a, dlog_b = f1.dlog_array()[a], f2.dlog_array()[b]
         for s1, s2 in zip(self.scalar_dlogs1, self.scalar_dlogs2):
-            for (i, j) in elems:
-                scaled = (
-                    i if i < 0 else (i + s1) % ord1,
-                    j if j < 0 else (j + s2) % ord2,
+            scaled_a = np.where(a == 0, 0, f1.antilog_array()[(dlog_a + s1) % f1.order])
+            scaled_b = np.where(b == 0, 0, f2.antilog_array()[(dlog_b + s2) % f2.order])
+            leaves = ~np.isin(scaled_a + f1.size * scaled_b, pds.elements)
+            if leaves.any():
+                g = pds.elements[leaves.argmax()]
+                raise NotScaleClosedError(
+                    "element %s leaves the set under scaling"
+                    % (tuple(GroupIndexer(self.tower).dlog_pairs(g).tolist()),)
                 )
-                if scaled not in elems:
-                    raise NotScaleClosedError(
-                        "element %s leaves the set under scaling" % ((i, j),)
-                    )
 
 
 class ProjectiveSet:
@@ -135,7 +127,8 @@ def _normalize_rows(rows: np.ndarray, qa: QArith) -> np.ndarray:
 def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     """Collapse a scale-closed set by the GF(q)* action."""
     ctx.check_scale_closed(pds)
-    rows = ctx.set_coords(pds)
+    sz1 = ctx.tower.f1.size
+    rows = np.concatenate([ctx.coords1[pds.elements % sz1], ctx.coords2[pds.elements // sz1]], axis=1)
     norm = _normalize_rows(rows, ctx.qa)
     uniq = np.unique(norm, axis=0)
     want, rem = divmod(pds.k, ctx.q - 1)
@@ -172,23 +165,16 @@ def _normalized_duals(q: int, dim: int, qa: QArith, cap: int) -> np.ndarray:
 
 
 def hyperplane_profile(
-    S: ProjectiveSet, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP, threads: int = 0
+    S: ProjectiveSet, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Map: intersection size -> number of hyperplanes attaining it."""
     duals = _normalized_duals(S.q, S.dim, ctx.qa, cap)
     pts = S.points.T.copy()
     chunk = max(1, (8 << 20) // max(1, S.n * 8))
-    ranges = _chunk_ranges(len(duals), chunk)
-
-    def one(rng):
-        lo, hi = rng
-        prods = ctx.qa.dot(duals[lo:hi], pts)
-        sizes = (prods == 0).sum(axis=1)
-        return np.bincount(sizes, minlength=S.n + 1)
-
     counts = np.zeros(S.n + 1, dtype=np.int64)
-    for part in _run_chunks(one, ranges, threads):
-        counts += part
+    for lo, hi in _chunk_ranges(len(duals), chunk):
+        sizes = (ctx.qa.dot(duals[lo:hi], pts) == 0).sum(axis=1)
+        counts += np.bincount(sizes, minlength=S.n + 1)
     expected_total = (S.q**S.dim - 1) // (S.q - 1)
     if counts.sum() != expected_total:
         raise InternalError("hyperplane count mismatch")
@@ -216,23 +202,22 @@ class GeneratorMatrix:
 
 
 def _rank_gfq(mat: np.ndarray, qa: QArith) -> int:
+    """Rank by Gauss-Jordan elimination; each pivot clears its column in
+    every other row with one table expression."""
     m = mat.copy()
     rows, cols = m.shape
     rank = 0
     for c in range(cols):
-        pivot = None
-        for rr in range(rank, rows):
-            if m[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
+        nz = np.flatnonzero(m[rank:, c])
+        if not len(nz):
             continue
+        pivot = rank + nz[0]
         if pivot != rank:
             m[[rank, pivot]] = m[[pivot, rank]]
         m[rank] = qa.mul[qa.inv[m[rank, c]], m[rank]]
-        for rr in range(rows):
-            if rr != rank and m[rr, c]:
-                m[rr] = qa.add[m[rr], qa.mul[qa.neg[m[rr, c]], m[rank]]]
+        factor = qa.neg[m[:, c]]
+        factor[rank] = 0
+        m = qa.add[m, qa.mul[factor[:, None], m[rank][None, :]]]
         rank += 1
         if rank == rows:
             break
@@ -242,16 +227,14 @@ def _rank_gfq(mat: np.ndarray, qa: QArith) -> int:
 def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     """Columns in lexicographic coordinate order; distinct normalized points
     are pairwise independent by construction, which is re-asserted."""
-    cols = sorted(map(tuple, S.points.tolist()))
-    if len(set(cols)) != len(cols):
+    cols = S.points[np.lexsort(S.points.T[::-1])]
+    if not (np.diff(cols, axis=0) != 0).any(axis=1).all():
         raise InternalError("generator columns are not pairwise independent")
-    mat = np.array(cols, dtype=np.int64).T
-    rank = _rank_gfq(mat.T.copy(), ctx.qa)
-    return GeneratorMatrix(S.q, mat, rank)
+    return GeneratorMatrix(S.q, cols.T, _rank_gfq(cols, ctx.qa))
 
 
 def weight_enumerator(
-    gm: GeneratorMatrix, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP, threads: int = 0
+    gm: GeneratorMatrix, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Exhaustive weight counts over all q^dim messages."""
     q, dim, n = gm.q, gm.dim, gm.n
@@ -262,16 +245,7 @@ def weight_enumerator(
     for t in range(dim):
         scaled = qa.mul[np.arange(q, dtype=np.int64)[:, None], gm.mat[t][None, :]]
         cw = qa.add[cw[:, None, :], scaled[None, :, :]].reshape(-1, n)
-    ranges = _chunk_ranges(total, max(1, total // max(1, threads or 1)))
-
-    def one(rng):
-        lo, hi = rng
-        w = (cw[lo:hi] != 0).sum(axis=1)
-        return np.bincount(w, minlength=n + 1)
-
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for part in _run_chunks(one, ranges, threads):
-        counts += part
+    counts = np.bincount((cw != 0).sum(axis=1), minlength=n + 1)
     if counts.sum() != total:
         raise InternalError("message count mismatch")
     if counts[0] != q ** (dim - gm.rank):

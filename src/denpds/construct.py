@@ -2,8 +2,10 @@
 
 The ambient group is G = (K1 x K2, +) for K1 = GF(q^(m*ell)) and
 K2 = GF(q^(m*(ell+1))), realized over a concrete middle field GF(q^m) that
-embeds into both.  Set elements are stored as pairs (i, j) of discrete
-logs with respect to the two deterministic field generators; -1 encodes
+embeds into both.  A set is stored as a sorted array of group indices: the
+element (a, b) has index packed(a) + |K1| packed(b) (``GroupIndexer``).
+Set files and witnesses name an element by its pair (i, j) of discrete
+logs with respect to the two deterministic field generators, with -1 for
 the zero coordinate.
 
 Two independent routes build the primal set:
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +36,6 @@ from .errors import (
     TableCapExceededError,
 )
 from .ff import DEFAULT_TABLE_CAP, FieldElement, FiniteField, build_field, embed, is_prime
-
-PairSet = frozenset
 
 # How the family tag of a set transforms under complementation and under
 # the character-group dual.  The four families are closed under both maps:
@@ -131,9 +131,6 @@ class TowerParams:
     def as_dict(self) -> dict:
         return {"p": self.p, "s": self.s, "m": self.m, "ell": self.ell, "r": self.r}
 
-    def with_r(self, r: int) -> "TowerParams":
-        return replace(self, r=r)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -144,9 +141,6 @@ class Subspace:
     basis: tuple[int, ...]  # packed middle-field elements, GF(q)-independent
     elements: frozenset[int]  # packed
     dim: int  # over GF(q)
-
-    def contains_packed(self, packed: int) -> bool:
-        return packed in self.elements
 
     def basis_coeff_rows(self) -> list[list[int]]:
         return [list(self.mid.digits(b)) for b in self.basis]
@@ -247,15 +241,138 @@ class CompatiblePrimitives:
     gamma_exp: int  # dlog of gamma w.r.t. the middle field's own generator
 
 
-@dataclass(frozen=True)
+class GroupIndexer:
+    """The group G = K1 x K2 as the integers [0, v).
+
+    The element (a, b) has index packed(a) + |K1| packed(b): the base-p digit
+    string of the two packed coordinates, first coordinate least
+    significant, so group addition is digit-wise addition mod p (the XOR of
+    the indices for p = 2).  Pairs of discrete logs, the names set files and
+    witnesses use, convert through ``dlog_pairs`` and ``from_dlog_pairs``.
+    """
+
+    def __init__(self, tower: "Tower"):
+        self.tower = tower
+        self.p = tower.params.p
+        self.n = tower.params.dim_p
+        self.v = tower.params.v
+        self.sz1 = tower.f1.size
+        self.sz2 = tower.f2.size
+        self._cache: dict = {}
+
+    # -- group law on indices, elementwise with broadcasting --
+
+    def _digitwise(self, a, b, sign: int):
+        """Index of a + sign * b, one base-p digit per pass: the digit of
+        a // w + sign * (b // w) mod p is that of the two digits."""
+        p, out, w = self.p, 0, 1
+        for _ in range(self.n):
+            out = out + ((a // w + sign * (b // w)) % p) * w
+            w *= p
+        return out
+
+    def add(self, a, b):
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
+
+    def sub(self, a, b):
+        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
+
+    def neg(self, a):
+        return a if self.p == 2 else self._digitwise(0, a, -1)
+
+    # -- discrete-log pairs: set files and witnesses --
+
+    def dlog_pairs(self, idx: np.ndarray) -> np.ndarray:
+        """Discrete-log pairs of the indices idx, along a last axis of
+        length 2; -1 for a zero coordinate."""
+        dlog1, dlog2 = self.tower.f1.dlog_array(), self.tower.f2.dlog_array()
+        return np.stack([dlog1[idx % self.sz1], dlog2[idx // self.sz1]], axis=-1)
+
+    def from_dlog_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """Indices of the (k, 2) discrete-log pairs; the inverse of ``dlog_pairs``."""
+        i, j = pairs[:, 0], pairs[:, 1]
+        a = np.where(i < 0, 0, self.tower.f1.antilog_array()[i])
+        b = np.where(j < 0, 0, self.tower.f2.antilog_array()[j])
+        return a + self.sz1 * b
+
+    # -- trace pairing between group elements and characters --
+
+    def _gram(self, which: int) -> tuple[np.ndarray, np.ndarray]:
+        key = ("gram", which)
+        out = self._cache.get(key)
+        if out is None:
+            fld = self.tower.f1 if which == 1 else self.tower.f2
+            tr = fld.trace_table()
+            n = fld.n
+            g = np.zeros((n, n), dtype=np.int64)
+            for i in range(n):
+                for k in range(n):
+                    g[i, k] = tr[fld.mul_packed(fld._pows[i], fld._pows[k])]
+            out = (g, modp.inverse(g, self.p))
+            self._cache[key] = out
+        return out
+
+    def _upack(self, which: int) -> np.ndarray:
+        """For every packed coordinate value a, the packed digit vector of
+        (Tr(a x^i))_i, i.e. the character label of a in dot-index space."""
+        key = ("upack", which)
+        u = self._cache.get(key)
+        if u is None:
+            fld = self.tower.f1 if which == 1 else self.tower.f2
+            gram, _ = self._gram(which)
+            digs = fld.digit_matrix()
+            pw = self.p ** np.arange(fld.n, dtype=np.int64)
+            u = ((digs @ gram) % self.p) @ pw
+            u.setflags(write=False)
+            self._cache[key] = u
+        return u
+
+    def char_index_table(self) -> np.ndarray:
+        """Group index of (a, b) -> dot-space index of the character
+        zeta^(Tr1(a x) + Tr2(b y)).  A permutation of [0, v)."""
+        t = self._cache.get("chidx")
+        if t is None:
+            u1, u2 = self._upack(1), self._upack(2)
+            g = np.arange(self.v, dtype=np.int64)
+            t = u1[g % self.sz1] + self.sz1 * u2[g // self.sz1]
+            if len(np.unique(t)) != self.v:
+                raise InternalError("trace pairing is degenerate")
+            t.setflags(write=False)
+            self._cache["chidx"] = t
+        return t
+
+    def index_of_char_table(self) -> np.ndarray:
+        """The inverse of ``char_index_table``: character dot-index -> the
+        group index of its label."""
+        inv = self._cache.get("chinv")
+        if inv is None:
+            inv = np.empty(self.v, dtype=np.int64)
+            inv[self.char_index_table()] = np.arange(self.v, dtype=np.int64)
+            inv.setflags(write=False)
+            self._cache["chinv"] = inv
+        return inv
+
+
+@dataclass(frozen=True, eq=False)
 class PdsSet:
-    """A candidate partial difference set with its provenance."""
+    """A candidate partial difference set with its provenance.
+
+    ``elements`` is a sorted, duplicate-free, read-only int64 array of
+    group indices (see ``GroupIndexer``); any integer sequence given here
+    is normalized to that form."""
 
     params: TowerParams
     provenance: str  # primal | dual | complement | delsarte-dual
-    elements: PairSet
+    elements: np.ndarray
     claimed: pm.SrgParams
     subspace_rows: tuple = ()  # GF(p) coefficient rows of the R basis used
+
+    def __post_init__(self):
+        elems = np.unique(np.asarray(self.elements, dtype=np.int64))
+        if len(elems) and (elems[0] < 0 or elems[-1] >= self.params.v):
+            raise ValueError("set elements must be group indices below %d" % self.params.v)
+        elems.setflags(write=False)
+        object.__setattr__(self, "elements", elems)
 
     @property
     def k(self) -> int:
@@ -265,11 +382,10 @@ class PdsSet:
     def degenerate(self) -> bool:
         return self.params.degenerate
 
-    def sorted_elements(self) -> list[tuple[int, int]]:
-        return sorted(self.elements)
-
     def to_json_dict(self, tower: "Tower | None" = None) -> dict:
         tw = tower if tower is not None else Tower(self.params)
+        pairs = GroupIndexer(tw).dlog_pairs(self.elements)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         return {
             "type": "pds-set",
             "version": 1,
@@ -285,14 +401,29 @@ class PdsSet:
             },
             "pairing": "zeta_p^(Tr1(a x) + Tr2(b y))",
             "subspace_rows": [list(r) for r in self.subspace_rows],
-            "elements": [list(e) for e in self.sorted_elements()],
+            "elements": pairs.tolist(),
         }
 
     def to_json(self, tower: "Tower | None" = None) -> str:
         return json.dumps(self.to_json_dict(tower), sort_keys=True, indent=2) + "\n"
 
 
+def _dlog_pair_array(raw) -> np.ndarray:
+    """The set file's element list as a (k, 2) integer array."""
+    try:
+        arr = np.array(raw)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError("elements must be pairs of integer exponents")
+    return arr.astype(np.int64)
+
+
 def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["Tower", PdsSet]:
+    """Read a set file; malformed content raises ValueError, KeyError or
+    TypeError, a different field model FieldMismatchError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a set file is a JSON object")
     tp = TowerParams(**doc["tower"])
     tower = Tower(tp, table_cap=table_cap)
     described = {
@@ -305,16 +436,18 @@ def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["
         raise FieldMismatchError(
             "set file uses a different field model than this build constructs"
         )
-    elems = frozenset((int(a), int(b)) for a, b in doc["elements"])
-    for a, b in elems:
-        if not (-1 <= a < tower.f1.order and -1 <= b < tower.f2.order):
-            raise ValueError("element exponents out of range")
+    pairs = _dlog_pair_array(doc["elements"])
+    i, j = pairs[:, 0], pairs[:, 1]
+    if not ((-1 <= i) & (i < tower.f1.order) & (-1 <= j) & (j < tower.f2.order)).all():
+        raise ValueError("element exponents out of range")
+    if doc["provenance"] not in COMPLEMENT_TAG:
+        raise ValueError("unknown provenance %r" % (doc["provenance"],))
     c = doc["claimed"]
     claimed = pm.SrgParams(c["v"], c["k"], c["lambda"], c["mu"])
     pds = PdsSet(
         tp,
         doc["provenance"],
-        elems,
+        GroupIndexer(tower).from_dlog_pairs(pairs),
         claimed,
         tuple(tuple(r) for r in doc.get("subspace_rows", [])),
     )
@@ -465,50 +598,43 @@ class Tower:
             )
         return R
 
-    def _finish(self, pairs, provenance: str, claimed: pm.SrgParams, R: Subspace) -> PdsSet:
-        elems = frozenset(pairs)
-        if (-1, -1) in elems:
-            raise InternalError("constructed set contains the identity")
-        if len(elems) != claimed.k:
-            raise InternalError(
-                "constructed size %d but closed form says %d" % (len(elems), claimed.k)
-            )
+    def _finish(self, idx: np.ndarray, provenance: str, claimed: pm.SrgParams, R: Subspace) -> PdsSet:
         pds = PdsSet(
             self.params,
             provenance,
-            elems,
+            idx,
             claimed,
             tuple(tuple(row) for row in R.basis_coeff_rows()),
         )
+        if pds.k and pds.elements[0] == 0:
+            raise InternalError("constructed set contains the identity")
+        if pds.k != claimed.k:
+            raise InternalError(
+                "constructed size %d but closed form says %d" % (pds.k, claimed.k)
+            )
         if not self.is_symmetric(pds):
             raise InternalError("constructed set is not inversion-symmetric")
         return pds
 
-    def neg_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
-        i, j = pair
-        if self.params.p == 2:
-            return pair
-        h1, h2 = self.f1.order // 2, self.f2.order // 2
-        return (
-            i if i < 0 else (i + h1) % self.f1.order,
-            j if j < 0 else (j + h2) % self.f2.order,
-        )
-
     def is_symmetric(self, pds: PdsSet) -> bool:
         if self.params.p == 2:
             return True
-        return all(self.neg_pair(e) in pds.elements for e in pds.elements)
+        negated = np.sort(GroupIndexer(self).neg(pds.elements))
+        return bool(np.array_equal(negated, pds.elements))
+
+    def _ratio_indices(self, ratio_ok: np.ndarray) -> np.ndarray:
+        """Indices of the elements with both coordinates nonzero whose norm
+        ratio t (a middle-field dlog) has ratio_ok[t]."""
+        g1, g2 = self.norm_dlogs(1), self.norm_dlogs(2)
+        i, j = np.nonzero(ratio_ok[(g2[None, :] - g1[:, None]) % self.mid.order])
+        return self.f1.antilog_array()[i] + self.f1.size * self.f2.antilog_array()[j]
 
     def build_D(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the primal set."""
         R = self._check_r(R)
-        g1, g2 = self.norm_dlogs(1), self.norm_dlogs(2)
-        in_R = self._ratio_membership(R)
-        ordm = self.mid.order
-        mask = in_R[(g2[None, :] - g1[:, None]) % ordm]
-        pairs = [(int(i), int(j)) for i, j in np.argwhere(mask)]
-        pairs.extend((i, -1) for i in range(self.f1.order))
-        return self._finish(pairs, "primal", self.params.primal_params(), R)
+        ratio = self._ratio_indices(self._ratio_membership(R))
+        axis = np.arange(1, self.f1.size)  # (a, 0) for every a != 0
+        return self._finish(np.concatenate([ratio, axis]), "primal", self.params.primal_params(), R)
 
     def build_D_cosets(self, R: Subspace | None = None) -> PdsSet:
         """Coset-union construction; independent of the norm-ratio route."""
@@ -529,34 +655,24 @@ class Tower:
                 right.update((d * (base + e * w)) % ord2 for w in range(size2))
             pairs.extend((a, b) for a in left for b in right)
         pairs.extend((i, -1) for i in range(ord1))
-        return self._finish(pairs, "primal", tp.primal_params(), R)
+        idx = GroupIndexer(self).from_dlog_pairs(np.array(pairs, dtype=np.int64))
+        return self._finish(idx, "primal", tp.primal_params(), R)
 
     def build_D_dual(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the dual set (complement membership)."""
         R = self._check_r(R)
-        Rperp = dual_subspace(R)
-        g1, g2 = self.norm_dlogs(1), self.norm_dlogs(2)
-        in_perp = self._ratio_membership(Rperp)
-        ordm = self.mid.order
-        mask = ~in_perp[(g2[None, :] - g1[:, None]) % ordm]
-        pairs = [(int(i), int(j)) for i, j in np.argwhere(mask)]
-        pairs.extend((-1, j) for j in range(self.f2.order))
-        return self._finish(pairs, "dual", self.params.dual_params(), R)
+        ratio = self._ratio_indices(~self._ratio_membership(dual_subspace(R)))
+        axis = self.f1.size * np.arange(1, self.f2.size)  # (0, b) for every b != 0
+        return self._finish(np.concatenate([ratio, axis]), "dual", self.params.dual_params(), R)
 
     def complement(self, pds: PdsSet) -> PdsSet:
-        full = {
-            (i, j)
-            for i in range(-1, self.f1.order)
-            for j in range(-1, self.f2.order)
-        }
-        full.discard((-1, -1))
-        elems = frozenset(full - pds.elements)
+        elems = np.setdiff1d(np.arange(1, self.params.v), pds.elements, assume_unique=True)
         claimed = pm.complement_params(pds.claimed)
         if pds.provenance not in COMPLEMENT_TAG:
             raise ValueError("cannot complement provenance %r" % pds.provenance)
         out = PdsSet(
             self.params, COMPLEMENT_TAG[pds.provenance], elems, claimed, pds.subspace_rows
         )
-        if len(elems) != claimed.k:
+        if out.k != claimed.k:
             raise InternalError("complement has the wrong size")
         return out

@@ -414,10 +414,6 @@ class FiniteField:
         for v in range(self.size):
             yield self.from_packed(v)
 
-    def nonzero_elements(self):
-        for v in range(1, self.size):
-            yield self.from_packed(v)
-
     def eval_poly_ints(self, coeffs, point: FieldElement) -> FieldElement:
         """Evaluate a GF(p)-coefficient polynomial at a field element."""
         acc = self.zero

@@ -40,11 +40,6 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m % p, pivots
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    _, pivots = _rref(mat, p)
-    return len(pivots)
-
-
 def inverse(mat: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises if singular."""
     n = mat.shape[0]
@@ -72,17 +67,3 @@ def kernel_basis(mat: np.ndarray, p: int) -> list[np.ndarray]:
         basis.append(vec)
     return basis
 
-
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """One solution of mat @ x == rhs mod p (mat must have full row pivots on rhs)."""
-    aug = np.concatenate(
-        [mat.astype(np.int64) % p, (rhs.astype(np.int64) % p)[:, None]], axis=1
-    )
-    red, pivots = _rref(aug, p)
-    cols = mat.shape[1]
-    if cols in pivots:
-        raise InternalError("inconsistent linear system mod %d" % p)
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, cols]
-    return x

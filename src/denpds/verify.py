@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modp, params as pm, transform as tf
-from .construct import DELSARTE_TAG, PdsSet, Subspace, Tower, dual_subspace
+from . import params as pm, transform as tf
+from .construct import DELSARTE_TAG, GroupIndexer, PdsSet, Subspace, Tower, dual_subspace
 from .errors import (
     CapExceededError,
     DeltaNotSquareError,
@@ -45,135 +45,6 @@ class Caps:
 
     def as_dict(self) -> dict:
         return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
-
-
-class GroupIndexer:
-    """Bijection between group elements (pairs) and integers [0, v).
-
-    The index is the concatenated base-p digit string of the two packed
-    coordinates, first coordinate least significant, so index arithmetic
-    is coordinate-wise arithmetic mod p.
-    """
-
-    def __init__(self, tower: Tower):
-        self.tower = tower
-        self.p = tower.params.p
-        self.n = tower.params.dim_p
-        self.v = tower.params.v
-        self.sz1 = tower.f1.size
-        self.sz2 = tower.f2.size
-        self._cache: dict = {}
-
-    def index_of_pair(self, pair: tuple[int, int]) -> int:
-        i, j = pair
-        a = 0 if i < 0 else self.tower.f1.antilog[i]
-        b = 0 if j < 0 else self.tower.f2.antilog[j]
-        return a + self.sz1 * b
-
-    def pair_of_index(self, g: int) -> tuple[int, int]:
-        a, b = g % self.sz1, g // self.sz1
-        return (self.tower.f1.dlog[a], self.tower.f2.dlog[b])
-
-    def indices_of(self, pds: PdsSet) -> np.ndarray:
-        anti1 = self.tower.f1.antilog_array()
-        anti2 = self.tower.f2.antilog_array()
-        arr = np.array(sorted(pds.elements), dtype=np.int64)
-        a = np.where(arr[:, 0] < 0, 0, anti1[arr[:, 0]])
-        b = np.where(arr[:, 1] < 0, 0, anti2[arr[:, 1]])
-        return np.sort(a + self.sz1 * b)
-
-    def digits_all(self) -> np.ndarray:
-        """(v, n) base-p digits of every group index."""
-        d = self._cache.get("digits")
-        if d is None:
-            vals = np.arange(self.v, dtype=np.int64)
-            d = np.empty((self.v, self.n), dtype=np.int64)
-            for i in range(self.n):
-                d[:, i] = (vals // self.p**i) % self.p
-            d.setflags(write=False)
-            self._cache["digits"] = d
-        return d
-
-    def weights(self) -> np.ndarray:
-        w = self._cache.get("weights")
-        if w is None:
-            w = self.p ** np.arange(self.n, dtype=np.int64)
-            w.setflags(write=False)
-            self._cache["weights"] = w
-        return w
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Group index of a - b, elementwise with broadcasting: the XOR of
-        the indices for p = 2, digit-wise subtraction mod p otherwise."""
-        if self.p == 2:
-            return a ^ b
-        d = self.digits_all()
-        return ((d[a] - d[b]) % self.p) @ self.weights()
-
-    def neg_perm(self) -> np.ndarray:
-        perm = self._cache.get("neg")
-        if perm is None:
-            perm = ((self.p - self.digits_all()) % self.p) @ self.weights()
-            perm.setflags(write=False)
-            self._cache["neg"] = perm
-        return perm
-
-    # -- trace pairing between group elements and characters --
-
-    def _gram(self, which: int) -> tuple[np.ndarray, np.ndarray]:
-        key = ("gram", which)
-        out = self._cache.get(key)
-        if out is None:
-            fld = self.tower.f1 if which == 1 else self.tower.f2
-            tr = fld.trace_table()
-            n = fld.n
-            g = np.zeros((n, n), dtype=np.int64)
-            for i in range(n):
-                for k in range(n):
-                    g[i, k] = tr[fld.mul_packed(fld._pows[i], fld._pows[k])]
-            out = (g, modp.inverse(g, self.p))
-            self._cache[key] = out
-        return out
-
-    def _upack(self, which: int) -> np.ndarray:
-        """For every packed coordinate value a, the packed digit vector of
-        (Tr(a x^i))_i, i.e. the character label of a in dot-index space."""
-        key = ("upack", which)
-        u = self._cache.get(key)
-        if u is None:
-            fld = self.tower.f1 if which == 1 else self.tower.f2
-            gram, _ = self._gram(which)
-            digs = fld.digit_matrix()
-            pw = self.p ** np.arange(fld.n, dtype=np.int64)
-            u = ((digs @ gram) % self.p) @ pw
-            u.setflags(write=False)
-            self._cache[key] = u
-        return u
-
-    def char_index_table(self) -> np.ndarray:
-        """Group index of (a, b) -> dot-space index of the character
-        zeta^(Tr1(a x) + Tr2(b y)).  A permutation of [0, v)."""
-        t = self._cache.get("chidx")
-        if t is None:
-            u1, u2 = self._upack(1), self._upack(2)
-            g = np.arange(self.v, dtype=np.int64)
-            t = u1[g % self.sz1] + self.sz1 * u2[g // self.sz1]
-            if len(np.unique(t)) != self.v:
-                raise InternalError("trace pairing is degenerate")
-            t.setflags(write=False)
-            self._cache["chidx"] = t
-        return t
-
-    def pair_of_char_index(self, chidx: int) -> tuple[int, int]:
-        """Inverse of the trace pairing: character dot-index -> (a, b) pair."""
-        inv = self._cache.get("chinv")
-        if inv is None:
-            t = self.char_index_table()
-            inv = np.empty(self.v, dtype=np.int64)
-            inv[t] = np.arange(self.v, dtype=np.int64)
-            inv.setflags(write=False)
-            self._cache["chinv"] = inv
-        return self.pair_of_index(int(inv[chidx]))
 
 
 def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
@@ -204,26 +75,17 @@ def difference_profile(
     pds: PdsSet,
     indexer: GroupIndexer,
     cap: int = DEFAULT_PROFILE_CAP,
-    threads: int = 0,
 ) -> DifferenceProfile:
-    v, p = indexer.v, indexer.p
+    v = indexer.v
     if v > cap:
         raise CapExceededError("profile oracle: v=%d above cap %d" % (v, cap))
-    idx = indexer.indices_of(pds)
+    idx = pds.elements
     k = len(idx)
-    digits = indexer.digits_all()[idx]
-    weights = indexer.weights()
-    chunk = max(1, CHUNK_TARGET_BYTES // (max(k, 1) * indexer.n * 8))
-    ranges = _chunk_ranges(k, chunk)
-
-    def one(rng):
-        lo, hi = rng
-        diff = (digits[lo:hi, None, :] - digits[None, :, :]) % p
-        return np.bincount((diff @ weights).ravel(), minlength=v)
-
+    chunk = max(1, CHUNK_TARGET_BYTES // (max(k, 1) * 8))
     counts = np.zeros(v, dtype=np.int64)
-    for part in _run_chunks(one, ranges, threads):
-        counts += part
+    for lo, hi in _chunk_ranges(k, chunk):
+        diff = indexer.sub(idx[lo:hi, None], idx[None, :])
+        counts += np.bincount(diff.ravel(), minlength=v)
     if counts[0] != k:
         raise InternalError("self-differences must account for index 0 exactly")
     counts[0] = 0
@@ -265,7 +127,7 @@ def character_spectrum(
     v, p = indexer.v, indexer.p
     if v > cap:
         raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
-    idx = indexer.indices_of(pds)
+    idx = pds.elements
     counts = tf.forward(tf.indicator(idx, v, p))
     values, rational = tf.values(counts)
     if counts[0, 0] != len(idx) or counts[0, 1:].any():
@@ -344,7 +206,7 @@ def check_pds(
     if pds.claimed != exp:
         ok = False
         details["claim_mismatch"] = pds.claimed.as_dict()
-    idx = indexer.indices_of(pds)
+    idx = pds.elements
     if len(idx) != exp.k:
         ok = False
         details["size"] = len(idx)
@@ -355,14 +217,14 @@ def check_pds(
     off = ~member
     off[0] = False
     bad_out = np.flatnonzero(off & (c != exp.mu))
-    sym_bad = np.flatnonzero(c != c[indexer.neg_perm()])
+    sym_bad = np.flatnonzero(c != c[indexer.neg(np.arange(indexer.v))])
     if profile.total() != exp.k * (exp.k - 1):
         ok = False
         details["total"] = profile.total()
     for g in bad_in[:5]:
-        witnesses.append({"element": list(indexer.pair_of_index(int(g))), "count": int(c[g]), "want": exp.lam})
+        witnesses.append({"element": indexer.dlog_pairs(g).tolist(), "count": int(c[g]), "want": exp.lam})
     for g in bad_out[:5]:
-        witnesses.append({"element": list(indexer.pair_of_index(int(g))), "count": int(c[g]), "want": exp.mu})
+        witnesses.append({"element": indexer.dlog_pairs(g).tolist(), "count": int(c[g]), "want": exp.mu})
     if len(bad_in) or len(bad_out) or len(sym_bad):
         ok = False
         details["bad_inside"] = int(len(bad_in))
@@ -423,8 +285,6 @@ def check_case_split(
         return _skip("case-split", "only defined for primal/dual provenance")
     exp = expected_params(pds)
     theta, tau = exp.eigenvalues
-    g1, g2 = tower.norm_dlogs(1), tower.norm_dlogs(2)
-    ordm = tower.mid.order
     if pds.provenance == "primal":
         in_space = tower._ratio_membership(dual_subspace(R))
         special_value = tau  # (a != 0, b = 0) and ratio-in-space characters
@@ -434,26 +294,22 @@ def check_case_split(
     other_value = theta if special_value == tau else tau
     # predicted values indexed by character dot-index
     chidx = indexer.char_index_table()
-    anti1 = tower.f1.antilog_array()
-    anti2 = tower.f2.antilog_array()
     predicted = np.full(indexer.v, other_value, dtype=np.int64)
     # principal character
     predicted[0] = exp.k
     # a != 0, b = 0
-    ga = chidx[anti1]
-    predicted[ga] = special_value
+    predicted[chidx[1 : indexer.sz1]] = special_value
     # both nonzero: ratio test
-    mask = in_space[(g2[None, :] - g1[:, None]) % ordm]
-    grid = chidx[anti1[:, None] + indexer.sz1 * anti2[None, :]]
-    predicted[grid[mask]] = special_value
+    predicted[chidx[tower._ratio_indices(in_space)]] = special_value
     ok = bool(spectrum.rational.all()) and bool((spectrum.values == predicted).all())
     witnesses = []
     if not ok:
         bad = np.flatnonzero(spectrum.values != predicted)[:5]
-        for b in bad:
+        labels = indexer.dlog_pairs(indexer.index_of_char_table()[bad]).tolist()
+        for b, label in zip(bad, labels):
             witnesses.append(
                 {
-                    "character": list(indexer.pair_of_char_index(int(b))),
+                    "character": label,
                     "value": int(spectrum.values[b]),
                     "want": int(predicted[b]),
                 }
@@ -477,7 +333,7 @@ def srg_common_neighbors(
     deterministic sample above."""
     v = indexer.v
     exp = expected_params(pds)
-    idx = indexer.indices_of(pds)
+    idx = pds.elements
     member = np.zeros(v, dtype=bool)
     member[idx] = True
     sampled = v > cap
@@ -486,7 +342,7 @@ def srg_common_neighbors(
         targets = np.arange(1, v, stride, dtype=np.int64)
     else:
         targets = np.arange(1, v, dtype=np.int64)
-    # int64 bytes per target: k indices, times n digits for the digit route
+    # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
     per_target = max(len(idx), 1) * 8 * (1 if indexer.p == 2 else indexer.n)
     chunk = max(1, NEIGHBOR_CHUNK_BYTES // per_target)
     ranges = _chunk_ranges(len(targets), chunk)
@@ -502,7 +358,7 @@ def srg_common_neighbors(
     ok = len(bad) == 0 and int(member.sum()) == exp.k
     witnesses = [
         {
-            "vertex": list(indexer.pair_of_index(int(targets[b]))),
+            "vertex": indexer.dlog_pairs(targets[b]).tolist(),
             "count": int(cn[b]),
             "want": int(want[b]),
         }
@@ -538,16 +394,15 @@ def clique_certificate(pds: PdsSet, tower: Tower) -> CheckItem:
     that bounds every clique by distinct coordinates."""
     if pds.provenance not in ("primal", "dual", "delsarte-dual"):
         return _skip("clique", "only defined for primal/dual provenance")
-    ord1, ord2 = tower.f1.order, tower.f2.order
-    elems = pds.elements
+    sz1, sz2 = tower.f1.size, tower.f2.size
+    left = np.arange(1, sz1)  # (a, 0), a != 0
+    right = sz1 * np.arange(1, sz2)  # (0, b), b != 0
     if pds.provenance == "primal":
-        clique_ok = all((i, -1) in elems for i in range(ord1))
-        empty_ok = not any((-1, j) in elems for j in range(ord2))
-        size = tower.f1.size
+        clique, forbidden, size = left, right, sz1
     else:
-        clique_ok = all((-1, j) in elems for j in range(ord2))
-        empty_ok = not any((i, -1) in elems for i in range(ord1))
-        size = tower.f2.size
+        clique, forbidden, size = right, left, sz2
+    clique_ok = bool(np.isin(clique, pds.elements).all())
+    empty_ok = not np.isin(forbidden, pds.elements).any()
     details = {"clique_size": size, "differences_inside": clique_ok, "bound_holds": empty_ok}
     return CheckItem("clique", clique_ok and empty_ok, details=details)
 
@@ -573,14 +428,14 @@ def delsarte_dual(
         raise SpectrumNotTwoValuedError("spectrum values %s unexpected" % sorted(vals))
     sel = np.flatnonzero(spectrum.values == theta)
     sel = sel[sel != 0]
-    pairs = frozenset(indexer.pair_of_char_index(int(g)) for g in sel)
+    elems = indexer.index_of_char_table()[sel]
     claimed = pm.delsarte_dual_params(exp)
-    if len(pairs) != claimed.k:
-        raise InternalError("dual has size %d, expected %d" % (len(pairs), claimed.k))
+    if len(elems) != claimed.k:
+        raise InternalError("dual has size %d, expected %d" % (len(elems), claimed.k))
     if pds.provenance not in DELSARTE_TAG:
         raise ValueError("cannot dualize provenance %r" % pds.provenance)
     return PdsSet(
-        pds.params, DELSARTE_TAG[pds.provenance], pairs, claimed, pds.subspace_rows
+        pds.params, DELSARTE_TAG[pds.provenance], elems, claimed, pds.subspace_rows
     )
 
 
@@ -590,23 +445,18 @@ def delsarte_dual(
 def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_CAP) -> np.ndarray:
     """Undirected edge array (E, 2), each edge once with the smaller index
     first, sorted lexicographically."""
-    v, p = indexer.v, indexer.p
+    v = indexer.v
     if v > cap:
         raise CapExceededError("graph export: v=%d above cap %d" % (v, cap))
-    idx = indexer.indices_of(pds)
-    digits = indexer.digits_all()
-    weights = indexer.weights()
-    us, ws = [], []
-    for d in idx:
-        w = ((digits + digits[d]) % p) @ weights
-        u = np.arange(v, dtype=np.int64)
+    idx = pds.elements
+    chunk = max(1, NEIGHBOR_CHUNK_BYTES // (max(len(idx), 1) * 8))
+    parts = []
+    for lo, hi in _chunk_ranges(v, chunk):
+        u = np.arange(lo, hi, dtype=np.int64)[:, None]
+        w = np.sort(indexer.add(u, idx[None, :]), axis=1)
         keep = u < w
-        us.append(u[keep])
-        ws.append(w[keep])
-    u = np.concatenate(us)
-    w = np.concatenate(ws)
-    order = np.lexsort((w, u))
-    edges = np.stack([u[order], w[order]], axis=1)
+        parts.append(np.stack([np.broadcast_to(u, w.shape)[keep], w[keep]], axis=1))
+    edges = np.concatenate(parts)
     if 2 * len(edges) != v * len(idx):
         raise InternalError("edge count must be v k / 2")
     return edges

@@ -6,10 +6,11 @@ session; the acceptance module reuses these caches heavily.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from denpds import verify as vf
-from denpds.construct import Tower, TowerParams
+from denpds.construct import PdsSet, Tower, TowerParams
 
 # towers used by the certification grid: (p, s, m, ell)
 GRID_G1 = [
@@ -19,6 +20,27 @@ GRID_G1 = [
     (3, 1, 2, 1),
     (2, 2, 2, 1),
 ]
+
+
+def pair_set(tower: Tower, pds: PdsSet) -> frozenset:
+    """The set's elements as (dlog1, dlog2) pairs, converted as set files are."""
+    pairs = vf.GroupIndexer(tower).dlog_pairs(pds.elements)
+    return frozenset(map(tuple, pairs.tolist()))
+
+
+def with_pairs(tower: Tower, pds: PdsSet, pairs) -> PdsSet:
+    """pds with its elements replaced by the given (dlog1, dlog2) pairs."""
+    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    idx = vf.GroupIndexer(tower).from_dlog_pairs(arr)
+    return PdsSet(pds.params, pds.provenance, idx, pds.claimed, pds.subspace_rows)
+
+
+def digit_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Base-p digits of every index below p^n, first digit least
+    significant, and the weights p^i that pack them back."""
+    vals = np.arange(p**n, dtype=np.int64)
+    weights = p ** np.arange(n, dtype=np.int64)
+    return (vals[:, None] // weights) % p, weights
 
 
 class GridCache:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "denpds.cli"]
 
 
@@ -248,3 +250,57 @@ def test_bad_caps_exit_two_with_one_line(tmp_path):
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, extra, res.stderr)
+
+
+def _set_file_variant(tmp_path, change):
+    """A constructed (64,18,2,6) set file with one change applied."""
+    out = tmp_path / "d.json"
+    run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(out))
+    doc = json.loads(out.read_text())
+    text = change(doc)
+    out.write_text(json.dumps(doc) if text is None else text)
+    return str(out)
+
+
+def _drop_claimed(doc):
+    del doc["claimed"]
+
+
+def _first_element(value):
+    return lambda doc: doc["elements"].__setitem__(0, value)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: '{"type": "pds-set", ',
+        _drop_claimed,
+        _first_element(["x", 1]),
+        _first_element([1]),
+        _first_element([3, 1]),
+    ],
+    ids=["invalid-json", "no-claimed", "string-exponent", "one-exponent", "exponent-out-of-range"],
+)
+def test_malformed_set_file_exits_two_with_one_line(tmp_path, change):
+    res = run("verify", "--set", _set_file_variant(tmp_path, change))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: set file "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_non_integer_subspace_exps_exit_two_with_one_line():
+    res = run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-exps", "a,b")
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_duplicate_set_file_elements_collapse(tmp_path):
+    clean = run("verify", "--set", _set_file_variant(tmp_path, lambda doc: None))
+    dup = run("verify", "--set", _set_file_variant(
+        tmp_path, lambda doc: doc["elements"].extend(doc["elements"][:3])))
+    assert dup.returncode == clean.returncode == 0
+    assert dup.stdout == clean.stdout

@@ -9,6 +9,16 @@ from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.errors import CapExceededError, NotScaleClosedError
 
+from conftest import digit_table
+
+
+def coords_of_pair(ctx, pair):
+    """GF(q) coordinates of the element with dlog pair (i, j)."""
+    i, j = pair
+    a = 0 if i < 0 else ctx.tower.f1.antilog[i]
+    b = 0 if j < 0 else ctx.tower.f2.antilog[j]
+    return np.concatenate([ctx.coords1[a], ctx.coords2[b]])
+
 
 @pytest.fixture(scope="module")
 def setup64():
@@ -28,19 +38,19 @@ def setup729():
 
 def test_pair_coords_linearity(setup64):
     tower, ctx, _ = setup64
-    assert (ctx.pair_coords((-1, -1)) == 0).all()
+    assert (coords_of_pair(ctx, (-1, -1)) == 0).all()
     ix = V.GroupIndexer(tower)
+    digits, weights = digit_table(2, 6)
     # additivity: coords of the group sum is the GF(q) sum of coords
     pairs = [(i, j) for i in range(-1, 3) for j in range(-1, 15)]
+    index = dict(zip(pairs, ix.from_dlog_pairs(np.array(pairs)).tolist()))
     for x in pairs:
         for y in pairs:
-            gx, gy = ix.index_of_pair(x), ix.index_of_pair(y)
-            gz = int(
-                ((ix.digits_all()[gx] + ix.digits_all()[gy]) % 2) @ ix.weights()
-            )
-            z = ix.pair_of_index(gz)
-            cz = ctx.pair_coords(z)
-            want = ctx.qa.add[ctx.pair_coords(x), ctx.pair_coords(y)]
+            gx, gy = index[x], index[y]
+            gz = int(((digits[gx] + digits[gy]) % 2) @ weights)
+            z = tuple(ix.dlog_pairs(gz).tolist())
+            cz = coords_of_pair(ctx, z)
+            want = ctx.qa.add[coords_of_pair(ctx, x), coords_of_pair(ctx, y)]
             assert (cz == want).all()
 
 
@@ -57,8 +67,8 @@ def test_scalar_action_on_coords():
                 i if i < 0 else (i + s1) % ord1,
                 j if j < 0 else (j + s2) % ord2,
             )
-            got = ctx.pair_coords(scaled)
-            want = ctx.qa.mul[c, ctx.pair_coords(pair)]
+            got = coords_of_pair(ctx, scaled)
+            want = ctx.qa.mul[c, coords_of_pair(ctx, pair)]
             assert (got == want).all()
 
 
@@ -76,7 +86,7 @@ def test_scale_closure_violation_detected(setup729):
     broken = PdsSet(
         D.params,
         D.provenance,
-        frozenset(list(D.elements)[1:]),
+        D.elements[1:],
         D.claimed,
         D.subspace_rows,
     )
@@ -127,6 +137,37 @@ def test_generator_matrix(setup64):
     assert len(set(cols)) == gm.n  # pairwise independent (normalized, distinct)
 
 
+def reference_rank(mat, qa):
+    """The seed's elimination: one Python pass over the rows per pivot."""
+    m = mat.copy()
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        pivot = next((rr for rr in range(rank, rows) if m[rr, c]), None)
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = qa.mul[qa.inv[m[rank, c]], m[rank]]
+        for rr in range(rows):
+            if rr != rank and m[rr, c]:
+                m[rr] = qa.add[m[rr], qa.mul[qa.neg[m[rr, c]], m[rank]]]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def test_rank_matches_the_row_loop():
+    """Random matrices over GF(2), GF(3) and GF(4), full rank and not,
+    tall and wide."""
+    rng = np.random.default_rng(3)
+    for tp in [(2, 1, 2, 1, 1), (3, 1, 2, 1, 1), (2, 2, 2, 1, 1)]:
+        qa = C.CodingContext(Tower(TowerParams(*tp))).qa
+        for rows, cols, rank in [(9, 4, 4), (9, 6, 3), (4, 9, 2), (5, 5, 5), (12, 6, 1)]:
+            mat = qa.dot(rng.integers(0, qa.q, (rows, rank)), rng.integers(0, qa.q, (rank, cols)))
+            assert C._rank_gfq(mat, qa) == reference_rank(mat, qa), (tp, rows, cols)
+
+
 def test_weight_enumerator_64(setup64):
     _, ctx, D = setup64
     S = C.to_projective_set(D, ctx)
@@ -169,18 +210,6 @@ def test_enumeration_caps(setup64):
         C.weight_enumerator(gm, ctx, cap=32)
     with pytest.raises(CapExceededError):
         C.hyperplane_profile(S, ctx, cap=32)
-
-
-def test_parallel_sweeps_identical(setup729):
-    _, ctx, D = setup729
-    S = C.to_projective_set(D, ctx)
-    gm = C.build_code(S, ctx)
-    assert C.weight_enumerator(gm, ctx, threads=0) == C.weight_enumerator(
-        gm, ctx, threads=3
-    )
-    assert C.hyperplane_profile(S, ctx, threads=0) == C.hyperplane_profile(
-        S, ctx, threads=3
-    )
 
 
 def test_prime_power_q_arithmetic():

@@ -4,10 +4,12 @@ the two independent set builds."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from denpds import params as P
 from denpds.construct import (
+    PdsSet,
     Tower,
     TowerParams,
     dual_subspace,
@@ -19,6 +21,9 @@ from denpds.errors import (
     NotASubspaceError,
     TableCapExceededError,
 )
+from denpds.verify import GroupIndexer, delsarte_dual
+
+from conftest import pair_set
 
 
 @pytest.fixture(scope="module")
@@ -119,36 +124,36 @@ def test_compatible_primitives_postconditions():
 def test_build_sizes_and_invariants(t64, t729):
     D = t64.build_D()
     assert D.k == 18 and D.claimed.as_tuple() == (64, 18, 2, 6)
-    assert (-1, -1) not in D.elements
+    assert (-1, -1) not in pair_set(t64, D)
     D3 = t729.build_D()
     assert D3.k == 168
     assert t729.is_symmetric(D3)
     # no element of the primal set has first coordinate zero
-    assert not any(a == -1 for a, _ in D.elements)
+    assert not any(a == -1 for a, _ in pair_set(t64, D))
     # r = 0 boundary
     t0 = Tower(TowerParams(2, 1, 2, 1, 0))
     D0 = t0.build_D()
-    assert D0.elements == frozenset((i, -1) for i in range(3))
+    assert pair_set(t0, D0) == frozenset((i, -1) for i in range(3))
 
 
 def test_two_constructions_agree_spot(t64, t729):
     for tw in (t64, t729):
         R = tw.default_subspace()
-        assert tw.build_D(R).elements == tw.build_D_cosets(R).elements
+        assert np.array_equal(tw.build_D(R).elements, tw.build_D_cosets(R).elements)
 
 
 def test_build_independent_of_basis_choice(t729):
     R1 = t729.default_subspace()  # span{1}
     R2 = t729.subspace_from_coeff_rows([[2, 0]])  # span{2}: same GF(3)-line
     assert R1.elements == R2.elements
-    assert t729.build_D(R1).elements == t729.build_D(R2).elements
+    assert np.array_equal(t729.build_D(R1).elements, t729.build_D(R2).elements)
     # a genuinely different subspace gives a different set of the same size
     t512 = Tower(TowerParams(2, 1, 3, 1, 2))
     Ra = t512.default_subspace()
     Rb = t512.subspace_from_exponents([1, 2])
     assert Ra.elements != Rb.elements
     Da, Db = t512.build_D(Ra), t512.build_D(Rb)
-    assert Da.k == Db.k and Da.elements != Db.elements
+    assert Da.k == Db.k and not np.array_equal(Da.elements, Db.elements)
 
 
 def test_rank_mismatch_rejected(t64):
@@ -160,23 +165,23 @@ def test_rank_mismatch_rejected(t64):
 def test_dual_set_and_boundaries(t64):
     Dd = t64.build_D_dual()
     assert Dd.k == 45 and Dd.claimed.as_tuple() == (64, 45, 32, 30)
-    assert not any(b == -1 for _, b in Dd.elements)
+    assert not any(b == -1 for _, b in pair_set(t64, Dd))
     # r = m: the dual is everything with nonzero second coordinate
     tm = Tower(TowerParams(2, 1, 2, 1, 2))
     Dm = tm.build_D_dual()
-    assert Dm.elements == frozenset(
+    assert pair_set(tm, Dm) == frozenset(
         (i, j) for i in range(-1, 3) for j in range(15)
     )
     # and equals the complement of the r=0 primal set
     t0 = Tower(TowerParams(2, 1, 2, 1, 0))
-    assert Dm.elements == tm.complement(t0.build_D()).elements
+    assert np.array_equal(Dm.elements, tm.complement(t0.build_D()).elements)
 
 
 def test_complement_involution(t64):
     D = t64.build_D()
     C = t64.complement(D)
     assert C.k == 64 - 18 - 1
-    assert t64.complement(C).elements == D.elements
+    assert np.array_equal(t64.complement(C).elements, D.elements)
     assert C.claimed.as_tuple() == (64, 45, 32, 30)
 
 
@@ -184,7 +189,7 @@ def test_pds_json_roundtrip(t64):
     D = t64.build_D()
     doc = json.loads(D.to_json(t64))
     tower2, D2 = pds_from_json_dict(doc)
-    assert D2.elements == D.elements
+    assert np.array_equal(D2.elements, D.elements)
     assert D2.claimed == D.claimed
     assert tower2.params == t64.params
     # tampered field model is rejected
@@ -204,5 +209,38 @@ def test_coset_class_sizes(t729):
     assert size2 == (q - 1) * (q ** (tp.m * (tp.ell + 1)) - 1) // (q**tp.m - 1)
     D = t729.build_D_cosets()
     T = t729.index_set_T(t729.default_subspace())
-    nonaxis = sum(1 for a, b in D.elements if b != -1)
+    nonaxis = sum(1 for a, b in pair_set(t729, D) if b != -1)
     assert nonaxis == e * len(T) * size1 * size2
+
+
+def test_set_file_boundary_on_grid(grid):
+    """Every grid set, its complement and its Delsarte dual: the set file
+    reads back to the same index array and re-serialises byte for byte;
+    elements are sorted, unique, nonzero and read-only; the file lists the
+    dlog pairs in lexicographic order."""
+    for tower, pds, R, family in grid.instances():
+        dual = delsarte_dual(pds, grid.indexer(tower), grid.spectrum(pds, tower))
+        for one in (pds, tower.complement(pds), dual):
+            text = one.to_json(tower)
+            doc = json.loads(text)
+            _, back = pds_from_json_dict(doc)
+            assert np.array_equal(back.elements, one.elements), (tower.params, one.provenance)
+            assert back.to_json(tower) == text
+            assert doc["elements"] == sorted(doc["elements"])
+            e = one.elements
+            assert e.dtype == np.int64 and (np.diff(e) > 0).all() and e[0] > 0
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0] = 0
+
+
+def test_set_normalizes_its_elements(t729):
+    """Any integer sequence becomes a sorted unique array; duplicates
+    collapse and indices outside the group are refused."""
+    D = t729.build_D()
+    again = PdsSet(D.params, D.provenance, list(D.elements[::-1]) + [int(D.elements[0])], D.claimed)
+    assert np.array_equal(again.elements, D.elements)
+    with pytest.raises(ValueError):
+        PdsSet(D.params, D.provenance, [729], D.claimed)
+    ix = GroupIndexer(t729)
+    assert np.array_equal(ix.from_dlog_pairs(ix.dlog_pairs(D.elements)), D.elements)

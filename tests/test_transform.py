@@ -10,24 +10,23 @@ import pytest
 from denpds import coding as C
 from denpds import transform as T
 from denpds import verify as V
-from denpds.construct import PdsSet
 from denpds.errors import CapExceededError, InternalError
 
-from conftest import GRID_G1
+from conftest import GRID_G1, digit_table, pair_set, with_pairs
 
 
 def mutants(pds, tower, seed, count):
     """Single-element swaps: one element out, one non-element in."""
     rng = random.Random(seed)
+    pairs = pair_set(tower, pds)
     universe = sorted(
         {(i, j) for i in range(-1, tower.f1.order) for j in range(-1, tower.f2.order)}
         - {(-1, -1)}
-        - pds.elements
+        - pairs
     )
-    members = sorted(pds.elements)
+    members = sorted(pairs)
     for _ in range(count):
-        elems = frozenset(pds.elements - {rng.choice(members)} | {rng.choice(universe)})
-        yield PdsSet(pds.params, pds.provenance, elems, pds.claimed, pds.subspace_rows)
+        yield with_pairs(tower, pds, pairs - {rng.choice(members)} | {rng.choice(universe)})
 
 
 def old_common_neighbors(pds, indexer, cap):
@@ -36,18 +35,18 @@ def old_common_neighbors(pds, indexer, cap):
     v, p = indexer.v, indexer.p
     exp = V.expected_params(pds)
     member = np.zeros(v, dtype=np.int64)
-    member[indexer.indices_of(pds)] = 1
+    member[pds.elements] = 1
     sampled = v > cap
     stride = (v + cap - 1) // cap if sampled else 1
     targets = np.arange(1, v, stride, dtype=np.int64)
-    digits, weights = indexer.digits_all(), indexer.weights()
+    digits, weights = digit_table(p, indexer.n)
     cn = np.array(
         [member[((digits - digits[g]) % p) @ weights] @ member for g in targets], dtype=np.int64
     )
     want = np.where(member[targets] == 1, exp.lam, exp.mu)
     bad = np.flatnonzero(cn != want)
     witnesses = [
-        {"vertex": list(indexer.pair_of_index(int(targets[b]))), "count": int(cn[b]), "want": int(want[b])}
+        {"vertex": indexer.dlog_pairs(targets[b]).tolist(), "count": int(cn[b]), "want": int(want[b])}
         for b in bad[:5]
     ]
     details = {"pairs_checked": int(len(targets)), "degree": int(member.sum()), "sampled": sampled}

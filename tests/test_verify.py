@@ -11,6 +11,8 @@ from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.errors import CapExceededError, SpectrumNotTwoValuedError
 
+from conftest import digit_table, pair_set, with_pairs
+
 
 @pytest.fixture(scope="module")
 def t64():
@@ -34,27 +36,25 @@ def swap_one(pds, tower, rng):
     universe = {
         (i, j) for i in range(-1, ord1) for j in range(-1, ord2)
     } - {(-1, -1)}
-    gone = rng.choice(sorted(pds.elements))
-    added = rng.choice(sorted(universe - pds.elements))
-    elems = frozenset(pds.elements - {gone} | {added})
-    return PdsSet(pds.params, pds.provenance, elems, pds.claimed, pds.subspace_rows)
+    pairs = pair_set(tower, pds)
+    gone = rng.choice(sorted(pairs))
+    added = rng.choice(sorted(universe - pairs))
+    return with_pairs(tower, pds, pairs - {gone} | {added})
 
 
 def test_group_indexer_bijection(ix64, t64):
-    seen = set()
-    for i in range(-1, t64.f1.order):
-        for j in range(-1, t64.f2.order):
-            g = ix64.index_of_pair((i, j))
-            assert ix64.pair_of_index(g) == (i, j)
-            seen.add(g)
-    assert seen == set(range(64))
+    pairs = np.array([(i, j) for i in range(-1, t64.f1.order) for j in range(-1, t64.f2.order)])
+    idx = ix64.from_dlog_pairs(pairs)
+    assert sorted(idx.tolist()) == list(range(64))
+    assert np.array_equal(ix64.dlog_pairs(idx), pairs)
+    for g, pair in zip(idx.tolist(), pairs.tolist()):
+        assert ix64.dlog_pairs(g).tolist() == pair
 
 
 def test_index_arithmetic_matches_group_law(ix64, t64):
     # index addition is coordinate-wise field addition
     f1, f2 = t64.f1, t64.f2
-    digits = ix64.digits_all()
-    weights = ix64.weights()
+    digits, weights = digit_table(2, 6)
     rng = random.Random(11)
     for _ in range(100):
         g, h = rng.randrange(64), rng.randrange(64)
@@ -62,32 +62,50 @@ def test_index_arithmetic_matches_group_law(ix64, t64):
         ga, gb = g % 4, g // 4
         ha, hb = h % 4, h // 4
         assert s == f1.add_packed(ga, ha) + 4 * f2.add_packed(gb, hb)
+        assert ix64.add(g, h) == s and ix64.sub(s, h) == g
+
+
+def test_index_arithmetic_odd_characteristic():
+    """add, sub and neg on indices, elementwise and broadcast, are the
+    digit-wise group law mod 3, which is coordinate-wise field arithmetic."""
+    tower = Tower(TowerParams(3, 1, 2, 1, 1))
+    ix = V.GroupIndexer(tower)
+    digits, weights = digit_table(3, 6)
+    g = np.arange(729, dtype=np.int64)
+    h = np.random.default_rng(5).permutation(729)
+    assert np.array_equal(ix.add(g, h), ((digits[g] + digits[h]) % 3) @ weights)
+    assert np.array_equal(ix.sub(g, h), ((digits[g] - digits[h]) % 3) @ weights)
+    assert np.array_equal(ix.neg(g), ((3 - digits[g]) % 3) @ weights)
+    assert np.array_equal(ix.sub(g[:, None], h[None, :5]), ix.add(g[:, None], ix.neg(h[None, :5])))
+    f1, f2 = tower.f1, tower.f2
+    for a, b in zip(g[:50].tolist(), h[:50].tolist()):
+        want = f1.add_packed(a % 9, b % 9) + 9 * f2.add_packed(a // 9, b // 9)
+        assert ix.add(a, b) == want
 
 
 def test_two_element_set_profile():
     """For D = {g, -g} with g != -g the only differences are +-2g, once each."""
     tower = Tower(TowerParams(3, 1, 2, 1, 1))
     ix = V.GroupIndexer(tower)
-    g = (0, 1)
-    neg = tower.neg_pair(g)
+    g = int(ix.from_dlog_pairs(np.array([(0, 1)]))[0])
+    neg = ix.neg(g)
     assert neg != g
     claimed = P.SrgParams(729, 2, 0, 0)  # placeholder claim; profile only
-    pds = PdsSet(tower.params, "primal", frozenset({g, neg}), claimed)
+    pds = PdsSet(tower.params, "primal", [g, neg], claimed)
     prof = V.difference_profile(pds, ix)
     assert prof.total() == 2
     nz = np.flatnonzero(prof.counts)
     assert len(nz) == 2
-    twog = ix.index_of_pair(g)
-    dd = ix.digits_all()
-    double = int(((dd[twog] * 2) % 3) @ ix.weights())
-    assert set(nz) == {double, int(((3 - dd[twog] * 2) % 3) @ ix.weights())}
+    dd, weights = digit_table(3, 6)
+    double = int(((dd[g] * 2) % 3) @ weights)
+    assert set(nz) == {double, int(((3 - dd[g] * 2) % 3) @ weights)}
     assert all(prof.counts[z] == 1 for z in nz)
 
 
 def test_profile_spot_values(d64, ix64):
     D, _ = d64
     prof = V.difference_profile(D, ix64)
-    idx = ix64.indices_of(D)
+    idx = D.elements
     member = np.zeros(64, dtype=bool)
     member[idx] = True
     assert set(prof.counts[member].tolist()) == {2}
@@ -96,7 +114,7 @@ def test_profile_spot_values(d64, ix64):
     assert set(prof.counts[off].tolist()) == {6}
     assert prof.total() == 18 * 17 == 2 * 18 + 6 * 45
     # symmetry c(g) = c(-g)
-    assert (prof.counts == prof.counts[ix64.neg_perm()]).all()
+    assert (prof.counts == prof.counts[ix64.neg(np.arange(64))]).all()
 
 
 def test_profile_cap():
@@ -200,13 +218,12 @@ def test_clique_certificates(d64, t64):
     item = V.clique_certificate(Dd, t64)
     assert item.passed and item.details["clique_size"] == 16
     # a set containing a forbidden axis element fails the bound
-    bad = PdsSet(
-        D.params,
-        "primal",
-        frozenset(D.elements | {(-1, 0)}),
-        D.claimed,
-        D.subspace_rows,
-    )
+    bad = with_pairs(t64, D, pair_set(t64, D) | {(-1, 0)})
+    assert not V.clique_certificate(bad, t64).passed
+    # so does a set missing one element of the designated clique
+    bad = with_pairs(t64, D, pair_set(t64, D) - {(0, -1)})
+    assert not V.clique_certificate(bad, t64).details["differences_inside"]
+    bad = with_pairs(t64, Dd, pair_set(t64, Dd) - {(-1, 0)})
     assert not V.clique_certificate(bad, t64).passed
 
 
@@ -215,11 +232,11 @@ def test_delsarte_dual_matches_construction(d64, t64, ix64):
     dd = V.delsarte_dual(D, ix64)
     assert dd.provenance == "delsarte-dual"
     assert dd.claimed.as_tuple() == (64, 45, 32, 30)
-    assert dd.elements == t64.build_D_dual(R).elements
+    assert np.array_equal(dd.elements, t64.build_D_dual(R).elements)
     # double dual returns the original set, correctly relabelled
     dd2 = V.delsarte_dual(dd, ix64)
     assert dd2.provenance == "primal"
-    assert dd2.elements == D.elements
+    assert np.array_equal(dd2.elements, D.elements)
     assert dd2.claimed.as_tuple() == (64, 18, 2, 6)
     assert V.expected_params(dd2) == dd2.claimed
 
@@ -277,11 +294,8 @@ def test_verify_pds_cap_skips(d64, t64):
     assert statuses["clique"] == "pass"  # set-level check still runs
 
 
-def test_parallel_results_identical(d64, t64, ix64):
+def test_parallel_results_identical(d64, t64):
     D, R = d64
-    seq = V.difference_profile(D, ix64, threads=0)
-    par = V.difference_profile(D, ix64, threads=4)
-    assert (seq.counts == par.counts).all()
     rep0 = V.verify_pds(D, t64, R, threads=0)
     rep4 = V.verify_pds(D, t64, R, threads=4)
     assert rep0.to_json() == rep4.to_json()
@@ -297,6 +311,21 @@ def test_mutation_sensitivity(d64, t64):
         assert not report.ok
 
 
+def reference_edges(pds, indexer):
+    """The seed's route: for each generator d, the digit sum u + d of every
+    vertex u, then one lexicographic sort."""
+    digits, weights = digit_table(indexer.p, indexer.n)
+    u = np.arange(indexer.v)
+    us, ws = [], []
+    for d in pds.elements:
+        w = ((digits + digits[d]) % indexer.p) @ weights
+        us.append(u[u < w])
+        ws.append(w[u < w])
+    u, w = np.concatenate(us), np.concatenate(ws)
+    order = np.lexsort((w, u))
+    return np.stack([u[order], w[order]], axis=1)
+
+
 def test_cayley_edges(d64, ix64):
     D, _ = d64
     edges = V.cayley_edges(D, ix64)
@@ -305,3 +334,8 @@ def test_cayley_edges(d64, ix64):
     # sorted and unique
     as_tuples = [tuple(e) for e in edges]
     assert as_tuples == sorted(set(as_tuples))
+    assert np.array_equal(edges, reference_edges(D, ix64))
+    tower = Tower(TowerParams(3, 1, 2, 1, 1))
+    ix = V.GroupIndexer(tower)
+    D3 = tower.build_D()
+    assert np.array_equal(V.cayley_edges(D3, ix), reference_edges(D3, ix))
