@@ -9,7 +9,7 @@ projective two-weight codes.
 
 from .construct import PdsSet, Subspace, Tower, TowerParams, dual_subspace
 from .errors import DenpdsError
-from .ff import FieldElement, FiniteField, SubfieldEmbedding, build_field, embed
+from .ff import FiniteField, SubfieldEmbedding, build_field, embed
 from .params import (
     SrgParams,
     classify_type,
@@ -25,7 +25,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DenpdsError",
-    "FieldElement",
     "FiniteField",
     "PdsSet",
     "SrgParams",

@@ -24,7 +24,7 @@ from . import coding as cd
 from . import params as pm
 from . import verify as vf
 from .construct import PdsSet, Tower, TowerParams, pds_from_json_dict
-from .errors import CapExceededError, DenpdsError
+from .errors import CapExceededError, DenpdsError, NotASubspaceError
 from .ff import DEFAULT_TABLE_CAP
 
 EXIT_OK = 0
@@ -125,19 +125,24 @@ def _tower_params(args) -> TowerParams:
 
 
 def _subspace(tower: Tower, args):
+    """R from --subspace-exps or --subspace-coords, else the default.  A
+    basis that is not integers, or does not span a subspace of rank r, is a
+    usage error."""
     try:
         if getattr(args, "subspace_exps", None):
             exps = [int(x) for x in args.subspace_exps.split(",") if x != ""]
-            return tower.subspace_from_exponents(exps)
+            return tower.check_rank(tower.subspace_from_exponents(exps))
         if getattr(args, "subspace_coords", None):
             rows = [
                 [int(x) for x in row.replace(",", " ").split()]
                 for row in args.subspace_coords.split(";")
                 if row.strip()
             ]
-            return tower.subspace_from_coeff_rows(rows)
+            return tower.check_rank(tower.subspace_from_coeff_rows(rows))
     except ValueError as exc:
         _usage_error("a subspace basis is a list of integers: %s" % exc)
+    except NotASubspaceError as exc:
+        _usage_error("invalid subspace: %s" % exc)
     return tower.default_subspace()
 
 
@@ -300,10 +305,10 @@ def _read_set_file(path: str, table_cap: int) -> tuple[Tower, PdsSet, object]:
         with open(path) as fh:
             doc = json.load(fh)
         tower, pds = pds_from_json_dict(doc, table_cap=table_cap)
-        R = tower.subspace_from_coeff_rows(pds.subspace_rows)
+        R = tower.check_rank(tower.subspace_from_coeff_rows(pds.subspace_rows))
     except KeyError as exc:
         _usage_error("set file %s: missing key %s" % (path, exc))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, NotASubspaceError) as exc:
         _usage_error("set file %s: %s" % (path, exc))
     return tower, pds, R
 
@@ -492,6 +497,9 @@ def main(argv=None) -> int:
         if missing:
             print("error: missing %s (or use --grid)" % ", ".join(missing), file=sys.stderr)
             return EXIT_USAGE
+    if getattr(args, "parallel", 0) < 0:
+        print("error: --parallel must be non-negative, got %d" % args.parallel, file=sys.stderr)
+        return EXIT_USAGE
     if args.command in ("construct", "verify", "dual", "code", "geometry", "export-graph"):
         if not getattr(args, "set_file", None):
             missing = [k for k in ("p", "m", "ell", "r") if getattr(args, k, None) is None]

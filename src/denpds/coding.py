@@ -23,46 +23,19 @@ import numpy as np
 from . import params as pm
 from .construct import GroupIndexer, PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
+from .ff import FiniteField, embed, row_reduce
 from .verify import CharacterSpectrum, CheckItem, _chunk_ranges
 
 DEFAULT_ENUM_CAP = 1 << 16
 
 
-class QArith:
-    """Vectorized GF(q) arithmetic via packed-value lookup tables."""
-
-    def __init__(self, tower: Tower):
-        self.base = tower.base
-        self.q = tower.base.size
-        q = self.q
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for x in range(q):
-            for y in range(q):
-                add[x, y] = self.base.add_packed(x, y)
-                mul[x, y] = self.base.mul_packed(x, y)
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            inv[x] = self.base.antilog[(-self.base.dlog[x]) % self.base.order]
-        neg = np.array([self.base.neg_packed(x) for x in range(q)], dtype=np.int64)
-        for t in (add, mul, inv, neg):
-            t.setflags(write=False)
-        self.add, self.mul, self.inv, self.neg = add, mul, inv, neg
-
-    def dot(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(R, n) x (n, C) -> (R, C) over GF(q)."""
-        acc = np.zeros((rows.shape[0], cols.shape[1]), dtype=np.int64)
-        for t in range(rows.shape[1]):
-            acc = self.add[acc, self.mul[rows[:, t][:, None], cols[t][None, :]]]
-        return acc
-
-
 class CodingContext:
-    """Coordinate tables and scalar action for one tower."""
+    """Coordinate tables and scalar action for one tower; GF(q) symbols are
+    packed elements of ``base``."""
 
     def __init__(self, tower: Tower):
         self.tower = tower
-        self.qa = QArith(tower)
+        self.base = tower.base
         tp = tower.params
         self.q = tp.q
         self.dim = tp.dim_q
@@ -71,16 +44,8 @@ class CodingContext:
         self.coords1 = tower.f1.coords_table(tp.s)
         self.coords2 = tower.f2.coords_table(tp.s)
         # discrete logs of the embedded GF(q)* scalars inside each big field
-        from .ff import embed
-
-        e1 = embed(tower.base, tower.f1)
-        e2 = embed(tower.base, tower.f2)
-        self.scalar_dlogs1 = [
-            tower.f1.dlog[e1.apply_packed(s)] for s in range(1, self.q)
-        ]
-        self.scalar_dlogs2 = [
-            tower.f2.dlog[e2.apply_packed(s)] for s in range(1, self.q)
-        ]
+        self.scalar_dlogs1 = tower.f1.dlog_array()[embed(tower.base, tower.f1).forward[1:]].tolist()
+        self.scalar_dlogs2 = tower.f2.dlog_array()[embed(tower.base, tower.f2).forward[1:]].tolist()
 
     def check_scale_closed(self, pds: PdsSet) -> None:
         """The diagonal GF(q)* action must permute the set."""
@@ -115,13 +80,13 @@ class ProjectiveSet:
         return [" ".join(str(int(c)) for c in row) for row in self.points]
 
 
-def _normalize_rows(rows: np.ndarray, qa: QArith) -> np.ndarray:
+def _normalize_rows(rows: np.ndarray, base: FiniteField) -> np.ndarray:
     nz = rows != 0
     if not nz.any(axis=1).all():
         raise InternalError("cannot normalize a zero vector")
     first = nz.argmax(axis=1)
     lead = rows[np.arange(len(rows)), first]
-    return qa.mul[qa.inv[lead][:, None], rows]
+    return base.mul(base.inv(lead)[:, None], rows)
 
 
 def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
@@ -129,7 +94,7 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     ctx.check_scale_closed(pds)
     sz1 = ctx.tower.f1.size
     rows = np.concatenate([ctx.coords1[pds.elements % sz1], ctx.coords2[pds.elements // sz1]], axis=1)
-    norm = _normalize_rows(rows, ctx.qa)
+    norm = _normalize_rows(rows, ctx.base)
     uniq = np.unique(norm, axis=0)
     want, rem = divmod(pds.k, ctx.q - 1)
     if rem or len(uniq) != want:
@@ -149,7 +114,7 @@ def require_message_cap(q: int, dim: int, cap: int) -> None:
         raise CapExceededError("message sweep above cap %d" % cap)
 
 
-def _normalized_duals(q: int, dim: int, qa: QArith, cap: int) -> np.ndarray:
+def _normalized_duals(q: int, dim: int, cap: int) -> np.ndarray:
     """All hyperplane representatives: nonzero vectors with first nonzero 1."""
     require_hyperplane_cap(q, dim, cap)
     total = q**dim
@@ -168,13 +133,15 @@ def hyperplane_profile(
     S: ProjectiveSet, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Map: intersection size -> number of hyperplanes attaining it."""
-    duals = _normalized_duals(S.q, S.dim, ctx.qa, cap)
-    pts = S.points.T.copy()
+    duals = _normalized_duals(S.q, S.dim, cap)
+    base = ctx.base
     chunk = max(1, (8 << 20) // max(1, S.n * 8))
     counts = np.zeros(S.n + 1, dtype=np.int64)
     for lo, hi in _chunk_ranges(len(duals), chunk):
-        sizes = (ctx.qa.dot(duals[lo:hi], pts) == 0).sum(axis=1)
-        counts += np.bincount(sizes, minlength=S.n + 1)
+        dots = 0  # u . x over GF(q) for each dual u and point x
+        for t in range(S.dim):
+            dots = base.add(dots, base.mul(duals[lo:hi, t, None], S.points[None, :, t]))
+        counts += np.bincount((dots == 0).sum(axis=1), minlength=S.n + 1)
     expected_total = (S.q**S.dim - 1) // (S.q - 1)
     if counts.sum() != expected_total:
         raise InternalError("hyperplane count mismatch")
@@ -201,36 +168,13 @@ class GeneratorMatrix:
         return [" ".join(str(int(c)) for c in row) for row in self.mat]
 
 
-def _rank_gfq(mat: np.ndarray, qa: QArith) -> int:
-    """Rank by Gauss-Jordan elimination; each pivot clears its column in
-    every other row with one table expression."""
-    m = mat.copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        nz = np.flatnonzero(m[rank:, c])
-        if not len(nz):
-            continue
-        pivot = rank + nz[0]
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = qa.mul[qa.inv[m[rank, c]], m[rank]]
-        factor = qa.neg[m[:, c]]
-        factor[rank] = 0
-        m = qa.add[m, qa.mul[factor[:, None], m[rank][None, :]]]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     """Columns in lexicographic coordinate order; distinct normalized points
     are pairwise independent by construction, which is re-asserted."""
     cols = S.points[np.lexsort(S.points.T[::-1])]
     if not (np.diff(cols, axis=0) != 0).any(axis=1).all():
         raise InternalError("generator columns are not pairwise independent")
-    return GeneratorMatrix(S.q, cols.T, _rank_gfq(cols, ctx.qa))
+    return GeneratorMatrix(S.q, cols.T, len(row_reduce(ctx.base, cols)[1]))
 
 
 def weight_enumerator(
@@ -240,11 +184,11 @@ def weight_enumerator(
     q, dim, n = gm.q, gm.dim, gm.n
     require_message_cap(q, dim, cap)
     total = q**dim
-    qa = ctx.qa
+    base = ctx.base
     cw = np.zeros((1, n), dtype=np.int64)
     for t in range(dim):
-        scaled = qa.mul[np.arange(q, dtype=np.int64)[:, None], gm.mat[t][None, :]]
-        cw = qa.add[cw[:, None, :], scaled[None, :, :]].reshape(-1, n)
+        scaled = base.mul(np.arange(q, dtype=np.int64)[:, None], gm.mat[t][None, :])
+        cw = base.add(cw[:, None, :], scaled[None, :, :]).reshape(-1, n)
     counts = np.bincount((cw != 0).sum(axis=1), minlength=n + 1)
     if counts.sum() != total:
         raise InternalError("message count mismatch")

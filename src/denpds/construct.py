@@ -28,14 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modp, params as pm
+from . import params as pm
 from .errors import (
     FieldMismatchError,
     InternalError,
     NotASubspaceError,
     TableCapExceededError,
 )
-from .ff import DEFAULT_TABLE_CAP, FieldElement, FiniteField, build_field, embed, is_prime
+from .ff import (
+    DEFAULT_TABLE_CAP,
+    FiniteField,
+    build_field,
+    digitwise,
+    embed,
+    inverse,
+    is_prime,
+    kernel_basis,
+)
 
 # How the family tag of a set transforms under complementation and under
 # the character-group dual.  The four families are closed under both maps:
@@ -68,6 +77,8 @@ class TowerParams:
     r: int
 
     def __post_init__(self):
+        if self.p >= 1 << 64:
+            raise ValueError("p must be below 2^64")
         if not is_prime(self.p):
             raise ValueError("p must be prime")
         if self.s < 1 or self.m < 1 or self.ell < 1:
@@ -146,99 +157,70 @@ class Subspace:
         return [list(self.mid.digits(b)) for b in self.basis]
 
 
-def _base_scalar_images(mid: FiniteField, base: FiniteField) -> list[int]:
-    e = embed(base, mid)
-    return [e.apply_packed(s) for s in range(base.size)]
+def _extend_span(mid: FiniteField, scalars: np.ndarray, span: np.ndarray, b: int) -> np.ndarray:
+    """span + scalars * b as an array, one entry per (element, scalar)."""
+    return mid.add(span[:, None], mid.mul(scalars, b)[None, :]).ravel()
 
 
 def subspace_from_basis(
     mid: FiniteField, base: FiniteField, basis_packed: list[int]
 ) -> Subspace:
     """Span the given vectors over GF(q); reject dependent input."""
-    scalars = _base_scalar_images(mid, base)
-    span = {0}
+    scalars, span = embed(base, mid).forward, np.zeros(1, dtype=np.int64)
     for b in basis_packed:
-        scaled = [mid.mul_packed(s, b) for s in scalars]
-        span = {mid.add_packed(x, sc) for x in span for sc in scaled}
-    q = base.size
-    if len(span) != q ** len(basis_packed):
+        span = _extend_span(mid, scalars, span, b)
+    if len(np.unique(span)) != base.size ** len(basis_packed):
         raise NotASubspaceError("basis vectors are GF(q)-dependent")
-    return Subspace(mid, base, tuple(basis_packed), frozenset(span), len(basis_packed))
+    return Subspace(mid, base, tuple(basis_packed), frozenset(span.tolist()), len(basis_packed))
 
 
 def subspace_from_elements(
     mid: FiniteField, base: FiniteField, elements
 ) -> Subspace:
-    """Verify closure of an explicit element set and extract a GF(q)-basis."""
+    """Extract a greedy GF(q)-basis of an explicit element set, smallest
+    elements first, and require that it spans exactly that set."""
     elems = frozenset(int(x) for x in elements)
-    if 0 not in elems:
-        raise NotASubspaceError("subspace must contain zero")
-    q = base.size
-    dim_float = math.log(len(elems), q)
-    dim = round(dim_float)
-    if q**dim != len(elems):
-        raise NotASubspaceError("cardinality %d is not a power of q" % len(elems))
-    scalars = _base_scalar_images(mid, base)
-    for x in elems:
-        for y in elems:
-            if mid.add_packed(x, y) not in elems:
-                raise NotASubspaceError("not closed under addition")
-        for s in scalars:
-            if mid.mul_packed(s, x) not in elems:
-                raise NotASubspaceError("not closed under GF(q) scaling")
-    # greedy GF(q)-basis
+    if any(not 0 <= x < mid.size for x in elems):
+        raise NotASubspaceError("elements must be packed values below %d" % mid.size)
     basis: list[int] = []
-    span = {0}
+    scalars, span = embed(base, mid).forward, np.zeros(1, dtype=np.int64)
     for x in sorted(elems):
-        if x in span or x == 0:
-            continue
-        basis.append(x)
-        scaled = [mid.mul_packed(s, x) for s in scalars]
-        span = {mid.add_packed(a, sc) for a in span for sc in scaled}
-        if len(span) == len(elems):
-            break
-    if len(basis) != dim:
-        raise InternalError("basis extraction failed")
-    return Subspace(mid, base, tuple(basis), elems, dim)
+        if x not in span:
+            basis.append(x)
+            span = _extend_span(mid, scalars, span, x)
+    if frozenset(span.tolist()) != elems:
+        raise NotASubspaceError("%d elements that are not a GF(q)-subspace" % len(elems))
+    return Subspace(mid, base, tuple(basis), elems, len(basis))
 
 
 def dual_subspace(R: Subspace) -> Subspace:
     """R-perp under (x, y) -> Tr(x y) into GF(p), via a kernel solve."""
     mid, base = R.mid, R.base
     p, n, s = mid.p, mid.n, base.n
-    tr = mid.trace_table()
-    # GF(p)-spanning rows of R: base polynomial basis scalars times basis
-    rows = []
-    base_emb = embed(base, mid)
-    for b in R.basis:
-        for t in range(s):
-            y = mid.mul_packed(base_emb.apply_packed(base._pows[t]), b)
-            rows.append([int(tr[mid.mul_packed(mid._pows[i], y)]) for i in range(n)])
-    if not rows:  # R = {0}: the dual is everything
-        return subspace_from_elements(mid, base, range(mid.size))
-    kernel = modp.kernel_basis(np.array(rows, dtype=np.int64), p)
-    elems = {0}
-    for vec in kernel:
-        packed = mid.pack(int(d) for d in vec)
-        elems = {mid.add_packed(x, mid.mul_packed(c, packed)) for x in elems for c in range(p)}
-        # scalar c here means the prime-field constant c
-    out = subspace_from_elements(mid, base, elems)
-    expected_dim_p = s * (R.mid.n // s - R.dim)
-    if len(kernel) != expected_dim_p:
+    x_pows = np.array(mid._pows[:n], dtype=np.int64)  # packed x^i
+    # GF(p)-spanning vectors of R: the embedded polynomial basis of GF(q)
+    # times the basis of R; one row (Tr(x^i y))_i for each
+    scalars = embed(base, mid).forward[np.array(base._pows[:s])]
+    spanning = mid.mul(scalars[:, None], np.array(R.basis, dtype=np.int64)[None, :]).ravel()
+    rows = mid.trace_table()[mid.mul(spanning[:, None], x_pows[None, :])]
+    kernel = kernel_basis(build_field(p, 1), rows)
+    if len(kernel) != s * (n // s - R.dim):
         raise InternalError("dual space has wrong GF(p)-dimension")
-    return out
+    elems = np.zeros(1, dtype=np.int64)
+    for vec in kernel:
+        elems = _extend_span(mid, np.arange(p), elems, int(vec @ x_pows))
+    return subspace_from_elements(mid, base, elems)
 
 
 @dataclass(frozen=True)
 class CompatiblePrimitives:
-    """Generators alpha, beta of the two big fields whose norms land on one
-    middle-field generator gamma."""
+    """Generators of the two big fields whose norms pull back to one
+    middle-field generator gamma: K1's own generator, and K2's generator
+    raised to beta_adjust."""
 
-    alpha: FieldElement  # = K1's deterministic generator
-    beta: FieldElement  # = K2's generator raised to beta_adjust
-    gamma: FieldElement  # middle-field element, pullback of both norms
     beta_adjust: int
     gamma_exp: int  # dlog of gamma w.r.t. the middle field's own generator
+    gamma: int  # packed
 
 
 class GroupIndexer:
@@ -262,23 +244,14 @@ class GroupIndexer:
 
     # -- group law on indices, elementwise with broadcasting --
 
-    def _digitwise(self, a, b, sign: int):
-        """Index of a + sign * b, one base-p digit per pass: the digit of
-        a // w + sign * (b // w) mod p is that of the two digits."""
-        p, out, w = self.p, 0, 1
-        for _ in range(self.n):
-            out = out + ((a // w + sign * (b // w)) % p) * w
-            w *= p
-        return out
-
     def add(self, a, b):
-        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
+        return digitwise(a, b, 1, self.p, self.n)
 
     def sub(self, a, b):
-        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
+        return digitwise(a, b, -1, self.p, self.n)
 
     def neg(self, a):
-        return a if self.p == 2 else self._digitwise(0, a, -1)
+        return digitwise(0, a, -1, self.p, self.n)
 
     # -- discrete-log pairs: set files and witnesses --
 
@@ -302,13 +275,9 @@ class GroupIndexer:
         out = self._cache.get(key)
         if out is None:
             fld = self.tower.f1 if which == 1 else self.tower.f2
-            tr = fld.trace_table()
-            n = fld.n
-            g = np.zeros((n, n), dtype=np.int64)
-            for i in range(n):
-                for k in range(n):
-                    g[i, k] = tr[fld.mul_packed(fld._pows[i], fld._pows[k])]
-            out = (g, modp.inverse(g, self.p))
+            x_pows = np.array(fld._pows[: fld.n], dtype=np.int64)
+            g = fld.trace_table()[fld.mul(x_pows[:, None], x_pows[None, :])]
+            out = (g, inverse(build_field(self.p, 1), g))
             self._cache[key] = out
         return out
 
@@ -432,7 +401,7 @@ def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["
         "left": tower.f1.describe(),
         "right": tower.f2.describe(),
     }
-    if doc.get("fields") != described:
+    if doc["fields"] != described:
         raise FieldMismatchError(
             "set file uses a different field model than this build constructs"
         )
@@ -484,7 +453,6 @@ class Tower:
         tp = self.params
         ord1, ord2, ordm = self.f1.order, self.f2.order, self.mid.order
         t1, t2 = ord1 // ordm, ord2 // ordm
-        alpha = self.f1.primitive
         gamma_packed = self.emb_mid1.preimage_packed(self.f1.antilog[t1 % ord1])
         if gamma_packed is None:
             raise InternalError("norm of alpha left the middle-field copy")
@@ -502,20 +470,13 @@ class Tower:
             d += ordm
             if d >= ord2:
                 raise InternalError("no compatible exponent below the field order")
-        beta = self.f2.element(d)
         # postconditions: beta generates, and both norms pull back to gamma
         if math.gcd(d, ord2) != 1:
             raise InternalError("beta is not a generator")
         nb = self.emb_mid2.preimage_packed(self.f2.antilog[(d * t2) % ord2])
         if nb != gamma_packed:
             raise InternalError("norm of beta does not match gamma")
-        return CompatiblePrimitives(
-            alpha=alpha,
-            beta=beta,
-            gamma=self.mid.from_packed(gamma_packed),
-            beta_adjust=d,
-            gamma_exp=g,
-        )
+        return CompatiblePrimitives(beta_adjust=d, gamma_exp=g, gamma=gamma_packed)
 
     # -- norm pullback tables (middle-field dlogs, indexed by coordinate dlog) --
 
@@ -545,10 +506,7 @@ class Tower:
 
     def _ratio_membership(self, space: Subspace) -> np.ndarray:
         """Boolean array over middle-field dlogs t: antilog(t) in space."""
-        ordm = self.mid.order
-        out = np.zeros(ordm, dtype=bool)
-        for t in range(ordm):
-            out[t] = self.mid.antilog[t] in space.elements
+        out = np.isin(self.mid.antilog_array(), list(space.elements))
         out.setflags(write=False)
         return out
 
@@ -567,6 +525,9 @@ class Tower:
         return subspace_from_basis(self.mid, self.base, basis)
 
     def subspace_from_coeff_rows(self, rows) -> Subspace:
+        n = self.mid.n
+        if any(len(row) > n or not all(isinstance(c, int) for c in row) for row in rows):
+            raise NotASubspaceError("a basis row is at most %d integer coefficients" % n)
         basis = [self.mid.pack(row) for row in rows]
         if any(b == 0 for b in basis):
             raise NotASubspaceError("zero vector cannot be a basis element")
@@ -589,7 +550,9 @@ class Tower:
 
     # -- set construction --
 
-    def _check_r(self, R: Subspace | None) -> Subspace:
+    def check_rank(self, R: Subspace | None) -> Subspace:
+        """R (the default subspace for None); a rank other than r is a
+        NotASubspaceError."""
         R = self.default_subspace() if R is None else R
         if R.dim != self.params.r:
             raise NotASubspaceError(
@@ -631,14 +594,14 @@ class Tower:
 
     def build_D(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the primal set."""
-        R = self._check_r(R)
+        R = self.check_rank(R)
         ratio = self._ratio_indices(self._ratio_membership(R))
         axis = np.arange(1, self.f1.size)  # (a, 0) for every a != 0
         return self._finish(np.concatenate([ratio, axis]), "primal", self.params.primal_params(), R)
 
     def build_D_cosets(self, R: Subspace | None = None) -> PdsSet:
         """Coset-union construction; independent of the norm-ratio route."""
-        R = self._check_r(R)
+        R = self.check_rank(R)
         comp = self.compatible
         tp = self.params
         e = tp.e
@@ -660,7 +623,7 @@ class Tower:
 
     def build_D_dual(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the dual set (complement membership)."""
-        R = self._check_r(R)
+        R = self.check_rank(R)
         ratio = self._ratio_indices(~self._ratio_membership(dual_subspace(R)))
         axis = self.f1.size * np.arange(1, self.f2.size)  # (0, b) for every b != 0
         return self._finish(np.concatenate([ratio, axis]), "dual", self.params.dual_params(), R)

@@ -18,7 +18,7 @@ class TableCapExceededError(CapExceededError):
 
 
 class FieldMismatchError(DenpdsError):
-    """Arithmetic was attempted between elements of different fields."""
+    """A set file or subspace belongs to a different field model."""
 
 
 class NotADivisorError(DenpdsError):

@@ -7,27 +7,25 @@ A field GF(p^n) is built deterministically:
 * primitive element: the multiplicative generator whose coefficient vector
   (same constant-first order) is lexicographically smallest.
 
-Elements are packed as integers sum(c_i * p^i) over the polynomial basis
-{1, x, ..., x^(n-1)} and, after table construction, live in discrete-log
-form: ``Zero`` or ``g^k`` for the chosen primitive element g.  All
-multiplicative structure (norms, coset indexing, order computations) is
-then plain exponent arithmetic, and addition goes through the antilog /
-dlog tables.  Everything is exact integer work; there is no floating point
-and no randomness anywhere.
+An element is its packed integer sum(c_i * p^i) over the polynomial basis
+{1, x, ..., x^(n-1)}; there is no element object.  ``FiniteField.add``,
+``sub`` and ``neg`` work digit by digit (``digitwise``, XOR for p = 2) and
+``mul`` and ``inv`` through the discrete-log tables of the chosen primitive
+element g, on Python ints or int64 arrays alike.  All multiplicative
+structure (norms, coset indexing, order computations) is plain exponent
+arithmetic on those tables.  ``row_reduce`` is the one Gauss-Jordan
+elimination over a field.  Everything is exact integer work; there is no
+floating point and no randomness anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from . import modp
 from .errors import (
-    FieldMismatchError,
     InternalError,
     NonPrimeError,
     NotADivisorError,
@@ -38,18 +36,33 @@ from .errors import (
 DEFAULT_TABLE_CAP = 1 << 22
 
 
+# Miller-Rabin with the first twelve prime bases decides every n below
+# 3.18e23 (Sorenson and Webster, Math. Comp. 86 (2017)), so all of [0, 2^64).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < 2^64; larger n is a ValueError."""
+    if n >= 1 << 64:
+        raise ValueError("primality is decided only below 2^64, got %d" % n)
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -149,124 +162,17 @@ def _find_modulus(p: int, n: int) -> tuple[int, ...]:
     raise InternalError("no irreducible polynomial found for GF(%d^%d)" % (p, n))
 
 
-class FieldElement:
-    """Zero or a power of the field's primitive element.
-
-    ``exp`` is the discrete log (0 <= exp < p^n - 1) or -1 for zero.
-    """
-
-    __slots__ = ("field", "exp")
-
-    def __init__(self, field: "FiniteField", exp: int):
-        self.field = field
-        self.exp = exp
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exp < 0
-
-    @property
-    def packed(self) -> int:
-        return 0 if self.exp < 0 else self.field.antilog[self.exp]
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.digits(self.packed)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise FieldMismatchError("elements belong to different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        f = self.field
-        return f.from_packed(f.add_packed(self.packed, other.packed))
-
-    def __neg__(self) -> "FieldElement":
-        f = self.field
-        if f.p == 2 or self.exp < 0:
-            return self
-        return FieldElement(f, (self.exp + f.order // 2) % f.order)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        if self.exp < 0 or other.exp < 0:
-            return self.field.zero
-        return FieldElement(self.field, (self.exp + other.exp) % self.field.order)
-
-    def inv(self) -> "FieldElement":
-        if self.exp < 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(self.field, (-self.exp) % self.field.order)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if self.exp < 0:
-            if e == 0:
-                return self.field.one
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return self
-        return FieldElement(self.field, (self.exp * e) % self.field.order)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.exp == self.exp
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.n, self.exp))
-
-    def __repr__(self) -> str:
-        tag = "GF(%d^%d)" % (self.field.p, self.field.n)
-        if self.exp < 0:
-            return "<%s 0>" % tag
-        return "<%s g^%d=%s>" % (tag, self.exp, list(self.coeffs))
-
-    def multiplicative_order(self) -> int:
-        if self.exp < 0:
-            raise ZeroDivisionError("order of zero")
-        if self.exp == 0:
-            return 1
-        return self.field.order // math.gcd(self.exp, self.field.order)
-
-    def trace_to(self, target_degree: int) -> "FieldElement":
-        """Trace onto the subfield of degree ``target_degree``: sum of
-        x^(q^i) for q = p^target_degree; the result is fixed by x -> x^q."""
-        f = self.field
-        if f.n % target_degree:
-            raise NotADivisorError(
-                "%d does not divide field degree %d" % (target_degree, f.n)
-            )
-        if self.exp < 0:
-            return f.zero
-        q = f.p**target_degree
-        acc = 0
-        for i in range(f.n // target_degree):
-            term_exp = (self.exp * pow(q, i, f.order)) % f.order
-            acc = f.add_packed(acc, f.antilog[term_exp])
-        return f.from_packed(acc)
-
-    def norm_to(self, target_degree: int) -> "FieldElement":
-        """Norm onto the subfield of degree ``target_degree``:
-        x^((p^n - 1) / (p^d - 1)); multiplicative, zero maps to zero."""
-        f = self.field
-        if f.n % target_degree:
-            raise NotADivisorError(
-                "%d does not divide field degree %d" % (target_degree, f.n)
-            )
-        if self.exp < 0:
-            return f.zero
-        t = f.order // (f.p**target_degree - 1)
-        return FieldElement(f, (self.exp * t) % f.order)
+def digitwise(a, b, sign: int, p: int, n: int):
+    """a + sign * b on strings of n base-p digits, one digit per pass mod p
+    (the XOR for p = 2): the sum of packed field elements, or of group
+    indices.  a and b are Python ints or int64 arrays, with broadcasting."""
+    if p == 2:
+        return a ^ b
+    out, w = 0, 1
+    for _ in range(n):
+        out = out + ((a // w + sign * (b // w)) % p) * w
+        w *= p
+    return out
 
 
 class FiniteField:
@@ -306,7 +212,6 @@ class FiniteField:
         if any(self.dlog[v] == -1 for v in range(1, self.size)):
             raise InternalError("antilog table does not cover the field")
         self._np_cache: dict = {}
-        self._coords_cache: dict[int, tuple] = {}
 
     # -- packed-representation helpers --
 
@@ -324,40 +229,12 @@ class FiniteField:
             acc += (d % self.p) * self._pows[i]
         return acc
 
-    def add_packed(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        p = self.p
-        acc, mult = 0, 1
-        for _ in range(self.n):
-            acc += ((x + y) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return acc
-
-    def neg_packed(self, x: int) -> int:
-        if self.p == 2:
-            return x
-        p = self.p
-        acc, mult = 0, 1
-        for _ in range(self.n):
-            acc += ((p - x % p) % p) * mult
-            x //= p
-            mult *= p
-        return acc
-
     def _mul_poly(self, x: int, y: int) -> int:
         """Packed multiplication by polynomial arithmetic (table build only)."""
         a = list(self.digits(x))
         b = list(self.digits(y))
         prod = _poly_rem(_poly_mul(a, b, self.p), list(self.modulus), self.p)
         return self.pack(prod)
-
-    def mul_packed(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self.antilog[(self.dlog[x] + self.dlog[y]) % self.order]
 
     def _pow_poly(self, x: int, e: int) -> int:
         result, acc = 1, x
@@ -378,47 +255,34 @@ class FiniteField:
                 return cand
         raise InternalError("no generator found (impossible for a field)")
 
-    # -- element constructors --
+    # -- arithmetic on packed values: Python ints or int64 arrays, broadcast --
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, -1)
+    def add(self, x, y):
+        return digitwise(x, y, 1, self.p, self.n)
 
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 0)
+    def sub(self, x, y):
+        return digitwise(x, y, -1, self.p, self.n)
 
-    @property
-    def primitive(self) -> FieldElement:
-        return FieldElement(self, 1 % self.order)
+    def neg(self, x):
+        return digitwise(0, x, -1, self.p, self.n)
 
-    def element(self, exp: int) -> FieldElement:
-        if exp < 0:
-            return self.zero
-        return FieldElement(self, exp % self.order)
+    def mul(self, x, y):
+        dlog, antilog = self._mul_tables()
+        out = antilog[dlog[x] + dlog[y]]
+        return out if out.ndim else int(out)
 
-    def from_packed(self, packed: int) -> FieldElement:
-        if packed == 0:
-            return self.zero
-        return FieldElement(self, self.dlog[packed])
+    def inv(self, x):
+        """The inverse of a nonzero x; zero maps to zero."""
+        x = np.asarray(x)
+        out = np.where(x == 0, 0, self.antilog_array()[-self.dlog_array()[x] % self.order])
+        return out if out.ndim else int(out)
 
-    def from_coeffs(self, coeffs) -> FieldElement:
-        return self.from_packed(self.pack(coeffs))
-
-    def from_int_scalar(self, c: int) -> FieldElement:
-        """The prime-subfield element c * 1 for an integer c."""
-        return self.from_packed(c % self.p)
-
-    def elements(self):
-        """All elements, in packed order (zero first)."""
-        for v in range(self.size):
-            yield self.from_packed(v)
-
-    def eval_poly_ints(self, coeffs, point: FieldElement) -> FieldElement:
-        """Evaluate a GF(p)-coefficient polynomial at a field element."""
-        acc = self.zero
-        for c in reversed(list(coeffs)):
-            acc = acc * point + self.from_int_scalar(c)
+    def horner(self, coeffs, x):
+        """sum_i coeffs[..., i] x^i for coefficients in the prime field
+        (packed constants), broadcast against x."""
+        acc = 0
+        for c in np.moveaxis(np.asarray(coeffs), -1, 0)[::-1]:
+            acc = self.add(self.mul(acc, x), c)
         return acc
 
     # -- numpy views (cached, treated as immutable) --
@@ -438,6 +302,22 @@ class FiniteField:
             a.setflags(write=False)
             self._np_cache["dlog"] = a
         return a
+
+    def _mul_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Discrete logs with log(0) = 2 * order, and antilogs of every sum
+        of two logs: a sum below 2 * order is a product of nonzero elements,
+        any other sum has a zero factor and maps to 0."""
+        t = self._np_cache.get("mul")
+        if t is None:
+            dlog = self.dlog_array().copy()
+            dlog[0] = 2 * self.order
+            anti = self.antilog_array()
+            antilog = np.concatenate([anti, anti, np.zeros(2 * self.order + 1, dtype=np.int64)])
+            t = (dlog, antilog)
+            for a in t:
+                a.setflags(write=False)
+            self._np_cache["mul"] = t
+        return t
 
     def digit_matrix(self) -> np.ndarray:
         """Base-p digit rows for every packed value 0..size-1."""
@@ -473,64 +353,25 @@ class FiniteField:
 
     # -- coordinates over a subfield --
 
-    def _coords_ctx(self, d: int):
+    def coords_table(self, base_degree: int) -> np.ndarray:
+        """Coordinates of every element over the degree-``base_degree``
+        subfield, as packed subfield elements, with respect to the power
+        basis {1, g, ..., g^(n/d - 1)} of the field's primitive element g;
+        row index = packed."""
+        d = base_degree
         if self.n % d:
             raise NotADivisorError("%d does not divide field degree %d" % (d, self.n))
-        ctx = self._coords_cache.get(d)
-        if ctx is None:
-            small = build_field(self.p, d)
-            emb = embed(small, self)
-            n, blocks = self.n, self.n // d
-            cols = np.zeros((n, n), dtype=np.int64)
-            pi = self.primitive
-            for j in range(blocks):
-                pj = pi**j
-                for i in range(d):
-                    rho_i = self.from_packed(emb.apply_packed(small._pows[i]))
-                    cols[:, j * d + i] = self.digits((pj * rho_i).packed)
-            binv = modp.inverse(cols, self.p)
-            ctx = (small, emb, binv)
-            self._coords_cache[d] = ctx
-        return ctx
-
-    def to_coords(self, x: FieldElement, base_degree: int) -> tuple:
-        """Coordinates of x over the degree-``base_degree`` subfield with
-        respect to the power basis {1, g, ..., g^(n/d - 1)} of the field's
-        primitive element g.  Returns a tuple of subfield elements."""
-        if x.field is not self:
-            raise FieldMismatchError("element from another field")
-        small, _, binv = self._coords_ctx(base_degree)
-        vec = np.array(self.digits(x.packed), dtype=np.int64)
-        u = (binv @ vec) % self.p
-        d = base_degree
-        out = []
-        for j in range(self.n // d):
-            out.append(small.from_packed(small.pack(u[j * d : (j + 1) * d])))
-        return tuple(out)
-
-    def from_coords(self, coords, base_degree: int) -> FieldElement:
-        small, emb, _ = self._coords_ctx(base_degree)
-        acc = self.zero
-        pi = self.primitive
-        for j, c in enumerate(coords):
-            if c.field is not small:
-                raise FieldMismatchError("coordinate from the wrong subfield")
-            acc = acc + self.from_packed(emb.apply_packed(c.packed)) * (pi**j)
-        return acc
-
-    def coords_table(self, base_degree: int) -> np.ndarray:
-        """Packed subfield coordinates for every element; row index = packed."""
-        key = ("coords", base_degree)
+        key = ("coords", d)
         a = self._np_cache.get(key)
         if a is None:
-            small, _, binv = self._coords_ctx(base_degree)
+            # GF(p)-basis g^j rho_i, rho_i the image of x^i of the subfield
+            weights = np.array(self._pows[:d], dtype=np.int64)
+            powers = self.antilog_array()[np.arange(self.n // d) % self.order]
+            rho = embed(build_field(self.p, d), self).forward[weights]
+            basis = self.mul(powers[:, None], rho[None, :]).ravel()
+            binv = inverse(build_field(self.p, 1), self.digit_matrix()[basis].T)
             u = (self.digit_matrix() @ binv.T) % self.p
-            d = base_degree
-            blocks = self.n // d
-            a = np.zeros((self.size, blocks), dtype=np.int64)
-            for j in range(blocks):
-                for i in range(d):
-                    a[:, j] += u[:, j * d + i] * small._pows[i]
+            a = u.reshape(self.size, self.n // d, d) @ weights
             a.setflags(write=False)
             self._np_cache[key] = a
         return a
@@ -545,11 +386,55 @@ class FiniteField:
             "primitive": list(self.digits(self.primitive_packed)),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True)
-
     def __repr__(self) -> str:
         return "FiniteField(p=%d, n=%d)" % (self.p, self.n)
+
+
+# -- linear algebra over a field --
+
+
+def row_reduce(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a matrix of packed elements of ``field``,
+    and its pivot columns; each pivot clears its column in every other row
+    with one vectorized expression."""
+    m = np.array(mat, dtype=np.int64)
+    pivots: list[int] = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == m.shape[0]:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if not len(nz):
+            continue
+        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r] = field.mul(field.inv(int(m[r, c])), m[r])
+        factor = m[:, c].copy()
+        factor[r] = 0
+        m = field.sub(m, field.mul(factor[:, None], m[r]))
+        pivots.append(c)
+    return m, pivots
+
+
+def inverse(field: FiniteField, mat: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix over ``field``; raises if singular."""
+    n = len(mat)
+    red, pivots = row_reduce(field, np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1))
+    if pivots[:n] != list(range(n)):
+        raise InternalError("matrix is singular over GF(%d^%d)" % (field.p, field.n))
+    return red[:, n:]
+
+
+def kernel_basis(field: FiniteField, mat: np.ndarray) -> list[np.ndarray]:
+    """Basis of {x : mat x = 0} over ``field``, one vector per free column."""
+    red, pivots = row_reduce(field, mat)
+    basis = []
+    for f in range(red.shape[1]):
+        if f not in pivots:
+            vec = np.zeros(red.shape[1], dtype=np.int64)
+            vec[f] = 1
+            vec[pivots] = field.neg(red[: len(pivots), f])
+            basis.append(vec)
+    return basis
 
 
 class SubfieldEmbedding:
@@ -558,6 +443,8 @@ class SubfieldEmbedding:
     The image of the small field's polynomial generator is the root of the
     small modulus inside the big field with the smallest discrete log; the
     whole map is evaluation of coefficient vectors at that root.
+    ``forward`` is the read-only array of images, indexed by packed small
+    element.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):
@@ -570,55 +457,27 @@ class SubfieldEmbedding:
             )
         self.small = small
         self.big = big
-        if small is big:
-            self.root_packed = big._pows[1] if big.n > 1 else 1
-            forward = list(range(small.size))
-        elif small.n == 1:
-            # prime subfield: c |-> c * 1, packed constants coincide
-            self.root_packed = 0
-            forward = list(range(small.p))
+        if small is big or small.n == 1:
+            # the identity, or the prime subfield: packed constants coincide
+            forward = np.arange(small.size, dtype=np.int64)
         else:
-            t = big.order // small.order
-            roots = []
-            for i in range(small.order):
-                cand = big.from_packed(big.antilog[(t * i) % big.order])
-                if big.eval_poly_ints(small.modulus, cand).is_zero:
-                    roots.append(cand.exp)
+            # the conjugate roots lie in the subgroup of order |small*|
+            exps = (big.order // small.order) * np.arange(small.order) % big.order
+            roots = exps[big.horner(small.modulus, big.antilog_array()[exps]) == 0]
             if len(roots) != small.n:
                 raise InternalError(
                     "expected %d conjugate roots, found %d" % (small.n, len(roots))
                 )
-            rho = big.element(min(roots))
-            forward = []
-            for s in range(small.size):
-                forward.append(big.eval_poly_ints(small.digits(s), rho).packed)
-            self.root_packed = rho.packed
-        self._forward = tuple(forward)
-        if len(set(self._forward)) != small.size:
+            forward = big.horner(small.digit_matrix(), big.antilog[roots.min()])
+        forward.setflags(write=False)
+        self.forward = forward
+        self._inverse = {v: s for s, v in enumerate(forward.tolist())}
+        if len(self._inverse) != small.size:
             raise InternalError("embedding is not injective")
-        self._inverse = {v: s for s, v in enumerate(self._forward)}
-
-    def apply_packed(self, small_packed: int) -> int:
-        return self._forward[small_packed]
-
-    def apply(self, x: FieldElement) -> FieldElement:
-        if x.field is not self.small:
-            raise FieldMismatchError("element not from the embedding source")
-        return self.big.from_packed(self._forward[x.packed])
 
     def preimage_packed(self, big_packed: int):
         """Packed small element, or None when outside the image."""
         return self._inverse.get(big_packed)
-
-    def preimage(self, y: FieldElement):
-        if y.field is not self.big:
-            raise FieldMismatchError("element not from the embedding target")
-        s = self._inverse.get(y.packed)
-        return None if s is None else self.small.from_packed(s)
-
-    @property
-    def image(self) -> frozenset:
-        return frozenset(self._forward)
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}

@@ -262,8 +262,10 @@ def _set_file_variant(tmp_path, change):
     return str(out)
 
 
-def _drop_claimed(doc):
-    del doc["claimed"]
+def _drop(key):
+    def change(doc):
+        del doc[key]
+    return change
 
 
 def _first_element(value):
@@ -271,23 +273,82 @@ def _first_element(value):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change,message",
     [
-        lambda doc: '{"type": "pds-set", ',
-        _drop_claimed,
-        _first_element(["x", 1]),
-        _first_element([1]),
-        _first_element([3, 1]),
+        (lambda doc: '{"type": "pds-set", ', "Expecting property name"),
+        (_drop("claimed"), ": missing key 'claimed'"),
+        (_drop("fields"), ": missing key 'fields'"),
+        (_first_element(["x", 1]), ": elements must be pairs of integer exponents"),
+        (_first_element([1]), ": elements must be pairs of integer exponents"),
+        (_first_element([3, 1]), ": element exponents out of range"),
     ],
-    ids=["invalid-json", "no-claimed", "string-exponent", "one-exponent", "exponent-out-of-range"],
+    ids=["invalid-json", "no-claimed", "no-fields", "string-exponent", "one-exponent",
+         "exponent-out-of-range"],
 )
-def test_malformed_set_file_exits_two_with_one_line(tmp_path, change):
+def test_malformed_set_file_exits_two_with_one_line(tmp_path, change, message):
     res = run("verify", "--set", _set_file_variant(tmp_path, change))
     assert res.returncode == 2
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: set file "), res.stderr
+    assert message in lines[0]
     assert "Traceback" not in res.stderr
+
+
+def test_other_field_model_exits_one(tmp_path):
+    """A set file whose field model differs is a verification failure."""
+    res = run("verify", "--set", _set_file_variant(
+        tmp_path, lambda doc: doc["fields"]["base"].__setitem__("primitive", [0])))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: set file uses a different field model than this build constructs"]
+
+
+def _rows(rows):
+    return lambda tmp_path: ["--set", _set_file_variant(tmp_path, lambda doc: doc.__setitem__("subspace_rows", rows))]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda tmp_path: ["-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-exps", "0,0"],
+        lambda tmp_path: ["-p", "2", "-m", "2", "-l", "1", "-r", "2", "--subspace-exps", "0"],
+        lambda tmp_path: ["-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-coords", "0,0"],
+        lambda tmp_path: ["-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-coords", "1,0,1"],
+        _rows([[1, 0], [1, 0]]),
+        _rows([[1, 0], [0, 1]]),
+        _rows([[0, 0]]),
+        _rows([[1.5, 0]]),
+    ],
+    ids=["dependent-exps", "wrong-rank-exps", "zero-coords", "long-coords",
+         "dependent-rows", "wrong-rank-rows", "zero-row", "float-row"],
+)
+def test_invalid_subspace_exits_two_with_one_line(tmp_path, extra):
+    res = run("verify", *extra(tmp_path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+def test_negative_parallel_exits_two_with_one_line():
+    res = run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--parallel", "-3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: --parallel must be non-negative, got -3\n"
+
+
+def test_wide_primes_are_fast():
+    """A 60-bit prime is recognised at once and capped by the tables; a
+    characteristic of 2^64 or more is a usage error."""
+    tower = ["-m", "2", "-l", "1", "-r", "1"]
+    params = run("params", "-p", "1000000000000000009", *tower, timeout=30)
+    assert params.returncode == 0 and "q=1000000000000000009" in params.stdout
+    ver = run("verify", "-p", "1000000000000000009", *tower, timeout=30)
+    assert ver.returncode == 3 and ver.stdout == ""
+    assert ver.stderr.startswith("resource cap exceeded: ") and len(ver.stderr.splitlines()) == 1
+    wide = run("params", "-p", str(2**64 + 13), *tower, timeout=30)
+    assert wide.returncode == 2
+    assert wide.stderr == "error: p must be below 2^64\n"
 
 
 def test_non_integer_subspace_exps_exit_two_with_one_line():

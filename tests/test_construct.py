@@ -21,6 +21,7 @@ from denpds.errors import (
     NotASubspaceError,
     TableCapExceededError,
 )
+from denpds.ff import prime_factors
 from denpds.verify import GroupIndexer, delsarte_dual
 
 from conftest import pair_set
@@ -102,23 +103,26 @@ def test_dual_subspace_properties():
 
 
 def test_compatible_primitives_postconditions():
+    """alpha = K1's generator and beta = K2's generator^beta_adjust, with
+    norms and orders by polynomial arithmetic."""
     for p, s, m, ell in [(2, 1, 2, 1), (2, 1, 3, 1), (3, 1, 2, 1), (2, 2, 2, 1), (2, 1, 2, 2)]:
         tw = Tower(TowerParams(p, s, m, ell, 1))
         comp = tw.compatible
-        ord2 = tw.f2.order
-        assert math.gcd(comp.beta_adjust, ord2) == 1
-        assert comp.beta.multiplicative_order() == ord2
-        assert comp.alpha == tw.f1.primitive
-        # both norms pull back to the same middle-field element
-        na = tw.emb_mid1.preimage(comp.alpha.norm_to(tw.mid.n))
-        nb = tw.emb_mid2.preimage(comp.beta.norm_to(tw.mid.n))
+        f1, f2, mid = tw.f1, tw.f2, tw.mid
+        assert math.gcd(comp.beta_adjust, f2.order) == 1
+        beta = f2._pow_poly(f2.primitive_packed, comp.beta_adjust)
+        # beta generates: beta^(order / t) != 1 for every prime t | order
+        assert all(f2._pow_poly(beta, f2.order // t) != 1 for t in prime_factors(f2.order))
+        # both norms pull back to the same middle-field element gamma
+        na = tw.emb_mid1.preimage_packed(f1._pow_poly(f1.primitive_packed, f1.order // mid.order))
+        nb = tw.emb_mid2.preimage_packed(f2._pow_poly(beta, f2.order // mid.order))
         assert na is not None and nb is not None
         assert na == nb == comp.gamma
+        assert mid._pow_poly(mid.primitive_packed, comp.gamma_exp) == comp.gamma
     # when the norm of the field generator already lands on gamma, no
     # adjustment happens and beta is the generator itself
     tw = Tower(TowerParams(2, 1, 2, 1, 1))
     assert tw.compatible.beta_adjust == 1
-    assert tw.compatible.beta == tw.f2.primitive
 
 
 def test_build_sizes_and_invariants(t64, t729):

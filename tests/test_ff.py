@@ -1,19 +1,28 @@
-"""Field engine tests. Expected values come from independent brute force:
-irreducibility by root/factor enumeration, orders by repeated raw
-polynomial multiplication, subfields by Frobenius fixed points."""
+"""Field engine tests. Expected values come from independent references:
+polynomial arithmetic (``_mul_poly``, ``_pow_poly``), digit-by-digit
+addition, irreducibility by root/factor enumeration, orders by repeated
+raw polynomial multiplication, subfields by Frobenius fixed points.  The
+packed operations under test (``add``, ``sub``, ``neg``, ``mul``, ``inv``,
+the trace and coordinate tables, the embeddings, ``row_reduce``) are never
+their own reference."""
 
 import itertools
+import json
 
+import numpy as np
 import pytest
 
 from denpds import ff
+from denpds.construct import TowerParams
 from denpds.errors import (
-    FieldMismatchError,
+    InternalError,
     NonPrimeError,
     NotADivisorError,
     NotASubfieldError,
     TableCapExceededError,
 )
+
+from conftest import GRID_G1
 
 
 def brute_irreducible_quadratics_gf2():
@@ -29,11 +38,42 @@ def brute_irreducible_quadratics_gf2():
     return out
 
 
+def brute_add(f, x: int, y: int) -> int:
+    """Packed sum by adding coefficient digits mod p."""
+    return f.pack(a + b for a, b in zip(f.digits(x), f.digits(y)))
+
+
+def brute_sum(f, terms) -> int:
+    acc = 0
+    for t in terms:
+        acc = brute_add(f, acc, t)
+    return acc
+
+
+def brute_trace(f, x: int, d: int) -> int:
+    """Trace onto the degree-d subfield: the sum of x^(p^(d i))."""
+    return brute_sum(f, [f._pow_poly(x, f.p ** (d * i)) for i in range(f.n // d)])
+
+
+def brute_order(f, x: int) -> int:
+    cur, k = x, 1
+    while cur != 1:
+        cur, k = f._mul_poly(cur, x), k + 1
+    return k
+
+
+def pairs(f):
+    """Every (x, y) of the field, as two broadcast int64 arrays."""
+    x = np.arange(f.size, dtype=np.int64)
+    return x[:, None], x[None, :]
+
+
 def test_gf2_trivial_structure():
     f = ff.build_field(2, 1)
     assert f.size == 2 and f.order == 1
-    assert f.primitive == f.one
+    assert f.primitive_packed == 1
     assert f.describe()["primitive"] == [1]
+    assert (f.add(1, 1), f.mul(1, 1), f.inv(1), f.neg(1)) == (0, 1, 1, 1)
 
 
 def test_gf4_modulus_is_the_unique_irreducible_quadratic():
@@ -41,8 +81,8 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     assert quads == [(1, 1, 1)]
     f4 = ff.build_field(2, 2)
     assert f4.modulus == (1, 1, 1)
-    w = f4.primitive
-    assert w * w == w + f4.one
+    w = f4.primitive_packed
+    assert f4.mul(w, w) == f4.add(w, 1) == f4._mul_poly(w, w) == 3  # w^2 = w + 1
 
 
 def test_gf9_primitive_has_order_eight_by_repeated_multiplication():
@@ -63,6 +103,22 @@ def test_build_field_rejections():
         ff.build_field(2, 8, table_cap=100)
 
 
+def test_is_prime_is_exact_below_two_to_the_64():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if ff.is_prime(n)] == [n for n in range(3000) if trial(n)]
+    primes = [2**31 - 1, 2**61 - 1, 10**18 + 9, 2**64 - 59]
+    # Carmichael numbers and strong pseudoprimes to every prime base up to 23
+    composites = [561, 41041, 3215031751, 3825123056546413051, (2**32 + 15) * (2**31 - 1), 2**64 - 1]
+    assert all(ff.is_prime(n) for n in primes)
+    assert not any(ff.is_prime(n) for n in composites)
+    with pytest.raises(ValueError):
+        ff.is_prime(2**64 + 13)
+    with pytest.raises(ValueError):
+        TowerParams(2**64 + 13, 1, 2, 1, 1)
+
+
 def test_dlog_antilog_roundtrip():
     for p, n in [(2, 4), (3, 2), (5, 2), (2, 6)]:
         f = ff.build_field(p, n)
@@ -72,100 +128,123 @@ def test_dlog_antilog_roundtrip():
 
 
 def test_field_axioms_and_operator_laws():
-    f = ff.build_field(2, 2)
-    w, one = f.primitive, f.one
-    assert (w + (-w)).is_zero
-    assert w + one == w * w  # from the modulus
-    a, b = f.element(1), f.element(1)
-    assert (a * b).exp == 2 % f.order
-    with pytest.raises(ZeroDivisionError):
-        f.zero.inv()
-    f9 = ff.build_field(3, 2)
-    for x in f9.elements():
-        assert (x + (-x)).is_zero
-        if not x.is_zero:
-            assert (x * x.inv()) == f9.one
-            assert x ** f9.order == f9.one
+    """add/sub/neg/mul/inv on every pair against digit addition and
+    polynomial multiplication, and the field axioms on every triple."""
+    for p, n in [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)]:
+        f = ff.build_field(p, n)
+        x, y = pairs(f)
+        add_ref = np.array([[brute_add(f, a, b) for b in range(f.size)] for a in range(f.size)])
+        mul_ref = np.array([[f._mul_poly(a, b) for b in range(f.size)] for a in range(f.size)])
+        assert np.array_equal(f.add(x, y), add_ref)
+        assert np.array_equal(f.mul(x, y), mul_ref)
+        assert np.array_equal(f.add(f.sub(x, y), y), np.broadcast_to(x, add_ref.shape))
+        assert not f.add(x, f.neg(x)).any()
+        xs = x.ravel()
+        assert f.inv(0) == 0
+        assert all(f._mul_poly(int(a), int(b)) == 1 for a, b in zip(xs[1:], f.inv(xs[1:])))
+        z = xs[:, None, None]
+        assert np.array_equal(f.mul(z, f.add(x, y)), f.add(f.mul(z, x), f.mul(z, y)))
+        # Python ints in, Python ints out
+        assert all(type(op(1, 1)) is int for op in (f.add, f.sub, f.mul))
+        assert type(f.inv(1)) is int and type(f.neg(1)) is int
 
 
 def test_exponent_arithmetic_of_mul():
     f = ff.build_field(3, 2)
-    for a in range(f.order):
-        for b in range(f.order):
-            assert (f.element(a) * f.element(b)).exp == (a + b) % f.order
+    g = f.primitive_packed
+    powers = np.array([f._pow_poly(g, k) for k in range(f.order)])
+    a, b = np.arange(f.order)[:, None], np.arange(f.order)[None, :]
+    assert np.array_equal(f.mul(powers[a], powers[b]), powers[(a + b) % f.order])
 
 
-def test_cross_field_arithmetic_rejected():
-    f4, f9 = ff.build_field(2, 2), ff.build_field(3, 2)
-    with pytest.raises(FieldMismatchError):
-        _ = f4.one + f9.one
+def vector_pow(f, x, e: int):
+    """x^e on an array, by square and multiply with the vectorized mul."""
+    result, acc = np.ones_like(x), x
+    while e:
+        if e & 1:
+            result = f.mul(result, acc)
+        acc = f.mul(acc, acc)
+        e >>= 1
+    return result
 
 
 def test_frobenius_closure_exhaustive():
     for p, n in [(2, 4), (3, 2), (2, 6), (5, 2)]:
         f = ff.build_field(p, n)
-        for x in f.elements():
-            assert x ** (p**n) == x
+        x = np.arange(f.size, dtype=np.int64)
+        frob = vector_pow(f, x, p)
+        assert frob.tolist() == [f._pow_poly(int(a), p) for a in x]
+        assert np.array_equal(vector_pow(f, x, p**n), x)
+        # x -> x^p is additive
+        xx, yy = pairs(f)
+        assert np.array_equal(frob[f.add(xx, yy)], f.add(frob[xx], frob[yy]))
 
 
 def test_trace_examples_and_linearity():
     f4 = ff.build_field(2, 2)
-    assert f4.one.trace_to(1).is_zero  # 1 + 1 in characteristic 2
+    assert f4.trace_table()[1] == 0  # 1 + 1 in characteristic 2
+    for p, n in [(2, 4), (3, 2), (2, 3), (5, 2)]:
+        f = ff.build_field(p, n)
+        tr = f.trace_table()
+        assert tr.tolist() == [brute_trace(f, x, 1) for x in range(f.size)]
+        # additivity and GF(p)-linearity, exhaustive
+        x, y = pairs(f)
+        assert np.array_equal(tr[f.add(x, y)], (tr[x] + tr[y]) % p)
+        for c in range(p):
+            assert np.array_equal(tr[f.mul(c, x)], (c * tr[x]) % p)
     f16 = ff.build_field(2, 4)
-    for x in f16.elements():
-        assert x.trace_to(4) == x  # identity tower
-    # additivity and GF(p)-linearity, exhaustive
-    for x in f16.elements():
-        for y in f16.elements():
-            assert (x + y).trace_to(1) == x.trace_to(1) + y.trace_to(1)
     with pytest.raises(NotADivisorError):
-        f16.one.trace_to(3)
+        f16.coords_table(3)
 
 
 def test_trace_transitivity_through_the_middle_field():
     f16 = ff.build_field(2, 4)
     f4 = ff.build_field(2, 2)
     emb = ff.embed(f4, f16)
-    for x in f16.elements():
-        inner = emb.preimage(x.trace_to(2))
+    for x in range(f16.size):
+        inner = emb.preimage_packed(brute_trace(f16, x, 2))
         assert inner is not None
-        two_step = inner.trace_to(1)
-        direct = x.trace_to(1)
-        # both land in GF(2): compare packed constants
-        assert two_step.packed == direct.packed
+        # Tr_{16/2} = Tr_{4/2} o Tr_{16/4}, both in GF(2): compare constants
+        assert brute_trace(f4, inner, 1) == f4.trace_table()[inner] == f16.trace_table()[x]
+
+
+def brute_norm(f, x: int, d: int) -> int:
+    return f._pow_poly(x, f.order // (f.p**d - 1))
 
 
 def test_norm_examples():
     f16 = ff.build_field(2, 4)
-    pi = f16.primitive
-    assert f16.zero.norm_to(2).is_zero
-    nrm = pi.norm_to(2)
-    assert nrm.exp == 5
-    assert nrm.multiplicative_order() == 3  # generates the GF(4) copy
+    pi = f16.primitive_packed
+    assert brute_norm(f16, 0, 2) == 0
+    nrm = brute_norm(f16, pi, 2)
+    assert f16.dlog[nrm] == 5
+    assert brute_order(f16, nrm) == 3  # generates the GF(4) copy
     # norm of a generator is a generator of the subfield
     for p, n, d in [(2, 4, 2), (2, 6, 3), (3, 2, 1), (2, 6, 2)]:
         f = ff.build_field(p, n)
-        assert f.primitive.norm_to(d).multiplicative_order() == p**d - 1
+        assert brute_order(f, brute_norm(f, f.primitive_packed, d)) == p**d - 1
 
 
 def test_norm_multiplicative_exhaustive():
     for p, n, d in [(2, 4, 2), (3, 2, 1), (2, 6, 2)]:
         f = ff.build_field(p, n)
-        for x in f.elements():
-            for y in f.elements():
-                assert (x * y).norm_to(d) == x.norm_to(d) * y.norm_to(d)
+        norm = np.array([brute_norm(f, x, d) for x in range(f.size)])
+        x, y = pairs(f)
+        assert np.array_equal(norm[f.mul(x, y)], f.mul(norm[x], norm[y]))
+        # every norm lies in the degree-d subfield
+        assert np.array_equal(vector_pow(f, norm, p**d), norm)
 
 
 def test_embed_identity_and_image():
     f4 = ff.build_field(2, 2)
     ident = ff.embed(f4, f4)
-    for x in f4.elements():
-        assert ident.apply(x) == x
+    assert ident.forward.tolist() == list(range(4))
     f16 = ff.build_field(2, 4)
     emb = ff.embed(f4, f16)
-    fixed = frozenset(x.packed for x in f16.elements() if x**4 == x)
-    assert emb.image == fixed
-    assert len(emb.image) == 4
+    fixed = {x for x in range(f16.size) if f16._pow_poly(x, 4) == x}
+    assert set(emb.forward.tolist()) == fixed
+    assert len(fixed) == 4
+    assert [emb.preimage_packed(y) for y in range(f16.size) if y not in fixed] == [None] * 12
     with pytest.raises(NotASubfieldError):
         ff.embed(ff.build_field(2, 3), f16)
     with pytest.raises(NotASubfieldError):
@@ -175,47 +254,71 @@ def test_embed_identity_and_image():
 def test_embed_homomorphism_exhaustive_gf9_into_gf81():
     f9, f81 = ff.build_field(3, 2), ff.build_field(3, 4)
     emb = ff.embed(f9, f81)
-    for u in f9.elements():
-        for v in f9.elements():
-            assert emb.apply(u + v) == emb.apply(u) + emb.apply(v)
-            assert emb.apply(u * v) == emb.apply(u) * emb.apply(v)
+    fwd = emb.forward
+    for u in range(f9.size):
+        for v in range(f9.size):
+            assert fwd[brute_add(f9, u, v)] == brute_add(f81, int(fwd[u]), int(fwd[v]))
+            assert fwd[f9._mul_poly(u, v)] == f81._mul_poly(int(fwd[u]), int(fwd[v]))
+    u, v = pairs(f9)
+    assert np.array_equal(fwd[f9.mul(u, v)], f81.mul(fwd[u], fwd[v]))
     # injective and preimage-consistent
-    for u in f9.elements():
-        assert emb.preimage(emb.apply(u)) == u
+    assert [emb.preimage_packed(y) for y in fwd.tolist()] == list(range(f9.size))
+
+
+def from_coords(f, coords, d: int) -> int:
+    """sum_j emb(c_j) g^j by polynomial arithmetic, g the generator."""
+    emb = ff.embed(ff.build_field(f.p, d), f)
+    g = f.primitive_packed
+    return brute_sum(f, [f._mul_poly(int(emb.forward[c]), f._pow_poly(g, j)) for j, c in enumerate(coords)])
 
 
 def test_coords_additive_bijection():
     f16 = ff.build_field(2, 4)
-    assert all(c.is_zero for c in f16.to_coords(f16.zero, 1))
-    seen = set()
-    for x in f16.elements():
-        cs = f16.to_coords(x, 1)
-        seen.add(tuple(c.packed for c in cs))
-        assert f16.from_coords(cs, 1) == x
-    assert len(seen) == 16
-    for x in f16.elements():
-        for y in f16.elements():
-            cx = f16.to_coords(x, 1)
-            cy = f16.to_coords(y, 1)
-            csum = tuple(a + b for a, b in zip(cx, cy))
-            assert f16.from_coords(csum, 1) == x + y
+    table = f16.coords_table(1)
+    assert not table[0].any()
+    assert len({tuple(row) for row in table.tolist()}) == 16
+    for x in range(f16.size):
+        assert from_coords(f16, table[x], 1) == x
+    x, y = pairs(f16)
+    assert np.array_equal(table[f16.add(x, y)], (table[x] + table[y]) % 2)
 
 
 def test_coords_over_intermediate_subfield():
     f16 = ff.build_field(2, 4)
     f4 = ff.build_field(2, 2)
     table = f16.coords_table(2)
-    for x in f16.elements():
-        cs = f16.to_coords(x, 2)
-        assert [c.packed for c in cs] == list(table[x.packed])
-        assert all(c.field is f4 for c in cs)
+    assert table.shape == (16, 2) and ((0 <= table) & (table < f4.size)).all()
+    for x in range(f16.size):
+        assert from_coords(f16, table[x], 2) == x
+    x, y = pairs(f16)
+    assert np.array_equal(table[f16.add(x, y)], f4.add(table[x], table[y]))
+
+
+def brute_matmul(f, a, b):
+    return np.array([[brute_sum(f, [f._mul_poly(int(a[i, t]), int(b[t, j])) for t in range(a.shape[1])])
+                      for j in range(b.shape[1])] for i in range(a.shape[0])])
+
+
+def test_row_reduction_inverse_and_kernel():
+    rng = np.random.default_rng(7)
+    for p, n in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+        f = ff.build_field(p, n)
+        for rows, cols, rank in [(4, 4, 4), (5, 7, 3), (6, 3, 2), (3, 5, 1)]:
+            mat = brute_matmul(f, rng.integers(0, f.size, (rows, rank)), rng.integers(0, f.size, (rank, cols)))
+            red, pivots = ff.row_reduce(f, mat)
+            kernel = ff.kernel_basis(f, mat)
+            assert len(pivots) + len(kernel) == cols
+            for vec in kernel:
+                assert not brute_matmul(f, mat, vec[:, None]).any()
+            if rows == cols == len(pivots):
+                assert np.array_equal(brute_matmul(f, mat, ff.inverse(f, mat)), np.eye(rows, dtype=int))
+    with pytest.raises(InternalError):
+        ff.inverse(ff.build_field(2, 1), np.array([[1, 1], [1, 1]]))
 
 
 def test_json_description_roundtrip():
-    import json
-
     f = ff.build_field(3, 2)
-    doc = json.loads(f.to_json())
+    doc = json.loads(json.dumps(f.describe(), sort_keys=True))
     assert doc == {"p": 3, "n": 2, "modulus": [1, 0, 1], "primitive": [1, 1]}
 
 
@@ -229,3 +332,20 @@ def test_build_field_is_cached_and_deterministic():
         "modulus": [1, 0, 0, 1, 1],
         "primitive": [0, 0, 1, 0],
     }
+
+
+def test_grid_moduli_are_the_smallest_irreducibles():
+    """Each deterministic modulus of the grid fields is irreducible by
+    sympy's test, and no monic irreducible of its degree is smaller in
+    constant-first lexicographic order."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    degrees = {(p, s * d) for p, s, m, ell in GRID_G1 for d in (1, m, m * ell, m * (ell + 1))}
+    for p, n in sorted(degrees):
+        irreducible = [
+            coeffs + (1,)
+            for coeffs in itertools.product(range(p), repeat=n)
+            if galoistools.gf_irreducible_p([1, *reversed(coeffs)], p, ZZ)
+        ]
+        assert ff.build_field(p, n).modulus == min(irreducible), (p, n)
