@@ -50,42 +50,6 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _add_tower_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-p", type=int, required=True, help="characteristic (prime)")
-    sub.add_argument("-s", type=int, default=1, help="q = p^s")
-    sub.add_argument("-m", type=int, required=True, help="middle extension degree")
-    sub.add_argument("-l", "--ell", type=int, required=True, dest="ell")
-    sub.add_argument("-r", type=int, required=True, help="subspace rank, 0..m")
-
-
-def _add_common(sub: argparse.ArgumentParser, caps=True) -> None:
-    sub.add_argument("--family", choices=["primal", "dual"], default="primal")
-    sub.add_argument(
-        "--subspace-exps",
-        help="comma list of generator exponents spanning R (default: 0..r-1)",
-    )
-    sub.add_argument(
-        "--subspace-coords",
-        help="semicolon-separated GF(p) coefficient rows spanning R",
-    )
-    sub.add_argument("-o", "--output", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["json", "text"], default="json")
-    sub.add_argument(
-        "--parallel", type=int, default=0, help="worker threads for the literal sweeps (0 = off)"
-    )
-    sub.add_argument(
-        "--seedless",
-        action="store_true",
-        help="assert the no-randomness guarantee (always true; informational)",
-    )
-    if caps:
-        sub.add_argument("--table-cap", type=int, default=None)
-        sub.add_argument("--profile-cap", type=int, default=None)
-        sub.add_argument("--spectrum-cap", type=int, default=None)
-        sub.add_argument("--neighbor-cap", type=int, default=None)
-        sub.add_argument("--enum-cap", type=int, default=None)
-
-
 def _cap(args, name: str, default: int) -> int:
     """The --NAME-cap flag, else DENPDS_NAME_CAP, else the default; a cap is
     a non-negative integer."""
@@ -157,6 +121,16 @@ def cmd_params(args) -> int:
     if args.grid:
         return _emit_grid(args.grid, args)
     tp = _tower_params(args)
+    try:
+        text = _params_text(tp, args.format)
+    except ValueError as exc:  # e.g. a parameter past the int-to-string digit limit
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    _write(text, args.output)
+    return EXIT_OK
+
+
+def _params_text(tp: TowerParams, fmt: str) -> str:
     q = tp.q
     primal = tp.primal_params()
     dual = tp.dual_params()
@@ -187,7 +161,7 @@ def cmd_params(args) -> int:
             for fam in ("primal", "dual")
         },
     }
-    if args.format == "text":
+    if fmt == "text":
         lines = [
             "tower p=%d s=%d m=%d ell=%d r=%d (q=%d, v=%d)%s"
             % (tp.p, tp.s, tp.m, tp.ell, tp.r, q, tp.v,
@@ -204,10 +178,8 @@ def cmd_params(args) -> int:
             "code           primal %s dual %s"
             % (doc["code"]["primal"], doc["code"]["dual"]),
         ]
-        _write("\n".join(lines) + "\n", args.output)
-    else:
-        _write(_dump_json(doc), args.output)
-    return EXIT_OK
+        return "\n".join(lines) + "\n"
+    return _dump_json(doc)
 
 
 def _parse_range(spec: str, r_max=None) -> list[int]:
@@ -313,8 +285,7 @@ def _read_set_file(path: str, table_cap: int) -> tuple[Tower, PdsSet, object]:
     return tower, pds, R
 
 
-def _load_or_build(args) -> tuple[Tower, PdsSet, object]:
-    table_cap, _, _ = _caps_from(args)
+def _load_or_build(args, table_cap: int) -> tuple[Tower, PdsSet, object]:
     if getattr(args, "set_file", None):
         return _read_set_file(args.set_file, table_cap)
     tp = _tower_params(args)
@@ -324,8 +295,8 @@ def _load_or_build(args) -> tuple[Tower, PdsSet, object]:
 
 
 def cmd_verify(args) -> int:
-    tower, pds, R = _load_or_build(args)
-    _, caps, _ = _caps_from(args)
+    table_cap, caps, _ = _caps_from(args)
+    tower, pds, R = _load_or_build(args, table_cap)
     report = vf.verify_pds(pds, tower, R, caps=caps, threads=args.parallel)
     text = report.to_text() if args.format == "text" else report.to_json()
     _write(text, args.output)
@@ -333,10 +304,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    tower, pds, _ = _load_or_build(args)
-    _, caps, _ = _caps_from(args)
-    indexer = vf.GroupIndexer(tower)
-    dual = vf.delsarte_dual(pds, indexer, cap=caps.spectrum)
+    table_cap, caps, _ = _caps_from(args)
+    tower, pds, _ = _load_or_build(args, table_cap)
+    dual = vf.delsarte_dual(pds, tower.indexer, cap=caps.spectrum)
     _write(dual.to_json(tower), args.output)
     print("delsarte dual: k=%d" % dual.k, file=sys.stderr)
     return EXIT_OK
@@ -345,15 +315,15 @@ def cmd_dual(args) -> int:
 def _spectrum(tower: Tower, pds: PdsSet, enum_cap: int) -> vf.CharacterSpectrum:
     """The spectrum behind the code and the geometry: v = q^dim, so the
     enumeration cap, already checked, is the cap that gates it."""
-    return vf.character_spectrum(pds, vf.GroupIndexer(tower), cap=enum_cap)
+    return vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
 
 
 def cmd_code(args) -> int:
-    tower, pds, _ = _load_or_build(args)
+    table_cap, _, enum_cap = _caps_from(args)
+    tower, pds, _ = _load_or_build(args, table_cap)
     if pds.provenance not in ("primal", "dual"):
         print("error: code export needs a primal or dual set", file=sys.stderr)
         return EXIT_USAGE
-    _, _, enum_cap = _caps_from(args)
     tp = tower.params
     cd.require_message_cap(tp.q, tp.dim_q, enum_cap)
     ctx = cd.CodingContext(tower)
@@ -389,11 +359,11 @@ def cmd_code(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    tower, pds, _ = _load_or_build(args)
+    table_cap, _, enum_cap = _caps_from(args)
+    tower, pds, _ = _load_or_build(args, table_cap)
     if pds.provenance not in ("primal", "dual"):
         print("error: geometry export needs a primal or dual set", file=sys.stderr)
         return EXIT_USAGE
-    _, _, enum_cap = _caps_from(args)
     tp = tower.params
     cd.require_hyperplane_cap(tp.q, tp.dim_q, enum_cap)
     ctx = cd.CodingContext(tower)
@@ -419,10 +389,9 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    tower, pds, _ = _load_or_build(args)
-    _, caps, _ = _caps_from(args)
-    indexer = vf.GroupIndexer(tower)
-    edges = vf.cayley_edges(pds, indexer, cap=caps.profile)
+    table_cap, caps, _ = _caps_from(args)
+    tower, pds, _ = _load_or_build(args, table_cap)
+    edges = vf.cayley_edges(pds, tower.indexer, cap=caps.profile)
     v = tower.params.v
     lines = []
     if args.graph_format == "dimacs":
@@ -443,8 +412,37 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("params", help="closed-form parameter tables")
-    _add_tower_args_optional(sp)
+    tower = argparse.ArgumentParser(add_help=False)
+    tower.add_argument("-p", type=int)
+    tower.add_argument("-s", type=int, default=1)
+    tower.add_argument("-m", type=int)
+    tower.add_argument("-l", "--ell", type=int, dest="ell")
+    tower.add_argument("-r", type=int)
+
+    common = argparse.ArgumentParser(add_help=False, parents=[tower])
+    common.add_argument("--family", choices=["primal", "dual"], default="primal")
+    common.add_argument(
+        "--subspace-exps",
+        help="comma list of generator exponents spanning R (default: 0..r-1)",
+    )
+    common.add_argument(
+        "--subspace-coords",
+        help="semicolon-separated GF(p) coefficient rows spanning R",
+    )
+    common.add_argument("-o", "--output", help="output path (default stdout)")
+    common.add_argument("--format", choices=["json", "text"], default="json")
+    common.add_argument(
+        "--parallel", type=int, default=0, help="worker threads for the literal sweeps (0 = off)"
+    )
+    common.add_argument(
+        "--seedless",
+        action="store_true",
+        help="assert the no-randomness guarantee (always true; informational)",
+    )
+    for cap in ("table", "profile", "spectrum", "neighbor", "enum"):
+        common.add_argument("--%s-cap" % cap, type=int, default=None)
+
+    sp = sub.add_parser("params", parents=[tower], help="closed-form parameter tables")
     sp.add_argument("--grid", nargs="*", help="key=value ranges, e.g. m=2..3 r=all")
     sp.add_argument("-o", "--output")
     sp.add_argument("--format", choices=["json", "text"], default="text")
@@ -456,24 +454,20 @@ def make_parser() -> argparse.ArgumentParser:
     sg.add_argument("--format", choices=["json", "text"], default="text")
     sg.set_defaults(func=lambda a: _emit_grid(a.ranges, a))
 
-    for name, fn, extra in (
-        ("construct", cmd_construct, ()),
-        ("verify", cmd_verify, ("set",)),
-        ("dual", cmd_dual, ("set",)),
-        ("code", cmd_code, ("set", "matrix")),
-        ("geometry", cmd_geometry, ("set",)),
-        ("export-graph", cmd_export_graph, ("set", "graph")),
+    for name, fn in (
+        ("construct", cmd_construct),
+        ("verify", cmd_verify),
+        ("dual", cmd_dual),
+        ("code", cmd_code),
+        ("geometry", cmd_geometry),
+        ("export-graph", cmd_export_graph),
     ):
-        sc = sub.add_parser(name)
-        if "set" in extra:
-            group = sc.add_mutually_exclusive_group()
-            group.add_argument("--set", dest="set_file", help="constructed set JSON file")
-        if name == "construct" or "set" in extra:
-            _add_tower_args_optional(sc)
-        _add_common(sc)
-        if "matrix" in extra:
+        sc = sub.add_parser(name, parents=[common])
+        if name != "construct":
+            sc.add_argument("--set", dest="set_file", help="constructed set JSON file")
+        if name == "code":
             sc.add_argument("--matrix-out", help="also write the generator matrix as text")
-        if "graph" in extra:
+        if name == "export-graph":
             sc.add_argument(
                 "--graph-format", choices=["edgelist", "dimacs"], default="edgelist"
             )
@@ -481,34 +475,22 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _add_tower_args_optional(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-p", type=int)
-    sub.add_argument("-s", type=int, default=1)
-    sub.add_argument("-m", type=int)
-    sub.add_argument("-l", "--ell", type=int, dest="ell")
-    sub.add_argument("-r", type=int)
-
-
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    if args.command in ("params",) and not args.grid:
-        missing = [k for k in ("p", "m", "ell", "r") if getattr(args, k, None) is None]
-        if missing:
-            print("error: missing %s (or use --grid)" % ", ".join(missing), file=sys.stderr)
-            return EXIT_USAGE
     if getattr(args, "parallel", 0) < 0:
         print("error: --parallel must be non-negative, got %d" % args.parallel, file=sys.stderr)
         return EXIT_USAGE
-    if args.command in ("construct", "verify", "dual", "code", "geometry", "export-graph"):
-        if not getattr(args, "set_file", None):
-            missing = [k for k in ("p", "m", "ell", "r") if getattr(args, k, None) is None]
-            if missing:
-                print(
-                    "error: missing %s (or use --set FILE)" % ", ".join(missing),
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
+    tower_given = getattr(args, "grid", None) or getattr(args, "set_file", None)
+    if args.command != "grid" and not tower_given:
+        missing = [k for k in ("p", "m", "ell", "r") if getattr(args, k) is None]
+        if missing:
+            alternative = "--grid" if args.command == "params" else "--set FILE"
+            print(
+                "error: missing %s (or use %s)" % (", ".join(missing), alternative),
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import params as pm
-from .construct import GroupIndexer, PdsSet, Tower
+from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
 from .ff import FiniteField, embed, row_reduce
 from .verify import CharacterSpectrum, CheckItem, _chunk_ranges
@@ -43,25 +43,20 @@ class CodingContext:
         self.dim2 = tp.m * (tp.ell + 1)
         self.coords1 = tower.f1.coords_table(tp.s)
         self.coords2 = tower.f2.coords_table(tp.s)
-        # discrete logs of the embedded GF(q)* scalars inside each big field
-        self.scalar_dlogs1 = tower.f1.dlog_array()[embed(tower.base, tower.f1).forward[1:]].tolist()
-        self.scalar_dlogs2 = tower.f2.dlog_array()[embed(tower.base, tower.f2).forward[1:]].tolist()
 
     def check_scale_closed(self, pds: PdsSet) -> None:
-        """The diagonal GF(q)* action must permute the set."""
-        f1, f2 = self.tower.f1, self.tower.f2
-        a, b = pds.elements % f1.size, pds.elements // f1.size
-        dlog_a, dlog_b = f1.dlog_array()[a], f2.dlog_array()[b]
-        for s1, s2 in zip(self.scalar_dlogs1, self.scalar_dlogs2):
-            scaled_a = np.where(a == 0, 0, f1.antilog_array()[(dlog_a + s1) % f1.order])
-            scaled_b = np.where(b == 0, 0, f2.antilog_array()[(dlog_b + s2) % f2.order])
-            leaves = ~np.isin(scaled_a + f1.size * scaled_b, pds.elements)
-            if leaves.any():
-                g = pds.elements[leaves.argmax()]
-                raise NotScaleClosedError(
-                    "element %s leaves the set under scaling"
-                    % (tuple(GroupIndexer(self.tower).dlog_pairs(g).tolist()),)
-                )
+        """The diagonal GF(q)* action must permute the set; a violation
+        names the element of smallest index that some scalar moves out."""
+        f1, f2, ix = self.tower.f1, self.tower.f2, self.tower.indexer
+        a, b = ix.split(pds.elements)
+        # one row per embedded scalar of GF(q)*
+        s1, s2 = (embed(self.base, f).forward[1:, None] for f in (f1, f2))
+        leaves = ~np.isin(ix.join(f1.mul(s1, a), f2.mul(s2, b)), pds.elements).all(axis=0)
+        if leaves.any():
+            g = pds.elements[leaves.argmax()]
+            raise NotScaleClosedError(
+                "element %s leaves the set under scaling" % (tuple(ix.dlog_pairs(g).tolist()),)
+            )
 
 
 class ProjectiveSet:
@@ -92,8 +87,8 @@ def _normalize_rows(rows: np.ndarray, base: FiniteField) -> np.ndarray:
 def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     """Collapse a scale-closed set by the GF(q)* action."""
     ctx.check_scale_closed(pds)
-    sz1 = ctx.tower.f1.size
-    rows = np.concatenate([ctx.coords1[pds.elements % sz1], ctx.coords2[pds.elements // sz1]], axis=1)
+    a, b = ctx.tower.indexer.split(pds.elements)
+    rows = np.concatenate([ctx.coords1[a], ctx.coords2[b]], axis=1)
     norm = _normalize_rows(rows, ctx.base)
     uniq = np.unique(norm, axis=0)
     want, rem = divmod(pds.k, ctx.q - 1)

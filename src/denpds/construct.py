@@ -3,7 +3,11 @@
 The ambient group is G = (K1 x K2, +) for K1 = GF(q^(m*ell)) and
 K2 = GF(q^(m*(ell+1))), realized over a concrete middle field GF(q^m) that
 embeds into both.  A set is stored as a sorted array of group indices: the
-element (a, b) has index packed(a) + |K1| packed(b) (``GroupIndexer``).
+element (a, b) has index packed(a) + |K1| packed(b).  Each ``Tower`` owns
+one ``GroupIndexer``, ``Tower.indexer``, whose ``split`` and ``join`` are
+the only code that applies this encoding; the tower's own tables (norm
+pullbacks, compatible generators) and the indexer's (trace pairing) are
+built on first use, once per instance, as read-only arrays.
 Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
 the zero coordinate.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,9 +46,9 @@ from .ff import (
     build_field,
     digitwise,
     embed,
-    inverse,
     is_prime,
     kernel_basis,
+    readonly,
 )
 
 # How the family tag of a set transforms under complementation and under
@@ -166,12 +171,13 @@ def subspace_from_basis(
     mid: FiniteField, base: FiniteField, basis_packed: list[int]
 ) -> Subspace:
     """Span the given vectors over GF(q); reject dependent input."""
+    basis = tuple(int(b) for b in basis_packed)  # a set file's basis is Python ints
     scalars, span = embed(base, mid).forward, np.zeros(1, dtype=np.int64)
-    for b in basis_packed:
+    for b in basis:
         span = _extend_span(mid, scalars, span, b)
-    if len(np.unique(span)) != base.size ** len(basis_packed):
+    if len(np.unique(span)) != base.size ** len(basis):
         raise NotASubspaceError("basis vectors are GF(q)-dependent")
-    return Subspace(mid, base, tuple(basis_packed), frozenset(span.tolist()), len(basis_packed))
+    return Subspace(mid, base, basis, frozenset(span.tolist()), len(basis))
 
 
 def subspace_from_elements(
@@ -202,7 +208,7 @@ def dual_subspace(R: Subspace) -> Subspace:
     # times the basis of R; one row (Tr(x^i y))_i for each
     scalars = embed(base, mid).forward[np.array(base._pows[:s])]
     spanning = mid.mul(scalars[:, None], np.array(R.basis, dtype=np.int64)[None, :]).ravel()
-    rows = mid.trace_table()[mid.mul(spanning[:, None], x_pows[None, :])]
+    rows = mid.trace_table[mid.mul(spanning[:, None], x_pows[None, :])]
     kernel = kernel_basis(build_field(p, 1), rows)
     if len(kernel) != s * (n // s - R.dim):
         raise InternalError("dual space has wrong GF(p)-dimension")
@@ -223,24 +229,49 @@ class CompatiblePrimitives:
     gamma: int  # packed
 
 
+@cache  # keyed by an interned field, which lives as long as the process anyway
+def _upack(fld: FiniteField) -> np.ndarray:
+    """For every packed value a of ``fld``, the packed digit vector of
+    (Tr(a x^i))_i, i.e. the character label of a in dot-index space; a
+    permutation of the packed values."""
+    x_pows = np.array(fld._pows[: fld.n], dtype=np.int64)
+    gram = fld.trace_table[fld.mul(x_pows[:, None], x_pows[None, :])]
+    u = (fld.digit_matrix @ gram) % fld.p @ x_pows
+    if len(np.unique(u)) != fld.size:
+        raise InternalError("trace pairing is degenerate")
+    return readonly(u)
+
+
 class GroupIndexer:
     """The group G = K1 x K2 as the integers [0, v).
 
     The element (a, b) has index packed(a) + |K1| packed(b): the base-p digit
     string of the two packed coordinates, first coordinate least
     significant, so group addition is digit-wise addition mod p (the XOR of
-    the indices for p = 2).  Pairs of discrete logs, the names set files and
+    the indices for p = 2).  ``split`` and ``join`` are the only code that
+    applies this rule.  Pairs of discrete logs, the names set files and
     witnesses use, convert through ``dlog_pairs`` and ``from_dlog_pairs``.
+    Each tower owns one indexer, ``Tower.indexer``, and with it the tables
+    of the trace pairing.
     """
 
     def __init__(self, tower: "Tower"):
-        self.tower = tower
+        self.f1, self.f2 = tower.f1, tower.f2
         self.p = tower.params.p
         self.n = tower.params.dim_p
         self.v = tower.params.v
         self.sz1 = tower.f1.size
         self.sz2 = tower.f2.size
-        self._cache: dict = {}
+
+    # -- the encoding --
+
+    def split(self, idx):
+        """The packed coordinates (a, b) of the indices idx."""
+        return idx % self.sz1, idx // self.sz1
+
+    def join(self, a, b):
+        """The indices of the packed coordinates (a, b); inverts ``split``."""
+        return a + self.sz1 * b
 
     # -- group law on indices, elementwise with broadcasting --
 
@@ -258,68 +289,33 @@ class GroupIndexer:
     def dlog_pairs(self, idx: np.ndarray) -> np.ndarray:
         """Discrete-log pairs of the indices idx, along a last axis of
         length 2; -1 for a zero coordinate."""
-        dlog1, dlog2 = self.tower.f1.dlog_array(), self.tower.f2.dlog_array()
-        return np.stack([dlog1[idx % self.sz1], dlog2[idx // self.sz1]], axis=-1)
+        a, b = self.split(idx)
+        return np.stack([self.f1.dlog[a], self.f2.dlog[b]], axis=-1)
 
     def from_dlog_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Indices of the (k, 2) discrete-log pairs; the inverse of ``dlog_pairs``."""
         i, j = pairs[:, 0], pairs[:, 1]
-        a = np.where(i < 0, 0, self.tower.f1.antilog_array()[i])
-        b = np.where(j < 0, 0, self.tower.f2.antilog_array()[j])
-        return a + self.sz1 * b
+        return self.join(
+            np.where(i < 0, 0, self.f1.antilog[i]), np.where(j < 0, 0, self.f2.antilog[j])
+        )
 
     # -- trace pairing between group elements and characters --
 
-    def _gram(self, which: int) -> tuple[np.ndarray, np.ndarray]:
-        key = ("gram", which)
-        out = self._cache.get(key)
-        if out is None:
-            fld = self.tower.f1 if which == 1 else self.tower.f2
-            x_pows = np.array(fld._pows[: fld.n], dtype=np.int64)
-            g = fld.trace_table()[fld.mul(x_pows[:, None], x_pows[None, :])]
-            out = (g, inverse(build_field(self.p, 1), g))
-            self._cache[key] = out
-        return out
-
-    def _upack(self, which: int) -> np.ndarray:
-        """For every packed coordinate value a, the packed digit vector of
-        (Tr(a x^i))_i, i.e. the character label of a in dot-index space."""
-        key = ("upack", which)
-        u = self._cache.get(key)
-        if u is None:
-            fld = self.tower.f1 if which == 1 else self.tower.f2
-            gram, _ = self._gram(which)
-            digs = fld.digit_matrix()
-            pw = self.p ** np.arange(fld.n, dtype=np.int64)
-            u = ((digs @ gram) % self.p) @ pw
-            u.setflags(write=False)
-            self._cache[key] = u
-        return u
-
+    @cached_property
     def char_index_table(self) -> np.ndarray:
         """Group index of (a, b) -> dot-space index of the character
-        zeta^(Tr1(a x) + Tr2(b y)).  A permutation of [0, v)."""
-        t = self._cache.get("chidx")
-        if t is None:
-            u1, u2 = self._upack(1), self._upack(2)
-            g = np.arange(self.v, dtype=np.int64)
-            t = u1[g % self.sz1] + self.sz1 * u2[g // self.sz1]
-            if len(np.unique(t)) != self.v:
-                raise InternalError("trace pairing is degenerate")
-            t.setflags(write=False)
-            self._cache["chidx"] = t
-        return t
+        zeta^(Tr1(a x) + Tr2(b y)).  A permutation of [0, v), since both
+        coordinate label tables are."""
+        # row b, column a holds the label of the index join(a, b)
+        return readonly(self.join(_upack(self.f1)[None, :], _upack(self.f2)[:, None]).ravel())
 
+    @cached_property
     def index_of_char_table(self) -> np.ndarray:
         """The inverse of ``char_index_table``: character dot-index -> the
         group index of its label."""
-        inv = self._cache.get("chinv")
-        if inv is None:
-            inv = np.empty(self.v, dtype=np.int64)
-            inv[self.char_index_table()] = np.arange(self.v, dtype=np.int64)
-            inv.setflags(write=False)
-            self._cache["chinv"] = inv
-        return inv
+        inv = np.empty(self.v, dtype=np.int64)
+        inv[self.char_index_table] = np.arange(self.v, dtype=np.int64)
+        return readonly(inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +336,7 @@ class PdsSet:
         elems = np.unique(np.asarray(self.elements, dtype=np.int64))
         if len(elems) and (elems[0] < 0 or elems[-1] >= self.params.v):
             raise ValueError("set elements must be group indices below %d" % self.params.v)
-        elems.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", readonly(elems))
 
     @property
     def k(self) -> int:
@@ -353,7 +348,7 @@ class PdsSet:
 
     def to_json_dict(self, tower: "Tower | None" = None) -> dict:
         tw = tower if tower is not None else Tower(self.params)
-        pairs = GroupIndexer(tw).dlog_pairs(self.elements)
+        pairs = tw.indexer.dlog_pairs(self.elements)
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         return {
             "type": "pds-set",
@@ -416,7 +411,7 @@ def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["
     pds = PdsSet(
         tp,
         doc["provenance"],
-        GroupIndexer(tower).from_dlog_pairs(pairs),
+        tower.indexer.from_dlog_pairs(pairs),
         claimed,
         tuple(tuple(r) for r in doc.get("subspace_rows", [])),
     )
@@ -438,31 +433,28 @@ class Tower:
         self.f2 = build_field(tp.p, tp.deg2, table_cap)
         self.emb_mid1 = embed(self.mid, self.f1)
         self.emb_mid2 = embed(self.mid, self.f2)
-        self._norm_dlogs: dict[int, np.ndarray] = {}
-        self._compatible: CompatiblePrimitives | None = None
+
+    @cached_property
+    def indexer(self) -> GroupIndexer:
+        """The tower's group-index encoding and trace-pairing tables."""
+        return GroupIndexer(self)
 
     # -- compatible generators --
 
-    @property
+    @cached_property
     def compatible(self) -> CompatiblePrimitives:
-        if self._compatible is None:
-            self._compatible = self._make_compatible()
-        return self._compatible
-
-    def _make_compatible(self) -> CompatiblePrimitives:
-        tp = self.params
         ord1, ord2, ordm = self.f1.order, self.f2.order, self.mid.order
         t1, t2 = ord1 // ordm, ord2 // ordm
-        gamma_packed = self.emb_mid1.preimage_packed(self.f1.antilog[t1 % ord1])
+        gamma_packed = self.emb_mid1.preimage_packed(int(self.f1.antilog[t1 % ord1]))
         if gamma_packed is None:
             raise InternalError("norm of alpha left the middle-field copy")
-        g = self.mid.dlog[gamma_packed]
+        g = int(self.mid.dlog[gamma_packed])
         if math.gcd(g, ordm) != 1:
             raise InternalError("norm of a generator must generate the subfield")
-        c_packed = self.emb_mid2.preimage_packed(self.f2.antilog[t2 % ord2])
+        c_packed = self.emb_mid2.preimage_packed(int(self.f2.antilog[t2 % ord2]))
         if c_packed is None:
             raise InternalError("norm of beta0 left the middle-field copy")
-        c = (self.mid.dlog[c_packed] * pow(g, -1, ordm)) % ordm
+        c = (int(self.mid.dlog[c_packed]) * pow(g, -1, ordm)) % ordm
         d = pow(c, -1, ordm)
         if d == 0:
             d = ordm
@@ -473,52 +465,44 @@ class Tower:
         # postconditions: beta generates, and both norms pull back to gamma
         if math.gcd(d, ord2) != 1:
             raise InternalError("beta is not a generator")
-        nb = self.emb_mid2.preimage_packed(self.f2.antilog[(d * t2) % ord2])
+        nb = self.emb_mid2.preimage_packed(int(self.f2.antilog[(d * t2) % ord2]))
         if nb != gamma_packed:
             raise InternalError("norm of beta does not match gamma")
         return CompatiblePrimitives(beta_adjust=d, gamma_exp=g, gamma=gamma_packed)
 
     # -- norm pullback tables (middle-field dlogs, indexed by coordinate dlog) --
 
-    def norm_dlogs(self, which: int) -> np.ndarray:
-        """For coordinate field ``which`` (1 or 2): array over exponents i of
-        dlog_mid(pullback(Norm(pi^i)))."""
-        arr = self._norm_dlogs.get(which)
-        if arr is None:
-            big = self.f1 if which == 1 else self.f2
-            emb = self.emb_mid1 if which == 1 else self.emb_mid2
+    @cached_property
+    def norm_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each coordinate field, K1 then K2: the array over exponents i
+        of dlog_mid(pullback(Norm(pi^i)))."""
+        out = []
+        for big, emb in ((self.f1, self.emb_mid1), (self.f2, self.emb_mid2)):
             ordb, ordm = big.order, self.mid.order
             t = ordb // ordm
-            base_packed = emb.preimage_packed(big.antilog[t % ordb])
+            base_packed = emb.preimage_packed(int(big.antilog[t % ordb]))
             if base_packed is None:
                 raise InternalError("norm left the middle-field copy")
-            gexp = self.mid.dlog[base_packed]
+            gexp = int(self.mid.dlog[base_packed])
             # Norm(pi^i) = (pi^t)^i pulls back to (gamma_which)^i
             arr = (np.arange(ordb, dtype=np.int64) * gexp) % ordm
             # route check on a couple of entries through the literal pullback
             for i in (0, 1, ordb // 2):
-                lit = emb.preimage_packed(big.antilog[(i * t) % ordb])
-                if lit is None or self.mid.dlog[lit] != int(arr[i]):
+                lit = emb.preimage_packed(int(big.antilog[(i * t) % ordb]))
+                if lit is None or self.mid.dlog[lit] != arr[i]:
                     raise InternalError("norm pullback table mismatch")
-            arr.setflags(write=False)
-            self._norm_dlogs[which] = arr
-        return arr
+            out.append(readonly(arr))
+        return tuple(out)
 
     def _ratio_membership(self, space: Subspace) -> np.ndarray:
         """Boolean array over middle-field dlogs t: antilog(t) in space."""
-        out = np.isin(self.mid.antilog_array(), list(space.elements))
-        out.setflags(write=False)
-        return out
+        return readonly(np.isin(self.mid.antilog, list(space.elements)))
 
     # -- subspace constructors --
 
     def default_subspace(self) -> Subspace:
         """Span of the first r powers of the middle field's own generator."""
-        r = self.params.r
-        if r == 0:
-            return subspace_from_elements(self.mid, self.base, [0])
-        basis = [self.mid.antilog[j % self.mid.order] for j in range(r)]
-        return subspace_from_basis(self.mid, self.base, basis)
+        return self.subspace_from_exponents(range(self.params.r))
 
     def subspace_from_exponents(self, exps) -> Subspace:
         basis = [self.mid.antilog[e % self.mid.order] for e in exps]
@@ -538,11 +522,8 @@ class Tower:
         if R.mid is not self.mid:
             raise FieldMismatchError("subspace lives in a different field")
         tp = self.params
-        g = self.compatible.gamma_exp
-        ordm = self.mid.order
-        T = tuple(
-            i for i in range(tp.e) if self.mid.antilog[(g * i) % ordm] in R.elements
-        )
+        gamma_pows = self.mid.antilog[self.compatible.gamma_exp * np.arange(tp.e) % self.mid.order]
+        T = tuple(np.flatnonzero(np.isin(gamma_pows, list(R.elements))).tolist())
         want = (tp.q ** R.dim - 1) // (tp.q - 1)
         if len(T) != want:
             raise InternalError("|T| = %d but expected %d" % (len(T), want))
@@ -582,21 +563,21 @@ class Tower:
     def is_symmetric(self, pds: PdsSet) -> bool:
         if self.params.p == 2:
             return True
-        negated = np.sort(GroupIndexer(self).neg(pds.elements))
+        negated = np.sort(self.indexer.neg(pds.elements))
         return bool(np.array_equal(negated, pds.elements))
 
     def _ratio_indices(self, ratio_ok: np.ndarray) -> np.ndarray:
         """Indices of the elements with both coordinates nonzero whose norm
         ratio t (a middle-field dlog) has ratio_ok[t]."""
-        g1, g2 = self.norm_dlogs(1), self.norm_dlogs(2)
+        g1, g2 = self.norm_dlogs
         i, j = np.nonzero(ratio_ok[(g2[None, :] - g1[:, None]) % self.mid.order])
-        return self.f1.antilog_array()[i] + self.f1.size * self.f2.antilog_array()[j]
+        return self.indexer.join(self.f1.antilog[i], self.f2.antilog[j])
 
     def build_D(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the primal set."""
         R = self.check_rank(R)
         ratio = self._ratio_indices(self._ratio_membership(R))
-        axis = np.arange(1, self.f1.size)  # (a, 0) for every a != 0
+        axis = self.indexer.join(np.arange(1, self.f1.size), 0)  # (a, 0), a != 0
         return self._finish(np.concatenate([ratio, axis]), "primal", self.params.primal_params(), R)
 
     def build_D_cosets(self, R: Subspace | None = None) -> PdsSet:
@@ -618,14 +599,14 @@ class Tower:
                 right.update((d * (base + e * w)) % ord2 for w in range(size2))
             pairs.extend((a, b) for a in left for b in right)
         pairs.extend((i, -1) for i in range(ord1))
-        idx = GroupIndexer(self).from_dlog_pairs(np.array(pairs, dtype=np.int64))
+        idx = self.indexer.from_dlog_pairs(np.array(pairs, dtype=np.int64))
         return self._finish(idx, "primal", tp.primal_params(), R)
 
     def build_D_dual(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the dual set (complement membership)."""
         R = self.check_rank(R)
         ratio = self._ratio_indices(~self._ratio_membership(dual_subspace(R)))
-        axis = self.f1.size * np.arange(1, self.f2.size)  # (0, b) for every b != 0
+        axis = self.indexer.join(0, np.arange(1, self.f2.size))  # (0, b), b != 0
         return self._finish(np.concatenate([ratio, axis]), "dual", self.params.dual_params(), R)
 
     def complement(self, pds: PdsSet) -> PdsSet:

@@ -11,17 +11,21 @@ An element is its packed integer sum(c_i * p^i) over the polynomial basis
 {1, x, ..., x^(n-1)}; there is no element object.  ``FiniteField.add``,
 ``sub`` and ``neg`` work digit by digit (``digitwise``, XOR for p = 2) and
 ``mul`` and ``inv`` through the discrete-log tables of the chosen primitive
-element g, on Python ints or int64 arrays alike.  All multiplicative
-structure (norms, coset indexing, order computations) is plain exponent
-arithmetic on those tables.  ``row_reduce`` is the one Gauss-Jordan
-elimination over a field.  Everything is exact integer work; there is no
-floating point and no randomness anywhere.
+element g, on Python ints or int64 arrays alike.  Every table of a field
+is a read-only int64 array and an attribute of the field: ``antilog`` and
+``dlog`` are built with it, ``digit_matrix``, ``trace_table`` and
+``coords_table(d)`` on first use.  ``build_field`` and ``embed`` intern
+their results, so each table is built once per process.  All
+multiplicative structure (norms, coset indexing, order computations) is
+plain exponent arithmetic on those tables.  ``row_reduce`` is the one
+Gauss-Jordan elimination over a field.  Everything is exact integer work;
+there is no floating point and no randomness anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -162,6 +166,12 @@ def _find_modulus(p: int, n: int) -> tuple[int, ...]:
     raise InternalError("no irreducible polynomial found for GF(%d^%d)" % (p, n))
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only; every shared table is."""
+    a.setflags(write=False)
+    return a
+
+
 def digitwise(a, b, sign: int, p: int, n: int):
     """a + sign * b on strings of n base-p digits, one digit per pass mod p
     (the XOR for p = 2): the sum of packed field elements, or of group
@@ -175,20 +185,25 @@ def digitwise(a, b, sign: int, p: int, n: int):
     return out
 
 
+def _require_table_cap(p: int, n: int, table_cap: int) -> None:
+    if p**n > table_cap:
+        raise TableCapExceededError(
+            "GF(%d^%d) has %d elements, above the table cap %d" % (p, n, p**n, table_cap)
+        )
+
+
 class FiniteField:
-    """Fully tabulated GF(p^n) with deterministic modulus and generator."""
+    """Fully tabulated GF(p^n) with deterministic modulus and generator:
+    ``antilog[k]`` is g^k packed for 0 <= k < order, and ``dlog`` its
+    inverse over the packed values, with dlog[0] = -1."""
 
     def __init__(self, p: int, n: int, table_cap: int = DEFAULT_TABLE_CAP):
         if not is_prime(p):
             raise NonPrimeError("characteristic %r is not prime" % (p,))
         if n < 1:
             raise ValueError("degree must be >= 1")
+        _require_table_cap(p, n, table_cap)
         size = p**n
-        if size > table_cap:
-            raise TableCapExceededError(
-                "GF(%d^%d) has %d elements, above the table cap %d"
-                % (p, n, size, table_cap)
-            )
         self.p = p
         self.n = n
         self.size = size
@@ -196,22 +211,22 @@ class FiniteField:
         self.modulus: tuple[int, ...] = _find_modulus(p, n)
         self._pows = tuple(p**i for i in range(n + 1))
         self.primitive_packed = self._find_primitive()
-        self.antilog: list[int] = [0] * self.order
+        antilog = [0] * self.order
         cur = 1
         for k in range(self.order):
-            self.antilog[k] = cur
+            antilog[k] = cur
             cur = self._mul_poly(cur, self.primitive_packed)
         if cur != 1:
             raise InternalError("primitive element order mismatch")
-        self.dlog: list[int] = [-1] * self.size
-        for k in range(self.order):
-            v = self.antilog[k]
-            if self.dlog[v] != -1:
-                raise InternalError("antilog table is not injective")
-            self.dlog[v] = k
-        if any(self.dlog[v] == -1 for v in range(1, self.size)):
+        self.antilog = readonly(np.array(antilog, dtype=np.int64))
+        exps = np.arange(self.order, dtype=np.int64)
+        dlog = np.full(size, -1, dtype=np.int64)
+        dlog[self.antilog] = exps
+        if (dlog[self.antilog] != exps).any():
+            raise InternalError("antilog table is not injective")
+        if (dlog[1:] < 0).any():
             raise InternalError("antilog table does not cover the field")
-        self._np_cache: dict = {}
+        self.dlog = readonly(dlog)
 
     # -- packed-representation helpers --
 
@@ -267,14 +282,14 @@ class FiniteField:
         return digitwise(0, x, -1, self.p, self.n)
 
     def mul(self, x, y):
-        dlog, antilog = self._mul_tables()
+        dlog, antilog = self._mul_tables
         out = antilog[dlog[x] + dlog[y]]
         return out if out.ndim else int(out)
 
     def inv(self, x):
         """The inverse of a nonzero x; zero maps to zero."""
         x = np.asarray(x)
-        out = np.where(x == 0, 0, self.antilog_array()[-self.dlog_array()[x] % self.order])
+        out = np.where(x == 0, 0, self.antilog[-self.dlog[x] % self.order])
         return out if out.ndim else int(out)
 
     def horner(self, coeffs, x):
@@ -285,74 +300,44 @@ class FiniteField:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
-    # -- numpy views (cached, treated as immutable) --
+    # -- derived tables: read-only int64 arrays, built on first use --
 
-    def antilog_array(self) -> np.ndarray:
-        a = self._np_cache.get("antilog")
-        if a is None:
-            a = np.array(self.antilog, dtype=np.int64)
-            a.setflags(write=False)
-            self._np_cache["antilog"] = a
-        return a
-
-    def dlog_array(self) -> np.ndarray:
-        a = self._np_cache.get("dlog")
-        if a is None:
-            a = np.array(self.dlog, dtype=np.int64)
-            a.setflags(write=False)
-            self._np_cache["dlog"] = a
-        return a
-
+    @cached_property
     def _mul_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Discrete logs with log(0) = 2 * order, and antilogs of every sum
         of two logs: a sum below 2 * order is a product of nonzero elements,
         any other sum has a zero factor and maps to 0."""
-        t = self._np_cache.get("mul")
-        if t is None:
-            dlog = self.dlog_array().copy()
-            dlog[0] = 2 * self.order
-            anti = self.antilog_array()
-            antilog = np.concatenate([anti, anti, np.zeros(2 * self.order + 1, dtype=np.int64)])
-            t = (dlog, antilog)
-            for a in t:
-                a.setflags(write=False)
-            self._np_cache["mul"] = t
-        return t
+        dlog = self.dlog.copy()
+        dlog[0] = 2 * self.order
+        zeros = np.zeros(2 * self.order + 1, dtype=np.int64)
+        return readonly(dlog), readonly(np.concatenate([self.antilog, self.antilog, zeros]))
 
+    @cached_property
     def digit_matrix(self) -> np.ndarray:
         """Base-p digit rows for every packed value 0..size-1."""
-        a = self._np_cache.get("digits")
-        if a is None:
-            vals = np.arange(self.size, dtype=np.int64)
-            a = np.empty((self.size, self.n), dtype=np.int64)
-            for i in range(self.n):
-                a[:, i] = (vals // self._pows[i]) % self.p
-            a.setflags(write=False)
-            self._np_cache["digits"] = a
-        return a
+        vals = np.arange(self.size, dtype=np.int64)
+        return readonly(vals[:, None] // np.array(self._pows[: self.n], dtype=np.int64) % self.p)
 
+    @cached_property
     def trace_table(self) -> np.ndarray:
         """Absolute trace to GF(p) as an integer in [0, p), indexed packed."""
-        a = self._np_cache.get("trace")
-        if a is None:
-            anti = self.antilog_array()
-            exps = np.arange(self.order, dtype=np.int64)
-            dig = np.zeros((self.order, self.n), dtype=np.int64)
-            for i in range(self.n):
-                idx = (exps * pow(self.p, i, self.order)) % self.order
-                dig += self.digit_matrix()[anti[idx]]
-            dig %= self.p
-            # a trace value lies in GF(p): only the constant digit survives
-            if self.n > 1 and np.any(dig[:, 1:]):
-                raise InternalError("trace left the prime subfield")
-            a = np.zeros(self.size, dtype=np.int64)
-            a[anti] = dig[:, 0]
-            a.setflags(write=False)
-            self._np_cache["trace"] = a
-        return a
+        exps = np.arange(self.order, dtype=np.int64)
+        dig = np.zeros((self.order, self.n), dtype=np.int64)
+        for i in range(self.n):
+            idx = (exps * pow(self.p, i, self.order)) % self.order
+            dig += self.digit_matrix[self.antilog[idx]]
+        dig %= self.p
+        # a trace value lies in GF(p): only the constant digit survives
+        if self.n > 1 and np.any(dig[:, 1:]):
+            raise InternalError("trace left the prime subfield")
+        a = np.zeros(self.size, dtype=np.int64)
+        a[self.antilog] = dig[:, 0]
+        return readonly(a)
 
     # -- coordinates over a subfield --
 
+    # the cache keeps the field alive, as build_field's interning does anyway
+    @cache
     def coords_table(self, base_degree: int) -> np.ndarray:
         """Coordinates of every element over the degree-``base_degree``
         subfield, as packed subfield elements, with respect to the power
@@ -361,20 +346,14 @@ class FiniteField:
         d = base_degree
         if self.n % d:
             raise NotADivisorError("%d does not divide field degree %d" % (d, self.n))
-        key = ("coords", d)
-        a = self._np_cache.get(key)
-        if a is None:
-            # GF(p)-basis g^j rho_i, rho_i the image of x^i of the subfield
-            weights = np.array(self._pows[:d], dtype=np.int64)
-            powers = self.antilog_array()[np.arange(self.n // d) % self.order]
-            rho = embed(build_field(self.p, d), self).forward[weights]
-            basis = self.mul(powers[:, None], rho[None, :]).ravel()
-            binv = inverse(build_field(self.p, 1), self.digit_matrix()[basis].T)
-            u = (self.digit_matrix() @ binv.T) % self.p
-            a = u.reshape(self.size, self.n // d, d) @ weights
-            a.setflags(write=False)
-            self._np_cache[key] = a
-        return a
+        # GF(p)-basis g^j rho_i, rho_i the image of x^i of the subfield
+        weights = np.array(self._pows[:d], dtype=np.int64)
+        powers = self.antilog[np.arange(self.n // d) % self.order]
+        rho = embed(build_field(self.p, d), self).forward[weights]
+        basis = self.mul(powers[:, None], rho[None, :]).ravel()
+        binv = inverse(build_field(self.p, 1), self.digit_matrix[basis].T)
+        u = (self.digit_matrix @ binv.T) % self.p
+        return readonly(u.reshape(self.size, self.n // d, d) @ weights)
 
     # -- descriptions --
 
@@ -463,14 +442,13 @@ class SubfieldEmbedding:
         else:
             # the conjugate roots lie in the subgroup of order |small*|
             exps = (big.order // small.order) * np.arange(small.order) % big.order
-            roots = exps[big.horner(small.modulus, big.antilog_array()[exps]) == 0]
+            roots = exps[big.horner(small.modulus, big.antilog[exps]) == 0]
             if len(roots) != small.n:
                 raise InternalError(
                     "expected %d conjugate roots, found %d" % (small.n, len(roots))
                 )
-            forward = big.horner(small.digit_matrix(), big.antilog[roots.min()])
-        forward.setflags(write=False)
-        self.forward = forward
+            forward = big.horner(small.digit_matrix, big.antilog[roots.min()])
+        self.forward = readonly(forward)
         self._inverse = {v: s for s, v in enumerate(forward.tolist())}
         if len(self._inverse) != small.size:
             raise InternalError("embedding is not injective")
@@ -480,30 +458,22 @@ class SubfieldEmbedding:
         return self._inverse.get(big_packed)
 
 
-_FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
-
-
 def build_field(p: int, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteField:
     """Deterministic GF(p^n); identical calls share one immutable instance."""
-    key = (p, n)
-    field = _FIELD_CACHE.get(key)
-    if field is None:
-        field = FiniteField(p, n, table_cap=table_cap)
-        _FIELD_CACHE[key] = field
-    elif field.size > table_cap:
-        raise TableCapExceededError(
-            "GF(%d^%d) has %d elements, above the table cap %d"
-            % (p, n, field.size, table_cap)
-        )
-    return field
-
-
-@lru_cache(maxsize=None)
-def _embed_cached(p: int, d: int, n: int) -> SubfieldEmbedding:
-    return SubfieldEmbedding(build_field(p, d), build_field(p, n))
+    _require_table_cap(p, n, table_cap)
+    return _interned(p, n)
 
 
 def embed(small: FiniteField, big: FiniteField) -> SubfieldEmbedding:
     if small.p != big.p:
         raise NotASubfieldError("different characteristics")
-    return _embed_cached(small.p, small.n, big.n)
+    return _interned(big.p, big.n, small.n)
+
+
+@cache
+def _interned(p: int, n: int, small_n: int | None = None):
+    """The one GF(p^n), or with ``small_n`` the one embedding of
+    GF(p^small_n) into it; the table cap is checked by the callers."""
+    if small_n is None:
+        return FiniteField(p, n, table_cap=p**n)
+    return SubfieldEmbedding(_interned(p, small_n), _interned(p, n))

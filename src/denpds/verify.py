@@ -10,7 +10,8 @@ anywhere.
 
 The difference profile has two routes: ``transform_profile`` derives it
 from the character spectrum (the route ``verify_pds`` takes), and
-``difference_profile`` counts all k(k-1) differences literally.
+``difference_profile`` counts them literally, with the kernel of the
+common-neighbour count: c(g) = #{d in D : d - g in D} for every g.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
 DEFAULT_PROFILE_CAP = 1 << 16
 DEFAULT_SPECTRUM_CAP = 1 << 20
 DEFAULT_NEIGHBOR_CAP = 1 << 12
-CHUNK_TARGET_BYTES = 32 << 20
 NEIGHBOR_CHUNK_BYTES = 8 << 20
 
 
@@ -71,21 +71,41 @@ class DifferenceProfile:
         return int(self.counts.sum())
 
 
+def _membership(pds: PdsSet, v: int) -> np.ndarray:
+    member = np.zeros(v, dtype=bool)
+    member[pds.elements] = True
+    return member
+
+
+def _common_counts(
+    pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer, threads: int
+) -> np.ndarray:
+    """c(g) = #{d in D : d - g in D} for every g in targets, counted
+    literally from the membership indicator of D; chunks of targets are
+    split over ``threads`` worker threads."""
+    idx, member = pds.elements, _membership(pds, indexer.v)
+    # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
+    per_target = max(len(idx), 1) * 8 * (1 if indexer.p == 2 else indexer.n)
+    chunk = max(1, NEIGHBOR_CHUNK_BYTES // per_target)
+
+    def one(rng):
+        gs = targets[rng[0] : rng[1]]
+        return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
+
+    return np.concatenate(_run_chunks(one, _chunk_ranges(len(targets), chunk), threads))
+
+
 def difference_profile(
     pds: PdsSet,
     indexer: GroupIndexer,
     cap: int = DEFAULT_PROFILE_CAP,
 ) -> DifferenceProfile:
+    """c(g) for every group index g, counted literally."""
     v = indexer.v
     if v > cap:
         raise CapExceededError("profile oracle: v=%d above cap %d" % (v, cap))
-    idx = pds.elements
-    k = len(idx)
-    chunk = max(1, CHUNK_TARGET_BYTES // (max(k, 1) * 8))
-    counts = np.zeros(v, dtype=np.int64)
-    for lo, hi in _chunk_ranges(k, chunk):
-        diff = indexer.sub(idx[lo:hi, None], idx[None, :])
-        counts += np.bincount(diff.ravel(), minlength=v)
+    k = pds.k
+    counts = _common_counts(pds, np.arange(v, dtype=np.int64), indexer, 0)
     if counts[0] != k:
         raise InternalError("self-differences must account for index 0 exactly")
     counts[0] = 0
@@ -210,8 +230,7 @@ def check_pds(
     if len(idx) != exp.k:
         ok = False
         details["size"] = len(idx)
-    member = np.zeros(indexer.v, dtype=bool)
-    member[idx] = True
+    member = _membership(pds, indexer.v)
     c = profile.counts
     bad_in = np.flatnonzero(member & (c != exp.lam))
     off = ~member
@@ -293,19 +312,19 @@ def check_case_split(
         special_value = theta
     other_value = theta if special_value == tau else tau
     # predicted values indexed by character dot-index
-    chidx = indexer.char_index_table()
+    chidx = indexer.char_index_table
     predicted = np.full(indexer.v, other_value, dtype=np.int64)
     # principal character
     predicted[0] = exp.k
     # a != 0, b = 0
-    predicted[chidx[1 : indexer.sz1]] = special_value
+    predicted[chidx[indexer.join(np.arange(1, indexer.sz1), 0)]] = special_value
     # both nonzero: ratio test
     predicted[chidx[tower._ratio_indices(in_space)]] = special_value
     ok = bool(spectrum.rational.all()) and bool((spectrum.values == predicted).all())
     witnesses = []
     if not ok:
         bad = np.flatnonzero(spectrum.values != predicted)[:5]
-        labels = indexer.dlog_pairs(indexer.index_of_char_table()[bad]).tolist()
+        labels = indexer.dlog_pairs(indexer.index_of_char_table[bad]).tolist()
         for b, label in zip(bad, labels):
             witnesses.append(
                 {
@@ -333,26 +352,11 @@ def srg_common_neighbors(
     deterministic sample above."""
     v = indexer.v
     exp = expected_params(pds)
-    idx = pds.elements
-    member = np.zeros(v, dtype=bool)
-    member[idx] = True
+    member = _membership(pds, v)
     sampled = v > cap
-    if sampled:
-        stride = (v + cap - 1) // cap
-        targets = np.arange(1, v, stride, dtype=np.int64)
-    else:
-        targets = np.arange(1, v, dtype=np.int64)
-    # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
-    per_target = max(len(idx), 1) * 8 * (1 if indexer.p == 2 else indexer.n)
-    chunk = max(1, NEIGHBOR_CHUNK_BYTES // per_target)
-    ranges = _chunk_ranges(len(targets), chunk)
-
-    def one(rng):
-        lo, hi = rng
-        gs = targets[lo:hi]
-        return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
-
-    cn = np.concatenate(_run_chunks(one, ranges, threads))
+    stride = (v + cap - 1) // cap if sampled else 1
+    targets = np.arange(1, v, stride, dtype=np.int64)
+    cn = _common_counts(pds, targets, indexer, threads)
     want = np.where(member[targets], exp.lam, exp.mu)
     bad = np.flatnonzero(cn != want)
     ok = len(bad) == 0 and int(member.sum()) == exp.k
@@ -395,8 +399,8 @@ def clique_certificate(pds: PdsSet, tower: Tower) -> CheckItem:
     if pds.provenance not in ("primal", "dual", "delsarte-dual"):
         return _skip("clique", "only defined for primal/dual provenance")
     sz1, sz2 = tower.f1.size, tower.f2.size
-    left = np.arange(1, sz1)  # (a, 0), a != 0
-    right = sz1 * np.arange(1, sz2)  # (0, b), b != 0
+    left = tower.indexer.join(np.arange(1, sz1), 0)  # (a, 0), a != 0
+    right = tower.indexer.join(0, np.arange(1, sz2))  # (0, b), b != 0
     if pds.provenance == "primal":
         clique, forbidden, size = left, right, sz1
     else:
@@ -428,7 +432,7 @@ def delsarte_dual(
         raise SpectrumNotTwoValuedError("spectrum values %s unexpected" % sorted(vals))
     sel = np.flatnonzero(spectrum.values == theta)
     sel = sel[sel != 0]
-    elems = indexer.index_of_char_table()[sel]
+    elems = indexer.index_of_char_table[sel]
     claimed = pm.delsarte_dual_params(exp)
     if len(elems) != claimed.k:
         raise InternalError("dual has size %d, expected %d" % (len(elems), claimed.k))
@@ -514,7 +518,7 @@ def verify_pds(
     spectrum by the exact transform (``transform_profile``), not from the
     literal sweep of ``difference_profile``; ``common-neighbors`` counts
     literally.  ``threads`` splits only that literal sweep."""
-    indexer = GroupIndexer(tower)
+    indexer = tower.indexer
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
     report.meta = {

@@ -45,6 +45,8 @@ def test_usage_errors_exit_two():
     assert run("params", "-p", "2", "-m", "2").returncode == 2
     assert run("construct", "-p", "2", "-m", "2", "-l", "1").returncode == 2
     assert run("nonsense").returncode == 2
+    assert run("params", "-p", "2", "-m", "2").stderr == "error: missing ell, r (or use --grid)\n"
+    assert run("verify", "-m", "2", "-r", "1").stderr == "error: missing p, ell (or use --set FILE)\n"
 
 
 def test_construct_verify_roundtrip(tmp_path):
@@ -349,6 +351,19 @@ def test_wide_primes_are_fast():
     wide = run("params", "-p", str(2**64 + 13), *tower, timeout=30)
     assert wide.returncode == 2
     assert wide.stderr == "error: p must be below 2^64\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_params_past_the_digit_limit_exit_two_with_one_line(fmt):
+    """Parameters with more than 4300 decimal digits cannot be printed: one
+    error line and exit 2, as grid gives on the same tower."""
+    res = run("params", "-p", "2", "-m", "20000", "-l", "1", "-r", "1", "--format", fmt, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Exceeds the limit"), res.stderr
+    grid = run("grid", "p=2", "m=20000", "l=1", "r=1", "--format", fmt, timeout=60)
+    assert grid.returncode == 2 and grid.stderr == res.stderr
 
 
 def test_non_integer_subspace_exps_exit_two_with_one_line():

@@ -60,8 +60,10 @@ def test_scalar_action_on_coords():
     ctx = C.CodingContext(tower)
     # scaling an element scales its coordinate vector by the same scalar
     ord1, ord2 = tower.f1.order, tower.f2.order
-    for c_idx, (s1, s2) in enumerate(zip(ctx.scalar_dlogs1, ctx.scalar_dlogs2)):
-        c = c_idx + 1  # packed scalar values run 1..q-1
+    for c in range(1, tower.base.size):
+        # discrete logs of the scalar c embedded into each big field
+        s1 = int(tower.f1.dlog[ff.embed(tower.base, tower.f1).forward[c]])
+        s2 = int(tower.f2.dlog[ff.embed(tower.base, tower.f2).forward[c]])
         for pair in [(0, 0), (3, 7), (5, -1), (-1, 4)]:
             i, j = pair
             scaled = (
@@ -93,6 +95,35 @@ def test_scale_closure_violation_detected(setup729):
     )
     with pytest.raises(NotScaleClosedError):
         C.to_projective_set(broken, ctx)
+    # q = 4: three nontrivial scalars; the message names the violator of
+    # smallest index, found here by exponent arithmetic on dlog pairs
+    tower = Tower(TowerParams(2, 2, 2, 1, 1))
+    ctx = C.CodingContext(tower)
+    D = tower.build_D()
+    ix = tower.indexer
+    ord1, ord2 = tower.f1.order, tower.f2.order
+    scalars = [
+        (int(tower.f1.dlog[ff.embed(tower.base, tower.f1).forward[c]]),
+         int(tower.f2.dlog[ff.embed(tower.base, tower.f2).forward[c]]))
+        for c in range(1, tower.base.size)
+    ]
+    for drop in (0, D.k // 2, D.k - 1):
+        kept = np.delete(D.elements, drop)
+        pairs = [tuple(x) for x in ix.dlog_pairs(kept).tolist()]
+        members = set(pairs)
+        leaving = [
+            g
+            for g, (i, j) in zip(kept.tolist(), pairs)
+            if any(
+                (i if i < 0 else (i + s1) % ord1, j if j < 0 else (j + s2) % ord2) not in members
+                for s1, s2 in scalars
+            )
+        ]
+        assert len(leaving) == 2  # the rest of the dropped element's GF(4)* orbit
+        want = tuple(ix.dlog_pairs(min(leaving)).tolist())
+        broken = PdsSet(D.params, D.provenance, kept, D.claimed, D.subspace_rows)
+        with pytest.raises(NotScaleClosedError, match=r"element \(%d, %d\) leaves" % want):
+            C.to_projective_set(broken, ctx)
 
 
 def test_hyperplane_profile_64(setup64):

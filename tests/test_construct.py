@@ -14,6 +14,7 @@ from denpds.construct import (
     TowerParams,
     dual_subspace,
     pds_from_json_dict,
+    subspace_from_basis,
     subspace_from_elements,
 )
 from denpds.errors import (
@@ -24,7 +25,7 @@ from denpds.errors import (
 from denpds.ff import prime_factors
 from denpds.verify import GroupIndexer, delsarte_dual
 
-from conftest import pair_set
+from conftest import digit_table, pair_set
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,38 @@ def test_compatible_primitives_postconditions():
     # adjustment happens and beta is the generator itself
     tw = Tower(TowerParams(2, 1, 2, 1, 1))
     assert tw.compatible.beta_adjust == 1
+
+
+def test_tower_owns_one_indexer_and_the_encoding(grid):
+    """One indexer and one set of tables per tower; split and join invert
+    each other on every index, and split reads the two coordinates off the
+    base-p digit string (first coordinate least significant)."""
+    for tp in [(2, 1, 2, 1, 1), (3, 1, 2, 1, 1)]:
+        tower = grid.tower(*tp)
+        ix = tower.indexer
+        assert tower.indexer is ix
+        assert tower.compatible is tower.compatible
+        assert tower.norm_dlogs is tower.norm_dlogs
+        assert ix.char_index_table is ix.char_index_table
+        assert not ix.char_index_table.flags.writeable
+        g = np.arange(ix.v, dtype=np.int64)
+        a, b = ix.split(g)
+        assert np.array_equal(ix.join(a, b), g)
+        digits, weights = digit_table(ix.p, ix.n)
+        d1 = tower.f1.n
+        assert np.array_equal(a, digits[:, :d1] @ weights[:d1])
+        assert np.array_equal(b, digits[:, d1:] @ weights[: ix.n - d1])
+        aa, bb = np.meshgrid(np.arange(ix.sz1), np.arange(ix.sz2), indexing="ij")
+        back = ix.split(ix.join(aa.ravel(), bb.ravel()))
+        assert np.array_equal(back[0], aa.ravel()) and np.array_equal(back[1], bb.ravel())
+        # names that reach set files, JSON and stderr stay Python ints
+        R = tower.default_subspace()
+        assert all(type(x) is int for x in R.basis + tower.index_set_T(R))
+        assert all(type(x) is int for row in tower.build_D(R).subspace_rows for x in row)
+        assert all(type(x) is int for x in vars(tower.compatible).values())
+        R = subspace_from_basis(tower.mid, tower.base, tower.mid.antilog[:1])  # numpy input
+        assert type(R.basis[0]) is int
+        assert json.loads(tower.build_D(R).to_json(tower))["subspace_rows"] == R.basis_coeff_rows()
 
 
 def test_build_sizes_and_invariants(t64, t729):

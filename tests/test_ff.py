@@ -127,6 +127,27 @@ def test_dlog_antilog_roundtrip():
         assert sorted(f.antilog) == list(range(1, f.size))
 
 
+def test_field_tables_are_shared_read_only_arrays():
+    """Every table of a field is a read-only int64 array that is built once:
+    repeated access, and repeated build_field/embed calls, return the same
+    objects.  dlog inverts antilog and marks zero with -1."""
+    for p, n in [(2, 1), (2, 4), (3, 2), (5, 2), (2, 6)]:
+        f = ff.build_field(p, n)
+        assert ff.build_field(p, n) is f
+        getters = [lambda: f.antilog, lambda: f.dlog, lambda: f.digit_matrix, lambda: f.trace_table]
+        getters += [lambda d=d: f.coords_table(d) for d in range(1, n + 1) if n % d == 0]
+        for get in getters:
+            table = get()
+            assert isinstance(table, np.ndarray) and table.dtype == np.int64
+            assert not table.flags.writeable
+            assert get() is table
+        with pytest.raises(ValueError):
+            f.dlog[1] = 0
+        assert np.array_equal(f.dlog[f.antilog], np.arange(f.order))
+        assert f.dlog[0] == -1
+        assert ff.embed(ff.build_field(p, 1), f) is ff.embed(ff.build_field(p, 1), f)
+
+
 def test_field_axioms_and_operator_laws():
     """add/sub/neg/mul/inv on every pair against digit addition and
     polynomial multiplication, and the field axioms on every triple."""
@@ -182,10 +203,10 @@ def test_frobenius_closure_exhaustive():
 
 def test_trace_examples_and_linearity():
     f4 = ff.build_field(2, 2)
-    assert f4.trace_table()[1] == 0  # 1 + 1 in characteristic 2
+    assert f4.trace_table[1] == 0  # 1 + 1 in characteristic 2
     for p, n in [(2, 4), (3, 2), (2, 3), (5, 2)]:
         f = ff.build_field(p, n)
-        tr = f.trace_table()
+        tr = f.trace_table
         assert tr.tolist() == [brute_trace(f, x, 1) for x in range(f.size)]
         # additivity and GF(p)-linearity, exhaustive
         x, y = pairs(f)
@@ -205,7 +226,7 @@ def test_trace_transitivity_through_the_middle_field():
         inner = emb.preimage_packed(brute_trace(f16, x, 2))
         assert inner is not None
         # Tr_{16/2} = Tr_{4/2} o Tr_{16/4}, both in GF(2): compare constants
-        assert brute_trace(f4, inner, 1) == f4.trace_table()[inner] == f16.trace_table()[x]
+        assert brute_trace(f4, inner, 1) == f4.trace_table[inner] == f16.trace_table[x]
 
 
 def brute_norm(f, x: int, d: int) -> int:
