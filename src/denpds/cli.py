@@ -26,6 +26,7 @@ from . import verify as vf
 from .construct import PdsSet, Tower, TowerParams, pds_from_json_dict
 from .errors import CapExceededError, DenpdsError, NotASubspaceError
 from .ff import DEFAULT_TABLE_CAP
+from .jsonout import RowStrings, dumps
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -36,10 +37,6 @@ EXIT_CAP = 3
 def _usage_error(message: str):
     print("error: %s" % message, file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
-
-
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _write(text: str, path: str | None) -> None:
@@ -179,7 +176,7 @@ def _params_text(tp: TowerParams, fmt: str) -> str:
             % (doc["code"]["primal"], doc["code"]["dual"]),
         ]
         return "\n".join(lines) + "\n"
-    return _dump_json(doc)
+    return dumps(doc)
 
 
 def _parse_range(spec: str, r_max=None) -> list[int]:
@@ -243,7 +240,7 @@ def _emit_grid(grid_args: list[str], args) -> int:
                 )
             _write("\n".join(lines) + "\n", args.output)
         else:
-            _write(_dump_json({"rows": rows}), args.output)
+            _write(dumps({"rows": rows}), args.output)
         return EXIT_OK
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -300,6 +297,12 @@ def cmd_verify(args) -> int:
     report = vf.verify_pds(pds, tower, R, caps=caps, threads=args.parallel)
     text = report.to_text() if args.format == "text" else report.to_json()
     _write(text, args.output)
+    if report.verdict == "INCONCLUSIVE":
+        print(
+            "resource cap exceeded: none of %s ran" % ", ".join(vf.SUBSTANTIVE_CHECKS),
+            file=sys.stderr,
+        )
+        return EXIT_CAP
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -347,12 +350,12 @@ def cmd_code(args) -> int:
         "dim": gm.dim,
         "rank": gm.rank,
         "expected_weights": [expected[2], expected[3]],
-        "generator_rows": [[int(x) for x in row] for row in gm.mat],
+        "generator_rows": gm.mat,
         "weight_enumerator": {str(w): c for w, c in sorted(enum.items())},
         "checks": [c.as_dict() for c in checks],
         "ok": all(c.passed for c in checks),
     }
-    _write(_dump_json(doc), args.output)
+    _write(dumps(doc), args.output)
     if args.matrix_out:
         _write("\n".join(gm.row_strings()) + "\n", args.matrix_out)
     return EXIT_OK if doc["ok"] else EXIT_VERIFY
@@ -379,12 +382,12 @@ def cmd_geometry(args) -> int:
         "n": S.n,
         "dim": S.dim,
         "expected_sizes": [expected[2], expected[3]],
-        "points": S.point_strings(),
+        "points": RowStrings(S.points),
         "hyperplane_profile": {str(h): c for h, c in sorted(profile.items())},
         "checks": [check.as_dict()],
         "ok": check.passed,
     }
-    _write(_dump_json(doc), args.output)
+    _write(dumps(doc), args.output)
     return EXIT_OK if check.passed else EXIT_VERIFY
 
 

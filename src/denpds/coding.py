@@ -23,7 +23,7 @@ import numpy as np
 from . import params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, row_reduce
+from .ff import FiniteField, embed, row_reduce, sorted_unique
 from .verify import CharacterSpectrum, CheckItem, _chunk_ranges
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -60,7 +60,9 @@ class CodingContext:
 
 
 class ProjectiveSet:
-    """Distinct normalized points (first nonzero coordinate 1) in PG(dim-1, q)."""
+    """Distinct normalized points (first nonzero coordinate 1) in PG(dim-1, q);
+    ``to_projective_set`` lists them in lexicographic order, the column order
+    ``build_code`` requires."""
 
     def __init__(self, q: int, dim: int, points: np.ndarray):
         self.q = q
@@ -70,9 +72,6 @@ class ProjectiveSet:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def point_strings(self) -> list[str]:
-        return [" ".join(str(int(c)) for c in row) for row in self.points]
 
 
 def _normalize_rows(rows: np.ndarray, base: FiniteField) -> np.ndarray:
@@ -89,14 +88,18 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     ctx.check_scale_closed(pds)
     a, b = ctx.tower.indexer.split(pds.elements)
     rows = np.concatenate([ctx.coords1[a], ctx.coords2[b]], axis=1)
-    norm = _normalize_rows(rows, ctx.base)
-    uniq = np.unique(norm, axis=0)
+    # a row's key: its digits in base q, first coordinate most significant,
+    # so ascending keys are rows in lexicographic order
+    if ctx.q**ctx.dim >= 1 << 63:
+        raise CapExceededError("point keys of %d^%d do not fit int64" % (ctx.q, ctx.dim))
+    weights = ctx.q ** np.arange(ctx.dim - 1, -1, -1, dtype=np.int64)
+    keys = sorted_unique(_normalize_rows(rows, ctx.base) @ weights)
     want, rem = divmod(pds.k, ctx.q - 1)
-    if rem or len(uniq) != want:
+    if rem or len(keys) != want:
         raise InternalError(
-            "collapse gave %d points, expected %d" % (len(uniq), want)
+            "collapse gave %d points, expected %d" % (len(keys), want)
         )
-    return ProjectiveSet(ctx.q, ctx.dim, uniq)
+    return ProjectiveSet(ctx.q, ctx.dim, keys[:, None] // weights % ctx.q)
 
 
 def require_hyperplane_cap(q: int, dim: int, cap: int) -> None:
@@ -164,11 +167,14 @@ class GeneratorMatrix:
 
 
 def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
-    """Columns in lexicographic coordinate order; distinct normalized points
-    are pairwise independent by construction, which is re-asserted."""
-    cols = S.points[np.lexsort(S.points.T[::-1])]
-    if not (np.diff(cols, axis=0) != 0).any(axis=1).all():
-        raise InternalError("generator columns are not pairwise independent")
+    """Columns in lexicographic coordinate order, the order of S.points;
+    distinct normalized points are pairwise independent by construction, so
+    asserting that the points strictly ascend re-asserts both."""
+    cols = S.points
+    step = np.diff(cols, axis=0)
+    first = (step != 0).argmax(axis=1)  # first coordinate in which two neighbours differ
+    if not (step[np.arange(len(step)), first] > 0).all():
+        raise InternalError("generator columns are not distinct and sorted")
     return GeneratorMatrix(S.q, cols.T, len(row_reduce(ctx.base, cols)[1]))
 
 

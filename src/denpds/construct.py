@@ -26,7 +26,6 @@ Their set equality is a core oracle and is never assumed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -49,7 +48,9 @@ from .ff import (
     is_prime,
     kernel_basis,
     readonly,
+    sorted_unique,
 )
+from .jsonout import dumps, plain
 
 # How the family tag of a set transforms under complementation and under
 # the character-group dual.  The four families are closed under both maps:
@@ -333,7 +334,7 @@ class PdsSet:
     subspace_rows: tuple = ()  # GF(p) coefficient rows of the R basis used
 
     def __post_init__(self):
-        elems = np.unique(np.asarray(self.elements, dtype=np.int64))
+        elems = sorted_unique(self.elements)
         if len(elems) and (elems[0] < 0 or elems[-1] >= self.params.v):
             raise ValueError("set elements must be group indices below %d" % self.params.v)
         object.__setattr__(self, "elements", readonly(elems))
@@ -346,10 +347,13 @@ class PdsSet:
     def degenerate(self) -> bool:
         return self.params.degenerate
 
-    def to_json_dict(self, tower: "Tower | None" = None) -> dict:
+    def _json_doc(self, tower: "Tower | None") -> dict:
+        """The set file, with the sorted (k, 2) array of dlog pairs as
+        ``elements``."""
         tw = tower if tower is not None else Tower(self.params)
         pairs = tw.indexer.dlog_pairs(self.elements)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        # lexicographic order: the second log lies in [-1, |K2| - 1)
+        pairs = pairs[np.argsort(pairs[:, 0] * tw.f2.size + pairs[:, 1])]
         return {
             "type": "pds-set",
             "version": 1,
@@ -365,11 +369,14 @@ class PdsSet:
             },
             "pairing": "zeta_p^(Tr1(a x) + Tr2(b y))",
             "subspace_rows": [list(r) for r in self.subspace_rows],
-            "elements": pairs.tolist(),
+            "elements": pairs,
         }
 
+    def to_json_dict(self, tower: "Tower | None" = None) -> dict:
+        return plain(self._json_doc(tower))
+
     def to_json(self, tower: "Tower | None" = None) -> str:
-        return json.dumps(self.to_json_dict(tower), sort_keys=True, indent=2) + "\n"
+        return dumps(self._json_doc(tower))
 
 
 def _dlog_pair_array(raw) -> np.ndarray:

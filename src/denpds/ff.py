@@ -12,8 +12,9 @@ An element is its packed integer sum(c_i * p^i) over the polynomial basis
 ``sub`` and ``neg`` work digit by digit (``digitwise``, XOR for p = 2) and
 ``mul`` and ``inv`` through the discrete-log tables of the chosen primitive
 element g, on Python ints or int64 arrays alike.  Every table of a field
-is a read-only int64 array and an attribute of the field: ``antilog`` and
-``dlog`` are built with it, ``digit_matrix``, ``trace_table`` and
+is a read-only int64 array and an attribute of the field: ``antilog`` (by
+doubling blocks of powers through digit matrices) and ``dlog`` are built
+with it, ``digit_matrix``, ``trace_table`` and
 ``coords_table(d)`` on first use.  ``build_field`` and ``embed`` intern
 their results, so each table is built once per process.  All
 multiplicative structure (norms, coset indexing, order computations) is
@@ -172,6 +173,16 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def sorted_unique(a) -> np.ndarray:
+    """The distinct values of the integer sequence a, ascending, as a new
+    int64 array: one sort, then a mask of the entries that differ from their
+    predecessor (1-D ``np.unique`` hashes, which is slower)."""
+    out = np.sort(np.asarray(a, dtype=np.int64).ravel())
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def digitwise(a, b, sign: int, p: int, n: int):
     """a + sign * b on strings of n base-p digits, one digit per pass mod p
     (the XOR for p = 2): the sum of packed field elements, or of group
@@ -211,14 +222,7 @@ class FiniteField:
         self.modulus: tuple[int, ...] = _find_modulus(p, n)
         self._pows = tuple(p**i for i in range(n + 1))
         self.primitive_packed = self._find_primitive()
-        antilog = [0] * self.order
-        cur = 1
-        for k in range(self.order):
-            antilog[k] = cur
-            cur = self._mul_poly(cur, self.primitive_packed)
-        if cur != 1:
-            raise InternalError("primitive element order mismatch")
-        self.antilog = readonly(np.array(antilog, dtype=np.int64))
+        self.antilog = readonly(self._powers(self.primitive_packed))
         exps = np.arange(self.order, dtype=np.int64)
         dlog = np.full(size, -1, dtype=np.int64)
         dlog[self.antilog] = exps
@@ -250,6 +254,36 @@ class FiniteField:
         b = list(self.digits(y))
         prod = _poly_rem(_poly_mul(a, b, self.p), list(self.modulus), self.p)
         return self.pack(prod)
+
+    def _mul_matrix(self, y: int) -> np.ndarray:
+        """The GF(p)-linear map x -> x y on digit rows: row i holds the
+        digits of y x^i, so digits(x y) = digits(x) @ matrix mod p."""
+        p, n = self.p, self.n
+        low = np.array(self.modulus[:n], dtype=np.int64)  # x^n = -low, the modulus is monic
+        out = np.empty((n, n), dtype=np.int64)
+        row = np.array(self.digits(y), dtype=np.int64)
+        for i in range(n):
+            out[i] = row
+            row = (np.concatenate([[0], row[:-1]]) - row[-1] * low) % p  # times x
+        return out
+
+    def _powers(self, g: int) -> np.ndarray:
+        """g^k packed for 0 <= k < order, by doubling: the digit rows of
+        g^L .. g^(2L-1) are those of g^0 .. g^(L-1) times the matrix of
+        multiplication by g^L, which squares from step to step."""
+        p, n, order = self.p, self.n, self.order
+        if n * (p - 1) ** 2 >= 1 << 63:
+            raise TableCapExceededError("GF(%d^%d): digit products overflow int64" % (p, n))
+        rows = np.zeros((order, n), dtype=np.int64)
+        rows[0, 0] = 1
+        step, filled = self._mul_matrix(g), 1
+        while filled < order:
+            take = min(filled, order - filled)
+            rows[filled : filled + take] = rows[:take] @ step % p
+            step, filled = step @ step % p, filled + take
+        if self.pack(rows[-1] @ self._mul_matrix(g) % p) != 1:
+            raise InternalError("primitive element order mismatch")
+        return rows @ np.array(self._pows[:n], dtype=np.int64)
 
     def _pow_poly(self, x: int, e: int) -> int:
         result, acc = 1, x

@@ -30,6 +30,7 @@ from .errors import (
     InternalError,
     SpectrumNotTwoValuedError,
 )
+from .jsonout import dumps
 
 DEFAULT_PROFILE_CAP = 1 << 16
 DEFAULT_SPECTRUM_CAP = 1 << 20
@@ -466,6 +467,11 @@ def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_
     return edges
 
 
+# The checks of the defining property; a run that skipped all three (for a
+# cap) has certified nothing, whatever else passed.
+SUBSTANTIVE_CHECKS = ("pds-differences", "two-valued-spectrum", "common-neighbors")
+
+
 @dataclass
 class SrgCheckReport:
     items: list[CheckItem] = field(default_factory=list)
@@ -477,18 +483,29 @@ class SrgCheckReport:
 
     @property
     def ok(self) -> bool:
+        """No executed check failed; see ``verdict`` for whether one of
+        ``SUBSTANTIVE_CHECKS`` ran at all."""
         return all(it.passed for it in self.items if it.skipped is None)
+
+    @property
+    def verdict(self) -> str:
+        """FAIL if an executed check failed, else INCONCLUSIVE if none of
+        ``SUBSTANTIVE_CHECKS`` ran, else PASS."""
+        if not self.ok:
+            return "FAIL"
+        ran = any(it.name in SUBSTANTIVE_CHECKS and it.skipped is None for it in self.items)
+        return "PASS" if ran else "INCONCLUSIVE"
 
     def as_dict(self) -> dict:
         return {
-            "ok": self.ok,
+            "ok": self.verdict == "PASS",
             "meta": self.meta,
             "caps": self.caps.as_dict(),
             "checks": [it.as_dict() for it in self.items],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.as_dict())
 
     def to_text(self) -> str:
         width = max((len(it.name) for it in self.items), default=10) + 2
@@ -501,7 +518,7 @@ class SrgCheckReport:
             elif not it.passed and it.witnesses:
                 extra = "  witness: %s" % json.dumps(it.witnesses[0], sort_keys=True)
             lines.append("%s%s%s" % (it.name.ljust(width), status, extra))
-        lines.append("RESULT: %s" % ("PASS" if self.ok else "FAIL"))
+        lines.append("RESULT: %s" % self.verdict)
         return "\n".join(lines) + "\n"
 
 

@@ -197,6 +197,20 @@ def test_subspace_flags(tmp_path):
     assert res2.returncode == 0
 
 
+def test_verify_with_no_substantive_check_is_inconclusive():
+    """Caps that skip pds-differences, two-valued-spectrum and
+    common-neighbors leave nothing certified: not a PASS, exit 3."""
+    argv = ["verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1",
+            "--profile-cap", "1", "--spectrum-cap", "1"]
+    res = run(*argv, "--format", "text")
+    assert res.returncode == 3
+    assert res.stdout.count("SKIP") == 5
+    assert res.stdout.endswith("RESULT: INCONCLUSIVE\n")
+    res = run(*argv)
+    assert res.returncode == 3
+    assert json.loads(res.stdout)["ok"] is False
+
+
 def test_verify_swapped_element_fails_both_difference_checks(tmp_path):
     """A set file with one element swapped for a non-element: the transform
     profile and the literal common-neighbour count both reject it."""

@@ -8,7 +8,7 @@ from denpds import ff
 from denpds import params as P
 from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
-from denpds.errors import CapExceededError, NotScaleClosedError
+from denpds.errors import CapExceededError, InternalError, NotScaleClosedError
 
 from conftest import digit_table
 
@@ -82,6 +82,28 @@ def test_projective_collapse_sizes(setup64, setup729):
     _, ctx3, D3 = setup729
     S3 = C.to_projective_set(D3, ctx3)
     assert S3.n == 168 // 2 == 84
+
+
+def test_projective_points_by_integer_key_on_grid(grid):
+    """The collapse keyed by one base-q integer per row gives the rows of a
+    2-D np.unique on the normalized coordinates, on every grid set; the
+    generator columns keep that order."""
+    for tower, pds, _, family in grid.instances():
+        ctx = C.CodingContext(tower)
+        a, b = tower.indexer.split(pds.elements)
+        rows = np.concatenate([ctx.coords1[a], ctx.coords2[b]], axis=1)
+        want = np.unique(C._normalize_rows(rows, ctx.base), axis=0)
+        S = C.to_projective_set(pds, ctx)
+        assert np.array_equal(S.points, want), (tower.params, family)
+        assert np.array_equal(C.build_code(S, ctx).mat, want.T)
+
+
+def test_build_code_requires_sorted_distinct_points(setup64):
+    _, ctx, D = setup64
+    S = C.to_projective_set(D, ctx)
+    for points in (S.points[::-1], np.concatenate([S.points, S.points[-1:]])):
+        with pytest.raises(InternalError):
+            C.build_code(C.ProjectiveSet(S.q, S.dim, points), ctx)
 
 
 def test_scale_closure_violation_detected(setup729):

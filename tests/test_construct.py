@@ -281,3 +281,17 @@ def test_set_normalizes_its_elements(t729):
         PdsSet(D.params, D.provenance, [729], D.claimed)
     ix = GroupIndexer(t729)
     assert np.array_equal(ix.from_dlog_pairs(ix.dlog_pairs(D.elements)), D.elements)
+
+
+def test_set_normalization_matches_np_unique(t729):
+    """Sort and adjacent-duplicate mask: the same array as np.unique, also
+    for a shuffled index array with repeats."""
+    D = t729.build_D()
+    rng = np.random.default_rng(7)
+    raw = rng.choice(D.elements, size=3 * D.k)
+    again = PdsSet(D.params, D.provenance, raw, D.claimed)
+    assert np.array_equal(again.elements, np.unique(raw))
+    assert again.elements.dtype == np.int64 and not again.elements.flags.writeable
+    assert PdsSet(D.params, D.provenance, [], D.claimed).k == 0
+    with pytest.raises(ValueError):
+        PdsSet(D.params, D.provenance, [-1, 5], D.claimed)

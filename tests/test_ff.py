@@ -370,3 +370,32 @@ def test_grid_moduli_are_the_smallest_irreducibles():
             if galoistools.gf_irreducible_p([1, *reversed(coeffs)], p, ZZ)
         ]
         assert ff.build_field(p, n).modulus == min(irreducible), (p, n)
+
+
+def test_antilog_by_doubling_matches_repeated_products():
+    """The doubled antilog and dlog tables equal the ones built by one
+    polynomial product per power, on every field of the grid and large
+    towers (2,1,2,4) and (7,1,2,1)."""
+    towers = [*GRID_G1, (2, 1, 2, 4), (7, 1, 2, 1)]
+    degrees = {(p, s * d) for p, s, m, ell in towers for d in (1, m, m * ell, m * (ell + 1))}
+    for p, n in sorted(degrees):
+        f = ff.build_field(p, n)
+        want, cur = [], 1
+        for _ in range(f.order):
+            want.append(cur)
+            cur = f._mul_poly(cur, f.primitive_packed)
+        assert cur == 1
+        assert f.antilog.tolist() == want, (p, n)
+        dlog = [-1] * f.size
+        for k, x in enumerate(want):
+            dlog[x] = k
+        assert f.dlog.tolist() == dlog, (p, n)
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(5)
+    for size, hi in ((0, 1), (1, 3), (50, 7), (1000, 10**12)):
+        a = rng.integers(-hi, hi, size=size)
+        got = ff.sorted_unique(a)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(a))
+    assert ff.sorted_unique([3, 1, 3, 2, 1]).tolist() == [1, 2, 3]
