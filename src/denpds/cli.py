@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -127,7 +128,21 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+def _require_printable(tp: TowerParams) -> None:
+    """Refuse a tower whose order v = p^dim_p certainly has more decimal
+    digits than int-to-string conversion allows, judged from dim_p log10 p
+    before any closed form is computed; nearer the limit, printing v raises
+    the same error."""
+    limit = sys.get_int_max_str_digits()
+    if limit and tp.dim_p * math.log10(tp.p) > limit + 1:
+        raise ValueError(
+            "Exceeds the limit (%d digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit" % limit
+        )
+
+
 def _params_text(tp: TowerParams, fmt: str) -> str:
+    _require_printable(tp)
     q = tp.q
     primal = tp.primal_params()
     dual = tp.dual_params()
@@ -215,6 +230,7 @@ def _emit_grid(grid_args: list[str], args) -> int:
                         )
                         for r in rs:
                             tp = TowerParams(p, s, m, ell, r)
+                            _require_printable(tp)
                             rows.append(
                                 {
                                     "tower": tp.as_dict(),
@@ -315,12 +331,6 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _spectrum(tower: Tower, pds: PdsSet, enum_cap: int) -> vf.CharacterSpectrum:
-    """The spectrum behind the code and the geometry: v = q^dim, so the
-    enumeration cap, already checked, is the cap that gates it."""
-    return vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
-
-
 def cmd_code(args) -> int:
     table_cap, _, enum_cap = _caps_from(args)
     tower, pds, _ = _load_or_build(args, table_cap)
@@ -332,7 +342,9 @@ def cmd_code(args) -> int:
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
     gm = cd.build_code(S, ctx)
-    enum = cd.spectral_weight_enumerator(_spectrum(tower, pds, enum_cap), gm)
+    # v = q^dim: the enum cap, checked above, also gates the spectrum
+    spectrum = vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
+    enum = cd.spectral_weight_enumerator(spectrum, gm)
     fam = "primal" if pds.provenance == "primal" else "dual"
     expected = pm.code_params(tp.q, tp.m, tp.ell, tp.r, fam)
     kernel = tp.q ** (gm.dim - gm.rank)
@@ -371,7 +383,9 @@ def cmd_geometry(args) -> int:
     cd.require_hyperplane_cap(tp.q, tp.dim_q, enum_cap)
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
-    profile = cd.spectral_hyperplane_profile(_spectrum(tower, pds, enum_cap), S)
+    # v = q^dim: the enum cap, checked above, also gates the spectrum
+    spectrum = vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
+    profile = cd.spectral_hyperplane_profile(spectrum, S)
     fam = "primal" if pds.provenance == "primal" else "dual"
     expected = pm.projective_params(tp.q, tp.m, tp.ell, tp.r, fam)
     check = cd.check_two_intersection(profile, expected)

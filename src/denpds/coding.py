@@ -39,8 +39,6 @@ class CodingContext:
         tp = tower.params
         self.q = tp.q
         self.dim = tp.dim_q
-        self.dim1 = tp.m * tp.ell
-        self.dim2 = tp.m * (tp.ell + 1)
         self.coords1 = tower.f1.coords_table(tp.s)
         self.coords2 = tower.f2.coords_table(tp.s)
 

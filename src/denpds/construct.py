@@ -12,6 +12,13 @@ Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
 the zero coordinate.
 
+Norms are exponent arithmetic: each embedding of the middle field maps its
+generator's powers g^k to G^(t w k) (``ff.SubfieldEmbedding.w``), so the
+norm of pi^i pulls back to g^(i / w).  The trace pairing has one table per
+field, the labels (Tr(a x^i))_i of ``_upack``: the indexer's character
+labels and R-perp (``dual_subspace``) both read it.  A ``Subspace``, like a
+``PdsSet``, holds its elements as a sorted read-only int64 array.
+
 Two independent routes build the primal set:
 
 * ``build_D``: the norm-ratio membership test.  Both coordinate norms are
@@ -46,7 +53,6 @@ from .ff import (
     digitwise,
     embed,
     is_prime,
-    kernel_basis,
     readonly,
     sorted_unique,
 )
@@ -149,14 +155,15 @@ class TowerParams:
         return {"p": self.p, "s": self.s, "m": self.m, "ell": self.ell, "r": self.r}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A GF(q)-subspace of the middle field, fully materialized."""
+    """A GF(q)-subspace of the middle field, fully materialized: ``elements``
+    is the sorted, read-only int64 array of its packed values."""
 
     mid: FiniteField
     base: FiniteField
     basis: tuple[int, ...]  # packed middle-field elements, GF(q)-independent
-    elements: frozenset[int]  # packed
+    elements: np.ndarray
     dim: int  # over GF(q)
 
     def basis_coeff_rows(self) -> list[list[int]]:
@@ -176,9 +183,10 @@ def subspace_from_basis(
     scalars, span = embed(base, mid).forward, np.zeros(1, dtype=np.int64)
     for b in basis:
         span = _extend_span(mid, scalars, span, b)
-    if len(np.unique(span)) != base.size ** len(basis):
+    elems = sorted_unique(span)
+    if len(elems) != base.size ** len(basis):
         raise NotASubspaceError("basis vectors are GF(q)-dependent")
-    return Subspace(mid, base, basis, frozenset(span.tolist()), len(basis))
+    return Subspace(mid, base, basis, readonly(elems), len(basis))
 
 
 def subspace_from_elements(
@@ -186,36 +194,35 @@ def subspace_from_elements(
 ) -> Subspace:
     """Extract a greedy GF(q)-basis of an explicit element set, smallest
     elements first, and require that it spans exactly that set."""
-    elems = frozenset(int(x) for x in elements)
-    if any(not 0 <= x < mid.size for x in elems):
+    elems = sorted_unique(elements)
+    if len(elems) and not (0 <= elems[0] and elems[-1] < mid.size):
         raise NotASubspaceError("elements must be packed values below %d" % mid.size)
     basis: list[int] = []
     scalars, span = embed(base, mid).forward, np.zeros(1, dtype=np.int64)
-    for x in sorted(elems):
+    for x in elems.tolist():
         if x not in span:
             basis.append(x)
             span = _extend_span(mid, scalars, span, x)
-    if frozenset(span.tolist()) != elems:
+    if not np.array_equal(sorted_unique(span), elems):
         raise NotASubspaceError("%d elements that are not a GF(q)-subspace" % len(elems))
-    return Subspace(mid, base, tuple(basis), elems, len(basis))
+    return Subspace(mid, base, tuple(basis), readonly(elems), len(basis))
 
 
 def dual_subspace(R: Subspace) -> Subspace:
-    """R-perp under (x, y) -> Tr(x y) into GF(p), via a kernel solve."""
+    """R-perp under (x, y) -> Tr(x y) into GF(p): the y whose trace label
+    (``_upack``, the digits of (Tr(y x^i))_i) is orthogonal mod p to the
+    digits of every vector of a GF(p)-spanning set of R, since Tr(x y) is
+    that dot product.  The basis is extracted greedily from the elements."""
     mid, base = R.mid, R.base
-    p, n, s = mid.p, mid.n, base.n
-    x_pows = np.array(mid._pows[:n], dtype=np.int64)  # packed x^i
     # GF(p)-spanning vectors of R: the embedded polynomial basis of GF(q)
-    # times the basis of R; one row (Tr(x^i y))_i for each
-    scalars = embed(base, mid).forward[np.array(base._pows[:s])]
+    # times the basis of R
+    scalars = embed(base, mid).forward[np.array(base._pows[: base.n])]
     spanning = mid.mul(scalars[:, None], np.array(R.basis, dtype=np.int64)[None, :]).ravel()
-    rows = mid.trace_table[mid.mul(spanning[:, None], x_pows[None, :])]
-    kernel = kernel_basis(build_field(p, 1), rows)
-    if len(kernel) != s * (n // s - R.dim):
-        raise InternalError("dual space has wrong GF(p)-dimension")
-    elems = np.zeros(1, dtype=np.int64)
-    for vec in kernel:
-        elems = _extend_span(mid, np.arange(p), elems, int(vec @ x_pows))
+    digits = mid.digit_matrix
+    pairing = digits[_upack(mid)] @ digits[spanning].T % mid.p
+    elems = np.flatnonzero(~pairing.any(axis=1))
+    if len(elems) != base.size ** (mid.n // base.n - R.dim):
+        raise InternalError("dual space has %d elements" % len(elems))
     return subspace_from_elements(mid, base, elems)
 
 
@@ -238,7 +245,7 @@ def _upack(fld: FiniteField) -> np.ndarray:
     x_pows = np.array(fld._pows[: fld.n], dtype=np.int64)
     gram = fld.trace_table[fld.mul(x_pows[:, None], x_pows[None, :])]
     u = (fld.digit_matrix @ gram) % fld.p @ x_pows
-    if len(np.unique(u)) != fld.size:
+    if len(sorted_unique(u)) != fld.size:
         raise InternalError("trace pairing is degenerate")
     return readonly(u)
 
@@ -252,7 +259,7 @@ class GroupIndexer:
     the indices for p = 2).  ``split`` and ``join`` are the only code that
     applies this rule.  Pairs of discrete logs, the names set files and
     witnesses use, convert through ``dlog_pairs`` and ``from_dlog_pairs``.
-    Each tower owns one indexer, ``Tower.indexer``, and with it the tables
+    Each tower owns one indexer, ``Tower.indexer``, and with it the table
     of the trace pairing.
     """
 
@@ -309,14 +316,6 @@ class GroupIndexer:
         coordinate label tables are."""
         # row b, column a holds the label of the index join(a, b)
         return readonly(self.join(_upack(self.f1)[None, :], _upack(self.f2)[:, None]).ravel())
-
-    @cached_property
-    def index_of_char_table(self) -> np.ndarray:
-        """The inverse of ``char_index_table``: character dot-index -> the
-        group index of its label."""
-        inv = np.empty(self.v, dtype=np.int64)
-        inv[self.char_index_table] = np.arange(self.v, dtype=np.int64)
-        return readonly(inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,9 +428,11 @@ class Tower:
     """All fields, embeddings and norm tables for one parameter tuple."""
 
     def __init__(self, tp: TowerParams, table_cap: int = DEFAULT_TABLE_CAP):
-        if tp.v > table_cap:
+        # v = p^dim_p >= 2^dim_p: an exponent of the cap's bit length or more
+        # is over the cap without computing v, however large it is
+        if tp.dim_p >= table_cap.bit_length() or tp.v > table_cap:
             raise TableCapExceededError(
-                "group of order %d exceeds the table cap %d" % (tp.v, table_cap)
+                "group of order %d^%d exceeds the table cap %d" % (tp.p, tp.dim_p, table_cap)
             )
         self.params = tp
         self.base = build_field(tp.p, tp.deg_base, table_cap)
@@ -450,60 +451,44 @@ class Tower:
 
     @cached_property
     def compatible(self) -> CompatiblePrimitives:
-        ord1, ord2, ordm = self.f1.order, self.f2.order, self.mid.order
-        t1, t2 = ord1 // ordm, ord2 // ordm
-        gamma_packed = self.emb_mid1.preimage_packed(int(self.f1.antilog[t1 % ord1]))
-        if gamma_packed is None:
-            raise InternalError("norm of alpha left the middle-field copy")
-        g = int(self.mid.dlog[gamma_packed])
-        if math.gcd(g, ordm) != 1:
-            raise InternalError("norm of a generator must generate the subfield")
-        c_packed = self.emb_mid2.preimage_packed(int(self.f2.antilog[t2 % ord2]))
-        if c_packed is None:
-            raise InternalError("norm of beta0 left the middle-field copy")
-        c = (int(self.mid.dlog[c_packed]) * pow(g, -1, ordm)) % ordm
-        d = pow(c, -1, ordm)
-        if d == 0:
-            d = ordm
+        """With w1, w2 the exponents of the two embeddings of the middle
+        field, Norm(alpha) pulls back to gamma = g^(1/w1) and
+        Norm(beta0^d) to g^(d/w2), so d = w2/w1 mod |mid*|, stepped by
+        |mid*| until beta = beta0^d generates K2."""
+        ordm, ord2 = self.mid.order, self.f2.order
+        w1, w2 = self.emb_mid1.w, self.emb_mid2.w
+        g = pow(w1, -1, ordm)
+        d = w2 * g % ordm or ordm
         while math.gcd(d, ord2) != 1:
             d += ordm
             if d >= ord2:
                 raise InternalError("no compatible exponent below the field order")
-        # postconditions: beta generates, and both norms pull back to gamma
-        if math.gcd(d, ord2) != 1:
-            raise InternalError("beta is not a generator")
-        nb = self.emb_mid2.preimage_packed(int(self.f2.antilog[(d * t2) % ord2]))
-        if nb != gamma_packed:
-            raise InternalError("norm of beta does not match gamma")
-        return CompatiblePrimitives(beta_adjust=d, gamma_exp=g, gamma=gamma_packed)
+        # postcondition through the tables: both norms are the image of gamma
+        gamma = int(self.mid.antilog[g])
+        t1, t2 = self.f1.order // ordm, ord2 // ordm
+        if (
+            self.f1.antilog[t1 % self.f1.order] != self.emb_mid1.forward[gamma]
+            or self.f2.antilog[d * t2 % ord2] != self.emb_mid2.forward[gamma]
+        ):
+            raise InternalError("norms of alpha and beta do not match gamma")
+        return CompatiblePrimitives(beta_adjust=d, gamma_exp=g, gamma=gamma)
 
     # -- norm pullback tables (middle-field dlogs, indexed by coordinate dlog) --
 
     @cached_property
     def norm_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
         """For each coordinate field, K1 then K2: the array over exponents i
-        of dlog_mid(pullback(Norm(pi^i)))."""
-        out = []
-        for big, emb in ((self.f1, self.emb_mid1), (self.f2, self.emb_mid2)):
-            ordb, ordm = big.order, self.mid.order
-            t = ordb // ordm
-            base_packed = emb.preimage_packed(int(big.antilog[t % ordb]))
-            if base_packed is None:
-                raise InternalError("norm left the middle-field copy")
-            gexp = int(self.mid.dlog[base_packed])
-            # Norm(pi^i) = (pi^t)^i pulls back to (gamma_which)^i
-            arr = (np.arange(ordb, dtype=np.int64) * gexp) % ordm
-            # route check on a couple of entries through the literal pullback
-            for i in (0, 1, ordb // 2):
-                lit = emb.preimage_packed(int(big.antilog[(i * t) % ordb]))
-                if lit is None or self.mid.dlog[lit] != arr[i]:
-                    raise InternalError("norm pullback table mismatch")
-            out.append(readonly(arr))
-        return tuple(out)
+        of dlog_mid(pullback(Norm(pi^i))).  Norm(pi^i) = pi^(t i) is the
+        image of g^j with t w j = t i, so j = i / w mod |mid*|."""
+        ordm = self.mid.order
+        return tuple(
+            readonly(np.arange(big.order, dtype=np.int64) * pow(emb.w, -1, ordm) % ordm)
+            for big, emb in ((self.f1, self.emb_mid1), (self.f2, self.emb_mid2))
+        )
 
     def _ratio_membership(self, space: Subspace) -> np.ndarray:
         """Boolean array over middle-field dlogs t: antilog(t) in space."""
-        return readonly(np.isin(self.mid.antilog, list(space.elements)))
+        return readonly(np.isin(self.mid.antilog, space.elements))
 
     # -- subspace constructors --
 
@@ -530,7 +515,7 @@ class Tower:
             raise FieldMismatchError("subspace lives in a different field")
         tp = self.params
         gamma_pows = self.mid.antilog[self.compatible.gamma_exp * np.arange(tp.e) % self.mid.order]
-        T = tuple(np.flatnonzero(np.isin(gamma_pows, list(R.elements))).tolist())
+        T = tuple(np.flatnonzero(np.isin(gamma_pows, R.elements)).tolist())
         want = (tp.q ** R.dim - 1) // (tp.q - 1)
         if len(T) != want:
             raise InternalError("|T| = %d but expected %d" % (len(T), want))
@@ -597,16 +582,16 @@ class Tower:
         d = comp.beta_adjust
         T = self.index_set_T(R)
         size1, size2 = ord1 // e, ord2 // e
-        pairs: list[tuple[int, int]] = []
-        for i in range(e):
-            left = [(i + e * u) % ord1 for u in range(size1)]
-            right: set[int] = set()
-            for t in T:
-                base = i + t
-                right.update((d * (base + e * w)) % ord2 for w in range(size2))
-            pairs.extend((a, b) for a in left for b in right)
-        pairs.extend((i, -1) for i in range(ord1))
-        idx = self.indexer.from_dlog_pairs(np.array(pairs, dtype=np.int64))
+        # for each i < e: the coset alpha^(i + e u) of K1 times the union over
+        # t in T of the cosets beta^(i + t + e w) of K2, as dlog pairs
+        i = np.arange(e, dtype=np.int64)[:, None]
+        left = (i + e * np.arange(size1)) % ord1
+        shifts = (np.array(T, dtype=np.int64)[:, None] + e * np.arange(size2)).ravel()
+        right = d * (i + shifts) % ord2
+        a, b = np.broadcast_arrays(left[:, :, None], right[:, None, :])
+        axis = np.stack([np.arange(ord1), np.full(ord1, -1)], axis=1)  # (a, 0), a != 0
+        pairs = np.concatenate([np.stack([a.ravel(), b.ravel()], axis=1), axis])
+        idx = self.indexer.from_dlog_pairs(pairs)
         return self._finish(idx, "primal", tp.primal_params(), R)
 
     def build_D_dual(self, R: Subspace | None = None) -> PdsSet:

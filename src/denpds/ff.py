@@ -18,14 +18,18 @@ with it, ``digit_matrix``, ``trace_table`` and
 ``coords_table(d)`` on first use.  ``build_field`` and ``embed`` intern
 their results, so each table is built once per process.  All
 multiplicative structure (norms, coset indexing, order computations) is
-plain exponent arithmetic on those tables.  ``row_reduce`` is the one
-Gauss-Jordan elimination over a field.  Everything is exact integer work;
-there is no floating point and no randomness anywhere.
+plain exponent arithmetic on those tables: a ``SubfieldEmbedding`` records
+the exponent ``w`` with which it maps the small generator's powers, checked
+on every power, so the norm onto a subfield is a multiplication of
+discrete logs.  ``row_reduce`` is the one Gauss-Jordan elimination over a
+field.  Everything is exact integer work; there is no floating point and
+no randomness anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -437,19 +441,6 @@ def inverse(field: FiniteField, mat: np.ndarray) -> np.ndarray:
     return red[:, n:]
 
 
-def kernel_basis(field: FiniteField, mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of {x : mat x = 0} over ``field``, one vector per free column."""
-    red, pivots = row_reduce(field, mat)
-    basis = []
-    for f in range(red.shape[1]):
-        if f not in pivots:
-            vec = np.zeros(red.shape[1], dtype=np.int64)
-            vec[f] = 1
-            vec[pivots] = field.neg(red[: len(pivots), f])
-            basis.append(vec)
-    return basis
-
-
 class SubfieldEmbedding:
     """Injective ring homomorphism from a small field into a big one.
 
@@ -457,7 +448,9 @@ class SubfieldEmbedding:
     small modulus inside the big field with the smallest discrete log; the
     whole map is evaluation of coefficient vectors at that root.
     ``forward`` is the read-only array of images, indexed by packed small
-    element.
+    element.  On exponents the map is multiplication: the image of g^k is
+    G^(t w k) for the two generators g and G, t = |big*| / |small*| and the
+    recorded exponent ``w``, a unit mod |small*|.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):
@@ -470,12 +463,13 @@ class SubfieldEmbedding:
             )
         self.small = small
         self.big = big
+        t = big.order // small.order
         if small is big or small.n == 1:
             # the identity, or the prime subfield: packed constants coincide
             forward = np.arange(small.size, dtype=np.int64)
         else:
             # the conjugate roots lie in the subgroup of order |small*|
-            exps = (big.order // small.order) * np.arange(small.order) % big.order
+            exps = t * np.arange(small.order) % big.order
             roots = exps[big.horner(small.modulus, big.antilog[exps]) == 0]
             if len(roots) != small.n:
                 raise InternalError(
@@ -483,13 +477,15 @@ class SubfieldEmbedding:
                 )
             forward = big.horner(small.digit_matrix, big.antilog[roots.min()])
         self.forward = readonly(forward)
-        self._inverse = {v: s for s, v in enumerate(forward.tolist())}
-        if len(self._inverse) != small.size:
-            raise InternalError("embedding is not injective")
-
-    def preimage_packed(self, big_packed: int):
-        """Packed small element, or None when outside the image."""
-        return self._inverse.get(big_packed)
+        self.w = int(big.dlog[forward[small.primitive_packed]]) // t
+        # every power, hence injective: G^(t w k) for g^k, and 0 for 0
+        k = np.arange(small.order, dtype=np.int64)
+        if (
+            forward[0] != 0
+            or math.gcd(self.w, small.order) != 1
+            or (big.dlog[forward[small.antilog]] != t * self.w * k % big.order).any()
+        ):
+            raise InternalError("embedding is not the power map of its generator")
 
 
 def build_field(p: int, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteField:

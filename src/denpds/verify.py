@@ -312,27 +312,22 @@ def check_case_split(
         in_space = tower._ratio_membership(R)
         special_value = theta
     other_value = theta if special_value == tau else tau
-    # predicted values indexed by character dot-index
-    chidx = indexer.char_index_table
+    # observed and predicted values, both indexed by the character's label
+    values = spectrum.values[indexer.char_index_table]
     predicted = np.full(indexer.v, other_value, dtype=np.int64)
     # principal character
     predicted[0] = exp.k
     # a != 0, b = 0
-    predicted[chidx[indexer.join(np.arange(1, indexer.sz1), 0)]] = special_value
+    predicted[indexer.join(np.arange(1, indexer.sz1), 0)] = special_value
     # both nonzero: ratio test
-    predicted[chidx[tower._ratio_indices(in_space)]] = special_value
-    ok = bool(spectrum.rational.all()) and bool((spectrum.values == predicted).all())
+    predicted[tower._ratio_indices(in_space)] = special_value
+    ok = bool(spectrum.rational.all()) and bool((values == predicted).all())
     witnesses = []
     if not ok:
-        bad = np.flatnonzero(spectrum.values != predicted)[:5]
-        labels = indexer.dlog_pairs(indexer.index_of_char_table[bad]).tolist()
-        for b, label in zip(bad, labels):
+        bad = np.flatnonzero(values != predicted)[:5]
+        for b, label in zip(bad, indexer.dlog_pairs(bad).tolist()):
             witnesses.append(
-                {
-                    "character": label,
-                    "value": int(spectrum.values[b]),
-                    "want": int(predicted[b]),
-                }
+                {"character": label, "value": int(values[b]), "want": int(predicted[b])}
             )
     counts = {
         "special": int((predicted == special_value).sum()),
@@ -431,9 +426,9 @@ def delsarte_dual(
     theta, tau = exp.eigenvalues
     if not vals <= {theta, tau}:
         raise SpectrumNotTwoValuedError("spectrum values %s unexpected" % sorted(vals))
-    sel = np.flatnonzero(spectrum.values == theta)
-    sel = sel[sel != 0]
-    elems = indexer.index_of_char_table[sel]
+    # the labels of the characters attaining theta; label 0 is the principal one
+    elems = np.flatnonzero(spectrum.values[indexer.char_index_table] == theta)
+    elems = elems[elems != 0]
     claimed = pm.delsarte_dual_params(exp)
     if len(elems) != claimed.k:
         raise InternalError("dual has size %d, expected %d" % (len(elems), claimed.k))
@@ -483,22 +478,21 @@ class SrgCheckReport:
 
     @property
     def ok(self) -> bool:
-        """No executed check failed; see ``verdict`` for whether one of
-        ``SUBSTANTIVE_CHECKS`` ran at all."""
-        return all(it.passed for it in self.items if it.skipped is None)
+        """The verdict is PASS."""
+        return self.verdict == "PASS"
 
     @property
     def verdict(self) -> str:
         """FAIL if an executed check failed, else INCONCLUSIVE if none of
         ``SUBSTANTIVE_CHECKS`` ran, else PASS."""
-        if not self.ok:
+        if any(not it.passed for it in self.items if it.skipped is None):
             return "FAIL"
         ran = any(it.name in SUBSTANTIVE_CHECKS and it.skipped is None for it in self.items)
         return "PASS" if ran else "INCONCLUSIVE"
 
     def as_dict(self) -> dict:
         return {
-            "ok": self.verdict == "PASS",
+            "ok": self.ok,
             "meta": self.meta,
             "caps": self.caps.as_dict(),
             "checks": [it.as_dict() for it in self.items],

@@ -380,6 +380,34 @@ def test_params_past_the_digit_limit_exit_two_with_one_line(fmt):
     assert grid.returncode == 2 and grid.stderr == res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("params", "-p", "2", "-m", "20000", "-l", "10", "-r", "1"),
+        ("params", "-p", "2", "-m", "20000", "-l", "100", "-r", "1", "--format", "json"),
+        ("grid", "p=2", "m=20000", "l=100", "r=1"),
+    ],
+)
+def test_params_far_past_the_digit_limit_fail_at_once(argv):
+    """A tower whose order certainly has too many digits to print is refused
+    before any closed form, with the one line of the digit limit."""
+    res = run(*argv, timeout=10)
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Exceeds the limit"), res.stderr
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "code"])
+def test_absurd_tower_hits_the_table_cap_at_once(command):
+    """The table cap is compared with the group's exponent before the
+    order p^dim_p is computed."""
+    res = run(command, "-p", "2", "-m", "100000", "-l", "100000", "-r", "1", timeout=10)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == (
+        "resource cap exceeded: group of order 2^20000100000 exceeds the table cap 4194304\n"
+    )
+
+
 def test_non_integer_subspace_exps_exit_two_with_one_line():
     res = run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-exps", "a,b")
     assert res.returncode == 2

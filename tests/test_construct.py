@@ -22,10 +22,10 @@ from denpds.errors import (
     NotASubspaceError,
     TableCapExceededError,
 )
-from denpds.ff import prime_factors
-from denpds.verify import GroupIndexer, delsarte_dual
+from denpds.ff import build_field, prime_factors
+from denpds.verify import GroupIndexer, delsarte_dual, verify_pds
 
-from conftest import digit_table, pair_set
+from conftest import GRID_G1, digit_table, pair_set
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +51,12 @@ def test_tower_params_validation():
 
 def test_default_subspace_boundaries(t64):
     r0 = Tower(TowerParams(2, 1, 2, 1, 0)).default_subspace()
-    assert r0.elements == frozenset({0}) and r0.dim == 0
+    assert r0.elements.tolist() == [0] and r0.dim == 0
     rm = Tower(TowerParams(2, 1, 2, 1, 2)).default_subspace()
-    assert rm.elements == frozenset(range(4)) and rm.dim == 2
+    assert rm.elements.tolist() == [0, 1, 2, 3] and rm.dim == 2
     r1 = t64.default_subspace()
-    assert r1.elements == frozenset({0, 1})
+    assert r1.elements.tolist() == [0, 1]
+    assert r1.elements.dtype == np.int64 and not r1.elements.flags.writeable
     assert t64.index_set_T(r1) == (0,)
 
 
@@ -95,12 +96,75 @@ def test_dual_subspace_properties():
             q = tw.params.q
             assert len(Rp.elements) == q ** (m - r)
             assert Rp.dim == m - r
-            assert dual_subspace(Rp).elements == R.elements  # double dual
+            assert np.array_equal(dual_subspace(Rp).elements, R.elements)  # double dual
             Tp = tw.index_set_T(Rp) if True else None
             assert len(Tp) == (q ** (m - r) - 1) // (q - 1)
     # R = {0}: dual is everything
     t0 = Tower(TowerParams(2, 1, 2, 1, 0))
-    assert dual_subspace(t0.default_subspace()).elements == frozenset(range(4))
+    assert dual_subspace(t0.default_subspace()).elements.tolist() == [0, 1, 2, 3]
+
+
+def all_subspaces(mid, base):
+    """Every GF(q)-subspace of the middle field, rank by rank: a subspace of
+    rank k + 1 is one of rank k plus a vector outside it."""
+    levels = [[subspace_from_basis(mid, base, [])]]
+    for _ in range(mid.n // base.n):
+        found = {}
+        for R in levels[-1]:
+            for x in np.setdiff1d(np.arange(1, mid.size), R.elements).tolist():
+                S = subspace_from_basis(mid, base, list(R.basis) + [x])
+                found.setdefault(tuple(S.elements.tolist()), S)
+        levels.append(list(found.values()))
+    return levels
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, s, m", [(2, 1, 4), (3, 1, 2), (2, 2, 2), (3, 1, 3)])
+def test_dual_subspace_is_the_trace_annihilator(p, s, m):
+    """R-perp = {y : Tr(x y) = 0 for every x in R}, with the absolute trace
+    the sum of the conjugates z^(p^i) by polynomial powers, for every
+    subspace of every rank of GF(q^m) over GF(q)."""
+    mid, base = build_field(p, s * m), build_field(p, s)
+    q = base.size
+    trace = [
+        mid.pack(np.sum([mid.digits(mid._pow_poly(z, p**i)) for i in range(mid.n)], axis=0))
+        for z in range(mid.size)
+    ]
+    zero_pairing = np.array(
+        [[trace[mid._mul_poly(x, y)] == 0 for y in range(mid.size)] for x in range(mid.size)]
+    )
+    levels = all_subspaces(mid, base)
+    assert [len(level) for level in levels] == [gaussian_binomial(m, k, q) for k in range(m + 1)]
+    for level in levels:
+        for R in level:
+            Rp = dual_subspace(R)
+            want = np.flatnonzero(zero_pairing[R.elements].all(axis=0))
+            assert np.array_equal(Rp.elements, want), (p, s, m, R.basis)
+            assert Rp.dim == m - R.dim
+            assert np.array_equal(subspace_from_basis(mid, base, Rp.basis).elements, want)
+
+
+def test_norm_dlogs_match_polynomial_norms(grid):
+    """Norm(pi^i) = (pi^i)^((|K| - 1) / (|mid| - 1)) by polynomial powers,
+    pulled back by inverting the embedding and read as a power of the middle
+    field's generator, for every exponent of both fields of every grid tower."""
+    for p, s, m, ell in GRID_G1:
+        tw = grid.tower(p, s, m, ell, 1)
+        mid = tw.mid
+        mid_log = {mid._pow_poly(mid.primitive_packed, j): j for j in range(mid.order)}
+        for big, emb, table in zip((tw.f1, tw.f2), (tw.emb_mid1, tw.emb_mid2), tw.norm_dlogs):
+            preimage = {y: x for x, y in enumerate(emb.forward.tolist())}
+            t = big.order // mid.order
+            powers = (big._pow_poly(big.primitive_packed, i) for i in range(big.order))
+            want = [mid_log[preimage[big._pow_poly(x, t)]] for x in powers]
+            assert table.tolist() == want, (p, s, m, ell, big)
 
 
 def test_compatible_primitives_postconditions():
@@ -115,10 +179,10 @@ def test_compatible_primitives_postconditions():
         # beta generates: beta^(order / t) != 1 for every prime t | order
         assert all(f2._pow_poly(beta, f2.order // t) != 1 for t in prime_factors(f2.order))
         # both norms pull back to the same middle-field element gamma
-        na = tw.emb_mid1.preimage_packed(f1._pow_poly(f1.primitive_packed, f1.order // mid.order))
-        nb = tw.emb_mid2.preimage_packed(f2._pow_poly(beta, f2.order // mid.order))
-        assert na is not None and nb is not None
-        assert na == nb == comp.gamma
+        na = f1._pow_poly(f1.primitive_packed, f1.order // mid.order)
+        nb = f2._pow_poly(beta, f2.order // mid.order)
+        assert tw.emb_mid1.forward.tolist().index(na) == comp.gamma
+        assert tw.emb_mid2.forward.tolist().index(nb) == comp.gamma
         assert mid._pow_poly(mid.primitive_packed, comp.gamma_exp) == comp.gamma
     # when the norm of the field generator already lands on gamma, no
     # adjustment happens and beta is the generator itself
@@ -179,16 +243,35 @@ def test_two_constructions_agree_spot(t64, t729):
         assert np.array_equal(tw.build_D(R).elements, tw.build_D_cosets(R).elements)
 
 
+@pytest.mark.parametrize("ell, r", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_middle_field_gf2(ell, r):
+    """q^m = 2: the middle field's multiplicative group is trivial, every
+    norm is 1, and both families still build and certify."""
+    tw = Tower(TowerParams(2, 1, 1, ell, r))
+    assert tw.compatible.gamma == 1 and not any(t.any() for t in tw.norm_dlogs)
+    R = tw.default_subspace()
+    assert np.array_equal(tw.build_D(R).elements, tw.build_D_cosets(R).elements)
+    for pds in (tw.build_D(R), tw.build_D_dual(R)):
+        assert verify_pds(pds, tw, R).ok
+
+
+@pytest.mark.parametrize("tp", [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)])
+def test_two_constructions_agree_on_the_large_towers(tp):
+    tw = Tower(TowerParams(*tp))
+    R = tw.default_subspace()
+    assert np.array_equal(tw.build_D(R).elements, tw.build_D_cosets(R).elements)
+
+
 def test_build_independent_of_basis_choice(t729):
     R1 = t729.default_subspace()  # span{1}
     R2 = t729.subspace_from_coeff_rows([[2, 0]])  # span{2}: same GF(3)-line
-    assert R1.elements == R2.elements
+    assert np.array_equal(R1.elements, R2.elements)
     assert np.array_equal(t729.build_D(R1).elements, t729.build_D(R2).elements)
     # a genuinely different subspace gives a different set of the same size
     t512 = Tower(TowerParams(2, 1, 3, 1, 2))
     Ra = t512.default_subspace()
     Rb = t512.subspace_from_exponents([1, 2])
-    assert Ra.elements != Rb.elements
+    assert not np.array_equal(Ra.elements, Rb.elements)
     Da, Db = t512.build_D(Ra), t512.build_D(Rb)
     assert Da.k == Db.k and not np.array_equal(Da.elements, Db.elements)
 

@@ -188,6 +188,13 @@ def test_case_split(d64, t64, ix64):
     Dd = t64.build_D_dual(R)
     specd = V.character_spectrum(Dd, ix64)
     assert V.check_case_split(Dd, t64, ix64, specd, R).passed
+    # a subspace other than the set's: each witness names a character, by
+    # the dlog pair of its label, whose value is not the predicted one
+    wrong = V.check_case_split(D, t64, ix64, spec, t64.subspace_from_exponents([1]))
+    assert not wrong.passed and len(wrong.witnesses) == 5
+    for w in wrong.witnesses:
+        label = int(ix64.from_dlog_pairs(np.array([w["character"]]))[0])
+        assert int(spec.values[ix64.char_index_table[label]]) == w["value"] != w["want"]
 
 
 def test_case_split_branch_counts_odd_characteristic():
@@ -289,7 +296,8 @@ def test_verify_pds_cap_skips(d64, t64):
     D, R = d64
     caps = V.Caps(profile=8, spectrum=8, neighbor=8)
     report = V.verify_pds(D, t64, R, caps=caps)
-    assert report.ok  # nothing executed failed
+    # nothing executed failed, but nothing substantive ran either
+    assert not report.ok and report.verdict == "INCONCLUSIVE"
     statuses = {it.name: it.status for it in report.items}
     assert statuses["pds-differences"] == "skip"
     assert statuses["two-valued-spectrum"] == "skip"
