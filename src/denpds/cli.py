@@ -7,6 +7,10 @@ randomness (there is no seed because there is nothing to seed; the
 ``--seedless`` flag merely asserts this contract).  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 resource cap exceeded.
 
+Bad input of every kind, argument parsing included, raises ``UsageError``;
+``main`` alone reports it, as one ``error: ...`` line on stderr, and exits
+2.  ``grid`` refuses more than ``GRID_ROWS`` rows before it builds one.
+
 Caps may also be set through environment variables DENPDS_TABLE_CAP,
 DENPDS_PROFILE_CAP, DENPDS_SPECTRUM_CAP, DENPDS_NEIGHBOR_CAP and
 DENPDS_ENUM_CAP; a flag wins over its variable, and a cap that is not a
@@ -16,6 +20,7 @@ non-negative integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -34,10 +39,17 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# the most rows one grid prints; a larger grid is refused before any row is built
+GRID_ROWS = 1 << 16
 
-def _usage_error(message: str):
-    print("error: %s" % message, file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+
+class UsageError(Exception):
+    """Bad input: ``main`` prints the message as one line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -61,29 +73,10 @@ def _cap(args, name: str, default: int) -> int:
         try:
             value = int(raw)
         except ValueError:
-            _usage_error("%s must be an integer, got %r" % (source, raw))
+            raise UsageError("%s must be an integer, got %r" % (source, raw)) from None
     if value < 0:
-        _usage_error("%s must be non-negative, got %d" % (source, value))
+        raise UsageError("%s must be non-negative, got %d" % (source, value))
     return value
-
-
-def _caps_from(args) -> tuple[int, vf.Caps, int]:
-    table = _cap(args, "table", DEFAULT_TABLE_CAP)
-    caps = vf.Caps(
-        profile=_cap(args, "profile", vf.DEFAULT_PROFILE_CAP),
-        spectrum=_cap(args, "spectrum", vf.DEFAULT_SPECTRUM_CAP),
-        neighbor=_cap(args, "neighbor", vf.DEFAULT_NEIGHBOR_CAP),
-    )
-    enum_cap = _cap(args, "enum", cd.DEFAULT_ENUM_CAP)
-    return table, caps, enum_cap
-
-
-def _tower_params(args) -> TowerParams:
-    try:
-        return TowerParams(args.p, args.s, args.m, args.ell, args.r)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _subspace(tower: Tower, args):
@@ -91,41 +84,51 @@ def _subspace(tower: Tower, args):
     basis that is not integers, or does not span a subspace of rank r, is a
     usage error."""
     try:
-        if getattr(args, "subspace_exps", None):
+        if args.subspace_exps is not None:
             exps = [int(x) for x in args.subspace_exps.split(",") if x != ""]
             return tower.check_rank(tower.subspace_from_exponents(exps))
-        if getattr(args, "subspace_coords", None):
-            rows = [
-                [int(x) for x in row.replace(",", " ").split()]
-                for row in args.subspace_coords.split(";")
-                if row.strip()
-            ]
+        if args.subspace_coords is not None:
+            rows = [[int(x) for x in row.replace(",", " ").split()]
+                    for row in args.subspace_coords.split(";") if row.strip()]
             return tower.check_rank(tower.subspace_from_coeff_rows(rows))
     except ValueError as exc:
-        _usage_error("a subspace basis is a list of integers: %s" % exc)
+        raise UsageError("a subspace basis is a list of integers: %s" % exc) from None
     except NotASubspaceError as exc:
-        _usage_error("invalid subspace: %s" % exc)
+        raise UsageError("invalid subspace: %s" % exc) from None
     return tower.default_subspace()
 
 
-def _build(tower: Tower, R, family: str) -> PdsSet:
-    return tower.build_D(R) if family == "primal" else tower.build_D_dual(R)
-
-
-# -- subcommands --
-
-
-def cmd_params(args) -> int:
-    if args.grid:
-        return _emit_grid(args.grid, args)
-    tp = _tower_params(args)
+def _load_or_build(args) -> tuple[Tower, PdsSet, object, vf.Caps, int]:
+    """The set of --set FILE, else the one the tower flags build, with its
+    tower, its subspace R, the verify caps and the enum cap.  A file that is
+    not a well-formed set file is a usage error."""
+    table_cap = _cap(args, "table", DEFAULT_TABLE_CAP)
+    caps = vf.Caps(
+        profile=_cap(args, "profile", vf.DEFAULT_PROFILE_CAP),
+        spectrum=_cap(args, "spectrum", vf.DEFAULT_SPECTRUM_CAP),
+        neighbor=_cap(args, "neighbor", vf.DEFAULT_NEIGHBOR_CAP),
+    )
+    enum_cap = _cap(args, "enum", cd.DEFAULT_ENUM_CAP)
+    path = getattr(args, "set_file", None)
+    if not path:
+        try:
+            tp = TowerParams(args.p, args.s, args.m, args.ell, args.r)
+        except ValueError as exc:
+            raise UsageError(exc) from None
+        tower = Tower(tp, table_cap=table_cap)
+        R = _subspace(tower, args)
+        pds = tower.build_D(R) if args.family == "primal" else tower.build_D_dual(R)
+        return tower, pds, R, caps, enum_cap
     try:
-        text = _params_text(tp, args.format)
-    except ValueError as exc:  # e.g. a parameter past the int-to-string digit limit
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    _write(text, args.output)
-    return EXIT_OK
+        with open(path) as fh:
+            doc = json.load(fh)
+        tower, pds = pds_from_json_dict(doc, table_cap=table_cap)
+        R = tower.check_rank(tower.subspace_from_coeff_rows(pds.subspace_rows))
+    except KeyError as exc:
+        raise UsageError("set file %s: missing key %s" % (path, exc)) from None
+    except (ValueError, TypeError, NotASubspaceError) as exc:
+        raise UsageError("set file %s: %s" % (path, exc)) from None
+    return tower, pds, R, caps, enum_cap
 
 
 def _require_printable(tp: TowerParams) -> None:
@@ -141,288 +144,234 @@ def _require_printable(tp: TowerParams) -> None:
         )
 
 
-def _params_text(tp: TowerParams, fmt: str) -> str:
-    _require_printable(tp)
-    q = tp.q
-    primal = tp.primal_params()
-    dual = tp.dual_params()
-    doc = {
-        "tower": tp.as_dict(),
-        "q": q,
-        "e": tp.e,
-        "degenerate": tp.degenerate,
-        "primal": primal.as_dict(),
-        "dual": dual.as_dict(),
-        "complement": pm.complement_params(primal).as_dict(),
-        "delsarte_dual": pm.delsarte_dual_params(primal).as_dict(),
-        "spectrum": dict(zip(("positive", "negative"), tp.spectrum_values())),
-        "classification": {
-            "primal": pm.classify_type(primal).describe(),
-            "dual": pm.classify_type(dual).describe(),
-        },
-        "projective": {
-            fam: dict(
-                zip(("n", "dim", "h1", "h2"), pm.projective_params(q, tp.m, tp.ell, tp.r, fam))
-            )
-            for fam in ("primal", "dual")
-        },
-        "code": {
-            fam: dict(
-                zip(("n", "dim", "w1", "w2"), pm.code_params(q, tp.m, tp.ell, tp.r, fam))
-            )
-            for fam in ("primal", "dual")
-        },
-    }
-    if fmt == "text":
-        lines = [
-            "tower p=%d s=%d m=%d ell=%d r=%d (q=%d, v=%d)%s"
-            % (tp.p, tp.s, tp.m, tp.ell, tp.r, q, tp.v,
-               " [degenerate]" if tp.degenerate else ""),
-            "primal         %s" % (primal.as_tuple(),),
-            "dual           %s" % (dual.as_tuple(),),
-            "complement     %s" % (pm.complement_params(primal).as_tuple(),),
-            "delsarte dual  %s" % (pm.delsarte_dual_params(primal).as_tuple(),),
-            "spectrum       {%d, %d}" % tp.spectrum_values(),
-            "classification %s / %s"
-            % (pm.classify_type(primal).describe(), pm.classify_type(dual).describe()),
-            "projective     primal %s dual %s"
-            % (doc["projective"]["primal"], doc["projective"]["dual"]),
-            "code           primal %s dual %s"
-            % (doc["code"]["primal"], doc["code"]["dual"]),
-        ]
-        return "\n".join(lines) + "\n"
-    return dumps(doc)
+def cmd_params(args) -> int:
+    if args.grid:
+        return _emit_grid(args)
+    try:  # a ValueError here is a bad tower or a parameter past the digit limit
+        tp = TowerParams(args.p, args.s, args.m, args.ell, args.r)
+        _require_printable(tp)
+        q = tp.q
+        qmlr = (q, tp.m, tp.ell, tp.r)
+        primal = tp.primal_params()
+        dual = tp.dual_params()
+        doc = {
+            "tower": tp.as_dict(),
+            "q": q,
+            "e": tp.e,
+            "degenerate": tp.degenerate,
+            "primal": primal.as_dict(),
+            "dual": dual.as_dict(),
+            "complement": pm.complement_params(primal).as_dict(),
+            "delsarte_dual": pm.delsarte_dual_params(primal).as_dict(),
+            "spectrum": dict(zip(("positive", "negative"), tp.spectrum_values())),
+            "classification": {
+                "primal": pm.classify_type(primal).describe(),
+                "dual": pm.classify_type(dual).describe(),
+            },
+            "projective": {
+                fam: dict(zip(("n", "dim", "h1", "h2"), pm.projective_params(*qmlr, fam)))
+                for fam in ("primal", "dual")
+            },
+            "code": {
+                fam: dict(zip(("n", "dim", "w1", "w2"), pm.code_params(*qmlr, fam)))
+                for fam in ("primal", "dual")
+            },
+        }
+        if args.format == "json":
+            text = dumps(doc)
+        else:
+            lines = ["tower p=%(p)d s=%(s)d m=%(m)d ell=%(ell)d r=%(r)d" % doc["tower"]
+                     + " (q=%d, v=%d)%s" % (q, tp.v, " [degenerate]" if tp.degenerate else "")]
+            for key in ("primal", "dual", "complement", "delsarte_dual"):
+                lines.append("%-15s%s" % (key.replace("_", " "), tuple(doc[key].values())))
+            lines.append("spectrum       {%(positive)d, %(negative)d}" % doc["spectrum"])
+            lines.append("classification %(primal)s / %(dual)s" % doc["classification"])
+            for key in ("projective", "code"):
+                lines.append("%-15sprimal %s dual %s" % (key, doc[key]["primal"], doc[key]["dual"]))
+            text = "\n".join(lines) + "\n"
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    _write(text, args.output)
+    return EXIT_OK
 
 
-def _parse_range(spec: str, r_max=None) -> list[int]:
+def _parse_range(spec: str) -> range | list[int]:
+    """lo..hi as a range (never expanded), or a comma list."""
     if spec == "all":
-        if r_max is None:
-            raise ValueError("'all' is only valid for r")
-        return list(range(r_max + 1))
+        raise ValueError("'all' is only valid for r")
     if ".." in spec:
         lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(x) for x in spec.split(",")]
 
 
-def _emit_grid(grid_args: list[str], args) -> int:
+def _count(values: range | list[int]) -> int:
+    """len(values), also for a range longer than sys.maxsize."""
+    return max(values.stop - values.start, 0) if isinstance(values, range) else len(values)
+
+
+def _emit_grid(args) -> int:
     spec = {}
-    for item in grid_args:
-        if "=" not in item:
-            print("error: grid entries look like key=value", file=sys.stderr)
-            return EXIT_USAGE
-        key, val = item.split("=", 1)
+    for item in args.grid:
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise UsageError("grid entries look like key=value")
+        if key not in ("p", "s", "m", "l", "ell", "r"):
+            raise UsageError("unknown grid key %s" % key)
         spec[key] = val
     try:
         ps = _parse_range(spec.get("p", "2"))
         ss = _parse_range(spec.get("s", "1"))
         ms = _parse_range(spec.get("m", "2"))
         ls = _parse_range(spec.get("l", spec.get("ell", "1")))
-        rows = []
-        for p in ps:
-            for s in ss:
-                for m in ms:
-                    for ell in ls:
-                        rs = (
-                            list(range(m + 1))
-                            if spec.get("r", "all") == "all"
-                            else _parse_range(spec["r"])
-                        )
-                        for r in rs:
-                            tp = TowerParams(p, s, m, ell, r)
-                            _require_printable(tp)
-                            rows.append(
-                                {
-                                    "tower": tp.as_dict(),
-                                    "primal": tp.primal_params().as_dict(),
-                                    "dual": tp.dual_params().as_dict(),
-                                    "classification": pm.classify_type(
-                                        tp.primal_params()
-                                    ).describe(),
-                                }
-                            )
-        if args.format == "text":
-            lines = []
-            for row in rows:
-                t = row["tower"]
-                lines.append(
-                    "p=%d s=%d m=%d ell=%d r=%d primal=%s dual=%s %s"
-                    % (
-                        t["p"], t["s"], t["m"], t["ell"], t["r"],
-                        tuple(row["primal"].values()),
-                        tuple(row["dual"].values()),
-                        row["classification"],
-                    )
-                )
-            _write("\n".join(lines) + "\n", args.output)
+        rs = None if spec.get("r", "all") == "all" else _parse_range(spec["r"])
+        if rs is None:  # r=all: m gives the m + 1 ranks 0..m, a negative m none
+            if isinstance(ms, range):
+                ms = range(max(ms.start, 0), ms.stop)
+                mr_rows = _count(ms) * (ms.start + ms.stop + 1) // 2
+            else:
+                ms = [m for m in ms if m >= 0]
+                mr_rows = sum(ms) + len(ms)
         else:
-            _write(dumps({"rows": rows}), args.output)
-        return EXIT_OK
-    except (ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-
-
-def cmd_construct(args) -> int:
-    tp = _tower_params(args)
-    table_cap, _, _ = _caps_from(args)
-    tower = Tower(tp, table_cap=table_cap)
-    R = _subspace(tower, args)
-    pds = _build(tower, R, args.family)
-    _write(pds.to_json(tower), args.output)
-    print(
-        "constructed %s set: k=%d v=%d basis=%s%s"
-        % (
-            pds.provenance,
-            pds.k,
-            tp.v,
-            [list(row) for row in pds.subspace_rows],
-            " [degenerate]" if tp.degenerate else "",
-        ),
-        file=sys.stderr,
-    )
+            mr_rows = _count(ms) * _count(rs)
+        n = _count(ps) * _count(ss) * _count(ls) * mr_rows
+        if n > GRID_ROWS:
+            raise CapExceededError("grid of %d rows above %d" % (n, GRID_ROWS))
+        rows = []
+        # product() holds its inputs as tuples, each no longer than n unless n = 0
+        for p, s, m, ell in itertools.product(ps, ss, ms, ls) if n else ():
+            for r in range(m + 1) if rs is None else rs:
+                tp = TowerParams(p, s, m, ell, r)
+                _require_printable(tp)
+                primal = tp.primal_params()
+                rows.append({
+                    "tower": tp.as_dict(),
+                    "primal": primal.as_dict(),
+                    "dual": tp.dual_params().as_dict(),
+                    "classification": pm.classify_type(primal).describe(),
+                })
+        if args.format == "text":
+            text = "\n".join(
+                "p=%d s=%d m=%d ell=%d r=%d primal=%s dual=%s %s" % (
+                    *row["tower"].values(), tuple(row["primal"].values()),
+                    tuple(row["dual"].values()), row["classification"],
+                ) for row in rows
+            ) + "\n"
+        else:
+            text = dumps({"rows": rows})
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    _write(text, args.output)
     return EXIT_OK
 
 
-def _read_set_file(path: str, table_cap: int) -> tuple[Tower, PdsSet, object]:
-    """A file that is not a well-formed set file is a usage error."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        tower, pds = pds_from_json_dict(doc, table_cap=table_cap)
-        R = tower.check_rank(tower.subspace_from_coeff_rows(pds.subspace_rows))
-    except KeyError as exc:
-        _usage_error("set file %s: missing key %s" % (path, exc))
-    except (ValueError, TypeError, NotASubspaceError) as exc:
-        _usage_error("set file %s: %s" % (path, exc))
-    return tower, pds, R
-
-
-def _load_or_build(args, table_cap: int) -> tuple[Tower, PdsSet, object]:
-    if getattr(args, "set_file", None):
-        return _read_set_file(args.set_file, table_cap)
-    tp = _tower_params(args)
-    tower = Tower(tp, table_cap=table_cap)
-    R = _subspace(tower, args)
-    return tower, _build(tower, R, args.family), R
+def cmd_construct(args) -> int:
+    tower, pds, _, _, _ = _load_or_build(args)
+    _write(pds.to_json(tower), args.output)
+    tp = tower.params
+    basis = [list(row) for row in pds.subspace_rows]
+    print("constructed %s set: k=%d v=%d basis=%s%s" % (
+        pds.provenance, pds.k, tp.v, basis, " [degenerate]" if tp.degenerate else ""
+    ), file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    table_cap, caps, _ = _caps_from(args)
-    tower, pds, R = _load_or_build(args, table_cap)
+    tower, pds, R, caps, _ = _load_or_build(args)
     report = vf.verify_pds(pds, tower, R, caps=caps, threads=args.parallel)
     text = report.to_text() if args.format == "text" else report.to_json()
     _write(text, args.output)
     if report.verdict == "INCONCLUSIVE":
-        print(
-            "resource cap exceeded: none of %s ran" % ", ".join(vf.SUBSTANTIVE_CHECKS),
-            file=sys.stderr,
-        )
-        return EXIT_CAP
+        raise CapExceededError("none of %s ran" % ", ".join(vf.SUBSTANTIVE_CHECKS))
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 def cmd_dual(args) -> int:
-    table_cap, caps, _ = _caps_from(args)
-    tower, pds, _ = _load_or_build(args, table_cap)
+    tower, pds, _, caps, _ = _load_or_build(args)
     dual = vf.delsarte_dual(pds, tower.indexer, cap=caps.spectrum)
     _write(dual.to_json(tower), args.output)
     print("delsarte dual: k=%d" % dual.k, file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_code(args) -> int:
-    table_cap, _, enum_cap = _caps_from(args)
-    tower, pds, _ = _load_or_build(args, table_cap)
+def _coding_prelude(args, require_cap, closed_form):
+    """What code and geometry share: a primal or dual set, the enum cap, the
+    point set, the spectrum, the closed-form parameters, the document's head."""
+    tower, pds, _, _, enum_cap = _load_or_build(args)
     if pds.provenance not in ("primal", "dual"):
-        print("error: code export needs a primal or dual set", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("%s export needs a primal or dual set" % args.command)
     tp = tower.params
-    cd.require_message_cap(tp.q, tp.dim_q, enum_cap)
+    require_cap(tp.q, tp.dim_q, enum_cap)
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
-    gm = cd.build_code(S, ctx)
     # v = q^dim: the enum cap, checked above, also gates the spectrum
     spectrum = vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
-    enum = cd.spectral_weight_enumerator(spectrum, gm)
-    fam = "primal" if pds.provenance == "primal" else "dual"
-    expected = pm.code_params(tp.q, tp.m, tp.ell, tp.r, fam)
-    kernel = tp.q ** (gm.dim - gm.rank)
-    checks = [
-        cd.check_two_weight(enum, expected, kernel),
-        cd.check_dictionary(
-            vf.expected_params(pds), S.n, expected[2], expected[3], tp.q, tp.dim_q
-        ),
-    ]
-    doc = {
-        "tower": tp.as_dict(),
-        "family": fam,
-        "q": tp.q,
-        "n": gm.n,
-        "dim": gm.dim,
-        "rank": gm.rank,
-        "expected_weights": [expected[2], expected[3]],
-        "generator_rows": gm.mat,
-        "weight_enumerator": {str(w): c for w, c in sorted(enum.items())},
-        "checks": [c.as_dict() for c in checks],
-        "ok": all(c.passed for c in checks),
-    }
+    expected = closed_form(tp.q, tp.m, tp.ell, tp.r, pds.provenance)
+    doc = {"tower": tp.as_dict(), "family": pds.provenance, "q": tp.q}
+    return pds, ctx, S, spectrum, expected, doc
+
+
+def _coding_finish(args, doc: dict, checks) -> int:
+    """Add the checks and the verdict to a code or geometry document, write
+    it and give its exit code."""
+    doc.update(checks=[c.as_dict() for c in checks], ok=all(c.passed for c in checks))
     _write(dumps(doc), args.output)
-    if args.matrix_out:
-        _write("\n".join(gm.row_strings()) + "\n", args.matrix_out)
     return EXIT_OK if doc["ok"] else EXIT_VERIFY
 
 
+def cmd_code(args) -> int:
+    pds, ctx, S, spectrum, expected, doc = _coding_prelude(
+        args, cd.require_message_cap, pm.code_params
+    )
+    tp = pds.params
+    gm = cd.build_code(S, ctx)
+    enum = cd.spectral_weight_enumerator(spectrum, gm)
+    checks = [
+        cd.check_two_weight(enum, expected, tp.q ** (gm.dim - gm.rank)),
+        cd.check_dictionary(vf.expected_params(pds), S.n, *expected[2:], tp.q, tp.dim_q),
+    ]
+    doc.update(
+        n=gm.n,
+        dim=gm.dim,
+        rank=gm.rank,
+        expected_weights=list(expected[2:]),
+        generator_rows=gm.mat,
+        weight_enumerator={str(w): c for w, c in sorted(enum.items())},
+    )
+    code = _coding_finish(args, doc, checks)
+    if args.matrix_out:
+        _write("\n".join(gm.row_strings()) + "\n", args.matrix_out)
+    return code
+
+
 def cmd_geometry(args) -> int:
-    table_cap, _, enum_cap = _caps_from(args)
-    tower, pds, _ = _load_or_build(args, table_cap)
-    if pds.provenance not in ("primal", "dual"):
-        print("error: geometry export needs a primal or dual set", file=sys.stderr)
-        return EXIT_USAGE
-    tp = tower.params
-    cd.require_hyperplane_cap(tp.q, tp.dim_q, enum_cap)
-    ctx = cd.CodingContext(tower)
-    S = cd.to_projective_set(pds, ctx)
-    # v = q^dim: the enum cap, checked above, also gates the spectrum
-    spectrum = vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
+    _, _, S, spectrum, expected, doc = _coding_prelude(
+        args, cd.require_hyperplane_cap, pm.projective_params
+    )
     profile = cd.spectral_hyperplane_profile(spectrum, S)
-    fam = "primal" if pds.provenance == "primal" else "dual"
-    expected = pm.projective_params(tp.q, tp.m, tp.ell, tp.r, fam)
-    check = cd.check_two_intersection(profile, expected)
-    doc = {
-        "tower": tp.as_dict(),
-        "family": fam,
-        "q": tp.q,
-        "n": S.n,
-        "dim": S.dim,
-        "expected_sizes": [expected[2], expected[3]],
-        "points": RowStrings(S.points),
-        "hyperplane_profile": {str(h): c for h, c in sorted(profile.items())},
-        "checks": [check.as_dict()],
-        "ok": check.passed,
-    }
-    _write(dumps(doc), args.output)
-    return EXIT_OK if check.passed else EXIT_VERIFY
+    doc.update(
+        n=S.n,
+        dim=S.dim,
+        expected_sizes=list(expected[2:]),
+        points=RowStrings(S.points),
+        hyperplane_profile={str(h): c for h, c in sorted(profile.items())},
+    )
+    return _coding_finish(args, doc, [cd.check_two_intersection(profile, expected)])
 
 
 def cmd_export_graph(args) -> int:
-    table_cap, caps, _ = _caps_from(args)
-    tower, pds, _ = _load_or_build(args, table_cap)
+    tower, pds, _, caps, _ = _load_or_build(args)
     edges = vf.cayley_edges(pds, tower.indexer, cap=caps.profile)
-    v = tower.params.v
-    lines = []
-    if args.graph_format == "dimacs":
-        lines.append("p edge %d %d" % (v, len(edges)))
-        lines.extend("e %d %d" % (u + 1, w + 1) for u, w in edges)
-    else:
-        lines.append("%d %d" % (v, len(edges)))
-        lines.extend("%d %d" % (u, w) for u, w in edges)
+    dimacs = args.graph_format == "dimacs"
+    head, edge, base = ("p edge %d %d", "e %d %d", 1) if dimacs else ("%d %d", "%d %d", 0)
+    lines = [head % (tower.params.v, len(edges))]
+    lines.extend(edge % (u + base, w + base) for u, w in edges)
     _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="denpds",
         description="Construct and exactly certify two-family difference sets, "
         "their Cayley graphs, projective point sets and two-weight codes.",
@@ -438,13 +387,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False, parents=[tower])
     common.add_argument("--family", choices=["primal", "dual"], default="primal")
-    common.add_argument(
-        "--subspace-exps",
-        help="comma list of generator exponents spanning R (default: 0..r-1)",
+    basis = common.add_mutually_exclusive_group()
+    basis.add_argument(
+        "--subspace-exps", help="comma list of generator exponents spanning R (default: 0..r-1)"
     )
-    common.add_argument(
-        "--subspace-coords",
-        help="semicolon-separated GF(p) coefficient rows spanning R",
+    basis.add_argument(
+        "--subspace-coords", help="semicolon-separated GF(p) coefficient rows spanning R"
     )
     common.add_argument("-o", "--output", help="output path (default stdout)")
     common.add_argument("--format", choices=["json", "text"], default="json")
@@ -452,8 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--parallel", type=int, default=0, help="worker threads for the literal sweeps (0 = off)"
     )
     common.add_argument(
-        "--seedless",
-        action="store_true",
+        "--seedless", action="store_true",
         help="assert the no-randomness guarantee (always true; informational)",
     )
     for cap in ("table", "profile", "spectrum", "neighbor", "enum"):
@@ -466,10 +413,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_params)
 
     sg = sub.add_parser("grid", help="parameter rows over ranges")
-    sg.add_argument("ranges", nargs="+", help="key=value ranges, e.g. p=2 m=2..3 r=all")
+    sg.add_argument(
+        "grid", nargs="+", metavar="ranges", help="key=value ranges, e.g. p=2 m=2..3 r=all"
+    )
     sg.add_argument("-o", "--output")
     sg.add_argument("--format", choices=["json", "text"], default="text")
-    sg.set_defaults(func=lambda a: _emit_grid(a.ranges, a))
+    sg.set_defaults(func=_emit_grid)
 
     for name, fn in (
         ("construct", cmd_construct),
@@ -493,23 +442,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "parallel", 0) < 0:
-        print("error: --parallel must be non-negative, got %d" % args.parallel, file=sys.stderr)
-        return EXIT_USAGE
-    tower_given = getattr(args, "grid", None) or getattr(args, "set_file", None)
-    if args.command != "grid" and not tower_given:
-        missing = [k for k in ("p", "m", "ell", "r") if getattr(args, k) is None]
-        if missing:
-            alternative = "--grid" if args.command == "params" else "--set FILE"
-            print(
-                "error: missing %s (or use %s)" % (", ".join(missing), alternative),
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
     try:
+        args = make_parser().parse_args(argv)
+        if getattr(args, "parallel", 0) < 0:
+            raise UsageError("--parallel must be non-negative, got %d" % args.parallel)
+        if not (getattr(args, "grid", None) or getattr(args, "set_file", None)):
+            missing = [k for k in ("p", "m", "ell", "r") if getattr(args, k) is None]
+            if missing:
+                alternative = "--grid" if args.command == "params" else "--set FILE"
+                raise UsageError("missing %s (or use %s)" % (", ".join(missing), alternative))
         return args.func(args)
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except CapExceededError as exc:
         print("resource cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP

@@ -422,3 +422,76 @@ def test_duplicate_set_file_elements_collapse(tmp_path):
         tmp_path, lambda doc: doc["elements"].extend(doc["elements"][:3])))
     assert dup.returncode == clean.returncode == 0
     assert dup.stdout == clean.stdout
+
+
+TOWER = ("-p", "2", "-m", "2", "-l", "1", "-r", "1")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "-p", "x", "-m", "2", "-l", "1", "-r", "1"),
+         "error: argument -p: invalid int value: 'x'"),
+        (("nonsense",), "error: argument command: invalid choice: 'nonsense'"),
+        ((), "error: the following arguments are required: command"),
+        (("verify", *TOWER, "--family", "both"), "error: argument --family: invalid choice: 'both'"),
+        (("verify", *TOWER, "--profile-cap", "1e3"),
+         "error: argument --profile-cap: invalid int value: '1e3'"),
+        (("params", *TOWER, "--bogus"), "error: unrecognized arguments: --bogus"),
+        (("grid",), "error: the following arguments are required: ranges"),
+        (("verify", *TOWER, "--subspace-exps", "0", "--subspace-coords", "1,0"),
+         "error: argument --subspace-coords: not allowed with argument --subspace-exps"),
+    ],
+    ids=["non-integer", "unknown-command", "no-command", "bad-choice", "non-integer-cap",
+         "unknown-flag", "no-ranges", "both-subspace-flags"],
+)
+def test_parse_errors_are_one_line(argv, message):
+    """Argument parsing fails like every other usage error: one line, exit 2."""
+    res = run(*argv)
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), res.stderr
+
+
+def test_help_exits_zero():
+    for argv in (("--help",), ("verify", "--help")):
+        res = run(*argv)
+        assert res.returncode == 0 and res.stdout.startswith("usage: denpds") and res.stderr == ""
+
+
+def test_empty_subspace_exps_get_the_rank_check():
+    res = run("verify", *TOWER, "--subspace-exps", "")
+    assert res.returncode == 2
+    assert res.stderr == "error: invalid subspace: subspace has rank 0 but the tower expects r=1\n"
+    assert run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "0", "--subspace-exps", "").returncode == 0
+
+
+def test_unknown_grid_key_exits_two():
+    res = run("grid", "p=2", "q=3")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: unknown grid key q\n"
+
+
+@pytest.mark.parametrize(
+    "ranges,rows",
+    [
+        (("p=2", "m=1..2", "l=1", "r=0..1000000000"), 2000000002),
+        (("p=2", "m=1..1000000000", "l=1"), 500000001500000000),  # r=all: m + 1 rows each
+        (("p=2", "m=1", "l=1..100000000000000000000", "r=0"), 10**20),  # past sys.maxsize
+        (("p=2", "s=1..65537", "m=1", "l=1", "r=0"), 65537),
+    ],
+)
+def test_grid_refuses_too_many_rows_before_building_one(ranges, rows):
+    res = run("grid", *ranges, timeout=10)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == "resource cap exceeded: grid of %d rows above 65536\n" % rows
+
+
+def test_grid_at_the_row_limit_is_built():
+    """65536 rows pass the bound (the first row then fails on p = 4), and
+    the 18,900 rows of m=1..60 l=1..10 print."""
+    res = run("grid", "p=4", "s=1..65536", "m=1", "l=1", "r=0", timeout=10)
+    assert res.returncode == 2 and res.stderr == "error: p must be prime\n"
+    res = run("grid", "p=2", "m=1..60", "l=1..10", timeout=10)
+    assert res.returncode == 0
+    assert len(res.stdout.splitlines()) == 18900

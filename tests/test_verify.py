@@ -349,3 +349,27 @@ def test_cayley_edges(d64, ix64):
     ix = V.GroupIndexer(tower)
     D3 = tower.build_D()
     assert np.array_equal(V.cayley_edges(D3, ix), reference_edges(D3, ix))
+
+
+@pytest.mark.parametrize("family", ["primal", "dual"])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_cayley_graph_against_networkx(r, family):
+    """An oracle that shares no code with denpds: networkx finds the Cayley
+    graph of every v = 64 set strongly regular with the closed-form
+    parameters or, for mu = 0, a disjoint union of (k+1)-cliques."""
+    nx = pytest.importorskip("networkx")
+    tower = Tower(TowerParams(2, 1, 2, 1, r))
+    pds = tower.build_D() if family == "primal" else tower.build_D_dual()
+    closed_form = P.denniston_params if family == "primal" else P.dual_denniston_params
+    v, k, lam, mu = closed_form(2, 2, 1, r).as_tuple()
+    G = nx.Graph()
+    G.add_nodes_from(range(v))
+    G.add_edges_from(V.cayley_edges(pds, tower.indexer).tolist())
+    if mu > 0:
+        assert nx.is_strongly_regular(G)
+        assert nx.intersection_array(G) == ([k, k - lam - 1], [1, mu])
+    else:
+        cliques = [G.subgraph(c) for c in nx.connected_components(G)]
+        assert len(cliques) == v // (k + 1)
+        assert all(c.number_of_nodes() == k + 1 for c in cliques)
+        assert all(c.number_of_edges() == k * (k + 1) // 2 for c in cliques)
