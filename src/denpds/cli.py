@@ -294,14 +294,16 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _coding_prelude(args, require_cap, closed_form):
+def _coding_prelude(args, closed_form):
     """What code and geometry share: a primal or dual set, the enum cap, the
     point set, the spectrum, the closed-form parameters, the document's head."""
     tower, pds, _, _, enum_cap = _load_or_build(args)
     if pds.provenance not in ("primal", "dual"):
         raise UsageError("%s export needs a primal or dual set" % args.command)
     tp = tower.params
-    require_cap(tp.q, tp.dim_q, enum_cap)
+    if tp.q**tp.dim_q > enum_cap:
+        sweep = "message sweep" if args.command == "code" else "hyperplane enumeration"
+        raise CapExceededError("%s above cap %d" % (sweep, enum_cap))
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
     # v = q^dim: the enum cap, checked above, also gates the spectrum
@@ -320,9 +322,7 @@ def _coding_finish(args, doc: dict, checks) -> int:
 
 
 def cmd_code(args) -> int:
-    pds, ctx, S, spectrum, expected, doc = _coding_prelude(
-        args, cd.require_message_cap, pm.code_params
-    )
+    pds, ctx, S, spectrum, expected, doc = _coding_prelude(args, pm.code_params)
     tp = pds.params
     gm = cd.build_code(S, ctx)
     enum = cd.spectral_weight_enumerator(spectrum, gm)
@@ -345,9 +345,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    _, _, S, spectrum, expected, doc = _coding_prelude(
-        args, cd.require_hyperplane_cap, pm.projective_params
-    )
+    _, _, S, spectrum, expected, doc = _coding_prelude(args, pm.projective_params)
     profile = cd.spectral_hyperplane_profile(spectrum, S)
     doc.update(
         n=S.n,

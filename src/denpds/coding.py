@@ -4,27 +4,29 @@ Group elements are coordinatized over GF(q) by the power bases of the two
 deterministic field generators; a scale-closed set collapses to one
 projective point per GF(q)* orbit.
 
-The hyperplane profile and the weight enumerator each have two routes.
-The literal routes, ``hyperplane_profile`` and ``weight_enumerator``, are
-exhaustive sweeps (all normalized dual vectors, all q^dim messages).  The
-transform routes, ``spectral_hyperplane_profile`` and
-``spectral_weight_enumerator``, read both off the exact character spectrum
-of the set: a scale-closed set D of n(q - 1) elements meets the hyperplane
-of the nonzero character u in (n + chi_u(D)) / q points, each hyperplane
-belongs to q - 1 characters, and the message of u has weight
-n - (n + chi_u(D)) / q.  The CLI takes the transform routes; the tests
-compare them with the literal ones.
+The hyperplane profile and the weight enumerator are histograms of one
+vector, s(u) = |S meet u-perp| for every nonzero u in GF(q)^dim: the
+hyperplane u-perp meets S in s(u) points, and the message u has weight
+n - s(u) (Calderbank-Kantor, Bull. LMS 18 (1986), section 2).  The literal
+route, ``_literal_sizes``, sweeps all q^dim messages; ``hyperplane_profile``
+and ``weight_enumerator`` take it.  The transform route,
+``_intersection_sizes``, reads s off the exact character spectrum: a
+scale-closed set D of n(q - 1) elements has s(u) = (n + chi_u(D)) / q;
+``spectral_hyperplane_profile`` and ``spectral_weight_enumerator`` take it.
+Both routes end in the same two histograms, ``_profile`` and
+``_enumerator``.  The CLI takes the transform route; the tests compare it
+with the literal one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import params as pm
+from . import params as pm, verify as vf
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
 from .ff import FiniteField, embed, row_reduce, sorted_unique
-from .verify import CharacterSpectrum, CheckItem, _chunk_ranges
+from .verify import CharacterSpectrum, CheckItem
 
 DEFAULT_ENUM_CAP = 1 << 16
 
@@ -100,48 +102,58 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     return ProjectiveSet(ctx.q, ctx.dim, keys[:, None] // weights % ctx.q)
 
 
-def require_hyperplane_cap(q: int, dim: int, cap: int) -> None:
-    if q**dim > cap:
-        raise CapExceededError("hyperplane enumeration above cap %d" % cap)
+def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarray:
+    """s(u) = #{x in points : u . x = 0} for every nonzero message u, in the
+    order of u's base-q key (first coordinate most significant).
 
-
-def require_message_cap(q: int, dim: int, cap: int) -> None:
+    The q^dim messages are swept in blocks of q^c: the span of the last c
+    rows of G = points.T, plus one codeword of the first dim - c rows; c is
+    the largest whose block fits a chunk.  u . x is zero exactly where the
+    head codeword equals the negated block codeword, so the block is built
+    once, negated, by extension over the negated rows."""
+    n, dim = points.shape
+    q = base.size
     if q**dim > cap:
         raise CapExceededError("message sweep above cap %d" % cap)
+    G = points.T
+    c = 0
+    while c < dim and q ** (c + 1) * n * 8 <= vf.CHUNK_BYTES:
+        c += 1
+    scalars = np.arange(q, dtype=np.int64)[:, None]
+    minus_block = np.zeros((1, n), dtype=np.int64)
+    for row in base.neg(G[dim - c :]):
+        minus_block = base.add(minus_block[:, None, :], base.mul(scalars, row)[None, :, :]).reshape(-1, n)
+    heads = G[: dim - c]
+
+    def one(rng):
+        # the codewords of the first dim - c rows for head keys lo..hi-1
+        keys = np.arange(*rng, dtype=np.int64)
+        head = np.zeros((len(keys), n), dtype=np.int64)
+        for t, row in enumerate(heads):
+            digit = keys // q ** (dim - c - 1 - t) % q
+            head = base.add(head, base.mul(digit[:, None], row))
+        return (head[:, None, :] == minus_block[None, :, :]).sum(axis=2).ravel()
+
+    return np.concatenate(vf._sweep(q ** (dim - c), q**c * n * 8, one))[1:]
 
 
-def _normalized_duals(q: int, dim: int, cap: int) -> np.ndarray:
-    """All hyperplane representatives: nonzero vectors with first nonzero 1."""
-    require_hyperplane_cap(q, dim, cap)
-    total = q**dim
-    vals = np.arange(1, total, dtype=np.int64)
-    digs = np.empty((total - 1, dim), dtype=np.int64)
-    for i in range(dim):
-        digs[:, i] = (vals // q**i) % q
-    nz = digs != 0
-    first = nz.argmax(axis=1)
-    lead = digs[np.arange(total - 1), first]
-    keep = lead == 1
-    return digs[keep]
+def _profile(sizes: np.ndarray, q: int, dim: int, n: int) -> dict[int, int]:
+    """Hyperplanes by intersection size: each hyperplane u-perp is met in
+    s(u) points and belongs to the q - 1 nonzero multiples of u."""
+    counts = np.bincount(sizes, minlength=n + 1)
+    if (counts % (q - 1)).any():
+        raise InternalError("each hyperplane belongs to q - 1 characters")
+    counts //= q - 1
+    if counts.sum() != (q**dim - 1) // (q - 1):
+        raise InternalError("hyperplane count mismatch")
+    return {int(h): int(c) for h, c in enumerate(counts) if c}
 
 
 def hyperplane_profile(
     S: ProjectiveSet, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Map: intersection size -> number of hyperplanes attaining it."""
-    duals = _normalized_duals(S.q, S.dim, cap)
-    base = ctx.base
-    chunk = max(1, (8 << 20) // max(1, S.n * 8))
-    counts = np.zeros(S.n + 1, dtype=np.int64)
-    for lo, hi in _chunk_ranges(len(duals), chunk):
-        dots = 0  # u . x over GF(q) for each dual u and point x
-        for t in range(S.dim):
-            dots = base.add(dots, base.mul(duals[lo:hi, t, None], S.points[None, :, t]))
-        counts += np.bincount((dots == 0).sum(axis=1), minlength=S.n + 1)
-    expected_total = (S.q**S.dim - 1) // (S.q - 1)
-    if counts.sum() != expected_total:
-        raise InternalError("hyperplane count mismatch")
-    return {int(h): int(c) for h, c in enumerate(counts) if c}
+    return _profile(_literal_sizes(S.points, ctx.base, cap), S.q, S.dim, S.n)
 
 
 class GeneratorMatrix:
@@ -176,24 +188,21 @@ def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     return GeneratorMatrix(S.q, cols.T, len(row_reduce(ctx.base, cols)[1]))
 
 
+def _enumerator(sizes: np.ndarray, gm: GeneratorMatrix) -> dict[int, int]:
+    """Codewords by weight: the message u has weight n - s(u), and the zero
+    message weight 0."""
+    counts = np.bincount(gm.n - sizes, minlength=gm.n + 1)
+    counts[0] += 1
+    if counts[0] != gm.q ** (gm.dim - gm.rank):
+        raise InternalError("zero-weight count must equal the kernel size")
+    return {int(w): int(c) for w, c in enumerate(counts) if c}
+
+
 def weight_enumerator(
     gm: GeneratorMatrix, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Exhaustive weight counts over all q^dim messages."""
-    q, dim, n = gm.q, gm.dim, gm.n
-    require_message_cap(q, dim, cap)
-    total = q**dim
-    base = ctx.base
-    cw = np.zeros((1, n), dtype=np.int64)
-    for t in range(dim):
-        scaled = base.mul(np.arange(q, dtype=np.int64)[:, None], gm.mat[t][None, :])
-        cw = base.add(cw[:, None, :], scaled[None, :, :]).reshape(-1, n)
-    counts = np.bincount((cw != 0).sum(axis=1), minlength=n + 1)
-    if counts.sum() != total:
-        raise InternalError("message count mismatch")
-    if counts[0] != q ** (dim - gm.rank):
-        raise InternalError("zero-weight count must equal the kernel size")
-    return {int(w): int(c) for w, c in enumerate(counts) if c}
+    return _enumerator(_literal_sizes(gm.mat.T, ctx.base, cap), gm)
 
 
 def _intersection_sizes(spectrum: CharacterSpectrum, q: int, dim: int, n: int) -> np.ndarray:
@@ -210,25 +219,13 @@ def _intersection_sizes(spectrum: CharacterSpectrum, q: int, dim: int, n: int) -
 
 def spectral_hyperplane_profile(spectrum: CharacterSpectrum, S: ProjectiveSet) -> dict[int, int]:
     """``hyperplane_profile`` from the spectrum of the set S collapses."""
-    sizes = _intersection_sizes(spectrum, S.q, S.dim, S.n)
-    counts = np.bincount(sizes, minlength=S.n + 1)
-    if (counts % (S.q - 1)).any():
-        raise InternalError("each hyperplane belongs to q - 1 characters")
-    counts //= S.q - 1
-    if counts.sum() != (S.q**S.dim - 1) // (S.q - 1):
-        raise InternalError("hyperplane count mismatch")
-    return {int(h): int(c) for h, c in enumerate(counts) if c}
+    return _profile(_intersection_sizes(spectrum, S.q, S.dim, S.n), S.q, S.dim, S.n)
 
 
 def spectral_weight_enumerator(spectrum: CharacterSpectrum, gm: GeneratorMatrix) -> dict[int, int]:
     """``weight_enumerator`` from the spectrum of the set whose points are
-    the columns of gm; the zero message is added by hand."""
-    sizes = _intersection_sizes(spectrum, gm.q, gm.dim, gm.n)
-    counts = np.bincount(gm.n - sizes, minlength=gm.n + 1)
-    counts[0] += 1
-    if counts[0] != gm.q ** (gm.dim - gm.rank):
-        raise InternalError("zero-weight count must equal the kernel size")
-    return {int(w): int(c) for w, c in enumerate(counts) if c}
+    the columns of gm."""
+    return _enumerator(_intersection_sizes(spectrum, gm.q, gm.dim, gm.n), gm)
 
 
 # -- checks tying geometry, code and set parameters together --

@@ -35,7 +35,8 @@ from .jsonout import dumps
 DEFAULT_PROFILE_CAP = 1 << 16
 DEFAULT_SPECTRUM_CAP = 1 << 20
 DEFAULT_NEIGHBOR_CAP = 1 << 12
-NEIGHBOR_CHUNK_BYTES = 8 << 20
+# the most bytes one chunk of a literal sweep may hold
+CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,13 @@ class Caps:
         return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def _run_chunks(fn, ranges, threads: int):
-    if threads and threads > 1:
+def _sweep(total: int, row_bytes: int, fn, threads: int = 0) -> list:
+    """[fn((lo, hi)) for consecutive ranges covering range(total)], each of
+    as many rows as CHUNK_BYTES holds at ``row_bytes`` a row (at least one),
+    split over ``threads`` worker threads when there are two or more."""
+    chunk = max(1, CHUNK_BYTES // max(row_bytes, 1))
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, ranges))
     return [fn(r) for r in ranges]
@@ -86,14 +88,13 @@ def _common_counts(
     split over ``threads`` worker threads."""
     idx, member = pds.elements, _membership(pds, indexer.v)
     # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
-    per_target = max(len(idx), 1) * 8 * (1 if indexer.p == 2 else indexer.n)
-    chunk = max(1, NEIGHBOR_CHUNK_BYTES // per_target)
+    per_target = len(idx) * 8 * (1 if indexer.p == 2 else indexer.n)
 
     def one(rng):
         gs = targets[rng[0] : rng[1]]
         return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
 
-    return np.concatenate(_run_chunks(one, _chunk_ranges(len(targets), chunk), threads))
+    return np.concatenate(_sweep(len(targets), per_target, one, threads))
 
 
 def difference_profile(
@@ -345,7 +346,9 @@ def srg_common_neighbors(
     """Common-neighbor counts of (0, g) in the Cayley graph, counted literally
     as #{d in D : d - g in D} from the membership indicator; vertex-
     transitivity makes the base vertex exhaustive.  Full pass up to the cap,
-    deterministic sample above."""
+    deterministic sample above, skipped for a cap of 0."""
+    if cap == 0:
+        return _skip("common-neighbors", "cap")
     v = indexer.v
     exp = expected_params(pds)
     member = _membership(pds, v)
@@ -449,14 +452,14 @@ def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_
     if v > cap:
         raise CapExceededError("graph export: v=%d above cap %d" % (v, cap))
     idx = pds.elements
-    chunk = max(1, NEIGHBOR_CHUNK_BYTES // (max(len(idx), 1) * 8))
-    parts = []
-    for lo, hi in _chunk_ranges(v, chunk):
-        u = np.arange(lo, hi, dtype=np.int64)[:, None]
+
+    def one(rng):
+        u = np.arange(*rng, dtype=np.int64)[:, None]
         w = np.sort(indexer.add(u, idx[None, :]), axis=1)
         keep = u < w
-        parts.append(np.stack([np.broadcast_to(u, w.shape)[keep], w[keep]], axis=1))
-    edges = np.concatenate(parts)
+        return np.stack([np.broadcast_to(u, w.shape)[keep], w[keep]], axis=1)
+
+    edges = np.concatenate(_sweep(v, len(idx) * 8, one))
     if 2 * len(edges) != v * len(idx):
         raise InternalError("edge count must be v k / 2")
     return edges

@@ -248,6 +248,17 @@ def test_zero_caps_are_honored():
     names = {c["name"]: c["status"] for c in json.loads(ver.stdout)["checks"]}
     assert names["pds-differences"] == names["common-neighbors"] == "skip"
     assert names["two-valued-spectrum"] == "pass"
+    # a zero neighbor cap, by flag or by variable, skips only common-neighbors
+    import os
+
+    for flag, extra in ((["--neighbor-cap", "0"], {}), ([], {"DENPDS_NEIGHBOR_CAP": "0"})):
+        ver = run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", *flag,
+                  env=dict(os.environ, **extra))
+        assert ver.returncode == 0, (flag, extra, ver.stderr)
+        checks = {c["name"]: c for c in json.loads(ver.stdout)["checks"]}
+        assert checks["common-neighbors"]["status"] == "skip"
+        assert checks["common-neighbors"]["reason"] == "cap"
+        assert checks["pds-differences"]["status"] == "pass"
 
 
 def test_bad_caps_exit_two_with_one_line(tmp_path):

@@ -1,5 +1,8 @@
 """Projective sets, generator matrices and weight enumerators."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,9 +164,9 @@ def test_hyperplane_profile_complement_inside_pg(setup64):
     """The complementary point set meets hyperplanes in complementary sizes."""
     _, ctx, D = setup64
     S = C.to_projective_set(D, ctx)
-    all_pts = C._normalized_duals(2, 6, 1 << 16)  # all 63 points
     have = {tuple(r) for r in S.points.tolist()}
-    rest = np.array([r for r in all_pts.tolist() if tuple(r) not in have])
+    # the 63 points of PG(5, 2): the nonzero binary 6-tuples
+    rest = np.array([r for r in itertools.product(range(2), repeat=6) if any(r) and r not in have])
     Sc = C.ProjectiveSet(2, 6, rest)
     prof = C.hyperplane_profile(Sc, ctx)
     # hyperplane has (q^(dim-1)-1)/(q-1) = 31 points; sizes complement to 31
@@ -239,6 +242,52 @@ def test_rank_matches_the_row_loop():
         for rows, cols, rank in [(9, 4, 4), (9, 6, 3), (4, 9, 2), (5, 5, 5), (12, 6, 1)]:
             mat = qa.dot(rng.integers(0, qa.q, (rows, rank)), rng.integers(0, qa.q, (rank, cols)))
             assert len(ff.row_reduce(base, mat)[1]) == reference_rank(mat, qa), (p, s, rows, cols)
+
+
+def random_points(rng, q, dim, count):
+    """Distinct normalized points of PG(dim - 1, q): zeros, a leading 1,
+    then random symbols."""
+    points = set()
+    while len(points) < count:
+        first = int(rng.integers(dim))
+        points.add((0,) * first + (1,) + tuple(rng.integers(0, q, dim - first - 1).tolist()))
+    return np.array(sorted(points), dtype=np.int64)
+
+
+def test_literal_sizes_match_brute_force(monkeypatch):
+    """s(u) = #{x : u . x = 0} for every nonzero message u, in base-q key
+    order, against dot products from polynomial arithmetic; the chunk
+    bounds force one message a block, blocks of q^2 one or two a chunk,
+    and the default."""
+    rng = np.random.default_rng(9)
+    for p, s, dim, count in [(2, 1, 7, 40), (3, 1, 5, 30), (2, 2, 4, 25), (2, 1, 3, 7)]:
+        base = ff.build_field(p, s)
+        qa = Tables(base)
+        points = random_points(rng, qa.q, dim, count)
+        messages = np.array(list(itertools.product(range(qa.q), repeat=dim)), dtype=np.int64)
+        want = (qa.dot(messages, points.T) == 0).sum(axis=1)[1:]
+        for bound in (8, qa.q**2 * count * 8, 2 * qa.q**2 * count * 8, V.CHUNK_BYTES):
+            monkeypatch.setattr(V, "CHUNK_BYTES", bound)
+            got = C._literal_sizes(points, base, 1 << 16)
+            assert np.array_equal(got, want), (p, s, dim, bound)
+
+
+def test_literal_routes_stay_under_32_mb():
+    """2,1,4,1,3 dual: 4096 messages of 3825 symbols, a 125 MB codeword array
+    if held at once."""
+    tower = Tower(TowerParams(2, 1, 4, 1, 3))
+    ctx = C.CodingContext(tower)
+    S = C.to_projective_set(tower.build_D_dual(), ctx)
+    gm = C.build_code(S, ctx)
+    assert (S.n, S.dim) == (3825, 12)
+    for fn in (lambda: C.weight_enumerator(gm, ctx), lambda: C.hyperplane_profile(S, ctx)):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, peak
 
 
 def test_weight_enumerator_64(setup64):

@@ -1,7 +1,9 @@
 """Verification oracles: difference profiles, exact character transforms,
 case splits, cliques, duals, and their failure modes."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.errors import CapExceededError, SpectrumNotTwoValuedError
 
 from conftest import digit_table, pair_set, with_pairs
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "denpds"
 
 
 @pytest.fixture(scope="module")
@@ -373,3 +377,32 @@ def test_cayley_graph_against_networkx(r, family):
         assert len(cliques) == v // (k + 1)
         assert all(c.number_of_nodes() == k + 1 for c in cliques)
         assert all(c.number_of_edges() == k * (k + 1) // 2 for c in cliques)
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_one_chunker():
+    """Only verify._sweep uses ThreadPoolExecutor or divides CHUNK_BYTES:
+    every literal sweep takes its chunk ranges and threads from it."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "verify.py":
+            sweep = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_sweep")
+            allowed = {id(n) for n in ast.walk(sweep)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            divides = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Div, ast.FloorDiv))
+                and _named(node.left, "CHUNK_BYTES")
+            )
+            if divides or _named(node, "ThreadPoolExecutor"):
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
