@@ -33,6 +33,7 @@ Their set equality is a core oracle and is never assumed.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -389,12 +390,25 @@ def _dlog_pair_array(raw) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _json_integers(doc: dict, section: str, keys=None) -> dict:
+    """The object doc[section], whose values under keys (default: all) are
+    JSON integers; true and 18.0 are not."""
+    part = doc[section]
+    if not isinstance(part, dict):
+        raise ValueError("%s must be an object" % section)
+    for key in part if keys is None else keys:
+        if type(part[key]) is not int:
+            shown = json.dumps(part[key])
+            raise ValueError("%s.%s must be an integer, got %s" % (section, key, shown))
+    return part
+
+
 def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["Tower", PdsSet]:
     """Read a set file; malformed content raises ValueError, KeyError or
     TypeError, a different field model FieldMismatchError."""
     if not isinstance(doc, dict):
         raise ValueError("a set file is a JSON object")
-    tp = TowerParams(**doc["tower"])
+    tp = TowerParams(**_json_integers(doc, "tower"))
     tower = Tower(tp, table_cap=table_cap)
     described = {
         "base": tower.base.describe(),
@@ -412,7 +426,7 @@ def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["
         raise ValueError("element exponents out of range")
     if doc["provenance"] not in COMPLEMENT_TAG:
         raise ValueError("unknown provenance %r" % (doc["provenance"],))
-    c = doc["claimed"]
+    c = _json_integers(doc, "claimed", ("v", "k", "lambda", "mu"))
     claimed = pm.SrgParams(c["v"], c["k"], c["lambda"], c["mu"])
     pds = PdsSet(
         tp,

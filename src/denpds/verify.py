@@ -3,9 +3,10 @@
 Nothing here trusts the construction: expected parameters are recomputed
 from the closed forms, membership is re-tested, and every count is an
 exact integer.  Character sums are computed by the dimension-wise transform
-of ``denpds.transform``, which keeps, for every character, the vector of
-counts of each p-th root of unity; a sum is a rational integer exactly when
-all nonzero root powers occur equally often.  No floating point is used
+of ``denpds.transform``: for p = 2 every sum is an integer, computed as
+one; for odd p the transform keeps, for every character, the counts of
+each p-th root of unity, and a sum is a rational integer exactly when all
+nonzero root powers occur equally often.  No floating point is used
 anywhere.
 
 The difference profile has two routes: ``transform_profile`` derives it
@@ -116,11 +117,13 @@ def difference_profile(
 
 @dataclass
 class CharacterSpectrum:
-    """Exact character sums for all v characters, as root-of-unity counts.
+    """Exact character sums for all v characters, in the form of
+    ``denpds.transform``.
 
-    ``counts[g, j]`` is the number of set elements x with <g, x> = j; the
+    For p = 2 ``counts`` is the int64 vector of sums itself.  For odd p
+    ``counts[j, g]`` is the number of set elements x with <g, x> = j; the
     sum is a rational integer exactly when counts over j = 1..p-1 agree,
-    and then equals counts[g, 0] - counts[g, 1].
+    and then equals counts[0, g] - counts[1, g].
     """
 
     counts: np.ndarray
@@ -130,7 +133,7 @@ class CharacterSpectrum:
 
     @property
     def v(self) -> int:
-        return self.counts.shape[0]
+        return self.counts.shape[-1]
 
     def nonprincipal_value_counts(self) -> dict[int, int]:
         vals = self.values[1:][self.rational[1:]]
@@ -152,7 +155,9 @@ def character_spectrum(
     idx = pds.elements
     counts = tf.forward(tf.indicator(idx, v, p))
     values, rational = tf.values(counts)
-    if counts[0, 0] != len(idx) or counts[0, 1:].any():
+    # in count form every column totals |D|, so a rational principal sum of
+    # |D| leaves no count for the nonzero powers
+    if values[0] != len(idx) or not rational[0]:
         raise InternalError("principal character must sum to |D|")
     return CharacterSpectrum(counts, values, rational, len(idx))
 

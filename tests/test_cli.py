@@ -322,6 +322,24 @@ def test_malformed_set_file_exits_two_with_one_line(tmp_path, change, message):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "dual", "code"])
+@pytest.mark.parametrize(
+    "section,key,value,shown",
+    [("claimed", "k", "x", '"x"'), ("claimed", "k", 18.0, "18.0"), ("tower", "m", True, "true")],
+    ids=["string-k", "float-k", "bool-m"],
+)
+def test_non_integer_scalar_exits_two_naming_the_field(tmp_path, command, section, key, value, shown):
+    """Tower and claimed parameters are JSON integers: a string, a float
+    equal to an integer and a boolean are refused by every command."""
+    path = _set_file_variant(tmp_path, lambda doc: doc[section].__setitem__(key, value))
+    res = run(command, "--set", path)
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: set file %s: %s.%s must be an integer, got %s" % (path, section, key, shown)
+    ]
+
+
 def test_other_field_model_exits_one(tmp_path):
     """A set file whose field model differs is a verification failure."""
     res = run("verify", "--set", _set_file_variant(

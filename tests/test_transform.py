@@ -1,8 +1,10 @@
 """The exact transform route against the literal routes it replaces in the
-CLI: difference profile, common neighbours, hyperplane profile and weight
-enumerator."""
+CLI (difference profile, common neighbours, hyperplane profile and weight
+enumerator), and both transform kernels against the seed's (v, p) count
+butterfly."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,14 +56,135 @@ def old_common_neighbors(pds, indexer, cap):
     return V.CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
 
 
+def reference_butterfly(counts, sign):
+    """The seed's transform of (v, p) count vectors, row g the vector of
+    element g: one pass per digit, multiplying by zeta^t as a rotation of
+    every vector by t."""
+    v, p = counts.shape
+    block = 1
+    while block < v:
+        high = v // (block * p)
+        a4 = counts.reshape(high, p, block, p)
+        out = np.empty_like(a4)
+        for c in range(p):
+            acc = np.zeros((high, block, p), dtype=np.int64)
+            for d in range(p):
+                acc += np.roll(a4[:, d], shift=(sign * c * d) % p, axis=-1)
+            out[:, c] = acc
+        counts = out.reshape(v, p)
+        block *= p
+    return counts
+
+
+def reference_values(counts):
+    return counts[:, 0] - counts[:, 1], (counts[:, 1:] == counts[:, 1:2]).all(axis=1)
+
+
+def reference_spectrum(idx, v, p):
+    """(counts, values, rational) of the indicator of idx, by the seed's route."""
+    counts = np.zeros((v, p), dtype=np.int64)
+    counts[idx, 0] = 1
+    counts = reference_butterfly(counts, 1)
+    return (counts, *reference_values(counts))
+
+
+def reference_profile(counts):
+    """inverse(chi * conj(chi)) / v with the self-differences removed, by
+    the seed's route."""
+    v, p = counts.shape
+    product = np.empty_like(counts)
+    for t in range(p):
+        product[:, t] = (counts * np.roll(counts, t, axis=1)).sum(axis=1)
+    vals, rational = reference_values(reference_butterfly(product, -1))
+    assert rational.all() and not (vals % v).any()
+    vals //= v
+    vals[0] = 0
+    return vals
+
+
+def assert_matches_reference(pds, indexer):
+    """character_spectrum and transform_profile equal the seed's route:
+    values, rational flags, odd-p count vectors and difference counts."""
+    spec = V.character_spectrum(pds, indexer)
+    counts, vals, rational = reference_spectrum(pds.elements, indexer.v, indexer.p)
+    assert spec.values.dtype == vals.dtype and np.array_equal(spec.values, vals)
+    assert np.array_equal(spec.rational, rational)
+    if indexer.p == 2:
+        assert spec.counts is spec.values
+    else:
+        assert spec.counts.dtype == np.int32 and np.array_equal(spec.counts.T, counts)
+    assert np.array_equal(V.transform_profile(spec).counts, reference_profile(counts))
+    return spec
+
+
 def test_inverse_undoes_forward():
-    """inverse(forward(f)) = v f in Z[zeta_p]: the two count vectors differ
-    by a constant in every row."""
+    """inverse(forward(f)) = v f in Z[zeta_p]: exactly in value form (p = 2);
+    in count form the two count vectors differ by a constant in every
+    column.  Both directions may overwrite their argument, hence the copy."""
     rng = np.random.default_rng(7)
-    for p, n in ((2, 5), (3, 3), (5, 2)):
-        f = rng.integers(0, 4, size=(p**n, p))
-        diff = T.inverse(T.forward(f)) - p**n * f
-        assert (diff == diff[:, :1]).all(), p
+    f = rng.integers(-3, 4, size=2**5)
+    assert np.array_equal(T.inverse(T.forward(f.copy())), 2**5 * f)
+    for p, n in ((3, 3), (5, 2)):
+        f = rng.integers(0, 4, size=(p, p**n))
+        diff = T.inverse(T.forward(f.copy())) - p**n * f
+        assert (diff == diff[:1]).all(), p
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 4), (5, 3), (7, 2)])
+def test_kernels_match_the_reference_butterfly(p, n):
+    """Both directions on random count vectors: the Walsh-Hadamard value
+    form gives the reference's values, the row-layout butterfly its count
+    vectors entry for entry, in the dtype it was given."""
+    rng = np.random.default_rng(p)
+    f = rng.integers(-3, 4, size=(p**n, p))
+    for sign, kernel in ((1, T.forward), (-1, T.inverse)):
+        want = reference_butterfly(f, sign)
+        if p == 2:
+            got = kernel(f[:, 0] - f[:, 1])
+            assert np.array_equal(got, reference_values(want)[0]), sign
+            continue
+        for dtype in (np.int32, np.int64):
+            got = kernel(f.T.astype(dtype))
+            assert got.dtype == dtype and np.array_equal(got.T, want), (sign, dtype)
+
+
+def test_spectrum_and_profile_match_the_reference_on_grid(grid):
+    """Every grid set, and two mutants of each (3,1,2,1,1) and (2,2,2,1,1)
+    set; the odd-p mutants have irrational sums."""
+    for tower, pds, R, family in grid.instances():
+        assert_matches_reference(pds, grid.indexer(tower))
+    for tp in ((3, 1, 2, 1, 1), (2, 2, 2, 1, 1)):
+        tower = grid.tower(*tp)
+        for family in ("primal", "dual"):
+            pds, _ = grid.pds(*tp, family)
+            for bad in mutants(pds, tower, seed=len(family), count=2):
+                spec = assert_matches_reference(bad, grid.indexer(tower))
+                assert spec.all_rational() == (tower.params.p == 2), (tp, family)
+
+
+@pytest.mark.parametrize("tp", [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)])
+def test_spectrum_and_profile_match_the_reference_on_large(grid, tp):
+    """The two towers of the benchmark's large workload, v = 2^18 and 7^6."""
+    tower = grid.tower(*tp)
+    for family in ("primal", "dual"):
+        pds, _ = grid.pds(*tp, family)
+        assert assert_matches_reference(pds, grid.indexer(tower)).all_rational(), family
+
+
+@pytest.mark.parametrize("tp, limit_mb", [((2, 1, 2, 4, 1), 8), ((7, 1, 2, 1, 1), 12)])
+def test_spectrum_peak_memory(grid, tp, limit_mb):
+    """Both kernels hold two buffers of the input's size: int64 vectors of
+    length v for p = 2, (p, v) int32 arrays for odd p.  The seed's (v, p)
+    int64 rolls peaked at 16.0 MB and 20.7 MB here."""
+    pds, _ = grid.pds(*tp, "primal")
+    indexer = grid.indexer(grid.tower(*tp))
+    tracemalloc.start()
+    try:
+        V.character_spectrum(pds, indexer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20, peak / 2**20
 
 
 def test_transform_profile_matches_literal_on_grid(grid):
@@ -87,11 +210,30 @@ def test_transform_profile_matches_literal_on_mutants(grid, tp):
 
 
 def test_int64_guard_raises():
-    # a zero-stride view: the guard must refuse before touching any data
+    # zero-stride views, in value form (p = 2) and in (p, v) count form:
+    # the guard must refuse before touching any data
     v, k = 1 << 22, 1 << 21
-    spectrum = np.broadcast_to(np.zeros((1, 2), dtype=np.int64), (v, 2))
-    with pytest.raises(CapExceededError):
-        T.difference_counts(spectrum, k)
+    for spectrum in (
+        np.broadcast_to(np.zeros(1, dtype=np.int64), (v,)),
+        np.broadcast_to(np.zeros((3, 1), dtype=np.int64), (3, v)),
+    ):
+        with pytest.raises(CapExceededError, match="2\\^63"):
+            T.difference_counts(spectrum, k)
+
+
+def test_int32_guard_raises(grid, monkeypatch):
+    """The int32 forward refuses k >= 2^31 before it allocates: a
+    zero-stride index view of that length, and a lowered limit on a real
+    odd-p set.  The int64 value form (p = 2) has no such limit."""
+    idx = np.broadcast_to(np.zeros(1, dtype=np.int64), (T.INT32_LIMIT,))
+    with pytest.raises(CapExceededError, match="2\\^31"):
+        T.indicator(idx, 3**20, 3)
+    monkeypatch.setattr(T, "INT32_LIMIT", 168)
+    pds, _ = grid.pds(3, 1, 2, 1, 1, "primal")
+    with pytest.raises(CapExceededError, match="k = 168"):
+        V.character_spectrum(pds, grid.indexer(grid.tower(3, 1, 2, 1, 1)))
+    pds, _ = grid.pds(2, 2, 2, 1, 1, "primal")
+    assert V.character_spectrum(pds, grid.indexer(grid.tower(2, 2, 2, 1, 1))).all_rational()
 
 
 def test_common_neighbors_match_the_digit_route(grid):

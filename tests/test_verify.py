@@ -159,8 +159,9 @@ def test_spectrum_exact_rationality_odd_characteristic():
     spec = V.character_spectrum(D, ix)
     assert spec.all_rational()
     assert spec.nonprincipal_value_counts() == {6: 560, -21: 168}
-    # count vectors: row sums are |D| for every character
-    assert (spec.counts.sum(axis=1) == D.k).all()
+    # (p, v) count vectors: every character's counts total |D|
+    assert spec.counts.shape == (3, 729)
+    assert (spec.counts.sum(axis=0) == D.k).all()
 
 
 def test_two_valued_and_eigen_checks(d64, ix64):
