@@ -405,7 +405,7 @@ def make_parser() -> argparse.ArgumentParser:
         common.add_argument("--%s-cap" % cap, type=int, default=None)
 
     sp = sub.add_parser("params", parents=[tower], help="closed-form parameter tables")
-    sp.add_argument("--grid", nargs="*", help="key=value ranges, e.g. m=2..3 r=all")
+    sp.add_argument("--grid", nargs="+", help="key=value ranges, e.g. m=2..3 r=all")
     sp.add_argument("-o", "--output")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     sp.set_defaults(func=cmd_params)

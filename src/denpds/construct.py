@@ -33,6 +33,7 @@ Their set equality is a core oracle and is never assumed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -380,14 +381,16 @@ class PdsSet:
 
 
 def _dlog_pair_array(raw) -> np.ndarray:
-    """The set file's element list as a (k, 2) integer array."""
+    """The set file's element list as a (k, 2) int64 array; every exponent
+    must be a JSON integer (true and 1.0 are not)."""
+    flat = itertools.chain.from_iterable
     try:
-        arr = np.array(raw)
-    except (ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
-        raise ValueError("elements must be pairs of integer exponents")
-    return arr.astype(np.int64)
+        # one C-level pass each: the leaf types, the pair lengths, the values
+        if set(map(type, flat(raw))) <= {int} and set(map(len, raw)) == {2}:
+            return np.fromiter(flat(raw), np.int64, 2 * len(raw)).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError("elements must be pairs of integer exponents")
 
 
 def _json_integers(doc: dict, section: str, keys=None) -> dict:

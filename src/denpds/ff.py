@@ -1,29 +1,39 @@
 """Exact finite field arithmetic backed by full discrete-log tables.
 
-A field GF(p^n) is built deterministically:
+GF(p^n) is GF(p)[x] / (modulus), and it has one arithmetic.  An element is
+its digit row (c_0, ..., c_(n-1)) over the polynomial basis
+{1, x, ..., x^(n-1)}, or the packed integer sum(c_i * p^i); multiplication
+by y is the n x n matrix whose row i holds the digits of y x^i
+(``_mul_matrix``), so a product is a row times a matrix mod p.  Everything
+about the field is found on that representation, deterministically:
 
 * modulus: the lexicographically smallest monic irreducible polynomial of
-  degree n over GF(p), coefficients compared constant term first;
+  degree n over GF(p), coefficients compared constant term first.  A root
+  in GF(p) rules a candidate out; from degree 4 Rabin's test reads x^(p^k)
+  off the Frobenius matrix (row i: the digits of x^(p i)) and asks for
+  full rank of the multiplication matrix of x^(p^(n/t)) - x;
 * primitive element: the multiplicative generator whose coefficient vector
-  (same constant-first order) is lexicographically smallest.
+  (same constant-first order) is lexicographically smallest, tested by
+  matrix powers g^(order/t) != 1;
+* ``antilog``: the powers of g, by doubling blocks of digit rows through the
+  multiplication matrices, and ``dlog`` its inverse;
+* ``trace_table``: digits(Tr z) = digits(z) @ T, T the sum of the first n
+  powers of the Frobenius matrix.
 
-An element is its packed integer sum(c_i * p^i) over the polynomial basis
-{1, x, ..., x^(n-1)}; there is no element object.  ``FiniteField.add``,
-``sub`` and ``neg`` work digit by digit (``digitwise``, XOR for p = 2) and
-``mul`` and ``inv`` through the discrete-log tables of the chosen primitive
-element g, on Python ints or int64 arrays alike.  Every table of a field
-is a read-only int64 array and an attribute of the field: ``antilog`` (by
-doubling blocks of powers through digit matrices) and ``dlog`` are built
-with it, ``digit_matrix``, ``trace_table`` and
-``coords_table(d)`` on first use.  ``build_field`` and ``embed`` intern
-their results, so each table is built once per process.  All
-multiplicative structure (norms, coset indexing, order computations) is
-plain exponent arithmetic on those tables: a ``SubfieldEmbedding`` records
-the exponent ``w`` with which it maps the small generator's powers, checked
-on every power, so the norm onto a subfield is a multiplication of
-discrete logs.  ``row_reduce`` is the one Gauss-Jordan elimination over a
-field.  Everything is exact integer work; there is no floating point and
-no randomness anywhere.
+There is no element object.  ``FiniteField.add``, ``sub`` and ``neg`` work
+digit by digit (``digitwise``, XOR for p = 2) and ``mul`` and ``inv``
+through the discrete-log tables of the chosen primitive element g, on
+Python ints or int64 arrays alike.  Every table of a field is a read-only
+int64 array and an attribute of the field: ``antilog`` and ``dlog`` are
+built with it, ``digit_matrix``, ``trace_table`` and ``coords_table(d)`` on
+first use.  ``build_field`` and ``embed`` intern their results, so each
+table is built once per process.  All multiplicative structure (norms,
+coset indexing, order computations) is plain exponent arithmetic on those
+tables: a ``SubfieldEmbedding`` records the exponent ``w`` with which it
+maps the small generator's powers, checked on every power, so the norm onto
+a subfield is a multiplication of discrete logs.  ``row_reduce`` is the one
+Gauss-Jordan elimination over a field.  Everything is exact integer work;
+there is no floating point and no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -90,84 +100,78 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- dense polynomial arithmetic over GF(p), coefficients low degree first --
+# -- the one arithmetic: digit rows times multiplication matrices mod p --
 
 
-def _trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a or [0]
+def _mul_matrix(modulus, p: int, y) -> np.ndarray:
+    """The GF(p)-linear map z -> z y of GF(p)[x] / (modulus) on digit rows,
+    y given by its digits: row i holds the digits of y x^i, so
+    digits(z y) = digits(z) @ matrix mod p."""
+    rows = [[int(c) for c in y]]
+    for _ in range(len(modulus) - 2):
+        row = rows[-1]  # times x: shift up, then x^n = -(the low coefficients)
+        rows.append([(a - row[-1] * c) % p for a, c in zip([0, *row[:-1]], modulus)])
+    return np.array(rows, dtype=np.int64)
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_rem(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f where f need not be monic."""
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while a and len(a) - 1 >= df and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - df
-        c = (a[-1] * inv_lead) % p
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        a.pop()
-    return _trim(a)
-
-
-def _poly_pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_rem(list(base), f, p)
+def _mat_pow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
+    """mat^e mod p, by square and multiply."""
+    out = np.eye(len(mat), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_rem(_poly_mul(result, acc, p), f, p)
-        acc = _poly_rem(_poly_mul(acc, acc, p), f, p)
+            out = out @ mat % p
+        mat = mat @ mat % p
         e >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b != [0]:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^n) == x mod f and gcd(x^(p^(n/t)) - x, f) trivial."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    if _poly_pow_mod(x, p**n, f, p) != x:
-        return False
-    for t in prime_factors(n):
-        g = _poly_pow_mod(x, p ** (n // t), f, p)
-        g = _trim([(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)])
-        if len(_poly_gcd(f, g, p)) > 1:
-            return False
-    return True
+def _frobenius(modulus, p: int) -> np.ndarray:
+    """The p-th power map z -> z^p on digit rows, GF(p)-linear in
+    characteristic p: row i holds the digits of x^(p i), each row the one
+    before times the matrix of x^p."""
+    n = len(modulus) - 1
+    step = _mat_pow(_mul_matrix(modulus, p, np.eye(1, n, 1, dtype=np.int64)[0]), p, p)
+    out = np.empty((n, n), dtype=np.int64)
+    row = np.eye(1, n, dtype=np.int64)[0]
+    for i in range(n):
+        out[i] = row
+        row = row @ step % p
+    return out
 
 
 def _find_modulus(p: int, n: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree n in constant-first
+    lexicographic order.  A root in GF(p) rules a candidate out, and its
+    absence alone decides degrees 2 and 3; above that, Rabin's test
+    (SIAM J. Comput. 9, 1980) reads x^(p^k) off the Frobenius matrix:
+    x^(p^n) = x, and x^(p^(n/t)) - x is a unit (its multiplication matrix
+    has full rank) for every prime t | n."""
     if n == 1:
         return (0, 1)
+    # column a of powers holds a^0 .. a^n mod p, so f @ powers are the values
+    powers = np.ones((n + 1, p), dtype=np.int64)
+    for i in range(1, n + 1):
+        powers[i] = powers[i - 1] * np.arange(p) % p
     # constant term 0 would make the polynomial divisible by x
     for c0 in range(1, p):
         for rest in itertools.product(range(p), repeat=n - 1):
-            f = [c0, *rest, 1]
-            if _is_irreducible(f, p):
-                return tuple(f)
+            f = (c0, *rest, 1)
+            if not (np.array(f) @ powers % p).all():
+                continue  # a root in GF(p)
+            if n <= 3:
+                return f
+            x_pk = [np.eye(1, n, 1, dtype=np.int64)[0]]  # digits of x^(p^k)
+            frob = _frobenius(f, p)
+            for _ in range(n):
+                x_pk.append(x_pk[-1] @ frob % p)
+            if (x_pk[n] != x_pk[0]).any():
+                continue
+            prime = build_field(p, 1, table_cap=p)
+            if all(
+                len(row_reduce(prime, _mul_matrix(f, p, (x_pk[n // t] - x_pk[0]) % p))[1]) == n
+                for t in prime_factors(n)
+            ):
+                return f
     raise InternalError("no irreducible polynomial found for GF(%d^%d)" % (p, n))
 
 
@@ -218,6 +222,8 @@ class FiniteField:
         if n < 1:
             raise ValueError("degree must be >= 1")
         _require_table_cap(p, n, table_cap)
+        if n * (p - 1) ** 2 >= 1 << 63:
+            raise TableCapExceededError("GF(%d^%d): digit products overflow int64" % (p, n))
         size = p**n
         self.p = p
         self.n = n
@@ -252,60 +258,35 @@ class FiniteField:
             acc += (d % self.p) * self._pows[i]
         return acc
 
-    def _mul_poly(self, x: int, y: int) -> int:
-        """Packed multiplication by polynomial arithmetic (table build only)."""
-        a = list(self.digits(x))
-        b = list(self.digits(y))
-        prod = _poly_rem(_poly_mul(a, b, self.p), list(self.modulus), self.p)
-        return self.pack(prod)
-
-    def _mul_matrix(self, y: int) -> np.ndarray:
-        """The GF(p)-linear map x -> x y on digit rows: row i holds the
-        digits of y x^i, so digits(x y) = digits(x) @ matrix mod p."""
-        p, n = self.p, self.n
-        low = np.array(self.modulus[:n], dtype=np.int64)  # x^n = -low, the modulus is monic
-        out = np.empty((n, n), dtype=np.int64)
-        row = np.array(self.digits(y), dtype=np.int64)
-        for i in range(n):
-            out[i] = row
-            row = (np.concatenate([[0], row[:-1]]) - row[-1] * low) % p  # times x
-        return out
-
     def _powers(self, g: int) -> np.ndarray:
         """g^k packed for 0 <= k < order, by doubling: the digit rows of
         g^L .. g^(2L-1) are those of g^0 .. g^(L-1) times the matrix of
         multiplication by g^L, which squares from step to step."""
         p, n, order = self.p, self.n, self.order
-        if n * (p - 1) ** 2 >= 1 << 63:
-            raise TableCapExceededError("GF(%d^%d): digit products overflow int64" % (p, n))
         rows = np.zeros((order, n), dtype=np.int64)
         rows[0, 0] = 1
-        step, filled = self._mul_matrix(g), 1
+        mul_g = _mul_matrix(self.modulus, p, self.digits(g))
+        step, filled = mul_g, 1
         while filled < order:
             take = min(filled, order - filled)
             rows[filled : filled + take] = rows[:take] @ step % p
             step, filled = step @ step % p, filled + take
-        if self.pack(rows[-1] @ self._mul_matrix(g) % p) != 1:
+        if self.pack(rows[-1] @ mul_g % p) != 1:
             raise InternalError("primitive element order mismatch")
         return rows @ np.array(self._pows[:n], dtype=np.int64)
 
-    def _pow_poly(self, x: int, e: int) -> int:
-        result, acc = 1, x
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, acc)
-            acc = self._mul_poly(acc, acc)
-            e >>= 1
-        return result
-
     def _find_primitive(self) -> int:
-        fac = prime_factors(self.order) if self.order > 1 else []
-        for vec in itertools.product(range(self.p), repeat=self.n):
-            cand = self.pack(vec)
-            if cand == 0:
+        """The first generator in constant-first lexicographic order of digit
+        vectors: g^(order / t) != 1, as a matrix power, for every prime
+        t | order."""
+        p, n, order = self.p, self.n, self.order
+        one, fac = np.eye(n, dtype=np.int64), prime_factors(order)
+        for vec in itertools.product(range(p), repeat=n):
+            if not any(vec):
                 continue
-            if all(self._pow_poly(cand, self.order // t) != 1 for t in fac):
-                return cand
+            mat = _mul_matrix(self.modulus, p, vec)
+            if all((_mat_pow(mat, order // t, p) != one).any() for t in fac):
+                return self.pack(vec)
         raise InternalError("no generator found (impossible for a field)")
 
     # -- arithmetic on packed values: Python ints or int64 arrays, broadcast --
@@ -358,19 +339,20 @@ class FiniteField:
 
     @cached_property
     def trace_table(self) -> np.ndarray:
-        """Absolute trace to GF(p) as an integer in [0, p), indexed packed."""
-        exps = np.arange(self.order, dtype=np.int64)
-        dig = np.zeros((self.order, self.n), dtype=np.int64)
-        for i in range(self.n):
-            idx = (exps * pow(self.p, i, self.order)) % self.order
-            dig += self.digit_matrix[self.antilog[idx]]
-        dig %= self.p
+        """Absolute trace to GF(p) as an integer in [0, p), indexed packed:
+        digits(Tr z) = digits(z) @ T, T the sum of the first n powers of
+        the Frobenius matrix."""
+        p, n = self.p, self.n
+        frob, power = _frobenius(self.modulus, p), np.eye(n, dtype=np.int64)
+        total = power.copy()
+        for _ in range(n - 1):
+            power = power @ frob % p
+            total += power
+        total %= p
         # a trace value lies in GF(p): only the constant digit survives
-        if self.n > 1 and np.any(dig[:, 1:]):
+        if total[:, 1:].any():
             raise InternalError("trace left the prime subfield")
-        a = np.zeros(self.size, dtype=np.int64)
-        a[self.antilog] = dig[:, 0]
-        return readonly(a)
+        return readonly(self.digit_matrix @ total[:, 0] % p)
 
     # -- coordinates over a subfield --
 

@@ -559,7 +559,7 @@ def verify_pds(
         report.add(_skip("pds-differences", "cap"))
     if v <= caps.spectrum:
         report.add(check_two_valued(spectrum, exp))
-        if R is not None and pds.provenance in ("primal", "dual", "delsarte-dual"):
+        if R is not None:
             report.add(check_case_split(pds, tower, indexer, spectrum, R))
         else:
             report.add(_skip("case-split", "no subspace supplied"))

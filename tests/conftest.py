@@ -43,6 +43,35 @@ def digit_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (vals[:, None] // weights) % p, weights
 
 
+def poly_mul(f, x: int, y: int) -> int:
+    """x y in the field f by schoolbook multiplication of the two digit
+    strings as polynomials over GF(p), then long division by the monic
+    modulus: the reference the field tables are tested against."""
+    p, n = f.p, f.n
+    a = [x // p**i % p for i in range(n)]
+    b = [y // p**i % p for i in range(n)]
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod[top] % p
+        for i, fi in enumerate(f.modulus):
+            prod[top - n + i] -= c * fi
+    return sum(prod[i] % p * p**i for i in range(n))
+
+
+def poly_pow(f, x: int, e: int) -> int:
+    """x^e in the field f by square and multiply with ``poly_mul``."""
+    result = 1
+    while e:
+        if e & 1:
+            result = poly_mul(f, result, x)
+        x = poly_mul(f, x, x)
+        e >>= 1
+    return result
+
+
 class GridCache:
     def __init__(self):
         self._towers: dict = {}

@@ -47,6 +47,11 @@ def test_usage_errors_exit_two():
     assert run("nonsense").returncode == 2
     assert run("params", "-p", "2", "-m", "2").stderr == "error: missing ell, r (or use --grid)\n"
     assert run("verify", "-m", "2", "-r", "1").stderr == "error: missing p, ell (or use --set FILE)\n"
+    # a bare --grid is an argparse usage error, alone or after a tower
+    for argv in (["params", "--grid"], ["params", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--grid"]):
+        res = run(*argv)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines()[-1].endswith("error: argument --grid: expected at least one argument")
 
 
 def test_construct_verify_roundtrip(tmp_path):
@@ -299,6 +304,10 @@ def _first_element(value):
     return lambda doc: doc["elements"].__setitem__(0, value)
 
 
+def _booleans_for_zero_and_one(doc):
+    doc["elements"] = [[e if e not in (0, 1) else bool(e) for e in pair] for pair in doc["elements"]]
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -307,10 +316,11 @@ def _first_element(value):
         (_drop("fields"), ": missing key 'fields'"),
         (_first_element(["x", 1]), ": elements must be pairs of integer exponents"),
         (_first_element([1]), ": elements must be pairs of integer exponents"),
+        (_booleans_for_zero_and_one, ": elements must be pairs of integer exponents"),
         (_first_element([3, 1]), ": element exponents out of range"),
     ],
     ids=["invalid-json", "no-claimed", "no-fields", "string-exponent", "one-exponent",
-         "exponent-out-of-range"],
+         "boolean-exponents", "exponent-out-of-range"],
 )
 def test_malformed_set_file_exits_two_with_one_line(tmp_path, change, message):
     res = run("verify", "--set", _set_file_variant(tmp_path, change))

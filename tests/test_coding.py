@@ -13,7 +13,7 @@ from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.errors import CapExceededError, InternalError, NotScaleClosedError
 
-from conftest import digit_table
+from conftest import digit_table, poly_mul
 
 
 def coords_of_pair(ctx, pair):
@@ -201,7 +201,7 @@ class Tables:
         self.q = f.size
         elems = range(f.size)
         self.add = np.array([[f.pack(a + b for a, b in zip(f.digits(x), f.digits(y))) for y in elems] for x in elems])
-        self.mul = np.array([[f._mul_poly(x, y) for y in elems] for x in elems])
+        self.mul = np.array([[poly_mul(f, x, y) for y in elems] for x in elems])
         self.inv = np.array([0] + [self.mul[x].tolist().index(1) for x in elems if x])
         self.neg = np.array([self.add[x].tolist().index(0) for x in elems])
 

@@ -25,7 +25,7 @@ from denpds.errors import (
 from denpds.ff import build_field, prime_factors
 from denpds.verify import GroupIndexer, delsarte_dual, verify_pds
 
-from conftest import GRID_G1, digit_table, pair_set
+from conftest import GRID_G1, digit_table, pair_set, poly_mul, poly_pow
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +134,11 @@ def test_dual_subspace_is_the_trace_annihilator(p, s, m):
     mid, base = build_field(p, s * m), build_field(p, s)
     q = base.size
     trace = [
-        mid.pack(np.sum([mid.digits(mid._pow_poly(z, p**i)) for i in range(mid.n)], axis=0))
+        mid.pack(np.sum([mid.digits(poly_pow(mid, z, p**i)) for i in range(mid.n)], axis=0))
         for z in range(mid.size)
     ]
     zero_pairing = np.array(
-        [[trace[mid._mul_poly(x, y)] == 0 for y in range(mid.size)] for x in range(mid.size)]
+        [[trace[poly_mul(mid, x, y)] == 0 for y in range(mid.size)] for x in range(mid.size)]
     )
     levels = all_subspaces(mid, base)
     assert [len(level) for level in levels] == [gaussian_binomial(m, k, q) for k in range(m + 1)]
@@ -158,12 +158,12 @@ def test_norm_dlogs_match_polynomial_norms(grid):
     for p, s, m, ell in GRID_G1:
         tw = grid.tower(p, s, m, ell, 1)
         mid = tw.mid
-        mid_log = {mid._pow_poly(mid.primitive_packed, j): j for j in range(mid.order)}
+        mid_log = {poly_pow(mid, mid.primitive_packed, j): j for j in range(mid.order)}
         for big, emb, table in zip((tw.f1, tw.f2), (tw.emb_mid1, tw.emb_mid2), tw.norm_dlogs):
             preimage = {y: x for x, y in enumerate(emb.forward.tolist())}
             t = big.order // mid.order
-            powers = (big._pow_poly(big.primitive_packed, i) for i in range(big.order))
-            want = [mid_log[preimage[big._pow_poly(x, t)]] for x in powers]
+            powers = (poly_pow(big, big.primitive_packed, i) for i in range(big.order))
+            want = [mid_log[preimage[poly_pow(big, x, t)]] for x in powers]
             assert table.tolist() == want, (p, s, m, ell, big)
 
 
@@ -175,15 +175,15 @@ def test_compatible_primitives_postconditions():
         comp = tw.compatible
         f1, f2, mid = tw.f1, tw.f2, tw.mid
         assert math.gcd(comp.beta_adjust, f2.order) == 1
-        beta = f2._pow_poly(f2.primitive_packed, comp.beta_adjust)
+        beta = poly_pow(f2, f2.primitive_packed, comp.beta_adjust)
         # beta generates: beta^(order / t) != 1 for every prime t | order
-        assert all(f2._pow_poly(beta, f2.order // t) != 1 for t in prime_factors(f2.order))
+        assert all(poly_pow(f2, beta, f2.order // t) != 1 for t in prime_factors(f2.order))
         # both norms pull back to the same middle-field element gamma
-        na = f1._pow_poly(f1.primitive_packed, f1.order // mid.order)
-        nb = f2._pow_poly(beta, f2.order // mid.order)
+        na = poly_pow(f1, f1.primitive_packed, f1.order // mid.order)
+        nb = poly_pow(f2, beta, f2.order // mid.order)
         assert tw.emb_mid1.forward.tolist().index(na) == comp.gamma
         assert tw.emb_mid2.forward.tolist().index(nb) == comp.gamma
-        assert mid._pow_poly(mid.primitive_packed, comp.gamma_exp) == comp.gamma
+        assert poly_pow(mid, mid.primitive_packed, comp.gamma_exp) == comp.gamma
     # when the norm of the field generator already lands on gamma, no
     # adjustment happens and beta is the generator itself
     tw = Tower(TowerParams(2, 1, 2, 1, 1))

@@ -1,14 +1,17 @@
 """Field engine tests. Expected values come from independent references:
-polynomial arithmetic (``_mul_poly``, ``_pow_poly``), digit-by-digit
-addition, irreducibility by root/factor enumeration, orders by repeated
-raw polynomial multiplication, subfields by Frobenius fixed points.  The
-packed operations under test (``add``, ``sub``, ``neg``, ``mul``, ``inv``,
-the trace and coordinate tables, the embeddings, ``row_reduce``) are never
-their own reference."""
+schoolbook polynomial arithmetic on digit strings (``poly_mul`` and
+``poly_pow`` in conftest, which share no code with ``denpds.ff``),
+digit-by-digit addition, irreducibility by sympy's test and root
+enumeration, orders by repeated polynomial multiplication, traces as sums
+of conjugates, subfields by Frobenius fixed points.  The packed operations
+under test (``add``, ``sub``, ``neg``, ``mul``, ``inv``, the modulus and
+generator searches, the trace and coordinate tables, the embeddings,
+``row_reduce``) are never their own reference."""
 
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +26,12 @@ from denpds.errors import (
     TableCapExceededError,
 )
 
-from conftest import GRID_G1
+from conftest import GRID_G1, poly_mul, poly_pow
+
+# every (p, n) with p in {2, 3, 5, 7} and p^n <= 2^10, and the fields of the
+# large towers that are not among them
+SMALL_FIELDS = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 11) if p**n <= 1 << 10]
+REFERENCE_FIELDS = [*SMALL_FIELDS, (7, 4)]
 
 
 def brute_irreducible_quadratics_gf2():
@@ -52,14 +60,18 @@ def brute_sum(f, terms) -> int:
 
 
 def brute_trace(f, x: int, d: int) -> int:
-    """Trace onto the degree-d subfield: the sum of x^(p^(d i))."""
-    return brute_sum(f, [f._pow_poly(x, f.p ** (d * i)) for i in range(f.n // d)])
+    """Trace onto the degree-d subfield: the sum of the conjugates
+    x^(p^(d i)), each the one before raised to p^d."""
+    conj = [x]
+    for _ in range(f.n // d - 1):
+        conj.append(poly_pow(f, conj[-1], f.p**d))
+    return brute_sum(f, conj)
 
 
 def brute_order(f, x: int) -> int:
     cur, k = x, 1
     while cur != 1:
-        cur, k = f._mul_poly(cur, x), k + 1
+        cur, k = poly_mul(f, cur, x), k + 1
     return k
 
 
@@ -83,7 +95,7 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     f4 = ff.build_field(2, 2)
     assert f4.modulus == (1, 1, 1)
     w = f4.primitive_packed
-    assert f4.mul(w, w) == f4.add(w, 1) == f4._mul_poly(w, w) == 3  # w^2 = w + 1
+    assert f4.mul(w, w) == f4.add(w, 1) == poly_mul(f4, w, w) == 3  # w^2 = w + 1
 
 
 def test_gf9_primitive_has_order_eight_by_repeated_multiplication():
@@ -92,7 +104,7 @@ def test_gf9_primitive_has_order_eight_by_repeated_multiplication():
     seen = []
     cur = 1
     for _ in range(8):
-        cur = f9._mul_poly(cur, g)
+        cur = poly_mul(f9, cur, g)
         seen.append(cur)
     assert cur == 1 and len(set(seen)) == 8
 
@@ -156,14 +168,14 @@ def test_field_axioms_and_operator_laws():
         f = ff.build_field(p, n)
         x, y = pairs(f)
         add_ref = np.array([[brute_add(f, a, b) for b in range(f.size)] for a in range(f.size)])
-        mul_ref = np.array([[f._mul_poly(a, b) for b in range(f.size)] for a in range(f.size)])
+        mul_ref = np.array([[poly_mul(f, a, b) for b in range(f.size)] for a in range(f.size)])
         assert np.array_equal(f.add(x, y), add_ref)
         assert np.array_equal(f.mul(x, y), mul_ref)
         assert np.array_equal(f.add(f.sub(x, y), y), np.broadcast_to(x, add_ref.shape))
         assert not f.add(x, f.neg(x)).any()
         xs = x.ravel()
         assert f.inv(0) == 0
-        assert all(f._mul_poly(int(a), int(b)) == 1 for a, b in zip(xs[1:], f.inv(xs[1:])))
+        assert all(poly_mul(f, int(a), int(b)) == 1 for a, b in zip(xs[1:], f.inv(xs[1:])))
         z = xs[:, None, None]
         assert np.array_equal(f.mul(z, f.add(x, y)), f.add(f.mul(z, x), f.mul(z, y)))
         # Python ints in, Python ints out
@@ -174,7 +186,7 @@ def test_field_axioms_and_operator_laws():
 def test_exponent_arithmetic_of_mul():
     f = ff.build_field(3, 2)
     g = f.primitive_packed
-    powers = np.array([f._pow_poly(g, k) for k in range(f.order)])
+    powers = np.array([poly_pow(f, g, k) for k in range(f.order)])
     a, b = np.arange(f.order)[:, None], np.arange(f.order)[None, :]
     assert np.array_equal(f.mul(powers[a], powers[b]), powers[(a + b) % f.order])
 
@@ -195,7 +207,7 @@ def test_frobenius_closure_exhaustive():
         f = ff.build_field(p, n)
         x = np.arange(f.size, dtype=np.int64)
         frob = vector_pow(f, x, p)
-        assert frob.tolist() == [f._pow_poly(int(a), p) for a in x]
+        assert frob.tolist() == [poly_pow(f, int(a), p) for a in x]
         assert np.array_equal(vector_pow(f, x, p**n), x)
         # x -> x^p is additive
         xx, yy = pairs(f)
@@ -208,7 +220,6 @@ def test_trace_examples_and_linearity():
     for p, n in [(2, 4), (3, 2), (2, 3), (5, 2)]:
         f = ff.build_field(p, n)
         tr = f.trace_table
-        assert tr.tolist() == [brute_trace(f, x, 1) for x in range(f.size)]
         # additivity and GF(p)-linearity, exhaustive
         x, y = pairs(f)
         assert np.array_equal(tr[f.add(x, y)], (tr[x] + tr[y]) % p)
@@ -217,6 +228,28 @@ def test_trace_examples_and_linearity():
     f16 = ff.build_field(2, 4)
     with pytest.raises(NotADivisorError):
         f16.coords_table(3)
+
+
+def test_trace_table_is_the_sum_of_conjugates():
+    for p, n in SMALL_FIELDS:
+        f = ff.build_field(p, n)
+        assert f.trace_table.tolist() == [brute_trace(f, x, 1) for x in range(f.size)], (p, n)
+
+
+def test_trace_table_memory():
+    """On a fresh GF(2^16) with its digit matrix built, the trace table
+    allocates little more than its own 0.5 MB: no (order, n) array of
+    conjugate digits (8.4 MB) or its temporaries."""
+    f = ff.FiniteField(2, 16)
+    assert f.digit_matrix.shape == (f.size, 16)
+    tracemalloc.start()
+    try:
+        table = f.trace_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, ff.build_field(2, 16).trace_table)
+    assert peak < 4 << 20, peak
 
 
 def test_trace_transitivity_through_the_middle_field():
@@ -231,7 +264,7 @@ def test_trace_transitivity_through_the_middle_field():
 
 
 def brute_norm(f, x: int, d: int) -> int:
-    return f._pow_poly(x, f.order // (f.p**d - 1))
+    return poly_pow(f, x, f.order // (f.p**d - 1))
 
 
 def test_norm_examples():
@@ -263,7 +296,7 @@ def test_embed_identity_and_image():
     assert ident.forward.tolist() == list(range(4))
     f16 = ff.build_field(2, 4)
     emb = ff.embed(f4, f16)
-    fixed = {x for x in range(f16.size) if f16._pow_poly(x, 4) == x}
+    fixed = {x for x in range(f16.size) if poly_pow(f16, x, 4) == x}
     assert set(emb.forward.tolist()) == fixed
     assert len(fixed) == 4
     with pytest.raises(NotASubfieldError):
@@ -279,7 +312,7 @@ def test_embed_homomorphism_exhaustive_gf9_into_gf81():
     for u in range(f9.size):
         for v in range(f9.size):
             assert fwd[brute_add(f9, u, v)] == brute_add(f81, int(fwd[u]), int(fwd[v]))
-            assert fwd[f9._mul_poly(u, v)] == f81._mul_poly(int(fwd[u]), int(fwd[v]))
+            assert fwd[poly_mul(f9, u, v)] == poly_mul(f81, int(fwd[u]), int(fwd[v]))
     u, v = pairs(f9)
     assert np.array_equal(fwd[f9.mul(u, v)], f81.mul(fwd[u], fwd[v]))
     assert len(set(fwd.tolist())) == f9.size  # injective
@@ -295,15 +328,15 @@ def test_embedding_exponent_is_the_power_map():
         t = big.order // small.order
         assert math.gcd(emb.w, small.order) == 1
         for k in range(small.order):
-            image = emb.forward[small._pow_poly(small.primitive_packed, k)]
-            assert image == big._pow_poly(big.primitive_packed, t * emb.w * k)
+            image = emb.forward[poly_pow(small, small.primitive_packed, k)]
+            assert image == poly_pow(big, big.primitive_packed, t * emb.w * k)
 
 
 def from_coords(f, coords, d: int) -> int:
     """sum_j emb(c_j) g^j by polynomial arithmetic, g the generator."""
     emb = ff.embed(ff.build_field(f.p, d), f)
     g = f.primitive_packed
-    return brute_sum(f, [f._mul_poly(int(emb.forward[c]), f._pow_poly(g, j)) for j, c in enumerate(coords)])
+    return brute_sum(f, [poly_mul(f, int(emb.forward[c]), poly_pow(f, g, j)) for j, c in enumerate(coords)])
 
 
 def test_coords_additive_bijection():
@@ -329,7 +362,7 @@ def test_coords_over_intermediate_subfield():
 
 
 def brute_matmul(f, a, b):
-    return np.array([[brute_sum(f, [f._mul_poly(int(a[i, t]), int(b[t, j])) for t in range(a.shape[1])])
+    return np.array([[brute_sum(f, [poly_mul(f, int(a[i, t]), int(b[t, j])) for t in range(a.shape[1])])
                       for j in range(b.shape[1])] for i in range(a.shape[0])])
 
 
@@ -374,20 +407,31 @@ def test_build_field_is_cached_and_deterministic():
 
 
 def test_grid_moduli_are_the_smallest_irreducibles():
-    """Each deterministic modulus of the grid fields is irreducible by
-    sympy's test, and no monic irreducible of its degree is smaller in
-    constant-first lexicographic order."""
+    """The modulus of every grid and reference field is the first monic
+    polynomial of its degree, in constant-first lexicographic order, that
+    sympy's test finds irreducible."""
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
     degrees = {(p, s * d) for p, s, m, ell in GRID_G1 for d in (1, m, m * ell, m * (ell + 1))}
-    for p, n in sorted(degrees):
-        irreducible = [
+    for p, n in sorted(degrees | set(REFERENCE_FIELDS)):
+        first = next(
             coeffs + (1,)
             for coeffs in itertools.product(range(p), repeat=n)
             if galoistools.gf_irreducible_p([1, *reversed(coeffs)], p, ZZ)
-        ]
-        assert ff.build_field(p, n).modulus == min(irreducible), (p, n)
+        )
+        assert ff.build_field(p, n).modulus == first, (p, n)
+
+
+def test_primitive_is_the_first_generator():
+    """The primitive element of every reference field is the first nonzero
+    digit vector, in constant-first lexicographic order, whose order counted
+    by repeated polynomial products is the whole group."""
+    for p, n in REFERENCE_FIELDS:
+        f = ff.build_field(p, n)
+        candidates = (sum(c * p**i for i, c in enumerate(vec)) for vec in itertools.product(range(p), repeat=n))
+        first = next(x for x in candidates if x and brute_order(f, x) == f.order)
+        assert f.primitive_packed == first, (p, n)
 
 
 def test_antilog_by_doubling_matches_repeated_products():
@@ -401,7 +445,7 @@ def test_antilog_by_doubling_matches_repeated_products():
         want, cur = [], 1
         for _ in range(f.order):
             want.append(cur)
-            cur = f._mul_poly(cur, f.primitive_packed)
+            cur = poly_mul(f, cur, f.primitive_packed)
         assert cur == 1
         assert f.antilog.tolist() == want, (p, n)
         dlog = [-1] * f.size

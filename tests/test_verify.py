@@ -213,6 +213,22 @@ def test_case_split_branch_counts_odd_characteristic():
     assert item.details["special"] == 168  # negative-value characters
 
 
+def test_case_split_skip_reasons(d64, t64):
+    """A complement set skips case-split because the split describes only
+    the primal and dual families, also when R is supplied; without R every
+    family skips it for want of a subspace."""
+    D, R = d64
+
+    def case_split(pds, R):
+        return next(it for it in V.verify_pds(pds, t64, R).items if it.name == "case-split")
+
+    for pds in (t64.complement(D), t64.complement(t64.build_D_dual(R))):
+        assert case_split(pds, R).skipped == "only defined for primal/dual provenance"
+        assert case_split(pds, None).skipped == "no subspace supplied"
+    assert case_split(D, None).skipped == "no subspace supplied"
+    assert case_split(D, R).skipped is None and case_split(D, R).passed
+
+
 def test_common_neighbors(d64, ix64):
     D, _ = d64
     item = V.srg_common_neighbors(D, ix64)
