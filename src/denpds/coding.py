@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import params as pm, verify as vf
+from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, row_reduce, sorted_unique
+from .ff import FiniteField, embed, row_reduce, sorted_unique, sweep
 from .verify import CharacterSpectrum, CheckItem
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -117,7 +117,7 @@ def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarra
         raise CapExceededError("message sweep above cap %d" % cap)
     G = points.T
     c = 0
-    while c < dim and q ** (c + 1) * n * 8 <= vf.CHUNK_BYTES:
+    while c < dim and q ** (c + 1) * n * 8 <= ff.CHUNK_BYTES:
         c += 1
     scalars = np.arange(q, dtype=np.int64)[:, None]
     minus_block = np.zeros((1, n), dtype=np.int64)
@@ -134,7 +134,7 @@ def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarra
             head = base.add(head, base.mul(digit[:, None], row))
         return (head[:, None, :] == minus_block[None, :, :]).sum(axis=2).ravel()
 
-    return np.concatenate(vf._sweep(q ** (dim - c), q**c * n * 8, one))[1:]
+    return np.concatenate(sweep(q ** (dim - c), q**c * n * 8, one))[1:]
 
 
 def _profile(sizes: np.ndarray, q: int, dim: int, n: int) -> dict[int, int]:

@@ -15,9 +15,13 @@ the zero coordinate.
 Norms are exponent arithmetic: each embedding of the middle field maps its
 generator's powers g^k to G^(t w k) (``ff.SubfieldEmbedding.w``), so the
 norm of pi^i pulls back to g^(i / w).  The trace pairing has one table per
-field, the labels (Tr(a x^i))_i of ``_upack``: the indexer's character
-labels and R-perp (``dual_subspace``) both read it.  A ``Subspace``, like a
-``PdsSet``, holds its elements as a sorted read-only int64 array.
+field, the labels (Tr(a x^i))_i of ``_upack``, which is ``ff.linear_map`` of
+the Gram matrix (Tr(x^i x^j)) on every packed value: the indexer's
+character labels and R-perp (``dual_subspace``, the labels that one more
+linear map sends to zero) both read it.  This module does no digit
+arithmetic of its own; only ``ff`` knows the packed <-> digit encoding.  A
+``Subspace``, like a ``PdsSet``, holds its elements as a sorted read-only
+int64 array.
 
 Two independent routes build the primal set:
 
@@ -55,6 +59,7 @@ from .ff import (
     digitwise,
     embed,
     is_prime,
+    linear_map,
     readonly,
     sorted_unique,
 )
@@ -214,15 +219,15 @@ def dual_subspace(R: Subspace) -> Subspace:
     """R-perp under (x, y) -> Tr(x y) into GF(p): the y whose trace label
     (``_upack``, the digits of (Tr(y x^i))_i) is orthogonal mod p to the
     digits of every vector of a GF(p)-spanning set of R, since Tr(x y) is
-    that dot product.  The basis is extracted greedily from the elements."""
+    that dot product; the labels the transposed spanning rows map to zero.
+    The basis is extracted greedily from the elements."""
     mid, base = R.mid, R.base
     # GF(p)-spanning vectors of R: the embedded polynomial basis of GF(q)
     # times the basis of R
-    scalars = embed(base, mid).forward[np.array(base._pows[: base.n])]
+    scalars = embed(base, mid).forward[base.x_powers]
     spanning = mid.mul(scalars[:, None], np.array(R.basis, dtype=np.int64)[None, :]).ravel()
-    digits = mid.digit_matrix
-    pairing = digits[_upack(mid)] @ digits[spanning].T % mid.p
-    elems = np.flatnonzero(~pairing.any(axis=1))
+    # the pairings of y with the spanning set, packed: zero when all are
+    elems = np.flatnonzero(linear_map(_upack(mid), mid.digit_rows(spanning).T, mid.p) == 0)
     if len(elems) != base.size ** (mid.n // base.n - R.dim):
         raise InternalError("dual space has %d elements" % len(elems))
     return subspace_from_elements(mid, base, elems)
@@ -244,9 +249,9 @@ def _upack(fld: FiniteField) -> np.ndarray:
     """For every packed value a of ``fld``, the packed digit vector of
     (Tr(a x^i))_i, i.e. the character label of a in dot-index space; a
     permutation of the packed values."""
-    x_pows = np.array(fld._pows[: fld.n], dtype=np.int64)
+    x_pows = fld.x_powers
     gram = fld.trace_table[fld.mul(x_pows[:, None], x_pows[None, :])]
-    u = (fld.digit_matrix @ gram) % fld.p @ x_pows
+    u = linear_map(np.arange(fld.size), gram, fld.p)
     if len(sorted_unique(u)) != fld.size:
         raise InternalError("trace pairing is degenerate")
     return readonly(u)
@@ -518,9 +523,13 @@ class Tower:
         return subspace_from_basis(self.mid, self.base, basis)
 
     def subspace_from_coeff_rows(self, rows) -> Subspace:
-        n = self.mid.n
-        if any(len(row) > n or not all(isinstance(c, int) for c in row) for row in rows):
-            raise NotASubspaceError("a basis row is at most %d integer coefficients" % n)
+        n, p = self.mid.n, self.params.p
+        for row in rows:
+            # a GF(p) digit is an int in [0, p); true, 1.0 and p + 1 are not
+            if len(row) > n or not all(type(c) is int and 0 <= c < p for c in row):
+                raise NotASubspaceError(
+                    "a basis row is at most %d integer coefficients in 0..%d" % (n, p - 1)
+                )
         basis = [self.mid.pack(row) for row in rows]
         if any(b == 0 for b in basis):
             raise NotASubspaceError("zero vector cannot be a basis element")

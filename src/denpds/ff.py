@@ -4,8 +4,14 @@ GF(p^n) is GF(p)[x] / (modulus), and it has one arithmetic.  An element is
 its digit row (c_0, ..., c_(n-1)) over the polynomial basis
 {1, x, ..., x^(n-1)}, or the packed integer sum(c_i * p^i); multiplication
 by y is the n x n matrix whose row i holds the digits of y x^i
-(``_mul_matrix``), so a product is a row times a matrix mod p.  Everything
-about the field is found on that representation, deterministically:
+(``_mul_matrix``), so a product is a row times a matrix mod p.  On whole
+arrays of packed values every GF(p)-linear map is one function,
+``linear_map(x, mat, p)`` = packed(digits(x) @ mat mod p), which unpacks
+the digit rows one chunk at a time through ``sweep``, the package's one
+chunker (the literal sweeps of ``verify`` and ``coding`` use it too).  No
+table of digit rows is kept, and no other module unpacks digits.
+Everything about the field is found on that representation,
+deterministically:
 
 * modulus: the lexicographically smallest monic irreducible polynomial of
   degree n over GF(p), coefficients compared constant term first.  A root
@@ -15,23 +21,27 @@ about the field is found on that representation, deterministically:
 * primitive element: the multiplicative generator whose coefficient vector
   (same constant-first order) is lexicographically smallest, tested by
   matrix powers g^(order/t) != 1;
-* ``antilog``: the powers of g, by doubling blocks of digit rows through the
-  multiplication matrices, and ``dlog`` its inverse;
-* ``trace_table``: digits(Tr z) = digits(z) @ T, T the sum of the first n
-  powers of the Frobenius matrix.
+* ``antilog``: the powers of g, by doubling: the packed block
+  g^L .. g^(2L-1) is the linear map of g^L on the block before, and
+  ``dlog`` its inverse;
+* ``trace_table``: the linear map of T, the sum of the first n powers of
+  the Frobenius matrix, on every packed value;
+* ``coords_table(d)``: the linear map of the inverse basis matrix, split
+  into base-p^d blocks.
 
 There is no element object.  ``FiniteField.add``, ``sub`` and ``neg`` work
 digit by digit (``digitwise``, XOR for p = 2) and ``mul`` and ``inv``
 through the discrete-log tables of the chosen primitive element g, on
 Python ints or int64 arrays alike.  Every table of a field is a read-only
 int64 array and an attribute of the field: ``antilog`` and ``dlog`` are
-built with it, ``digit_matrix``, ``trace_table`` and ``coords_table(d)`` on
+built with it, ``x_powers``, ``trace_table`` and ``coords_table(d)`` on
 first use.  ``build_field`` and ``embed`` intern their results, so each
 table is built once per process.  All multiplicative structure (norms,
 coset indexing, order computations) is plain exponent arithmetic on those
-tables: a ``SubfieldEmbedding`` records the exponent ``w`` with which it
-maps the small generator's powers, checked on every power, so the norm onto
-a subfield is a multiplication of discrete logs.  ``row_reduce`` is the one
+tables: a ``SubfieldEmbedding`` is the linear map of the digit rows of the
+powers of its root, and records the exponent ``w`` with which it maps the
+small generator's powers, checked on every power, so the norm onto a
+subfield is a multiplication of discrete logs.  ``row_reduce`` is the one
 Gauss-Jordan elimination over a field.  Everything is exact integer work;
 there is no floating point and no randomness anywhere.
 """
@@ -204,6 +214,54 @@ def digitwise(a, b, sign: int, p: int, n: int):
     return out
 
 
+# -- whole arrays in chunks: the one chunker and the one linear map --
+
+# the most bytes one chunk of a sweep may hold
+CHUNK_BYTES = 8 << 20
+
+
+def sweep(total: int, row_bytes: int, fn, threads: int = 0) -> list:
+    """[fn((lo, hi)) for consecutive ranges covering range(total)], each of
+    as many rows as CHUNK_BYTES holds at ``row_bytes`` a row (at least one),
+    split over ``threads`` worker threads when there are two or more."""
+    chunk = max(1, CHUNK_BYTES // max(row_bytes, 1))
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if threads > 1:
+        # imported here: the import costs a cold ``import denpds`` about 7 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, ranges))
+    return [fn(r) for r in ranges]
+
+
+@cache
+def _place_values(p: int, k: int) -> np.ndarray:
+    """p^0 .. p^(k-1), the weights of k packed base-p digits."""
+    return readonly(p ** np.arange(k, dtype=np.int64))
+
+
+def linear_map(x, mat, p: int) -> np.ndarray:
+    """packed(digits(x) @ mat mod p) for a 1-D int64 array x of packed
+    values and an (n_in, n_out) matrix over GF(p): every GF(p)-linear map
+    on field elements (products by a fixed element, the trace, coordinates,
+    embeddings).  The digit rows exist one chunk at a time."""
+    x, mat = np.asarray(x, dtype=np.int64), np.asarray(mat, dtype=np.int64)
+    w_in, w_out = (_place_values(p, k) for k in mat.shape)
+    out = np.empty(len(x), dtype=np.int64)
+
+    def one(rng):
+        lo, hi = rng
+        digits = x[lo:hi, None] // w_in
+        digits %= p
+        image = digits @ mat
+        image %= p
+        out[lo:hi] = image @ w_out
+
+    sweep(len(x), 8 * sum(mat.shape), one)
+    return out
+
+
 def _require_table_cap(p: int, n: int, table_cap: int) -> None:
     if p**n > table_cap:
         raise TableCapExceededError(
@@ -230,7 +288,6 @@ class FiniteField:
         self.size = size
         self.order = size - 1
         self.modulus: tuple[int, ...] = _find_modulus(p, n)
-        self._pows = tuple(p**i for i in range(n + 1))
         self.primitive_packed = self._find_primitive()
         self.antilog = readonly(self._powers(self.primitive_packed))
         exps = np.arange(self.order, dtype=np.int64)
@@ -253,27 +310,29 @@ class FiniteField:
         return tuple(out)
 
     def pack(self, digits) -> int:
-        acc = 0
-        for i, d in enumerate(digits):
-            acc += (d % self.p) * self._pows[i]
-        return acc
+        return sum((int(d) % self.p) * self.p**i for i, d in enumerate(digits))
+
+    def digit_rows(self, packed) -> np.ndarray:
+        """The digit rows of a few packed values, as a (len, n) int64 array."""
+        rows = [self.digits(int(x)) for x in packed]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n)
 
     def _powers(self, g: int) -> np.ndarray:
-        """g^k packed for 0 <= k < order, by doubling: the digit rows of
-        g^L .. g^(2L-1) are those of g^0 .. g^(L-1) times the matrix of
-        multiplication by g^L, which squares from step to step."""
-        p, n, order = self.p, self.n, self.order
-        rows = np.zeros((order, n), dtype=np.int64)
-        rows[0, 0] = 1
+        """g^k packed for 0 <= k < order, by doubling: g^L .. g^(2L-1) are
+        g^0 .. g^(L-1) times g^L, a linear map whose matrix squares from
+        step to step."""
+        p, order = self.p, self.order
+        out = np.empty(order, dtype=np.int64)
+        out[0] = 1
         mul_g = _mul_matrix(self.modulus, p, self.digits(g))
         step, filled = mul_g, 1
         while filled < order:
             take = min(filled, order - filled)
-            rows[filled : filled + take] = rows[:take] @ step % p
+            out[filled : filled + take] = linear_map(out[:take], step, p)
             step, filled = step @ step % p, filled + take
-        if self.pack(rows[-1] @ mul_g % p) != 1:
+        if linear_map(out[-1:], mul_g, p)[0] != 1:
             raise InternalError("primitive element order mismatch")
-        return rows @ np.array(self._pows[:n], dtype=np.int64)
+        return out
 
     def _find_primitive(self) -> int:
         """The first generator in constant-first lexicographic order of digit
@@ -331,11 +390,10 @@ class FiniteField:
         zeros = np.zeros(2 * self.order + 1, dtype=np.int64)
         return readonly(dlog), readonly(np.concatenate([self.antilog, self.antilog, zeros]))
 
-    @cached_property
-    def digit_matrix(self) -> np.ndarray:
-        """Base-p digit rows for every packed value 0..size-1."""
-        vals = np.arange(self.size, dtype=np.int64)
-        return readonly(vals[:, None] // np.array(self._pows[: self.n], dtype=np.int64) % self.p)
+    @property
+    def x_powers(self) -> np.ndarray:
+        """The packed polynomial basis 1, x, ..., x^(n-1): the powers of p."""
+        return _place_values(self.p, self.n)
 
     @cached_property
     def trace_table(self) -> np.ndarray:
@@ -352,7 +410,7 @@ class FiniteField:
         # a trace value lies in GF(p): only the constant digit survives
         if total[:, 1:].any():
             raise InternalError("trace left the prime subfield")
-        return readonly(self.digit_matrix @ total[:, 0] % p)
+        return readonly(linear_map(np.arange(self.size), total[:, :1], p))
 
     # -- coordinates over a subfield --
 
@@ -366,14 +424,16 @@ class FiniteField:
         d = base_degree
         if self.n % d:
             raise NotADivisorError("%d does not divide field degree %d" % (d, self.n))
-        # GF(p)-basis g^j rho_i, rho_i the image of x^i of the subfield
-        weights = np.array(self._pows[:d], dtype=np.int64)
+        # GF(p)-basis g^j rho_i, rho_i the image of x^i of the subfield;
+        # coordinates u solve u @ B = digits, B the basis's digit rows
+        small = build_field(self.p, d)
         powers = self.antilog[np.arange(self.n // d) % self.order]
-        rho = embed(build_field(self.p, d), self).forward[weights]
+        rho = embed(small, self).forward[small.x_powers]
         basis = self.mul(powers[:, None], rho[None, :]).ravel()
-        binv = inverse(build_field(self.p, 1), self.digit_matrix[basis].T)
-        u = (self.digit_matrix @ binv.T) % self.p
-        return readonly(u.reshape(self.size, self.n // d, d) @ weights)
+        binv = inverse(build_field(self.p, 1), self.digit_rows(basis))
+        # u packed over GF(p): its base-q blocks are the subfield coordinates
+        u, q = linear_map(np.arange(self.size), binv, self.p), small.size
+        return readonly(u[:, None] // q ** np.arange(self.n // d, dtype=np.int64) % q)
 
     # -- descriptions --
 
@@ -428,7 +488,8 @@ class SubfieldEmbedding:
 
     The image of the small field's polynomial generator is the root of the
     small modulus inside the big field with the smallest discrete log; the
-    whole map is evaluation of coefficient vectors at that root.
+    whole map is evaluation of coefficient vectors at that root, the linear
+    map whose row i is the digit row of root^i.
     ``forward`` is the read-only array of images, indexed by packed small
     element.  On exponents the map is multiplication: the image of g^k is
     G^(t w k) for the two generators g and G, t = |big*| / |small*| and the
@@ -457,7 +518,9 @@ class SubfieldEmbedding:
                 raise InternalError(
                     "expected %d conjugate roots, found %d" % (small.n, len(roots))
                 )
-            forward = big.horner(small.digit_matrix, big.antilog[roots.min()])
+            # a small element maps to the sum of its digits times root^i
+            root_pows = big.antilog[roots.min() * np.arange(small.n) % big.order]
+            forward = linear_map(np.arange(small.size), big.digit_rows(root_pows), big.p)
         self.forward = readonly(forward)
         self.w = int(big.dlog[forward[small.primitive_packed]]) // t
         # every power, hence injective: G^(t w k) for g^k, and 0 for 0

@@ -18,7 +18,6 @@ common-neighbour count: c(g) = #{d in D : d - g in D} for every g.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +30,12 @@ from .errors import (
     InternalError,
     SpectrumNotTwoValuedError,
 )
+from .ff import sweep
 from .jsonout import dumps
 
 DEFAULT_PROFILE_CAP = 1 << 16
 DEFAULT_SPECTRUM_CAP = 1 << 20
 DEFAULT_NEIGHBOR_CAP = 1 << 12
-# the most bytes one chunk of a literal sweep may hold
-CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -48,18 +46,6 @@ class Caps:
 
     def as_dict(self) -> dict:
         return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
-
-
-def _sweep(total: int, row_bytes: int, fn, threads: int = 0) -> list:
-    """[fn((lo, hi)) for consecutive ranges covering range(total)], each of
-    as many rows as CHUNK_BYTES holds at ``row_bytes`` a row (at least one),
-    split over ``threads`` worker threads when there are two or more."""
-    chunk = max(1, CHUNK_BYTES // max(row_bytes, 1))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, ranges))
-    return [fn(r) for r in ranges]
 
 
 @dataclass
@@ -95,7 +81,7 @@ def _common_counts(
         gs = targets[rng[0] : rng[1]]
         return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
 
-    return np.concatenate(_sweep(len(targets), per_target, one, threads))
+    return np.concatenate(sweep(len(targets), per_target, one, threads))
 
 
 def difference_profile(
@@ -464,7 +450,7 @@ def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_
         keep = u < w
         return np.stack([np.broadcast_to(u, w.shape)[keep], w[keep]], axis=1)
 
-    edges = np.concatenate(_sweep(v, len(idx) * 8, one))
+    edges = np.concatenate(sweep(v, len(idx) * 8, one))
     if 2 * len(edges) != v * len(idx):
         raise InternalError("edge count must be v k / 2")
     return edges

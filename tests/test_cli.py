@@ -373,9 +373,15 @@ def _rows(rows):
         _rows([[1, 0], [0, 1]]),
         _rows([[0, 0]]),
         _rows([[1.5, 0]]),
+        # coefficients are GF(p) digits, not integers to reduce mod p
+        lambda tmp_path: ["-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-coords", "3 0"],
+        lambda tmp_path: ["-p", "2", "-m", "2", "-l", "1", "-r", "1", "--subspace-coords", "-1 0"],
+        _rows([[3, 0]]),
+        _rows([[True, False]]),
     ],
     ids=["dependent-exps", "wrong-rank-exps", "zero-coords", "long-coords",
-         "dependent-rows", "wrong-rank-rows", "zero-row", "float-row"],
+         "dependent-rows", "wrong-rank-rows", "zero-row", "float-row",
+         "coords-above-p", "negative-coords", "row-above-p", "bool-row"],
 )
 def test_invalid_subspace_exits_two_with_one_line(tmp_path, extra):
     res = run("verify", *extra(tmp_path))

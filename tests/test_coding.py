@@ -266,8 +266,8 @@ def test_literal_sizes_match_brute_force(monkeypatch):
         points = random_points(rng, qa.q, dim, count)
         messages = np.array(list(itertools.product(range(qa.q), repeat=dim)), dtype=np.int64)
         want = (qa.dot(messages, points.T) == 0).sum(axis=1)[1:]
-        for bound in (8, qa.q**2 * count * 8, 2 * qa.q**2 * count * 8, V.CHUNK_BYTES):
-            monkeypatch.setattr(V, "CHUNK_BYTES", bound)
+        for bound in (8, qa.q**2 * count * 8, 2 * qa.q**2 * count * 8, ff.CHUNK_BYTES):
+            monkeypatch.setattr(ff, "CHUNK_BYTES", bound)
             got = C._literal_sizes(points, base, 1 << 16)
             assert np.array_equal(got, want), (p, s, dim, bound)
 

@@ -11,13 +11,15 @@ generator searches, the trace and coordinate tables, the embeddings,
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from denpds import ff
-from denpds.construct import TowerParams
+from denpds.construct import TowerParams, _upack
 from denpds.errors import (
     InternalError,
     NonPrimeError,
@@ -147,7 +149,7 @@ def test_field_tables_are_shared_read_only_arrays():
     for p, n in [(2, 1), (2, 4), (3, 2), (5, 2), (2, 6)]:
         f = ff.build_field(p, n)
         assert ff.build_field(p, n) is f
-        getters = [lambda: f.antilog, lambda: f.dlog, lambda: f.digit_matrix, lambda: f.trace_table]
+        getters = [lambda: f.antilog, lambda: f.dlog, lambda: f.x_powers, lambda: f.trace_table]
         getters += [lambda d=d: f.coords_table(d) for d in range(1, n + 1) if n % d == 0]
         for get in getters:
             table = get()
@@ -236,20 +238,52 @@ def test_trace_table_is_the_sum_of_conjugates():
         assert f.trace_table.tolist() == [brute_trace(f, x, 1) for x in range(f.size)], (p, n)
 
 
-def test_trace_table_memory():
-    """On a fresh GF(2^16) with its digit matrix built, the trace table
-    allocates little more than its own 0.5 MB: no (order, n) array of
-    conjugate digits (8.4 MB) or its temporaries."""
-    f = ff.FiniteField(2, 16)
-    assert f.digit_matrix.shape == (f.size, 16)
+def test_trace_table_memory(monkeypatch):
+    """A fresh GF(2^16) build, its trace table and its trace labels peak
+    well under the 8 MB of one (size, 16) int64 digit array: with 1 MB
+    chunks, what is held at once is the tables themselves (0.5 MB each for
+    antilog, dlog, trace and labels, 2.5 MB for mul's) and one chunk of
+    digit rows, about 6 MB."""
+    monkeypatch.setattr(ff, "CHUNK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        table = f.trace_table
+        f = ff.FiniteField(2, 16)
+        trace, labels = f.trace_table, _upack(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(table, ff.build_field(2, 16).trace_table)
-    assert peak < 4 << 20, peak
+    shared = ff.build_field(2, 16)
+    assert np.array_equal(trace, shared.trace_table)
+    assert np.array_equal(labels, _upack(shared))
+    assert peak < 13 << 19, peak  # 6.5 MB
+
+
+def test_linear_map_is_the_digit_row_product(monkeypatch):
+    """linear_map(x, mat, p) = packed(digits(x) @ mat mod p) against
+    digits taken one by one, for square and non-square matrices, with
+    chunks of one row, of a few rows (the last one short) and the
+    default, and on an empty input."""
+    rng = np.random.default_rng(12)
+    for p in (2, 3, 5, 7):
+        for n_in, n_out in ((4, 4), (5, 2), (2, 5), (3, 1)):
+            x = rng.integers(0, p**n_in, 50)
+            mat = rng.integers(0, p, (n_in, n_out))
+            digits = np.array([[v // p**i % p for i in range(n_in)] for v in x.tolist()])
+            want = (digits @ mat % p) @ p ** np.arange(n_out)
+            for bound in (1, 7 * 8 * (n_in + n_out), ff.CHUNK_BYTES):
+                monkeypatch.setattr(ff, "CHUNK_BYTES", bound)
+                got = ff.linear_map(x, mat, p)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (p, n_in, n_out, bound)
+            assert ff.linear_map(np.zeros(0, dtype=np.int64), mat, p).shape == (0,)
+
+
+def test_import_leaves_out_concurrent_futures():
+    """A cold ``import denpds`` (and of the CLI, which imports every module)
+    does not import concurrent.futures, about 7 ms of start-up: ff.sweep
+    imports its thread pool only when it runs threads."""
+    code = "import sys, denpds, denpds.cli; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout == "False\n"
 
 
 def test_trace_transitivity_through_the_middle_field():

@@ -403,14 +403,15 @@ def _named(node, name: str) -> bool:
 
 
 def test_one_chunker():
-    """Only verify._sweep uses ThreadPoolExecutor or divides CHUNK_BYTES:
-    every literal sweep takes its chunk ranges and threads from it."""
+    """Only ff.sweep uses ThreadPoolExecutor or divides CHUNK_BYTES: every
+    literal sweep and every linear map takes its chunk ranges and threads
+    from it."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
-        if path.name == "verify.py":
-            sweep = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_sweep")
+        if path.name == "ff.py":
+            sweep = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "sweep")
             allowed = {id(n) for n in ast.walk(sweep)}
         for node in ast.walk(tree):
             if id(node) in allowed:
