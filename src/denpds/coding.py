@@ -1,8 +1,10 @@
 """Projective two-intersection sets and two-weight codes from a set family.
 
 Group elements are coordinatized over GF(q) by the power bases of the two
-deterministic field generators; a scale-closed set collapses to one
-projective point per GF(q)* orbit.
+deterministic field generators: an element (a, b) has one base-q key, the
+coordinates of a then those of b, first coordinate most significant.  A
+scale-closed set collapses to one projective point per GF(q)* orbit, the
+orbit's one element whose leading base-q digit is 1.
 
 The hyperplane profile and the weight enumerator are histograms of one
 vector, s(u) = |S meet u-perp| for every nonzero u in GF(q)^dim: the
@@ -25,15 +27,16 @@ import numpy as np
 from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, row_reduce, sorted_unique, sweep
+from .ff import FiniteField, embed, row_reduce, sweep
 from .verify import CharacterSpectrum, CheckItem
 
 DEFAULT_ENUM_CAP = 1 << 16
 
 
 class CodingContext:
-    """Coordinate tables and scalar action for one tower; GF(q) symbols are
-    packed elements of ``base``."""
+    """Coordinate keys and scalar action for one tower; GF(q) symbols are
+    packed elements of ``base``.  The key of (a, b) is keys1[a] * shift +
+    keys2[b]."""
 
     def __init__(self, tower: Tower):
         self.tower = tower
@@ -41,8 +44,9 @@ class CodingContext:
         tp = tower.params
         self.q = tp.q
         self.dim = tp.dim_q
-        self.coords1 = tower.f1.coords_table(tp.s)
-        self.coords2 = tower.f2.coords_table(tp.s)
+        self.keys1 = tower.f1.coords_table(tp.s)
+        self.keys2 = tower.f2.coords_table(tp.s)
+        self.shift = self.q ** (tp.deg2 // tp.s)
 
     def check_scale_closed(self, pds: PdsSet) -> None:
         """The diagonal GF(q)* action must permute the set; a violation
@@ -74,32 +78,27 @@ class ProjectiveSet:
         return len(self.points)
 
 
-def _normalize_rows(rows: np.ndarray, base: FiniteField) -> np.ndarray:
-    nz = rows != 0
-    if not nz.any(axis=1).all():
-        raise InternalError("cannot normalize a zero vector")
-    first = nz.argmax(axis=1)
-    lead = rows[np.arange(len(rows)), first]
-    return base.mul(base.inv(lead)[:, None], rows)
-
-
 def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
-    """Collapse a scale-closed set by the GF(q)* action."""
-    ctx.check_scale_closed(pds)
-    a, b = ctx.tower.indexer.split(pds.elements)
-    rows = np.concatenate([ctx.coords1[a], ctx.coords2[b]], axis=1)
-    # a row's key: its digits in base q, first coordinate most significant,
-    # so ascending keys are rows in lexicographic order
+    """Collapse a scale-closed set by the GF(q)* action: each orbit has
+    exactly one element whose leading base-q digit is 1, its point.
+    Ascending keys are points in lexicographic order."""
     if ctx.q**ctx.dim >= 1 << 63:
         raise CapExceededError("point keys of %d^%d do not fit int64" % (ctx.q, ctx.dim))
-    weights = ctx.q ** np.arange(ctx.dim - 1, -1, -1, dtype=np.int64)
-    keys = sorted_unique(_normalize_rows(rows, ctx.base) @ weights)
+    ctx.check_scale_closed(pds)
+    a, b = ctx.tower.indexer.split(pds.elements)
+    keys = ctx.keys1[a] * ctx.shift + ctx.keys2[b]
+    if not keys.all():
+        raise InternalError("cannot normalize a zero vector")
+    places = ctx.q ** np.arange(ctx.dim, dtype=np.int64)
+    # the leading digit is 1 when the key is below twice its top place value
+    top = places[np.searchsorted(places, keys, side="right") - 1]
+    points = np.sort(keys[keys < 2 * top])
     want, rem = divmod(pds.k, ctx.q - 1)
-    if rem or len(keys) != want:
+    if rem or len(points) != want:
         raise InternalError(
-            "collapse gave %d points, expected %d" % (len(keys), want)
+            "collapse gave %d points, expected %d" % (len(points), want)
         )
-    return ProjectiveSet(ctx.q, ctx.dim, keys[:, None] // weights % ctx.q)
+    return ProjectiveSet(ctx.q, ctx.dim, points[:, None] // places[::-1] % ctx.q)
 
 
 def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarray:

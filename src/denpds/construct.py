@@ -386,12 +386,13 @@ class PdsSet:
 
 
 def _dlog_pair_array(raw) -> np.ndarray:
-    """The set file's element list as a (k, 2) int64 array; every exponent
-    must be a JSON integer (true and 1.0 are not)."""
+    """The set file's element list as a (k, 2) int64 array, (0, 2) for the
+    empty list; every exponent must be a JSON integer (true and 1.0 are
+    not)."""
     flat = itertools.chain.from_iterable
     try:
         # one C-level pass each: the leaf types, the pair lengths, the values
-        if set(map(type, flat(raw))) <= {int} and set(map(len, raw)) == {2}:
+        if type(raw) is list and set(map(type, flat(raw))) <= {int} and set(map(len, raw)) <= {2}:
             return np.fromiter(flat(raw), np.int64, 2 * len(raw)).reshape(-1, 2)
     except (TypeError, OverflowError):
         pass

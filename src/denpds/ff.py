@@ -16,8 +16,8 @@ deterministically:
 * modulus: the lexicographically smallest monic irreducible polynomial of
   degree n over GF(p), coefficients compared constant term first.  A root
   in GF(p) rules a candidate out; from degree 4 Rabin's test reads x^(p^k)
-  off the Frobenius matrix (row i: the digits of x^(p i)) and asks for
-  full rank of the multiplication matrix of x^(p^(n/t)) - x;
+  off the Frobenius matrix (row i: the digits of x^(p i)) and asks that
+  h = x^(p^(n/t)) - x be a unit, h^(p^n - 1) = 1 as a matrix power;
 * primitive element: the multiplicative generator whose coefficient vector
   (same constant-first order) is lexicographically smallest, tested by
   matrix powers g^(order/t) != 1;
@@ -26,8 +26,9 @@ deterministically:
   ``dlog`` its inverse;
 * ``trace_table``: the linear map of T, the sum of the first n powers of
   the Frobenius matrix, on every packed value;
-* ``coords_table(d)``: the linear map of the inverse basis matrix, split
-  into base-p^d blocks.
+* ``coords_table(d)``: the coordinates over GF(p^d) as one base-p^d key
+  per element, the inverse permutation of the linear map of the basis
+  matrix, which sends each key to its element.
 
 There is no element object.  ``FiniteField.add``, ``sub`` and ``neg`` work
 digit by digit (``digitwise``, XOR for p = 2) and ``mul`` and ``inv``
@@ -41,8 +42,9 @@ coset indexing, order computations) is plain exponent arithmetic on those
 tables: a ``SubfieldEmbedding`` is the linear map of the digit rows of the
 powers of its root, and records the exponent ``w`` with which it maps the
 small generator's powers, checked on every power, so the norm onto a
-subfield is a multiplication of discrete logs.  ``row_reduce`` is the one
-Gauss-Jordan elimination over a field.  Everything is exact integer work;
+subfield is a multiplication of discrete logs.  Every table is built by a
+forward map; ``row_reduce``, Gauss-Jordan elimination over a field, serves
+only the rank of a code.  Everything is exact integer work;
 there is no floating point and no randomness anywhere.
 """
 
@@ -154,14 +156,16 @@ def _find_modulus(p: int, n: int) -> tuple[int, ...]:
     lexicographic order.  A root in GF(p) rules a candidate out, and its
     absence alone decides degrees 2 and 3; above that, Rabin's test
     (SIAM J. Comput. 9, 1980) reads x^(p^k) off the Frobenius matrix:
-    x^(p^n) = x, and x^(p^(n/t)) - x is a unit (its multiplication matrix
-    has full rank) for every prime t | n."""
+    x^(p^n) = x, and h = x^(p^(n/t)) - x is a unit for every prime t | n.
+    Once x^(p^n) = x, GF(p)[x] / (f) is a product of subfields of GF(p^n),
+    so h is a unit exactly when h^(p^n - 1) = 1, a matrix power."""
     if n == 1:
         return (0, 1)
     # column a of powers holds a^0 .. a^n mod p, so f @ powers are the values
     powers = np.ones((n + 1, p), dtype=np.int64)
     for i in range(1, n + 1):
         powers[i] = powers[i - 1] * np.arange(p) % p
+    one = np.eye(1, n, dtype=np.int64)[0]
     # constant term 0 would make the polynomial divisible by x
     for c0 in range(1, p):
         for rest in itertools.product(range(p), repeat=n - 1):
@@ -176,9 +180,9 @@ def _find_modulus(p: int, n: int) -> tuple[int, ...]:
                 x_pk.append(x_pk[-1] @ frob % p)
             if (x_pk[n] != x_pk[0]).any():
                 continue
-            prime = build_field(p, 1, table_cap=p)
+            # row 0 of the matrix of h^e holds the digits of h^e
             if all(
-                len(row_reduce(prime, _mul_matrix(f, p, (x_pk[n // t] - x_pk[0]) % p))[1]) == n
+                (_mat_pow(_mul_matrix(f, p, (x_pk[n // t] - x_pk[0]) % p), p**n - 1, p)[0] == one).all()
                 for t in prime_factors(n)
             ):
                 return f
@@ -272,7 +276,9 @@ def _require_table_cap(p: int, n: int, table_cap: int) -> None:
 class FiniteField:
     """Fully tabulated GF(p^n) with deterministic modulus and generator:
     ``antilog[k]`` is g^k packed for 0 <= k < order, and ``dlog`` its
-    inverse over the packed values, with dlog[0] = -1."""
+    inverse over the packed values, with dlog[0] = -1.  These two arrays
+    are the only tables of products: ``mul`` gathers in ``antilog`` at the
+    sum of two logs."""
 
     def __init__(self, p: int, n: int, table_cap: int = DEFAULT_TABLE_CAP):
         if not is_prime(p):
@@ -360,8 +366,10 @@ class FiniteField:
         return digitwise(0, x, -1, self.p, self.n)
 
     def mul(self, x, y):
-        dlog, antilog = self._mul_tables
-        out = antilog[dlog[x] + dlog[y]]
+        """x y = antilog[(dlog x + dlog y) mod order], the mask zeroing a
+        zero factor; take's wrap mode reduces the sum faster than %."""
+        out = self.antilog.take(self.dlog[x] + self.dlog[y], mode="wrap")
+        out *= (x != 0) & (y != 0)
         return out if out.ndim else int(out)
 
     def inv(self, x):
@@ -379,16 +387,6 @@ class FiniteField:
         return acc
 
     # -- derived tables: read-only int64 arrays, built on first use --
-
-    @cached_property
-    def _mul_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Discrete logs with log(0) = 2 * order, and antilogs of every sum
-        of two logs: a sum below 2 * order is a product of nonzero elements,
-        any other sum has a zero factor and maps to 0."""
-        dlog = self.dlog.copy()
-        dlog[0] = 2 * self.order
-        zeros = np.zeros(2 * self.order + 1, dtype=np.int64)
-        return readonly(dlog), readonly(np.concatenate([self.antilog, self.antilog, zeros]))
 
     @property
     def x_powers(self) -> np.ndarray:
@@ -417,23 +415,27 @@ class FiniteField:
     # the cache keeps the field alive, as build_field's interning does anyway
     @cache
     def coords_table(self, base_degree: int) -> np.ndarray:
-        """Coordinates of every element over the degree-``base_degree``
-        subfield, as packed subfield elements, with respect to the power
-        basis {1, g, ..., g^(n/d - 1)} of the field's primitive element g;
-        row index = packed."""
+        """Coordinates of every element over the subfield GF(q), q =
+        p^base_degree, with respect to the power basis {1, g, ..., g^(n/d -
+        1)} of the field's primitive element g, as one key per element: the
+        coordinates as base-q digits, that of g^0 most significant; index =
+        packed.  The keys invert the linear map from a key to its element,
+        as ``dlog`` inverts ``antilog``."""
         d = base_degree
         if self.n % d:
             raise NotADivisorError("%d does not divide field degree %d" % (d, self.n))
-        # GF(p)-basis g^j rho_i, rho_i the image of x^i of the subfield;
-        # coordinates u solve u @ B = digits, B the basis's digit rows
+        # base-p digit t of a key is the coefficient of g^j rho_i, j = n/d - 1
+        # - t // d and i = t % d, rho_i the image of x^i of the subfield
         small = build_field(self.p, d)
-        powers = self.antilog[np.arange(self.n // d) % self.order]
+        powers = self.antilog[np.arange(self.n // d - 1, -1, -1) % self.order]
         rho = embed(small, self).forward[small.x_powers]
         basis = self.mul(powers[:, None], rho[None, :]).ravel()
-        binv = inverse(build_field(self.p, 1), self.digit_rows(basis))
-        # u packed over GF(p): its base-q blocks are the subfield coordinates
-        u, q = linear_map(np.arange(self.size), binv, self.p), small.size
-        return readonly(u[:, None] // q ** np.arange(self.n // d, dtype=np.int64) % q)
+        keys = np.arange(self.size, dtype=np.int64)
+        table = np.full(self.size, -1, dtype=np.int64)
+        table[linear_map(keys, self.digit_rows(basis), self.p)] = keys
+        if (table < 0).any():
+            raise InternalError("the subfield basis does not span GF(%d^%d)" % (self.p, self.n))
+        return readonly(table)
 
     # -- descriptions --
 
@@ -454,8 +456,9 @@ class FiniteField:
 
 def row_reduce(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a matrix of packed elements of ``field``,
-    and its pivot columns; each pivot clears its column in every other row
-    with one vectorized expression."""
+    and its pivot columns (the rank of a code's generator matrix); each
+    pivot clears its column in every other row with one vectorized
+    expression."""
     m = np.array(mat, dtype=np.int64)
     pivots: list[int] = []
     for c in range(m.shape[1]):
@@ -472,15 +475,6 @@ def row_reduce(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
         m = field.sub(m, field.mul(factor[:, None], m[r]))
         pivots.append(c)
     return m, pivots
-
-
-def inverse(field: FiniteField, mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix over ``field``; raises if singular."""
-    n = len(mat)
-    red, pivots = row_reduce(field, np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1))
-    if pivots[:n] != list(range(n)):
-        raise InternalError("matrix is singular over GF(%d^%d)" % (field.p, field.n))
-    return red[:, n:]
 
 
 class SubfieldEmbedding:

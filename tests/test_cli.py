@@ -350,6 +350,24 @@ def test_non_integer_scalar_exits_two_naming_the_field(tmp_path, command, sectio
     ]
 
 
+def test_empty_set_file_round_trips_and_fails(tmp_path):
+    """An empty set is written with "elements": [] and read back as an
+    empty set; verify reports a failed PDS (exit 1), not a malformed file."""
+    from denpds.construct import PdsSet, Tower, TowerParams, pds_from_json_dict
+
+    tower = Tower(TowerParams(2, 1, 2, 1, 1))
+    D = tower.build_D()
+    text = PdsSet(D.params, D.provenance, [], D.claimed, D.subspace_rows).to_json(tower)
+    assert json.loads(text)["elements"] == []
+    _, back = pds_from_json_dict(json.loads(text))
+    assert back.k == 0 and back.provenance == D.provenance
+    path = tmp_path / "empty.json"
+    path.write_text(text)
+    res = run("verify", "--set", str(path), "--format", "text")
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.splitlines()[-1] == "RESULT: FAIL"
+
+
 def test_other_field_model_exits_one(tmp_path):
     """A set file whose field model differs is a verification failure."""
     res = run("verify", "--set", _set_file_variant(

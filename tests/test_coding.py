@@ -16,12 +16,18 @@ from denpds.errors import CapExceededError, InternalError, NotScaleClosedError
 from conftest import digit_table, poly_mul
 
 
+def key_digits(ctx, keys):
+    """The base-q digits of coordinate keys, first coordinate first."""
+    return np.asarray(keys)[..., None] // ctx.q ** np.arange(ctx.dim - 1, -1, -1) % ctx.q
+
+
 def coords_of_pair(ctx, pair):
-    """GF(q) coordinates of the element with dlog pair (i, j)."""
+    """GF(q) coordinates of the element with dlog pair (i, j), read off its
+    key."""
     i, j = pair
     a = 0 if i < 0 else ctx.tower.f1.antilog[i]
     b = 0 if j < 0 else ctx.tower.f2.antilog[j]
-    return np.concatenate([ctx.coords1[a], ctx.coords2[b]])
+    return key_digits(ctx, ctx.keys1[a] * ctx.shift + ctx.keys2[b])
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +94,28 @@ def test_projective_collapse_sizes(setup64, setup729):
 
 
 def test_projective_points_by_integer_key_on_grid(grid):
-    """The collapse keyed by one base-q integer per row gives the rows of a
-    2-D np.unique on the normalized coordinates, on every grid set; the
-    generator columns keep that order."""
+    """The collapse by orbit representatives gives the rows of a 2-D
+    np.unique on the coordinates, each row scaled by the inverse of its
+    first nonzero coordinate, on every grid set; the generator columns keep
+    that order."""
     for tower, pds, _, family in grid.instances():
         ctx = C.CodingContext(tower)
         a, b = tower.indexer.split(pds.elements)
-        rows = np.concatenate([ctx.coords1[a], ctx.coords2[b]], axis=1)
-        want = np.unique(C._normalize_rows(rows, ctx.base), axis=0)
+        rows = key_digits(ctx, ctx.keys1[a] * ctx.shift + ctx.keys2[b])
+        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+        want = np.unique(ctx.base.mul(ctx.base.inv(lead)[:, None], rows), axis=0)
         S = C.to_projective_set(pds, ctx)
         assert np.array_equal(S.points, want), (tower.params, family)
         assert np.array_equal(C.build_code(S, ctx).mat, want.T)
+
+
+def test_identity_in_the_set_is_refused(setup729):
+    """The identity is scale-closed but no projective point: the collapse
+    refuses it rather than dropping it."""
+    _, ctx, D = setup729
+    with_zero = PdsSet(D.params, D.provenance, np.append(D.elements, 0), D.claimed, D.subspace_rows)
+    with pytest.raises(InternalError, match="zero vector"):
+        C.to_projective_set(with_zero, ctx)
 
 
 def test_build_code_requires_sorted_distinct_points(setup64):
