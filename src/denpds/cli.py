@@ -20,6 +20,7 @@ non-negative integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -368,6 +369,7 @@ def cmd_export_graph(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building it costs about 3 ms
 def make_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="denpds",
@@ -395,14 +397,20 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", help="output path (default stdout)")
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument(
-        "--parallel", type=int, default=0, help="worker threads for the literal sweeps (0 = off)"
+        "--parallel", type=int, default=0,
+        help="worker threads for the fallback common-neighbor sweep of a set the "
+        "multiplier group moves (0 = off)",
     )
     common.add_argument(
         "--seedless", action="store_true",
         help="assert the no-randomness guarantee (always true; informational)",
     )
+    cap_help = {
+        "neighbor": "targets of the fallback common-neighbor sweep, sampled above it "
+        "(the orbit route covers all of them); 0 skips common-neighbors",
+    }
     for cap in ("table", "profile", "spectrum", "neighbor", "enum"):
-        common.add_argument("--%s-cap" % cap, type=int, default=None)
+        common.add_argument("--%s-cap" % cap, type=int, default=None, help=cap_help.get(cap))
 
     sp = sub.add_parser("params", parents=[tower], help="closed-form parameter tables")
     sp.add_argument("--grid", nargs="+", help="key=value ranges, e.g. m=2..3 r=all")

@@ -6,8 +6,9 @@ embeds into both.  A set is stored as a sorted array of group indices: the
 element (a, b) has index packed(a) + |K1| packed(b).  Each ``Tower`` owns
 one ``GroupIndexer``, ``Tower.indexer``, whose ``split`` and ``join`` are
 the only code that applies this encoding; the tower's own tables (norm
-pullbacks, compatible generators) and the indexer's (trace pairing) are
-built on first use, once per instance, as read-only arrays.
+pullbacks, compatible generators, representatives of the orbits of the
+multiplier group) and the indexer's (trace pairing) are built on first use,
+once per instance, as read-only arrays.
 Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
 the zero coordinate.
@@ -499,15 +500,64 @@ class Tower:
     # -- norm pullback tables (middle-field dlogs, indexed by coordinate dlog) --
 
     @cached_property
+    def _norm_exponents(self) -> tuple[int, int]:
+        """c1, c2 with c_i = 1 / w_i mod |mid*|: Norm(pi^i) = pi^(t i) is
+        the image of g^j with t w j = t i, so j = c i mod |mid*|."""
+        ordm = self.mid.order
+        return pow(self.emb_mid1.w, -1, ordm), pow(self.emb_mid2.w, -1, ordm)
+
+    @cached_property
     def norm_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
         """For each coordinate field, K1 then K2: the array over exponents i
-        of dlog_mid(pullback(Norm(pi^i))).  Norm(pi^i) = pi^(t i) is the
-        image of g^j with t w j = t i, so j = i / w mod |mid*|."""
+        of dlog_mid(pullback(Norm(pi^i))) = c i mod |mid*|."""
         ordm = self.mid.order
         return tuple(
-            readonly(np.arange(big.order, dtype=np.int64) * pow(emb.w, -1, ordm) % ordm)
-            for big, emb in ((self.f1, self.emb_mid1), (self.f2, self.emb_mid2))
+            readonly(np.arange(big.order, dtype=np.int64) * c % ordm)
+            for big, c in zip((self.f1, self.f2), self._norm_exponents)
         )
+
+    # -- the multiplier group H = {(lam, mu) : N1(lam) / N2(mu) in GF(q)*} --
+
+    @cached_property
+    def multiplier_generators(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Exponent pairs (a, b) of generators (alpha^a, beta^b) of H, alpha
+        and beta the generators of K1 and K2.  The norm ratio of
+        (alpha^a, beta^b) pulls back to g^(a c1 - b c2), and GF(q)* is the
+        subgroup of e-th powers of g, so (a, b) lies in H exactly when
+        a c1 = b c2 mod e: H is generated by (1, c1 / c2 mod e) and (0, e).
+        Both constructions test only which coordinates are zero and the
+        ratio class mod e, so H fixes every set of either family."""
+        e = self.params.e
+        c1, c2 = self._norm_exponents
+        return (1, c1 * pow(c2, -1, e) % e), (0, e)
+
+    def multiply(self, idx, a: int, b: int) -> np.ndarray:
+        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y)."""
+        x, y = self.indexer.split(idx)
+        f1, f2 = self.f1, self.f2
+        return self.indexer.join(
+            f1.mul(x, f1.antilog[a % f1.order]), f2.mul(y, f2.antilog[b % f2.order])
+        )
+
+    @cached_property
+    def orbit_representatives(self) -> np.ndarray:
+        """One index per H-orbit on G minus 0, e + 2 in all: (1, 0) for
+        K1* x 0, (0, 1) for 0 x K2*, then (1, beta^j) with j c2 = t mod e
+        for each ratio class t = 0 .. e - 1.  H acts on K1* x K2* without
+        fixed points, so each ratio class is one orbit of |H| = |K1*| |K2*| / e
+        elements."""
+        e = self.params.e
+        ord1, ord2 = self.f1.order, self.f2.order
+        if ord1 * ord2 % e or ord1 + ord2 + e * (ord1 * ord2 // e) != self.params.v - 1:
+            raise InternalError("the H-orbit sizes do not add up to v - 1")
+        t = np.arange(e, dtype=np.int64)
+        j = t * pow(self._norm_exponents[1], -1, e) % e
+        # the norm table of K2 puts (1, beta^j) in ratio class t
+        if (self.norm_dlogs[1][j] % e != t).any():
+            raise InternalError("orbit representative in the wrong ratio class")
+        ix = self.indexer
+        heads = np.array([ix.join(1, 0), ix.join(0, 1)], dtype=np.int64)
+        return readonly(np.concatenate([heads, ix.join(1, self.f2.antilog[j])]))
 
     def _ratio_membership(self, space: Subspace) -> np.ndarray:
         """Boolean array over middle-field dlogs t: antilog(t) in space."""

@@ -13,6 +13,14 @@ The difference profile has two routes: ``transform_profile`` derives it
 from the character spectrum (the route ``verify_pds`` takes), and
 ``difference_profile`` counts them literally, with the kernel of the
 common-neighbour count: c(g) = #{d in D : d - g in D} for every g.
+
+The common-neighbour count is literal too, but needs only one target per
+orbit of the multiplier group H (``Tower.multiplier_generators``), which
+fixes every set of both families: ``check_multiplier_invariance`` tests
+hD = D for both generators, and when it holds ``orbit_common_neighbors``
+counts the e + 2 orbit representatives for all v - 1 targets.  A set that H
+moves fails that check and gets the sweep of ``srg_common_neighbors``,
+complete up to the neighbor cap and sampled above it.
 """
 
 from __future__ import annotations
@@ -328,6 +336,34 @@ def check_case_split(
     return CheckItem("case-split", ok, details=counts, witnesses=witnesses)
 
 
+def _neighbor_item(
+    pds: PdsSet,
+    indexer: GroupIndexer,
+    targets: np.ndarray,
+    covered: int,
+    sampled: bool,
+    threads: int,
+) -> CheckItem:
+    """The common-neighbors item from literal counts at ``targets``, which
+    stand for ``covered`` nonzero elements."""
+    exp = expected_params(pds)
+    member = _membership(pds, indexer.v)
+    cn = _common_counts(pds, targets, indexer, threads)
+    want = np.where(member[targets], exp.lam, exp.mu)
+    bad = np.flatnonzero(cn != want)
+    ok = len(bad) == 0 and int(member.sum()) == exp.k
+    witnesses = [
+        {
+            "vertex": indexer.dlog_pairs(targets[b]).tolist(),
+            "count": int(cn[b]),
+            "want": int(want[b]),
+        }
+        for b in bad[:5]
+    ]
+    details = {"pairs_checked": covered, "degree": int(member.sum()), "sampled": sampled}
+    return CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
+
+
 def srg_common_neighbors(
     pds: PdsSet,
     indexer: GroupIndexer,
@@ -341,29 +377,39 @@ def srg_common_neighbors(
     if cap == 0:
         return _skip("common-neighbors", "cap")
     v = indexer.v
-    exp = expected_params(pds)
-    member = _membership(pds, v)
     sampled = v > cap
     stride = (v + cap - 1) // cap if sampled else 1
     targets = np.arange(1, v, stride, dtype=np.int64)
-    cn = _common_counts(pds, targets, indexer, threads)
-    want = np.where(member[targets], exp.lam, exp.mu)
-    bad = np.flatnonzero(cn != want)
-    ok = len(bad) == 0 and int(member.sum()) == exp.k
-    witnesses = [
-        {
-            "vertex": indexer.dlog_pairs(targets[b]).tolist(),
-            "count": int(cn[b]),
-            "want": int(want[b]),
-        }
-        for b in bad[:5]
-    ]
-    details = {
-        "pairs_checked": int(len(targets)),
-        "degree": int(member.sum()),
-        "sampled": sampled,
-    }
-    return CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
+    return _neighbor_item(pds, indexer, targets, len(targets), sampled, threads)
+
+
+def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
+    """hD = D for both generators h of the multiplier group H
+    (``Tower.multiplier_generators``), literally: the k images, sorted,
+    against D.  Every provenance of either family is H-invariant, so a set
+    that H moves is none of them; each witness is an element d with hd
+    outside D."""
+    idx = pds.elements
+    gens = tower.multiplier_generators
+    witnesses = []
+    for a, b in gens:
+        image = tower.multiply(idx, a, b)
+        if not np.array_equal(np.sort(image), idx):
+            d = np.flatnonzero(~np.isin(image, idx, assume_unique=True))[0]
+            pairs = tower.indexer.dlog_pairs(np.array([idx[d], image[d]])).tolist()
+            witnesses.append({"element": pairs[0], "multiplier": [a, b], "image": pairs[1]})
+    details = {"generators": [list(g) for g in gens]}
+    return CheckItem("multiplier-invariance", not witnesses, details=details, witnesses=witnesses)
+
+
+def orbit_common_neighbors(pds: PdsSet, tower: Tower) -> CheckItem:
+    """The common-neighbors item from one literal count per H-orbit
+    (``Tower.orbit_representatives``), covering all v - 1 targets.  Sound
+    only for a set that H fixes (``check_multiplier_invariance``): each h in
+    H is an additive automorphism of G, so hD = D gives c(hg) = c(g), and
+    membership in D is constant on orbits."""
+    reps = tower.orbit_representatives
+    return _neighbor_item(pds, tower.indexer, reps, tower.params.v - 1, False, 0)
 
 
 def eigen_check(expected: pm.SrgParams, spectrum: CharacterSpectrum) -> CheckItem:
@@ -521,8 +567,13 @@ def verify_pds(
 
     The difference profile of ``pds-differences`` comes from the character
     spectrum by the exact transform (``transform_profile``), not from the
-    literal sweep of ``difference_profile``; ``common-neighbors`` counts
-    literally.  ``threads`` splits only that literal sweep."""
+    literal sweep of ``difference_profile``.  ``common-neighbors`` counts
+    literally, after ``check_multiplier_invariance``, which only the table
+    cap gates: when H fixes the set, one target per H-orbit covers all v - 1
+    (``orbit_common_neighbors``); otherwise the report lists the failed
+    ``multiplier-invariance`` item and ``srg_common_neighbors`` sweeps up to
+    the neighbor cap and samples above it.  ``threads`` splits only that
+    fallback sweep."""
     indexer = tower.indexer
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
@@ -555,8 +606,13 @@ def verify_pds(
         report.add(_skip("case-split", "cap"))
         report.add(_skip("eigenvalues", "cap"))
     report.add(clique_certificate(pds, tower))
-    if v <= caps.profile:
-        report.add(srg_common_neighbors(pds, indexer, cap=caps.neighbor, threads=threads))
-    else:
+    invariance = check_multiplier_invariance(pds, tower)
+    if not invariance.passed:
+        report.add(invariance)
+    if v > caps.profile or caps.neighbor == 0:
         report.add(_skip("common-neighbors", "cap"))
+    elif invariance.passed:
+        report.add(orbit_common_neighbors(pds, tower))
+    else:
+        report.add(srg_common_neighbors(pds, indexer, cap=caps.neighbor, threads=threads))
     return report

@@ -35,6 +35,16 @@ def with_pairs(tower: Tower, pds: PdsSet, pairs) -> PdsSet:
     return PdsSet(pds.params, pds.provenance, idx, pds.claimed, pds.subspace_rows)
 
 
+def orbit_labels(tower: Tower) -> np.ndarray:
+    """For every nonzero group index g (entry g - 1), its orbit under the
+    multiplier group, read off the norm tables: 0 for K1* x 0, 1 for
+    0 x K2*, and 2 + t for norm ratio class t mod e."""
+    x, y = tower.indexer.split(np.arange(1, tower.params.v, dtype=np.int64))
+    n1, n2 = tower.norm_dlogs
+    t = (n2[tower.f2.dlog[y]] - n1[tower.f1.dlog[x]]) % tower.params.e
+    return np.where(y == 0, 0, np.where(x == 0, 1, 2 + t))
+
+
 def digit_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Base-p digits of every index below p^n, first digit least
     significant, and the weights p^i that pack them back."""

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "denpds.cli"]
@@ -102,15 +103,49 @@ def test_cap_exceeded_exits_three():
     assert res.returncode == 3
 
 
+def _moved_set_file(tmp_path):
+    """The (64,18,2,6) set file with every element moved by the additive
+    automorphism that exchanges index bits 0 and 2, a digit of K1 and one
+    of K2: still a PDS with the same parameters, but one the multiplier
+    group moves."""
+    from denpds.construct import Tower, TowerParams
+
+    out = tmp_path / "moved.json"
+    run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(out))
+    doc = json.loads(out.read_text())
+    ix = Tower(TowerParams(2, 1, 2, 1, 1)).indexer
+    g = ix.from_dlog_pairs(np.array(doc["elements"]))
+    flip = (g ^ (g >> 2)) & 1
+    doc["elements"] = ix.dlog_pairs(g ^ (flip | flip << 2)).tolist()
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
 def test_neighbor_cap_skip_behavior(tmp_path):
-    """Oversized neighbor oracle is skipped; other checks still decide."""
-    res = run(
-        "verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--neighbor-cap", "16"
-    )
-    assert res.returncode == 0
-    rep = json.loads(res.stdout)
-    names = {c["name"]: c for c in rep["checks"]}
+    """A set the multiplier group moves fails multiplier-invariance and
+    takes the fallback sweep, which samples above the neighbor cap; the
+    other checks still decide on their own."""
+    res = run("verify", "--set", _moved_set_file(tmp_path), "--neighbor-cap", "16")
+    assert res.returncode == 1
+    names = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    assert names["multiplier-invariance"]["status"] == "fail"
+    assert names["multiplier-invariance"]["witnesses"]
+    assert names["pds-differences"]["status"] == "pass"
+    assert names["common-neighbors"]["status"] == "pass"
     assert names["common-neighbors"]["details"]["sampled"] is True
+
+
+def test_common_neighbors_counts_one_target_per_orbit():
+    """A constructed set takes the orbit route: no multiplier-invariance
+    line (it is listed only when it fails), and 5 counts cover all 63
+    targets, unsampled also under a neighbor cap of 16."""
+    for extra in ([], ["--neighbor-cap", "16"]):
+        res = run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", *extra)
+        assert res.returncode == 0
+        checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+        assert "multiplier-invariance" not in checks
+        want = {"pairs_checked": 63, "degree": 18, "sampled": False}
+        assert checks["common-neighbors"]["details"] == want
 
 
 def test_dual_subcommand(tmp_path):

@@ -25,7 +25,7 @@ from denpds.errors import (
 from denpds.ff import build_field, prime_factors
 from denpds.verify import GroupIndexer, delsarte_dual, verify_pds
 
-from conftest import GRID_G1, digit_table, pair_set, poly_mul, poly_pow
+from conftest import GRID_G1, digit_table, orbit_labels, pair_set, poly_mul, poly_pow
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,29 @@ def test_compatible_primitives_postconditions():
     # adjustment happens and beta is the generator itself
     tw = Tower(TowerParams(2, 1, 2, 1, 1))
     assert tw.compatible.beta_adjust == 1
+
+
+@pytest.mark.parametrize(
+    "tp", [(2, 1, 2, 1, 1), (3, 1, 2, 1, 1), (2, 2, 2, 1, 1), (2, 1, 3, 1, 1), (2, 1, 1, 1, 1)]
+)
+def test_multiplier_orbits_are_the_ratio_classes(tp):
+    """The orbit the two generators of H sweep out from each representative
+    is exactly its class: the e + 2 orbits are the two axes and the norm
+    ratio classes, and they partition the v - 1 nonzero indices."""
+    tw = Tower(TowerParams(*tp))
+    labels = orbit_labels(tw)
+    reps = tw.orbit_representatives
+    assert len(reps) == tw.params.e + 2 and not reps.flags.writeable
+    assert np.array_equal(labels[reps - 1], np.arange(len(reps)))
+    for label, rep in enumerate(reps.tolist()):
+        orbit = np.array([rep])
+        while True:
+            images = [tw.multiply(orbit, a, b) for a, b in tw.multiplier_generators]
+            grown = np.unique(np.concatenate([orbit, *images]))
+            if len(grown) == len(orbit):
+                break
+            orbit = grown
+        assert np.array_equal(orbit, np.flatnonzero(labels == label) + 1), (tp, label)
 
 
 def test_tower_owns_one_indexer_and_the_encoding(grid):

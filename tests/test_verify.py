@@ -2,6 +2,7 @@
 case splits, cliques, duals, and their failure modes."""
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.errors import CapExceededError, SpectrumNotTwoValuedError
 
-from conftest import digit_table, pair_set, with_pairs
+from conftest import GRID_G1, digit_table, orbit_labels, pair_set, with_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "denpds"
 
@@ -238,6 +239,134 @@ def test_common_neighbors(d64, ix64):
     a = V.srg_common_neighbors(D, ix64, cap=16)
     b = V.srg_common_neighbors(D, ix64, cap=16)
     assert a.passed and a.details["sampled"] and a.details == b.details
+
+
+DENSE = [(2, 1, 4, 1, 2), (2, 1, 4, 1, 3)]
+
+
+def _with_complement_and_dual(tower, pds):
+    spectrum = V.character_spectrum(pds, tower.indexer)
+    return [pds, tower.complement(pds), V.delsarte_dual(pds, tower.indexer, spectrum)]
+
+
+def test_orbit_counts_equal_the_transform_profile(grid):
+    """The literal counts at the e + 2 orbit representatives, spread over
+    their orbits, are the transform profile at every nonzero element: for
+    every grid and dense set of both families, its complement and its
+    Delsarte dual, and for the primal 3,1,2,2,1 set (odd p, e = 4)."""
+    towers = [tp + (r,) for tp in GRID_G1 for r in range(tp[2] + 1)] + DENSE
+    cases = [(tp, fam) for tp in towers for fam in ("primal", "dual")]
+    sets = []
+    for tp, fam in cases:
+        tower = grid.tower(*tp)
+        sets += [(tower, pds) for pds in _with_complement_and_dual(tower, grid.pds(*tp, fam)[0])]
+    big = grid.tower(3, 1, 2, 2, 1)
+    sets.append((big, big.build_D()))
+    assert len(sets) == 3 * len(cases) + 1
+    for tower, pds in sets:
+        assert V.check_multiplier_invariance(pds, tower).passed, (tower.params, pds.provenance)
+        counts = V._common_counts(pds, tower.orbit_representatives, tower.indexer, 0)
+        profile = V.transform_profile(V.character_spectrum(pds, tower.indexer)).counts
+        expanded = counts[orbit_labels(tower)]
+        assert np.array_equal(expanded, profile[1:]), (tower.params, pds.provenance)
+
+
+def test_orbit_route_runs_unsampled_above_the_neighbor_cap():
+    """3,1,2,2,1 (v = 3^10, above the neighbor cap of 4096) certifies
+    common-neighbors for all v - 1 targets in both families, with e + 2 = 6
+    counts."""
+    tower = Tower(TowerParams(3, 1, 2, 2, 1))
+    R = tower.default_subspace()
+    assert len(tower.orbit_representatives) == 6
+    for pds in (tower.build_D(R), tower.build_D_dual(R)):
+        report = V.verify_pds(pds, tower, R)
+        assert report.verdict == "PASS" and all(it.skipped is None for it in report.items)
+        cn = report.items[-1]
+        assert cn.name == "common-neighbors"
+        assert cn.details == {"pairs_checked": 3**10 - 1, "degree": pds.k, "sampled": False}
+
+
+def _ratio_set_mutant(tower, classes, family):
+    """The set of ``family`` whose ratio part is built from the ratio classes
+    ``classes`` (middle-field dlogs) instead of R or R-perp, with the
+    family's axis: H-invariant and of the family's size whenever
+    ``classes`` has the size of R or R-perp."""
+    ok = np.zeros(tower.mid.order, dtype=bool)
+    ok[list(classes)] = True
+    ix, tp = tower.indexer, tower.params
+    if family == "primal":
+        ratio, axis = tower._ratio_indices(ok), ix.join(np.arange(1, tower.f1.size), 0)
+        claimed = tp.primal_params()
+    else:
+        ratio, axis = tower._ratio_indices(~ok), ix.join(0, np.arange(1, tower.f2.size))
+        claimed = tp.dual_params()
+    return PdsSet(tp, family, np.concatenate([ratio, axis]), claimed)
+
+
+def test_mutants_only_the_counts_catch():
+    """On 2,1,3,1 the ratio classes are the 7 points of PG(2,2).  A ratio
+    set of 3 points builds a primal set at r = 2 (R is a line) and, by
+    complement, a dual set at r = 1 (R-perp is a line).  The 7 lines give
+    certified sets; each of the 28 other 3-subsets gives a set with the
+    right size, D = -D and H-invariance, which pds-differences,
+    two-valued-spectrum and the orbit-route common-neighbors must reject."""
+    towers = {fam: Tower(TowerParams(2, 1, 3, 1, r)) for fam, r in (("primal", 2), ("dual", 1))}
+    mid = towers["primal"].mid
+    points = mid.antilog
+    lines = {
+        triple for triple in itertools.combinations(range(7), 3)
+        if mid.add(points[triple[0]], points[triple[1]]) == points[triple[2]]
+    }
+    assert len(lines) == 7
+    failed = 0
+    for family, tower in towers.items():
+        for triple in itertools.combinations(range(7), 3):
+            pds = _ratio_set_mutant(tower, triple, family)
+            assert pds.k == pds.claimed.k
+            assert V.check_multiplier_invariance(pds, tower).passed
+            report = V.verify_pds(pds, tower)  # no R: case-split is skipped
+            status = {it.name: it.status for it in report.items}
+            assert "multiplier-invariance" not in status  # listed only when it fails
+            cn = report.items[-1]
+            assert cn.details == {"pairs_checked": 511, "degree": pds.k, "sampled": False}
+            if triple in lines:
+                assert report.verdict == "PASS", (family, triple)
+                continue
+            assert report.verdict == "FAIL"
+            for name in ("pds-differences", "two-valued-spectrum", "common-neighbors"):
+                assert status[name] == "fail", (family, triple, name)
+            # each witness is an orbit representative
+            assert {tuple(w["vertex"]) for w in cn.witnesses} <= {
+                tuple(p) for p in tower.indexer.dlog_pairs(tower.orbit_representatives).tolist()
+            }
+            failed += 1
+    assert failed == 2 * 28
+
+
+def test_a_swap_fails_invariance_and_takes_the_fallback():
+    """A single swapped element breaks H-invariance: the check names an
+    element of D whose image under a generator is not in D, and
+    common-neighbors falls back to the literal sweep, here sampled under a
+    neighbor cap of 64, with its witnesses."""
+    tower = Tower(TowerParams(2, 1, 3, 1, 2))
+    R = tower.default_subspace()
+    bad = swap_one(tower.build_D(R), tower, random.Random(7))
+    item = V.check_multiplier_invariance(bad, tower)
+    assert not item.passed and item.witnesses
+    for w in item.witnesses:
+        d, image = tower.indexer.from_dlog_pairs(np.array([w["element"], w["image"]]))
+        assert w["multiplier"] in item.details["generators"]
+        assert tower.multiply(d, *w["multiplier"]) == image
+        assert d in bad.elements and image not in bad.elements
+    caps = V.Caps(neighbor=64)
+    report = V.verify_pds(bad, tower, R, caps=caps)
+    names = [it.name for it in report.items]
+    assert names[-2:] == ["multiplier-invariance", "common-neighbors"]
+    assert report.items[-2].as_dict() == item.as_dict()
+    cn = report.items[-1]
+    assert cn.as_dict() == V.srg_common_neighbors(bad, tower.indexer, cap=64).as_dict()
+    assert cn.details["sampled"] and not cn.passed and cn.witnesses
+    assert report.verdict == "FAIL"
 
 
 def test_clique_certificates(d64, t64):
