@@ -279,7 +279,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     tower, pds, R, caps, _ = _load_or_build(args)
-    report = vf.verify_pds(pds, tower, R, caps=caps, threads=args.parallel)
+    report = vf.verify_pds(pds, tower, R, caps=caps)
     text = report.to_text() if args.format == "text" else report.to_json()
     _write(text, args.output)
     if report.verdict == "INCONCLUSIVE":
@@ -397,9 +397,8 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", help="output path (default stdout)")
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument(
-        "--parallel", type=int, default=0,
-        help="worker threads for the fallback common-neighbor sweep of a set the "
-        "multiplier group moves (0 = off)",
+        "--parallel", type=int, default=0, metavar="N",
+        help="accepted and ignored (N >= 0): every sweep runs serially",
     )
     common.add_argument(
         "--seedless", action="store_true",

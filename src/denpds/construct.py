@@ -64,7 +64,7 @@ from .ff import (
     readonly,
     sorted_unique,
 )
-from .jsonout import dumps, plain
+from .jsonout import dumps
 
 # How the family tag of a set transforms under complementation and under
 # the character-group dual.  The four families are closed under both maps:
@@ -378,9 +378,6 @@ class PdsSet:
             "subspace_rows": [list(r) for r in self.subspace_rows],
             "elements": pairs,
         }
-
-    def to_json_dict(self, tower: "Tower | None" = None) -> dict:
-        return plain(self._json_doc(tower))
 
     def to_json(self, tower: "Tower | None" = None) -> str:
         return dumps(self._json_doc(tower))

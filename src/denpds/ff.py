@@ -224,19 +224,12 @@ def digitwise(a, b, sign: int, p: int, n: int):
 CHUNK_BYTES = 8 << 20
 
 
-def sweep(total: int, row_bytes: int, fn, threads: int = 0) -> list:
+def sweep(total: int, row_bytes: int, fn) -> list:
     """[fn((lo, hi)) for consecutive ranges covering range(total)], each of
     as many rows as CHUNK_BYTES holds at ``row_bytes`` a row (at least one),
-    split over ``threads`` worker threads when there are two or more."""
+    in order."""
     chunk = max(1, CHUNK_BYTES // max(row_bytes, 1))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if threads > 1:
-        # imported here: the import costs a cold ``import denpds`` about 7 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, ranges))
-    return [fn(r) for r in ranges]
+    return [fn((lo, min(lo + chunk, total))) for lo in range(0, total, chunk)]
 
 
 @cache

@@ -20,7 +20,8 @@ fixes every set of both families: ``check_multiplier_invariance`` tests
 hD = D for both generators, and when it holds ``orbit_common_neighbors``
 counts the e + 2 orbit representatives for all v - 1 targets.  A set that H
 moves fails that check and gets the sweep of ``srg_common_neighbors``,
-complete up to the neighbor cap and sampled above it.
+complete up to the neighbor cap and sampled above it.  Every sweep runs
+serially, one chunk at a time (``ff.sweep``).
 """
 
 from __future__ import annotations
@@ -75,12 +76,10 @@ def _membership(pds: PdsSet, v: int) -> np.ndarray:
     return member
 
 
-def _common_counts(
-    pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer, threads: int
-) -> np.ndarray:
+def _common_counts(pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer) -> np.ndarray:
     """c(g) = #{d in D : d - g in D} for every g in targets, counted
-    literally from the membership indicator of D; chunks of targets are
-    split over ``threads`` worker threads."""
+    literally from the membership indicator of D, one chunk of targets at a
+    time."""
     idx, member = pds.elements, _membership(pds, indexer.v)
     # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
     per_target = len(idx) * 8 * (1 if indexer.p == 2 else indexer.n)
@@ -89,7 +88,7 @@ def _common_counts(
         gs = targets[rng[0] : rng[1]]
         return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
 
-    return np.concatenate(sweep(len(targets), per_target, one, threads))
+    return np.concatenate(sweep(len(targets), per_target, one))
 
 
 def difference_profile(
@@ -102,7 +101,7 @@ def difference_profile(
     if v > cap:
         raise CapExceededError("profile oracle: v=%d above cap %d" % (v, cap))
     k = pds.k
-    counts = _common_counts(pds, np.arange(v, dtype=np.int64), indexer, 0)
+    counts = _common_counts(pds, np.arange(v, dtype=np.int64), indexer)
     if counts[0] != k:
         raise InternalError("self-differences must account for index 0 exactly")
     counts[0] = 0
@@ -342,13 +341,12 @@ def _neighbor_item(
     targets: np.ndarray,
     covered: int,
     sampled: bool,
-    threads: int,
 ) -> CheckItem:
     """The common-neighbors item from literal counts at ``targets``, which
     stand for ``covered`` nonzero elements."""
     exp = expected_params(pds)
     member = _membership(pds, indexer.v)
-    cn = _common_counts(pds, targets, indexer, threads)
+    cn = _common_counts(pds, targets, indexer)
     want = np.where(member[targets], exp.lam, exp.mu)
     bad = np.flatnonzero(cn != want)
     ok = len(bad) == 0 and int(member.sum()) == exp.k
@@ -368,7 +366,6 @@ def srg_common_neighbors(
     pds: PdsSet,
     indexer: GroupIndexer,
     cap: int = DEFAULT_NEIGHBOR_CAP,
-    threads: int = 0,
 ) -> CheckItem:
     """Common-neighbor counts of (0, g) in the Cayley graph, counted literally
     as #{d in D : d - g in D} from the membership indicator; vertex-
@@ -380,7 +377,7 @@ def srg_common_neighbors(
     sampled = v > cap
     stride = (v + cap - 1) // cap if sampled else 1
     targets = np.arange(1, v, stride, dtype=np.int64)
-    return _neighbor_item(pds, indexer, targets, len(targets), sampled, threads)
+    return _neighbor_item(pds, indexer, targets, len(targets), sampled)
 
 
 def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
@@ -409,7 +406,7 @@ def orbit_common_neighbors(pds: PdsSet, tower: Tower) -> CheckItem:
     H is an additive automorphism of G, so hD = D gives c(hg) = c(g), and
     membership in D is constant on orbits."""
     reps = tower.orbit_representatives
-    return _neighbor_item(pds, tower.indexer, reps, tower.params.v - 1, False, 0)
+    return _neighbor_item(pds, tower.indexer, reps, tower.params.v - 1, False)
 
 
 def eigen_check(expected: pm.SrgParams, spectrum: CharacterSpectrum) -> CheckItem:
@@ -572,8 +569,9 @@ def verify_pds(
     cap gates: when H fixes the set, one target per H-orbit covers all v - 1
     (``orbit_common_neighbors``); otherwise the report lists the failed
     ``multiplier-invariance`` item and ``srg_common_neighbors`` sweeps up to
-    the neighbor cap and samples above it.  ``threads`` splits only that
-    fallback sweep."""
+    the neighbor cap and samples above it.  ``threads`` is accepted and
+    ignored, since every sweep runs serially; ``perfbench/child.py`` still
+    passes it."""
     indexer = tower.indexer
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
@@ -614,5 +612,5 @@ def verify_pds(
     elif invariance.passed:
         report.add(orbit_common_neighbors(pds, tower))
     else:
-        report.add(srg_common_neighbors(pds, indexer, cap=caps.neighbor, threads=threads))
+        report.add(srg_common_neighbors(pds, indexer, cap=caps.neighbor))
     return report

@@ -35,6 +35,15 @@ def with_pairs(tower: Tower, pds: PdsSet, pairs) -> PdsSet:
     return PdsSet(pds.params, pds.provenance, idx, pds.claimed, pds.subspace_rows)
 
 
+def exchange_bits_0_and_2(g: np.ndarray) -> np.ndarray:
+    """Group indices of 2,1,2,1,1 with index bits 0 and 2 exchanged: an
+    additive automorphism that swaps a digit of K1 and one of K2.  It maps
+    the (64,18,2,6) set to a PDS with the same parameters that the
+    multiplier group moves, so ``verify_pds`` takes the fallback sweep."""
+    flip = (g ^ (g >> 2)) & 1
+    return g ^ (flip | flip << 2)
+
+
 def orbit_labels(tower: Tower) -> np.ndarray:
     """For every nonzero group index g (entry g - 1), its orbit under the
     multiplier group, read off the norm tables: 0 for K1* x 0, 1 for

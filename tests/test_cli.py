@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import exchange_bits_0_and_2
+
 CLI = [sys.executable, "-m", "denpds.cli"]
 
 
@@ -104,10 +106,9 @@ def test_cap_exceeded_exits_three():
 
 
 def _moved_set_file(tmp_path):
-    """The (64,18,2,6) set file with every element moved by the additive
-    automorphism that exchanges index bits 0 and 2, a digit of K1 and one
-    of K2: still a PDS with the same parameters, but one the multiplier
-    group moves."""
+    """The (64,18,2,6) set file with every element moved by
+    ``exchange_bits_0_and_2``: still a PDS with the same parameters, but one
+    the multiplier group moves."""
     from denpds.construct import Tower, TowerParams
 
     out = tmp_path / "moved.json"
@@ -115,8 +116,7 @@ def _moved_set_file(tmp_path):
     doc = json.loads(out.read_text())
     ix = Tower(TowerParams(2, 1, 2, 1, 1)).indexer
     g = ix.from_dlog_pairs(np.array(doc["elements"]))
-    flip = (g ^ (g >> 2)) & 1
-    doc["elements"] = ix.dlog_pairs(g ^ (flip | flip << 2)).tolist()
+    doc["elements"] = ix.dlog_pairs(exchange_bits_0_and_2(g)).tolist()
     out.write_text(json.dumps(doc))
     return str(out)
 
@@ -133,6 +133,24 @@ def test_neighbor_cap_skip_behavior(tmp_path):
     assert names["pds-differences"]["status"] == "pass"
     assert names["common-neighbors"]["status"] == "pass"
     assert names["common-neighbors"]["details"]["sampled"] is True
+
+
+def test_parallel_is_ignored_on_the_fallback_sweep(tmp_path):
+    """--parallel is accepted and ignored.  On a set the multiplier group
+    moves, whose common-neighbors takes the fallback sweep, --parallel 4
+    prints what --parallel 0 prints, exits 1 from the failed
+    multiplier-invariance, and loads no thread pool."""
+    path = _moved_set_file(tmp_path)
+    seq = run("verify", "--set", path, "--parallel", "0")
+    code = (
+        "import sys; from denpds.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'concurrent.futures' in sys.modules, file=sys.stderr)"
+    )
+    args = ["verify", "--set", path, "--parallel", "4"]
+    par = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert seq.returncode == 1 and par.returncode == 0
+    assert par.stdout == seq.stdout
+    assert par.stderr == seq.stderr + "1 False\n"
 
 
 def test_common_neighbors_counts_one_target_per_orbit():

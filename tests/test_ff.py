@@ -279,8 +279,8 @@ def test_linear_map_is_the_digit_row_product(monkeypatch):
 
 def test_import_leaves_out_concurrent_futures():
     """A cold ``import denpds`` (and of the CLI, which imports every module)
-    does not import concurrent.futures, about 7 ms of start-up: ff.sweep
-    imports its thread pool only when it runs threads."""
+    does not import concurrent.futures, about 7 ms of start-up: every sweep
+    runs serially, so nothing in the package uses a thread pool."""
     code = "import sys, denpds, denpds.cli; print('concurrent.futures' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout == "False\n"

@@ -14,7 +14,7 @@ from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.errors import CapExceededError, SpectrumNotTwoValuedError
 
-from conftest import GRID_G1, digit_table, orbit_labels, pair_set, with_pairs
+from conftest import GRID_G1, digit_table, exchange_bits_0_and_2, orbit_labels, pair_set, with_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "denpds"
 
@@ -265,7 +265,7 @@ def test_orbit_counts_equal_the_transform_profile(grid):
     assert len(sets) == 3 * len(cases) + 1
     for tower, pds in sets:
         assert V.check_multiplier_invariance(pds, tower).passed, (tower.params, pds.provenance)
-        counts = V._common_counts(pds, tower.orbit_representatives, tower.indexer, 0)
+        counts = V._common_counts(pds, tower.orbit_representatives, tower.indexer)
         profile = V.transform_profile(V.character_spectrum(pds, tower.indexer)).counts
         expanded = counts[orbit_labels(tower)]
         assert np.array_equal(expanded, profile[1:]), (tower.params, pds.provenance)
@@ -455,9 +455,15 @@ def test_verify_pds_cap_skips(d64, t64):
 
 
 def test_parallel_results_identical(d64, t64):
+    """``threads`` is accepted and ignored, also on the fallback sweep: a set
+    the multiplier group moves gives byte-identical reports at 0 and 4."""
     D, R = d64
-    rep0 = V.verify_pds(D, t64, R, threads=0)
-    rep4 = V.verify_pds(D, t64, R, threads=4)
+    moved = PdsSet(D.params, D.provenance, exchange_bits_0_and_2(D.elements), D.claimed)
+    rep0 = V.verify_pds(moved, t64, R, threads=0)
+    rep4 = V.verify_pds(moved, t64, R, threads=4)
+    names = [it.name for it in rep0.items]
+    assert names[-2:] == ["multiplier-invariance", "common-neighbors"]
+    assert rep0.items[-1].passed and rep0.verdict == "FAIL"
     assert rep0.to_json() == rep4.to_json()
 
 
@@ -532,9 +538,10 @@ def _named(node, name: str) -> bool:
 
 
 def test_one_chunker():
-    """Only ff.sweep uses ThreadPoolExecutor or divides CHUNK_BYTES: every
-    literal sweep and every linear map takes its chunk ranges and threads
-    from it."""
+    """Only ff.sweep divides CHUNK_BYTES, and nothing in the package, ff.sweep
+    included, names ThreadPoolExecutor or concurrent.futures: every literal
+    sweep and every linear map takes its chunk ranges from it and runs them
+    serially."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -543,13 +550,16 @@ def test_one_chunker():
             sweep = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "sweep")
             allowed = {id(n) for n in ast.walk(sweep)}
         for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
             divides = (
-                isinstance(node, ast.BinOp)
+                id(node) not in allowed
+                and isinstance(node, ast.BinOp)
                 and isinstance(node.op, (ast.Div, ast.FloorDiv))
                 and _named(node.left, "CHUNK_BYTES")
             )
-            if divides or _named(node, "ThreadPoolExecutor"):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                modules.append(node.module or "")
+            pooled = _named(node, "ThreadPoolExecutor") or any(m.startswith("concurrent") for m in modules)
+            if divides or pooled:
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
