@@ -405,8 +405,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="assert the no-randomness guarantee (always true; informational)",
     )
     cap_help = {
-        "neighbor": "targets of the fallback common-neighbor sweep, sampled above it "
-        "(the orbit route covers all of them); 0 skips common-neighbors",
+        "neighbor": "0 skips common-neighbors; any other value is accepted and "
+        "has no effect on verify",
     }
     for cap in ("table", "profile", "spectrum", "neighbor", "enum"):
         common.add_argument("--%s-cap" % cap, type=int, default=None, help=cap_help.get(cap))

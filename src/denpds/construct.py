@@ -354,13 +354,12 @@ class PdsSet:
     def degenerate(self) -> bool:
         return self.params.degenerate
 
-    def _json_doc(self, tower: "Tower | None") -> dict:
+    def _json_doc(self, tower: "Tower") -> dict:
         """The set file, with the sorted (k, 2) array of dlog pairs as
         ``elements``."""
-        tw = tower if tower is not None else Tower(self.params)
-        pairs = tw.indexer.dlog_pairs(self.elements)
+        pairs = tower.indexer.dlog_pairs(self.elements)
         # lexicographic order: the second log lies in [-1, |K2| - 1)
-        pairs = pairs[np.argsort(pairs[:, 0] * tw.f2.size + pairs[:, 1])]
+        pairs = pairs[np.argsort(pairs[:, 0] * tower.f2.size + pairs[:, 1])]
         return {
             "type": "pds-set",
             "version": 1,
@@ -368,18 +367,13 @@ class PdsSet:
             "provenance": self.provenance,
             "degenerate": self.params.degenerate,
             "claimed": self.claimed.as_dict(),
-            "fields": {
-                "base": tw.base.describe(),
-                "middle": tw.mid.describe(),
-                "left": tw.f1.describe(),
-                "right": tw.f2.describe(),
-            },
+            "fields": tower.describe_fields(),
             "pairing": "zeta_p^(Tr1(a x) + Tr2(b y))",
             "subspace_rows": [list(r) for r in self.subspace_rows],
             "elements": pairs,
         }
 
-    def to_json(self, tower: "Tower | None" = None) -> str:
+    def to_json(self, tower: "Tower") -> str:
         return dumps(self._json_doc(tower))
 
 
@@ -417,13 +411,7 @@ def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["
         raise ValueError("a set file is a JSON object")
     tp = TowerParams(**_json_integers(doc, "tower"))
     tower = Tower(tp, table_cap=table_cap)
-    described = {
-        "base": tower.base.describe(),
-        "middle": tower.mid.describe(),
-        "left": tower.f1.describe(),
-        "right": tower.f2.describe(),
-    }
-    if doc["fields"] != described:
+    if doc["fields"] != tower.describe_fields():
         raise FieldMismatchError(
             "set file uses a different field model than this build constructs"
         )
@@ -467,6 +455,15 @@ class Tower:
     def indexer(self) -> GroupIndexer:
         """The tower's group-index encoding and trace-pairing tables."""
         return GroupIndexer(self)
+
+    def describe_fields(self) -> dict:
+        """The field model a set file records and is checked against."""
+        return {
+            "base": self.base.describe(),
+            "middle": self.mid.describe(),
+            "left": self.f1.describe(),
+            "right": self.f2.describe(),
+        }
 
     # -- compatible generators --
 

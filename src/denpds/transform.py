@@ -59,7 +59,7 @@ def indicator(idx: np.ndarray, v: int, p: int) -> np.ndarray:
 
 def _by_digit(f: np.ndarray, p: int, step) -> np.ndarray:
     """Run ``step(f, spare, block)`` once per digit, block being the digit's
-    stride in the last axis; a step returns (result, free buffer).  The
+    place value in the last axis; a step returns (result, free buffer).  The
     digits from the middle up go first; a transpose then brings the low
     digits to the top, and a second one restores the order, so that no
     pass walks the arrays in blocks shorter than about sqrt(v)."""

@@ -19,9 +19,10 @@ orbit of the multiplier group H (``Tower.multiplier_generators``), which
 fixes every set of both families: ``check_multiplier_invariance`` tests
 hD = D for both generators, and when it holds ``orbit_common_neighbors``
 counts the e + 2 orbit representatives for all v - 1 targets.  A set that H
-moves fails that check and gets the sweep of ``srg_common_neighbors``,
-complete up to the neighbor cap and sampled above it.  Every sweep runs
-serially, one chunk at a time (``ff.sweep``).
+moves has already failed that check, so ``verify_pds`` skips its
+common-neighbour count.  ``srg_common_neighbors`` is the literal sweep of
+all v - 1 targets, for v up to its cap.  No check samples, and every sweep
+runs serially, one chunk at a time (``ff.sweep``).
 """
 
 from __future__ import annotations
@@ -339,11 +340,9 @@ def _neighbor_item(
     pds: PdsSet,
     indexer: GroupIndexer,
     targets: np.ndarray,
-    covered: int,
-    sampled: bool,
 ) -> CheckItem:
     """The common-neighbors item from literal counts at ``targets``, which
-    stand for ``covered`` nonzero elements."""
+    stand for all v - 1 nonzero elements."""
     exp = expected_params(pds)
     member = _membership(pds, indexer.v)
     cn = _common_counts(pds, targets, indexer)
@@ -358,7 +357,7 @@ def _neighbor_item(
         }
         for b in bad[:5]
     ]
-    details = {"pairs_checked": covered, "degree": int(member.sum()), "sampled": sampled}
+    details = {"pairs_checked": indexer.v - 1, "degree": int(member.sum()), "sampled": False}
     return CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
 
 
@@ -369,15 +368,12 @@ def srg_common_neighbors(
 ) -> CheckItem:
     """Common-neighbor counts of (0, g) in the Cayley graph, counted literally
     as #{d in D : d - g in D} from the membership indicator; vertex-
-    transitivity makes the base vertex exhaustive.  Full pass up to the cap,
-    deterministic sample above, skipped for a cap of 0."""
-    if cap == 0:
-        return _skip("common-neighbors", "cap")
+    transitivity makes the base vertex exhaustive.  All v - 1 targets for v
+    up to the cap, skipped above it (and so for a cap of 0)."""
     v = indexer.v
-    sampled = v > cap
-    stride = (v + cap - 1) // cap if sampled else 1
-    targets = np.arange(1, v, stride, dtype=np.int64)
-    return _neighbor_item(pds, indexer, targets, len(targets), sampled)
+    if v > cap:
+        return _skip("common-neighbors", "cap")
+    return _neighbor_item(pds, indexer, np.arange(1, v, dtype=np.int64))
 
 
 def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
@@ -405,8 +401,7 @@ def orbit_common_neighbors(pds: PdsSet, tower: Tower) -> CheckItem:
     only for a set that H fixes (``check_multiplier_invariance``): each h in
     H is an additive automorphism of G, so hD = D gives c(hg) = c(g), and
     membership in D is constant on orbits."""
-    reps = tower.orbit_representatives
-    return _neighbor_item(pds, tower.indexer, reps, tower.params.v - 1, False)
+    return _neighbor_item(pds, tower.indexer, tower.orbit_representatives)
 
 
 def eigen_check(expected: pm.SrgParams, spectrum: CharacterSpectrum) -> CheckItem:
@@ -564,14 +559,15 @@ def verify_pds(
 
     The difference profile of ``pds-differences`` comes from the character
     spectrum by the exact transform (``transform_profile``), not from the
-    literal sweep of ``difference_profile``.  ``common-neighbors`` counts
-    literally, after ``check_multiplier_invariance``, which only the table
-    cap gates: when H fixes the set, one target per H-orbit covers all v - 1
-    (``orbit_common_neighbors``); otherwise the report lists the failed
-    ``multiplier-invariance`` item and ``srg_common_neighbors`` sweeps up to
-    the neighbor cap and samples above it.  ``threads`` is accepted and
-    ignored, since every sweep runs serially; ``perfbench/child.py`` still
-    passes it."""
+    literal sweep of ``difference_profile``.  ``check_multiplier_invariance``
+    runs on every set, gated only by the table cap, and is listed only when
+    it fails.  ``common-neighbors`` is skipped for a cap when v is above the
+    profile cap or the neighbor cap is 0; otherwise, when H fixes the set,
+    one literal count per H-orbit covers all v - 1 targets
+    (``orbit_common_neighbors``), and when H moves it, the check is skipped
+    and the failed invariance item decides the verdict.  ``threads`` is
+    accepted and ignored, since every sweep runs serially;
+    ``perfbench/child.py`` still passes it."""
     indexer = tower.indexer
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
@@ -612,5 +608,5 @@ def verify_pds(
     elif invariance.passed:
         report.add(orbit_common_neighbors(pds, tower))
     else:
-        report.add(srg_common_neighbors(pds, indexer, cap=caps.neighbor))
+        report.add(_skip("common-neighbors", "set not H-invariant"))
     return report

@@ -39,7 +39,8 @@ def exchange_bits_0_and_2(g: np.ndarray) -> np.ndarray:
     """Group indices of 2,1,2,1,1 with index bits 0 and 2 exchanged: an
     additive automorphism that swaps a digit of K1 and one of K2.  It maps
     the (64,18,2,6) set to a PDS with the same parameters that the
-    multiplier group moves, so ``verify_pds`` takes the fallback sweep."""
+    multiplier group moves, so ``verify_pds`` fails it on
+    multiplier-invariance."""
     flip = (g ^ (g >> 2)) & 1
     return g ^ (flip | flip << 2)
 

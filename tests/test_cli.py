@@ -122,8 +122,8 @@ def _moved_set_file(tmp_path):
 
 
 def test_neighbor_cap_skip_behavior(tmp_path):
-    """A set the multiplier group moves fails multiplier-invariance and
-    takes the fallback sweep, which samples above the neighbor cap; the
+    """A set the multiplier group moves fails multiplier-invariance, and its
+    common-neighbors is skipped, not swept, whatever the neighbor cap; the
     other checks still decide on their own."""
     res = run("verify", "--set", _moved_set_file(tmp_path), "--neighbor-cap", "16")
     assert res.returncode == 1
@@ -131,15 +131,14 @@ def test_neighbor_cap_skip_behavior(tmp_path):
     assert names["multiplier-invariance"]["status"] == "fail"
     assert names["multiplier-invariance"]["witnesses"]
     assert names["pds-differences"]["status"] == "pass"
-    assert names["common-neighbors"]["status"] == "pass"
-    assert names["common-neighbors"]["details"]["sampled"] is True
+    assert names["common-neighbors"]["status"] == "skip"
+    assert names["common-neighbors"]["reason"] == "set not H-invariant"
 
 
 def test_parallel_is_ignored_on_the_fallback_sweep(tmp_path):
     """--parallel is accepted and ignored.  On a set the multiplier group
-    moves, whose common-neighbors takes the fallback sweep, --parallel 4
-    prints what --parallel 0 prints, exits 1 from the failed
-    multiplier-invariance, and loads no thread pool."""
+    moves, --parallel 4 prints what --parallel 0 prints, exits 1 from the
+    failed multiplier-invariance, and loads no thread pool."""
     path = _moved_set_file(tmp_path)
     seq = run("verify", "--set", path, "--parallel", "0")
     code = (
@@ -269,9 +268,10 @@ def test_verify_with_no_substantive_check_is_inconclusive():
     assert json.loads(res.stdout)["ok"] is False
 
 
-def test_verify_swapped_element_fails_both_difference_checks(tmp_path):
+def test_verify_swapped_element_fails_differences_and_invariance(tmp_path):
     """A set file with one element swapped for a non-element: the transform
-    profile and the literal common-neighbour count both reject it."""
+    profile rejects it, and so does the multiplier-invariance check, since
+    one swap leaves no union of H-orbits; common-neighbors is skipped."""
     out = tmp_path / "d.json"
     run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(out))
     doc = json.loads(out.read_text())
@@ -286,7 +286,8 @@ def test_verify_swapped_element_fails_both_difference_checks(tmp_path):
     assert ver.returncode == 1
     names = {c["name"]: c["status"] for c in json.loads(ver.stdout)["checks"]}
     assert names["pds-differences"] == "fail"
-    assert names["common-neighbors"] == "fail"
+    assert names["multiplier-invariance"] == "fail"
+    assert names["common-neighbors"] == "skip"
 
 
 def test_enum_cap_refuses_before_any_output(tmp_path):

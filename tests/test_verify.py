@@ -235,10 +235,10 @@ def test_common_neighbors(d64, ix64):
     item = V.srg_common_neighbors(D, ix64)
     assert item.passed
     assert item.details == {"pairs_checked": 63, "degree": 18, "sampled": False}
-    # above the cap the pass is sampled deterministically, twice the same
-    a = V.srg_common_neighbors(D, ix64, cap=16)
-    b = V.srg_common_neighbors(D, ix64, cap=16)
-    assert a.passed and a.details["sampled"] and a.details == b.details
+    assert V.srg_common_neighbors(D, ix64, cap=64).as_dict() == item.as_dict()
+    # above the cap the check is skipped, not sampled
+    for cap in (63, 16, 0):
+        assert V.srg_common_neighbors(D, ix64, cap=cap).skipped == "cap"
 
 
 DENSE = [(2, 1, 4, 1, 2), (2, 1, 4, 1, 3)]
@@ -343,11 +343,11 @@ def test_mutants_only_the_counts_catch():
     assert failed == 2 * 28
 
 
-def test_a_swap_fails_invariance_and_takes_the_fallback():
+def test_a_swap_fails_invariance_and_skips_common_neighbors():
     """A single swapped element breaks H-invariance: the check names an
-    element of D whose image under a generator is not in D, and
-    common-neighbors falls back to the literal sweep, here sampled under a
-    neighbor cap of 64, with its witnesses."""
+    element of D whose image under a generator is not in D, and the report
+    lists it and skips common-neighbors, also under a raised neighbor
+    cap."""
     tower = Tower(TowerParams(2, 1, 3, 1, 2))
     R = tower.default_subspace()
     bad = swap_one(tower.build_D(R), tower, random.Random(7))
@@ -358,15 +358,43 @@ def test_a_swap_fails_invariance_and_takes_the_fallback():
         assert w["multiplier"] in item.details["generators"]
         assert tower.multiply(d, *w["multiplier"]) == image
         assert d in bad.elements and image not in bad.elements
-    caps = V.Caps(neighbor=64)
-    report = V.verify_pds(bad, tower, R, caps=caps)
-    names = [it.name for it in report.items]
-    assert names[-2:] == ["multiplier-invariance", "common-neighbors"]
-    assert report.items[-2].as_dict() == item.as_dict()
-    cn = report.items[-1]
-    assert cn.as_dict() == V.srg_common_neighbors(bad, tower.indexer, cap=64).as_dict()
-    assert cn.details["sampled"] and not cn.passed and cn.witnesses
-    assert report.verdict == "FAIL"
+    for caps in (V.Caps(), V.Caps(neighbor=1 << 16)):
+        report = V.verify_pds(bad, tower, R, caps=caps)
+        names = [it.name for it in report.items]
+        assert names[-2:] == ["multiplier-invariance", "common-neighbors"]
+        assert report.items[-2].as_dict() == item.as_dict()
+        assert report.items[-1].skipped == "set not H-invariant"
+        assert report.verdict == "FAIL"
+
+
+def test_a_moved_set_is_reported_not_swept(grid, d64, t64, monkeypatch):
+    """verify_pds counts common neighbours at no more than the e + 2 orbit
+    representatives, at the default caps and under a neighbor cap of 2^16:
+    a set the multiplier group moves fails multiplier-invariance and its
+    common-neighbors is skipped.  The sets are the moved (64,18,2,6) set and
+    3,1,2,2,1 with its smallest element swapped for the smallest nonzero
+    non-member (v = 3^10)."""
+    D, R = d64
+    moved = PdsSet(D.params, D.provenance, exchange_bits_0_and_2(D.elements), D.claimed)
+    big = grid.tower(3, 1, 2, 2, 1)
+    B = big.build_D()
+    outsider = np.setdiff1d(np.arange(1, big.params.v), B.elements)[0]
+    swapped = PdsSet(B.params, B.provenance, np.append(B.elements[1:], outsider), B.claimed)
+    counts = V._common_counts
+    for tower, pds, R in ((t64, moved, R), (big, swapped, big.default_subspace())):
+        limit = len(tower.orbit_representatives)
+
+        def bounded(one, targets, indexer, limit=limit):
+            assert len(targets) <= limit, "%d targets swept" % len(targets)
+            return counts(one, targets, indexer)
+
+        monkeypatch.setattr(V, "_common_counts", bounded)
+        for caps in (V.Caps(), V.Caps(neighbor=1 << 16)):
+            report = V.verify_pds(pds, tower, R, caps=caps)
+            items = {it.name: it for it in report.items}
+            assert report.verdict == "FAIL", tower.params
+            assert not items["multiplier-invariance"].passed
+            assert items["common-neighbors"].skipped == "set not H-invariant"
 
 
 def test_clique_certificates(d64, t64):
@@ -455,15 +483,15 @@ def test_verify_pds_cap_skips(d64, t64):
 
 
 def test_parallel_results_identical(d64, t64):
-    """``threads`` is accepted and ignored, also on the fallback sweep: a set
-    the multiplier group moves gives byte-identical reports at 0 and 4."""
+    """``threads`` is accepted and ignored: a set the multiplier group moves
+    gives byte-identical reports at 0 and 4."""
     D, R = d64
     moved = PdsSet(D.params, D.provenance, exchange_bits_0_and_2(D.elements), D.claimed)
     rep0 = V.verify_pds(moved, t64, R, threads=0)
     rep4 = V.verify_pds(moved, t64, R, threads=4)
     names = [it.name for it in rep0.items]
     assert names[-2:] == ["multiplier-invariance", "common-neighbors"]
-    assert rep0.items[-1].passed and rep0.verdict == "FAIL"
+    assert rep0.items[-1].skipped == "set not H-invariant" and rep0.verdict == "FAIL"
     assert rep0.to_json() == rep4.to_json()
 
 
