@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -30,7 +29,7 @@ import sys
 from . import coding as cd
 from . import params as pm
 from . import verify as vf
-from .construct import PdsSet, Tower, TowerParams, pds_from_json_dict
+from .construct import PdsSet, Tower, TowerParams, read_set_file
 from .errors import CapExceededError, DenpdsError, NotASubspaceError
 from .ff import DEFAULT_TABLE_CAP
 from .jsonout import RowStrings, dumps
@@ -99,10 +98,13 @@ def _subspace(tower: Tower, args):
     return tower.default_subspace()
 
 
-def _load_or_build(args) -> tuple[Tower, PdsSet, object, vf.Caps, int]:
+def _load_or_build(args, gate=None) -> tuple[Tower, PdsSet, object, vf.Caps, int]:
     """The set of --set FILE, else the one the tower flags build, with its
     tower, its subspace R, the verify caps and the enum cap.  A file that is
-    not a well-formed set file is a usage error."""
+    not a well-formed set file is a usage error.  gate(args, enum_cap,
+    tower, provenance), if given, runs before any element is read or built:
+    for a file after the header's checks, for the flags after the table cap
+    and R."""
     table_cap = _cap(args, "table", DEFAULT_TABLE_CAP)
     caps = vf.Caps(
         profile=_cap(args, "profile", vf.DEFAULT_PROFILE_CAP),
@@ -110,6 +112,7 @@ def _load_or_build(args) -> tuple[Tower, PdsSet, object, vf.Caps, int]:
         neighbor=_cap(args, "neighbor", vf.DEFAULT_NEIGHBOR_CAP),
     )
     enum_cap = _cap(args, "enum", cd.DEFAULT_ENUM_CAP)
+    check = None if gate is None else functools.partial(gate, args, enum_cap)
     path = getattr(args, "set_file", None)
     if not path:
         try:
@@ -118,12 +121,14 @@ def _load_or_build(args) -> tuple[Tower, PdsSet, object, vf.Caps, int]:
             raise UsageError(exc) from None
         tower = Tower(tp, table_cap=table_cap)
         R = _subspace(tower, args)
+        if check is not None:
+            check(tower, args.family)
         pds = tower.build_D(R) if args.family == "primal" else tower.build_D_dual(R)
         return tower, pds, R, caps, enum_cap
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        tower, pds = pds_from_json_dict(doc, table_cap=table_cap)
+        tower, pds = read_set_file(data, table_cap, check)
         R = tower.check_rank(tower.subspace_from_coeff_rows(pds.subspace_rows))
     except KeyError as exc:
         raise UsageError("set file %s: missing key %s" % (path, exc)) from None
@@ -295,19 +300,25 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _coding_prelude(args, closed_form):
-    """What code and geometry share: a primal or dual set, the enum cap, the
-    point set, the spectrum, the closed-form parameters, the document's head."""
-    tower, pds, _, _, enum_cap = _load_or_build(args)
-    if pds.provenance not in ("primal", "dual"):
+def _coding_gate(args, enum_cap: int, tower: Tower, provenance: str) -> None:
+    """What code and geometry refuse before any element: a set other than a
+    primal or dual one, and a message or hyperplane sweep above the enum cap."""
+    if provenance not in ("primal", "dual"):
         raise UsageError("%s export needs a primal or dual set" % args.command)
     tp = tower.params
     if tp.q**tp.dim_q > enum_cap:
         sweep = "message sweep" if args.command == "code" else "hyperplane enumeration"
         raise CapExceededError("%s above cap %d" % (sweep, enum_cap))
+
+
+def _coding_prelude(args, closed_form):
+    """What code and geometry share: a primal or dual set, the enum cap, the
+    point set, the spectrum, the closed-form parameters, the document's head."""
+    tower, pds, _, _, enum_cap = _load_or_build(args, _coding_gate)
+    tp = tower.params
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
-    # v = q^dim: the enum cap, checked above, also gates the spectrum
+    # v = q^dim: the enum cap, checked by the gate, also gates the spectrum
     spectrum = vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
     expected = closed_form(tp.q, tp.m, tp.ell, tp.r, pds.provenance)
     doc = {"tower": tp.as_dict(), "family": pds.provenance, "q": tp.q}

@@ -27,7 +27,7 @@ import numpy as np
 from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, row_reduce, sweep
+from .ff import FiniteField, embed, in_sorted, row_reduce, sweep
 from .verify import CharacterSpectrum, CheckItem
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -55,7 +55,7 @@ class CodingContext:
         a, b = ix.split(pds.elements)
         # one row per embedded scalar of GF(q)*
         s1, s2 = (embed(self.base, f).forward[1:, None] for f in (f1, f2))
-        leaves = ~np.isin(ix.join(f1.mul(s1, a), f2.mul(s2, b)), pds.elements).all(axis=0)
+        leaves = ~in_sorted(ix.join(f1.mul(s1, a), f2.mul(s2, b)), pds.elements).all(axis=0)
         if leaves.any():
             g = pds.elements[leaves.argmax()]
             raise NotScaleClosedError(

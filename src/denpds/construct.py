@@ -38,6 +38,7 @@ Their set equality is a core oracle and is never assumed.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -59,6 +60,7 @@ from .ff import (
     build_field,
     digitwise,
     embed,
+    in_sorted,
     is_prime,
     linear_map,
     readonly,
@@ -391,6 +393,90 @@ def _dlog_pair_array(raw) -> np.ndarray:
     raise ValueError("elements must be pairs of integer exponents")
 
 
+# the whitespace JSON allows between tokens
+_JSON_WS = b" \t\n\r"
+
+
+def _split_elements(data: bytes) -> tuple[dict, bytes] | None:
+    """A set file's bytes as its header, the document parsed with NaN in
+    place of the top-level ``elements`` value, and the text of that value;
+    None where the split is not sure of both.
+
+    The value is taken to run from the colon after the first
+    ``"elements"`` to the next quote or brace, less trailing whitespace and
+    one comma.  The split holds only if the NaN put there is the one JSON
+    constant in the header and is the header's own ``elements``: the file
+    is then the header with the value in place of that NaN, so a nested,
+    repeated or quoted "elements" is never taken for the member.  A header
+    that is not ASCII is left to the whole-file route, which decodes it as
+    ``open`` does (and so refuses a UTF-8 byte-order mark).
+    """
+    key = data.find(b'"elements"')
+    start = data.find(b":", key + 10) + 1
+    if key < 0 or not start:
+        return None
+    ends = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
+    if not ends:
+        return None
+    value = data[start:min(ends)].rstrip(_JSON_WS).removesuffix(b",")
+    header = data[:start] + b"NaN" + data[start + len(value):]
+    stand_in, constants = object(), []
+
+    def constant(name):
+        constants.append(name)
+        return stand_in
+
+    try:
+        doc = json.loads(header.decode("ascii"), parse_constant=constant)
+    except ValueError:  # not ASCII, or not JSON
+        return None
+    if constants != ["NaN"] or not isinstance(doc, dict) or doc.get("elements") is not stand_in:
+        return None
+    return doc, value
+
+
+def _pairs_from_json_text(value: bytes) -> np.ndarray | None:
+    """What ``_dlog_pair_array(json.loads(value))`` gives, read straight
+    from the bytes, or None where this reader declines and leaves the value
+    to ``json``.  It reads only ``[[n,n],...]`` with JSON whitespace between
+    tokens, each n an integer of at most 18 digits (so it fits int64), the
+    form every set file is written in; a number split by whitespace, a
+    leading zero, a misplaced minus, a fraction, an exponent, a literal or
+    a string is declined."""
+    compact = value.translate(None, _JSON_WS)
+    skeleton = compact.translate(None, b"-0123456789")
+    k = (len(skeleton) - 1) // 4
+    if skeleton != b"[" + (b"[,]," * k)[:-1] + b"]" or compact[:1] != b"[" or compact[-1:] != b"]":
+        return None
+    if k == 0:
+        return np.empty((0, 2), np.int64)
+    # past the skeleton check every byte is JSON whitespace, a bracket, a
+    # comma, a minus (45) or a digit (48..57): 45..57 are the number bytes
+    numeric = (np.frombuffer(value, np.uint8) - np.uint8(45)) < 13
+    if np.count_nonzero(numeric[1:] > numeric[:-1]) != 2 * k:
+        return None  # more numbers than the compact text has: one was split
+    c = np.frombuffer(compact, np.uint8)
+    numeric = (c - np.uint8(45)) < 13
+    edges = np.flatnonzero(numeric[1:] != numeric[:-1])
+    if len(edges) != 4 * k:
+        return None
+    first, last = edges[0::2] + 1, edges[1::2]
+    before, after = c[first - 1], c[last + 1]
+    minus = c[first] == 45
+    digit = first + minus
+    if not (
+        ((before == 91) | (before == 44)).all()  # each number is one slot of a pair:
+        and ((after == 44) | (after == 93)).all()  # after [ or , and before , or ]
+        and np.count_nonzero(c == 45) == np.count_nonzero(minus)  # a minus leads
+        and (digit <= last).all()  # and a digit follows it
+        and not ((c[digit] == 48) & (digit < last)).any()  # no leading zero
+        and (last - digit < 18).all()
+    ):
+        return None
+    spaced = compact.translate(bytes.maketrans(b"[],", b"   "))
+    return np.fromstring(spaced, np.int64, sep=" ").reshape(-1, 2)
+
+
 def _json_integers(doc: dict, section: str, keys=None) -> dict:
     """The object doc[section], whose values under keys (default: all) are
     JSON integers; true and 18.0 are not."""
@@ -404,33 +490,70 @@ def _json_integers(doc: dict, section: str, keys=None) -> dict:
     return part
 
 
-def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["Tower", PdsSet]:
-    """Read a set file; malformed content raises ValueError, KeyError or
-    TypeError, a different field model FieldMismatchError."""
+def _check_header(doc, table_cap: int) -> "Tower":
+    """The tower of a set file, after the checks that need no element, in
+    this order: a JSON object, the tower (its table cap included), the
+    field model, the provenance."""
     if not isinstance(doc, dict):
         raise ValueError("a set file is a JSON object")
-    tp = TowerParams(**_json_integers(doc, "tower"))
-    tower = Tower(tp, table_cap=table_cap)
+    tower = Tower(TowerParams(**_json_integers(doc, "tower")), table_cap=table_cap)
     if doc["fields"] != tower.describe_fields():
         raise FieldMismatchError(
             "set file uses a different field model than this build constructs"
         )
-    pairs = _dlog_pair_array(doc["elements"])
+    if doc["provenance"] not in COMPLEMENT_TAG:
+        raise ValueError("unknown provenance %r" % (doc["provenance"],))
+    return tower
+
+
+def _set_from_pairs(doc: dict, tower: "Tower", pairs: np.ndarray) -> PdsSet:
+    """The set of a checked header and its (k, 2) element pairs, after the
+    checks of the exponents, the claimed parameters and the subspace rows."""
     i, j = pairs[:, 0], pairs[:, 1]
     if not ((-1 <= i) & (i < tower.f1.order) & (-1 <= j) & (j < tower.f2.order)).all():
         raise ValueError("element exponents out of range")
-    if doc["provenance"] not in COMPLEMENT_TAG:
-        raise ValueError("unknown provenance %r" % (doc["provenance"],))
     c = _json_integers(doc, "claimed", ("v", "k", "lambda", "mu"))
-    claimed = pm.SrgParams(c["v"], c["k"], c["lambda"], c["mu"])
-    pds = PdsSet(
-        tp,
+    return PdsSet(
+        tower.params,
         doc["provenance"],
         tower.indexer.from_dlog_pairs(pairs),
-        claimed,
+        pm.SrgParams(c["v"], c["k"], c["lambda"], c["mu"]),
         tuple(tuple(r) for r in doc.get("subspace_rows", [])),
     )
-    return tower, pds
+
+
+def pds_from_json_dict(doc: dict, table_cap: int = DEFAULT_TABLE_CAP) -> tuple["Tower", PdsSet]:
+    """Read a parsed set file; malformed content raises ValueError, KeyError
+    or TypeError, a different field model FieldMismatchError."""
+    tower = _check_header(doc, table_cap)
+    return tower, _set_from_pairs(doc, tower, _dlog_pair_array(doc["elements"]))
+
+
+def read_set_file(data: bytes, table_cap: int = DEFAULT_TABLE_CAP, check=None) -> tuple["Tower", PdsSet]:
+    """Read a set file from its bytes, header first: the header's checks
+    (those of ``pds_from_json_dict``, in its order) and then
+    check(tower, provenance), if given, run before any element is decoded.
+
+    The elements are decoded from the bytes by numpy.  Where that reader
+    declines, the file is read as ``open`` and ``json.load`` read it and its
+    elements as ``pds_from_json_dict`` reads them, so every refusal is
+    theirs, down to the message."""
+    split = _split_elements(data)
+    doc = split[0] if split else _parse_text(data)
+    tower = _check_header(doc, table_cap)
+    if check is not None:
+        check(tower, doc["provenance"])
+    pairs = _pairs_from_json_text(split[1]) if split else None
+    if pairs is None:
+        if split:  # the whole file has the header just checked
+            doc = _parse_text(data)
+        pairs = _dlog_pair_array(doc["elements"])
+    return tower, _set_from_pairs(doc, tower, pairs)
+
+
+def _parse_text(data: bytes):
+    """json.load of the bytes as a file opened in text mode reads them."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
 
 
 class Tower:
@@ -555,7 +678,7 @@ class Tower:
 
     def _ratio_membership(self, space: Subspace) -> np.ndarray:
         """Boolean array over middle-field dlogs t: antilog(t) in space."""
-        return readonly(np.isin(self.mid.antilog, space.elements))
+        return readonly(in_sorted(self.mid.antilog, space.elements))
 
     # -- subspace constructors --
 
@@ -586,7 +709,7 @@ class Tower:
             raise FieldMismatchError("subspace lives in a different field")
         tp = self.params
         gamma_pows = self.mid.antilog[self.compatible.gamma_exp * np.arange(tp.e) % self.mid.order]
-        T = tuple(np.flatnonzero(np.isin(gamma_pows, R.elements)).tolist())
+        T = tuple(np.flatnonzero(in_sorted(gamma_pows, R.elements)).tolist())
         want = (tp.q ** R.dim - 1) // (tp.q - 1)
         if len(T) != want:
             raise InternalError("|T| = %d but expected %d" % (len(T), want))

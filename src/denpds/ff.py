@@ -205,6 +205,16 @@ def sorted_unique(a) -> np.ndarray:
     return out[keep]
 
 
+def in_sorted(x, table: np.ndarray) -> np.ndarray:
+    """Whether each entry of x is in table, a sorted duplicate-free int64
+    array, by binary search (``np.isin`` may sort through ``np.unique``,
+    whose first call imports ``numpy.ma``)."""
+    x = np.asarray(x)
+    if not len(table):
+        return np.zeros(x.shape, dtype=bool)
+    return table[np.searchsorted(table, x).clip(max=len(table) - 1)] == x
+
+
 def digitwise(a, b, sign: int, p: int, n: int):
     """a + sign * b on strings of n base-p digits, one digit per pass mod p
     (the XOR for p = 2): the sum of packed field elements, or of group

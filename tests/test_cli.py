@@ -612,3 +612,96 @@ def test_grid_at_the_row_limit_is_built():
     res = run("grid", "p=2", "m=1..60", "l=1..10", timeout=10)
     assert res.returncode == 0
     assert len(res.stdout.splitlines()) == 18900
+
+
+def _corrupt_set_file(tmp_path, tower) -> str:
+    """An empty primal set file of the tower with [["x"]] as its elements."""
+    from denpds.construct import PdsSet, Tower, TowerParams
+
+    t = Tower(TowerParams(*tower))
+    rows = tuple(map(tuple, t.default_subspace().basis_coeff_rows()))
+    doc = json.loads(PdsSet(t.params, "primal", [], t.params.primal_params(), rows).to_json(t))
+    doc["elements"] = [["x"]]
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc, indent=2))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "tower,refusals",
+    [
+        ((2, 1, 2, 4, 1), {"verify": 2, "dual": 2, "code": 3, "geometry": 3}),
+        ((2, 1, 2, 1, 1), {"verify": 2, "dual": 2, "code": 2, "geometry": 2}),
+    ],
+)
+def test_corrupt_elements_are_read_after_the_enum_cap(tmp_path, tower, refusals):
+    """code and geometry compare q^dim with the enum cap on the header, so
+    above the cap corrupt elements exit 3; below it every command reports
+    the elements."""
+    from denpds.coding import DEFAULT_ENUM_CAP
+
+    path = _corrupt_set_file(tmp_path, tower)
+    for command, code in refusals.items():
+        res = run(command, "--set", path)
+        if code == 3:
+            sweep = "message sweep" if command == "code" else "hyperplane enumeration"
+            line = "resource cap exceeded: %s above cap %d" % (sweep, DEFAULT_ENUM_CAP)
+        else:
+            line = "error: set file %s: elements must be pairs of integer exponents" % path
+        assert res.returncode == code and res.stdout == "", (command, res.stderr)
+        assert res.stderr.splitlines() == [line], command
+
+
+def test_code_flags_refuse_before_building_the_set(monkeypatch, capsys):
+    from denpds import cli, construct
+
+    def built(*args):
+        raise AssertionError("the set was built")
+
+    monkeypatch.setattr(construct.Tower, "build_D", built)
+    for command in ("code", "geometry"):
+        assert cli.main([command, "-p", "2", "-m", "2", "-l", "4", "-r", "1"]) == 3
+        assert capsys.readouterr().err.startswith("resource cap exceeded: ")
+
+
+@pytest.mark.parametrize("where", ["header", "elements", "byte-order mark"])
+def test_bad_bytes_in_a_set_file_exit_two_with_one_line(tmp_path, where):
+    """An invalid UTF-8 byte anywhere, and a UTF-8 byte-order mark, are
+    refused as the file is decoded, with one line."""
+    import os
+
+    path = tmp_path / "d.json"
+    run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(path))
+    data = path.read_bytes()
+    if where == "header":
+        data = data.replace(b'"primal"', b'"prim\xffl"')
+    elif where == "elements":
+        digit = data.index(b"1", data.index(b'"elements"'))
+        data = data[:digit] + b"\xff" + data[digit + 1:]
+    else:
+        data = b"\xef\xbb\xbf" + data
+    path.write_bytes(data)
+    res = subprocess.run(CLI + ["verify", "--set", str(path)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONUTF8="1"))
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: set file %s: " % path), res.stderr
+    shown = "Unexpected UTF-8 BOM" if where == "byte-order mark" else "can't decode byte 0xff"
+    assert shown in lines[0]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique without return_counts imports numpy.ma (about 18 ms); no
+    command calls it."""
+    script = """
+import contextlib, io, sys
+from denpds.cli import main
+tower = ["-p", "7", "-m", "2", "-l", "1", "-r", "1"]
+with contextlib.redirect_stderr(io.StringIO()):
+    assert main(["construct", *tower, "-o", sys.argv[1] + "/d.json"]) == 0
+    for command in ("verify", "dual", "code", "geometry"):
+        main([command, "--set", sys.argv[1] + "/d.json", "-o", sys.argv[1] + "/out"])
+        assert "numpy.ma" not in sys.modules, command
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
