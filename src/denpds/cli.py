@@ -132,7 +132,7 @@ def _load_or_build(args, gate=None) -> tuple[Tower, PdsSet, object, vf.Caps, int
         R = tower.check_rank(tower.subspace_from_coeff_rows(pds.subspace_rows))
     except KeyError as exc:
         raise UsageError("set file %s: missing key %s" % (path, exc)) from None
-    except (ValueError, TypeError, NotASubspaceError) as exc:
+    except (ValueError, TypeError, NotASubspaceError, RecursionError) as exc:
         raise UsageError("set file %s: %s" % (path, exc)) from None
     return tower, pds, R, caps, enum_cap
 

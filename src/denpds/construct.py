@@ -357,11 +357,16 @@ class PdsSet:
         return self.params.degenerate
 
     def _json_doc(self, tower: "Tower") -> dict:
-        """The set file, with the sorted (k, 2) array of dlog pairs as
-        ``elements``."""
-        pairs = tower.indexer.dlog_pairs(self.elements)
-        # lexicographic order: the second log lies in [-1, |K2| - 1)
-        pairs = pairs[np.argsort(pairs[:, 0] * tower.f2.size + pairs[:, 1])]
+        """The set file, with the (k, 2) array of dlog pairs in
+        lexicographic order as ``elements``.  Each log lies in [-1, |K| - 1),
+        so the key (i + 1) |K2| + (j + 1) of the pair (i, j) is a distinct
+        number below v that orders the pairs: marking the keys in a table
+        of v flags and reading them back sorts them in O(v)."""
+        pairs = tower.indexer.dlog_pairs(self.elements) + 1
+        marked = np.zeros(self.params.v, dtype=bool)
+        marked[pairs[:, 0] * tower.f2.size + pairs[:, 1]] = True
+        i, j = np.divmod(np.flatnonzero(marked), tower.f2.size)
+        pairs = np.stack([i - 1, j - 1], axis=-1)
         return {
             "type": "pds-set",
             "version": 1,

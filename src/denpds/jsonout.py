@@ -1,21 +1,23 @@
 """The one writer of pretty-printed JSON.
 
 ``dumps(doc)`` is ``json.dumps(plain(doc), sort_keys=True, indent=2) + "\\n"``
-byte for byte.  A document may hold integer numpy arrays, which stand for
-(nested) lists of ints, and ``RowStrings``, an integer matrix that stands
-for one string per row.  Those are the large parts of set files and of the
-``code`` and ``geometry`` documents, and they are rendered straight from
-numpy: each value is looked up in a table of the strings of its symbols,
-and the separators between values in a table indexed by how many lists end
-at that value.  The pure-Python encoder that ``json.dumps`` falls back to
-with ``indent`` sees only the rest of the document.
+byte for byte, written in one recursive pass: dict keys sorted, strings
+escaped by ``json``'s own ASCII encoder, ints by ``int.__repr__``.  A
+document may hold integer numpy arrays, which stand for (nested) lists of
+ints, and ``RowStrings``, an integer matrix that stands for one string per
+row.  Those are the large parts of set files and of the ``code`` and
+``geometry`` documents, and they are rendered straight from numpy: every
+element becomes one token, its decimal string followed by the separator
+that the number of lists ending at it calls for, looked up in one table of
+(value, separator) strings; the tokens are joined once.  No document holds
+a float: the writer refuses one with TypeError, as it refuses every object
+that json.dumps refuses.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -28,17 +30,6 @@ class RowStrings:
     rows: np.ndarray
 
 
-def _walk(doc, leaf):
-    """doc with every array and ``RowStrings`` in it replaced by leaf(it)."""
-    if isinstance(doc, (np.ndarray, RowStrings)):
-        return leaf(doc)
-    if isinstance(doc, dict):
-        return {k: _walk(v, leaf) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_walk(v, leaf) for v in doc]
-    return doc
-
-
 def _plain_leaf(x):
     if isinstance(x, RowStrings):
         return [" ".join(map(str, row)) for row in np.asarray(x.rows).tolist()]
@@ -48,55 +39,88 @@ def _plain_leaf(x):
 def plain(doc):
     """The JSON value doc stands for: arrays as nested lists of Python ints,
     ``RowStrings`` as lists of strings."""
-    return _walk(doc, _plain_leaf)
-
-
-# An array's stand-in while json.dumps lays out the rest of the document.
-# json.dumps escapes the NUL characters, so only a document string that
-# holds NUL can read the same in the output; such a document is refused.
-_STAND_IN = "\0%d\0"
-_STAND_IN_TEXT = re.compile(r'(?m)^( *)(.*?)"\\u0000(\d+)\\u0000"')
+    if isinstance(doc, (np.ndarray, RowStrings)):
+        return _plain_leaf(doc)
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(v) for v in doc]
+    return doc
 
 
 def dumps(doc) -> str:
     """``json.dumps(plain(doc), sort_keys=True, indent=2) + "\\n"``."""
-    arrays = []
-
-    def stand_in(x):
-        arrays.append(x)
-        return _STAND_IN % (len(arrays) - 1)
-
-    text = json.dumps(_walk(doc, stand_in), sort_keys=True, indent=2)
-    found = []
-
-    def render(match):
-        pad, head, i = match.groups()
-        found.append(int(i))
-        return pad + head + _render(arrays[int(i)], pad)
-
-    text = _STAND_IN_TEXT.sub(render, text)
-    if sorted(found) != list(range(len(arrays))):
-        raise ValueError("a string of the document reads like an array's stand-in")
-    return text + "\n"
+    out = []
+    _emit(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _symbol_strings(a: np.ndarray) -> np.ndarray:
-    """The decimal strings of the int64 array a, as an object array."""
-    lo, hi = int(a.min()), int(a.max())
-    if hi - lo > 2 * a.size + 1024:  # too sparse for a table of every value
-        return a.astype(str).astype(object)
-    return np.array([str(v) for v in range(lo, hi + 1)], dtype=object)[a - lo]
+def _key(k) -> str:
+    """A dict key as json.dumps writes it."""
+    text = k if isinstance(k, str) else _literal(k)
+    if text is None:
+        raise TypeError("keys must be str, int, bool or None, not %s" % type(k).__name__)
+    return text
 
 
-def _render(x, pad: str) -> str:
-    """The text of the array or ``RowStrings`` x as the value of a line
-    indented by pad."""
+def _literal(x) -> str | None:
+    """The text of a JSON literal or int, None for any other object."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return None
+
+
+def _emit(x, nl: str, out: list) -> None:
+    """Append the text of x, the value on a line that nl (a newline and the
+    line's indent) begins, to out."""
+    if isinstance(x, str):
+        out.append(_string(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for item in x:
+            out.append(sep + inner)
+            _emit(item, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for k, item in sorted(x.items()):
+            out.append(sep + inner + _string(_key(k)) + ": ")
+            _emit(item, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(x, (np.ndarray, RowStrings)):
+        _render(x, nl, out)
+    else:
+        text = _literal(x)
+        if text is None:
+            raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+        out.append(text)
+
+
+def _render(x, nl: str, out: list) -> None:
+    """Append the text of the array or ``RowStrings`` x, the value on a
+    line that nl begins, to out."""
     spaced = isinstance(x, RowStrings)
     a = np.asarray(x.rows if spaced else x)
     if a.dtype.kind not in "iu" or (spaced and a.ndim != 2):
         raise TypeError("cannot write a %d-dimensional %s array" % (a.ndim, a.dtype))
-    if a.size == 0 or a.ndim == 0:  # no values to tabulate: json.dumps, re-indented
-        return json.dumps(_plain_leaf(x), indent=2).replace("\n", "\n" + pad)
+    if a.size == 0 or a.ndim == 0:  # no values to tabulate
+        _emit(_plain_leaf(x), nl, out)
+        return
     a = a.astype(np.int64, copy=False)
     n = a.ndim
     # ends[index] = how many of the lists around the value end with it
@@ -106,18 +130,22 @@ def _render(x, pad: str) -> str:
         at_end = np.arange(a.shape[axis]) == a.shape[axis] - 1
         last = last & at_end.reshape([-1 if j == axis else 1 for j in range(n)])
         ends += last
-    ind = [pad + "  " * d for d in range(n + 1)]  # ind[d]: items of a depth-d list at d + 1
+    ind = [nl + "  " * d for d in range(n + 1)]  # ind[d]: items of a depth-d list at d + 1
     if spaced:
-        head = "[\n" + ind[1] + '"'
-        seps = [" ", '",\n' + ind[1] + '"', '"\n' + pad + "]"]
+        head = "[" + ind[1] + '"'
+        seps = [" ", '",' + ind[1] + '"', '"' + nl + "]"]
     else:
-        head = "[\n" + "".join(ind[d] + "[\n" for d in range(1, n)) + ind[n]
+        head = "[" + "".join(ind[d] + "[" for d in range(1, n)) + ind[n]
         seps = []
         for t in range(n + 1):
-            close = "".join("\n" + ind[d] + "]" for d in range(n - 1, n - 1 - t, -1))
-            reopen = ",\n" + "".join(ind[d] + "[\n" for d in range(n - t, n)) + ind[n]
+            close = "".join(ind[d] + "]" for d in range(n - 1, n - 1 - t, -1))
+            reopen = "," + "".join(ind[d] + "[" for d in range(n - t, n)) + ind[n]
             seps.append(close if t == n else close + reopen)
-    out = np.empty(2 * a.size, dtype=object)
-    out[0::2] = _symbol_strings(a).ravel()
-    out[1::2] = np.array(seps, dtype=object)[ends.ravel()]
-    return head + "".join(out.tolist())
+    lo, hi = int(a.min()), int(a.max())
+    if hi - lo > 2 * a.size + 1024:  # too sparse for a table of every value
+        tokens = a.astype(str).astype(object) + np.array(seps, dtype=object)[ends]
+    else:
+        table = [s + sep for s in map(str, range(lo, hi + 1)) for sep in seps]
+        tokens = np.array(table, dtype=object)[(a - lo) * (n + 1) + ends]
+    out.append(head)
+    out.append("".join(tokens.ravel().tolist()))

@@ -25,9 +25,13 @@ floating point is used; every entry of a result is a signed sum of input
 entries, and each width is checked before an array is allocated:
 
 * ``indicator`` and ``forward``: the transform of the indicator of a k-set.
-  In value form it is int64 and bounded by k.  In count form it is int32:
-  every entry counts set elements, so it is at most k, and ``indicator``
-  refuses k >= 2^31.
+  Every entry is a signed sum of at most k zeros and ones (in count form a
+  count of set elements), so it is at most k in absolute value, and
+  ``indicator`` allocates the narrowest width that holds k, in both forms:
+  int16 for k < 2^15, int32 below 2^31; it refuses larger k.  The value
+  form's step (x, y) -> (x + y, x - y) passes through -2y, which may wrap;
+  the arithmetic is exact modulo 2^bits and the result fits, so the result
+  is exact.  ``values`` returns int64.
 * ``difference_counts``: int64.  chi * conj(chi) totals k^2 per character,
   so every entry of its inverse is at most v k^2, and the function refuses
   v k^2 >= 2^63.
@@ -39,22 +43,22 @@ import numpy as np
 
 from .errors import CapExceededError, InternalError
 
+INT16_LIMIT = 1 << 15
 INT32_LIMIT = 1 << 31
 INT64_LIMIT = 1 << 63
 
 
 def indicator(idx: np.ndarray, v: int, p: int) -> np.ndarray:
-    """The 0/1 indicator of the indices idx: an int64 vector for p = 2, the
-    (p, v) int32 count vectors for odd p."""
-    if p == 2:
-        f = np.zeros(v, dtype=np.int64)
-        f[idx] = 1
-        return f
-    if len(idx) >= INT32_LIMIT:
-        raise CapExceededError("int32 transform: k = %d is not below 2^31" % len(idx))
-    counts = np.zeros((p, v), dtype=np.int32)
-    counts[0, idx] = 1
-    return counts
+    """The 0/1 indicator of the indices idx, in the narrowest dtype that
+    holds its transform: a vector of length v for p = 2, the (p, v) count
+    vectors for odd p."""
+    k = len(idx)
+    if k >= INT32_LIMIT:
+        raise CapExceededError("int32 transform: k = %d is not below 2^31" % k)
+    dtype = np.int16 if k < INT16_LIMIT else np.int32
+    f = np.zeros(v if p == 2 else (p, v), dtype=dtype)
+    (f if p == 2 else f[0])[idx] = 1
+    return f
 
 
 def _by_digit(f: np.ndarray, p: int, step) -> np.ndarray:
@@ -136,9 +140,10 @@ def times_conjugate(f: np.ndarray) -> np.ndarray:
 
 
 def values(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, rational) per element; the value is meaningful where rational."""
+    """(value, rational) per element, the value as int64; it is meaningful
+    where rational."""
     if f.ndim == 1:
-        return f, np.ones(len(f), dtype=bool)
+        return f.astype(np.int64), np.ones(len(f), dtype=bool)
     rational = (f[2:] == f[1]).all(axis=0)
     return np.subtract(f[0], f[1], dtype=np.int64), rational
 

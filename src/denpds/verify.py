@@ -114,7 +114,8 @@ class CharacterSpectrum:
     """Exact character sums for all v characters, in the form of
     ``denpds.transform``.
 
-    For p = 2 ``counts`` is the int64 vector of sums itself.  For odd p
+    ``counts`` has the narrowest width that holds k, ``values`` is int64.
+    For p = 2 ``counts`` is the vector of sums itself.  For odd p
     ``counts[j, g]`` is the number of set elements x with <g, x> = j; the
     sum is a rational integer exactly when counts over j = 1..p-1 agree,
     and then equals counts[0, g] - counts[1, g].

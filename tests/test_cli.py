@@ -690,6 +690,24 @@ def test_bad_bytes_in_a_set_file_exit_two_with_one_line(tmp_path, where):
     assert shown in lines[0]
 
 
+@pytest.mark.parametrize("key", ["tower", "claimed"])
+def test_deeply_nested_set_file_exits_two_with_one_line(tmp_path, key):
+    """JSON nested deeper than the parser's recursion limit, under the
+    tower or another header key of a real set file, is a usage error."""
+    path = tmp_path / "d.json"
+    run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(path))
+    nest = b"[" * 100_000 + b"]" * 100_000
+    data = path.read_bytes()
+    start = data.index(b'"%s": ' % key.encode()) + len(key) + 4
+    end = data.index(b"}", start) + 1
+    path.write_bytes(data[:start] + nest + data[end:])
+    res = run("verify", "--set", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: set file %s: " % path), res.stderr
+    assert "recursion" in lines[0]
+
+
 def test_no_command_imports_numpy_ma(tmp_path):
     """np.unique without return_counts imports numpy.ma (about 18 ms); no
     command calls it."""

@@ -107,10 +107,11 @@ def assert_matches_reference(pds, indexer):
     counts, vals, rational = reference_spectrum(pds.elements, indexer.v, indexer.p)
     assert spec.values.dtype == vals.dtype and np.array_equal(spec.values, vals)
     assert np.array_equal(spec.rational, rational)
+    assert spec.counts.dtype == (np.int16 if pds.k < 2**15 else np.int32)
     if indexer.p == 2:
-        assert spec.counts is spec.values
+        assert np.array_equal(spec.counts, vals)
     else:
-        assert spec.counts.dtype == np.int32 and np.array_equal(spec.counts.T, counts)
+        assert np.array_equal(spec.counts.T, counts)
     assert np.array_equal(V.transform_profile(spec).counts, reference_profile(counts))
     return spec
 
@@ -171,9 +172,11 @@ def test_spectrum_and_profile_match_the_reference_on_large(grid, tp):
 
 @pytest.mark.parametrize("tp, limit_mb", [((2, 1, 2, 4, 1), 8), ((7, 1, 2, 1, 1), 12)])
 def test_spectrum_peak_memory(grid, tp, limit_mb):
-    """Both kernels hold two buffers of the input's size: int64 vectors of
-    length v for p = 2, (p, v) int32 arrays for odd p.  The seed's (v, p)
-    int64 rolls peaked at 16.0 MB and 20.7 MB here."""
+    """Both kernels hold two buffers of the input's size, in the narrowest
+    width that holds k: int32 vectors of length v for p = 2 (k = 87,210),
+    (p, v) int16 arrays for odd p (k = 14,448), and values() adds one int64
+    vector of length v.  The seed's (v, p) int64 rolls peaked at 16.0 MB and
+    20.7 MB here."""
     pds, _ = grid.pds(*tp, "primal")
     indexer = grid.indexer(grid.tower(*tp))
     tracemalloc.start()
@@ -220,18 +223,49 @@ def test_int64_guard_raises():
 
 
 def test_int32_guard_raises(grid, monkeypatch):
-    """The int32 forward refuses k >= 2^31 before it allocates: a
+    """The forward refuses k >= 2^31 before it allocates, in both forms: a
     zero-stride index view of that length, and a lowered limit on a real
-    odd-p set.  The int64 value form (p = 2) has no such limit."""
+    odd-p set and a real p = 2 set."""
     idx = np.broadcast_to(np.zeros(1, dtype=np.int64), (T.INT32_LIMIT,))
-    with pytest.raises(CapExceededError, match="2\\^31"):
-        T.indicator(idx, 3**20, 3)
+    for p, v in ((3, 3**20), (2, 2**32)):
+        with pytest.raises(CapExceededError, match="2\\^31"):
+            T.indicator(idx, v, p)
     monkeypatch.setattr(T, "INT32_LIMIT", 168)
     pds, _ = grid.pds(3, 1, 2, 1, 1, "primal")
     with pytest.raises(CapExceededError, match="k = 168"):
         V.character_spectrum(pds, grid.indexer(grid.tower(3, 1, 2, 1, 1)))
     pds, _ = grid.pds(2, 2, 2, 1, 1, "primal")
-    assert V.character_spectrum(pds, grid.indexer(grid.tower(2, 2, 2, 1, 1))).all_rational()
+    with pytest.raises(CapExceededError, match="k = %d" % pds.k):
+        V.character_spectrum(pds, grid.indexer(grid.tower(2, 2, 2, 1, 1)))
+
+
+@pytest.mark.parametrize("k, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+def test_value_form_width_at_the_int16_boundary(k, dtype):
+    """A random k-set of Z_2^16 on each side of 2^15: the principal value k
+    fits int16 only below the boundary, and every value equals the int64
+    reference."""
+    v = 2**16
+    idx = np.sort(np.random.default_rng(k).choice(v, size=k, replace=False))
+    f = T.indicator(idx, v, 2)
+    assert f.dtype == dtype
+    vals, rational = T.values(T.forward(f))
+    want = reference_spectrum(idx, v, 2)
+    assert vals.dtype == np.int64 and np.array_equal(vals, want[1]) and rational.all()
+    assert vals[0] == k
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_count_form_width_at_a_lowered_int16_boundary(grid, monkeypatch, above):
+    """An odd-p set on each side of a lowered int16 limit (k = 168): the
+    count vectors and values equal the int64 reference in either width."""
+    pds, _ = grid.pds(3, 1, 2, 1, 1, "primal")
+    monkeypatch.setattr(T, "INT16_LIMIT", pds.k if above else pds.k + 1)
+    spec = V.character_spectrum(pds, grid.indexer(grid.tower(3, 1, 2, 1, 1)))
+    assert spec.counts.dtype == (np.int32 if above else np.int16)
+    counts, vals, rational = reference_spectrum(pds.elements, spec.v, 3)
+    assert np.array_equal(spec.counts.T, counts)
+    assert spec.values.dtype == np.int64 and np.array_equal(spec.values, vals)
+    assert np.array_equal(spec.rational, rational)
 
 
 def test_common_neighbors_match_the_digit_route(grid):
