@@ -294,7 +294,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dual(args) -> int:
     tower, pds, _, caps, _ = _load_or_build(args)
-    dual = vf.delsarte_dual(pds, tower.indexer, cap=caps.spectrum)
+    dual = vf.delsarte_dual(pds, tower.indexer, vf.spectrum_of(pds, tower, cap=caps.spectrum))
     _write(dual.to_json(tower), args.output)
     print("delsarte dual: k=%d" % dual.k, file=sys.stderr)
     return EXIT_OK
@@ -319,7 +319,7 @@ def _coding_prelude(args, closed_form):
     ctx = cd.CodingContext(tower)
     S = cd.to_projective_set(pds, ctx)
     # v = q^dim: the enum cap, checked by the gate, also gates the spectrum
-    spectrum = vf.character_spectrum(pds, tower.indexer, cap=enum_cap)
+    spectrum = vf.spectrum_of(pds, tower, cap=enum_cap)
     expected = closed_form(tp.q, tp.m, tp.ell, tp.r, pds.provenance)
     doc = {"tower": tp.as_dict(), "family": pds.provenance, "q": tp.q}
     return pds, ctx, S, spectrum, expected, doc

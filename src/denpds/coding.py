@@ -7,17 +7,25 @@ scale-closed set collapses to one projective point per GF(q)* orbit, the
 orbit's one element whose leading base-q digit is 1.
 
 The hyperplane profile and the weight enumerator are histograms of one
-vector, s(u) = |S meet u-perp| for every nonzero u in GF(q)^dim: the
+quantity, s(u) = |S meet u-perp| for every nonzero u in GF(q)^dim: the
 hyperplane u-perp meets S in s(u) points, and the message u has weight
-n - s(u) (Calderbank-Kantor, Bull. LMS 18 (1986), section 2).  The literal
-route, ``_literal_sizes``, sweeps all q^dim messages; ``hyperplane_profile``
-and ``weight_enumerator`` take it.  The transform route,
-``_intersection_sizes``, reads s off the exact character spectrum: a
-scale-closed set D of n(q - 1) elements has s(u) = (n + chi_u(D)) / q;
-``spectral_hyperplane_profile`` and ``spectral_weight_enumerator`` take it.
-Both routes end in the same two histograms, ``_profile`` and
-``_enumerator``.  The CLI takes the transform route; the tests compare it
-with the literal one.
+n - s(u) (Calderbank-Kantor, Bull. LMS 18 (1986), section 2).  Three routes
+give the distinct sizes s and the number of messages attaining each, and
+all end in the same two histogram tails, ``_profile`` and ``_enumerator``:
+
+* literal: ``_literal_sizes`` sweeps all q^dim messages, and ``np.unique``
+  counts the sizes (``hyperplane_profile``, ``weight_enumerator``);
+* transform and orbits: ``_intersection_sizes`` reads s off a character
+  spectrum, since a scale-closed set D of n(q - 1) elements has
+  s(u) = (n + chi_u(D)) / q, each value with the number of characters
+  attaining it (``spectral_hyperplane_profile``,
+  ``spectral_weight_enumerator``).  ``verify.character_spectrum`` gives all
+  q^dim sums; ``verify.orbit_spectrum``, for a set the multiplier group
+  fixes, gives e + 2 sums with the orbit sizes.
+
+The CLI reads the orbit spectrum of a set the multiplier group fixes and
+the transform's otherwise (``verify.spectrum_of``); the tests compare every
+route with the literal one.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
 from .ff import FiniteField, embed, in_sorted, row_reduce, sweep
-from .verify import CharacterSpectrum, CheckItem
+from .verify import CheckItem, Spectrum
 
 DEFAULT_ENUM_CAP = 1 << 16
 
@@ -136,10 +144,12 @@ def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarra
     return np.concatenate(sweep(q ** (dim - c), q**c * n * 8, one))[1:]
 
 
-def _profile(sizes: np.ndarray, q: int, dim: int, n: int) -> dict[int, int]:
-    """Hyperplanes by intersection size: each hyperplane u-perp is met in
-    s(u) points and belongs to the q - 1 nonzero multiples of u."""
-    counts = np.bincount(sizes, minlength=n + 1)
+def _profile(sizes: np.ndarray, mult: np.ndarray, q: int, dim: int, n: int) -> dict[int, int]:
+    """Hyperplanes by intersection size, from the distinct sizes s(u) and
+    the number of nonzero messages u attaining each: each hyperplane u-perp
+    is met in s(u) points and belongs to the q - 1 nonzero multiples of u."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[sizes] = mult
     if (counts % (q - 1)).any():
         raise InternalError("each hyperplane belongs to q - 1 characters")
     counts //= q - 1
@@ -152,7 +162,8 @@ def hyperplane_profile(
     S: ProjectiveSet, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Map: intersection size -> number of hyperplanes attaining it."""
-    return _profile(_literal_sizes(S.points, ctx.base, cap), S.q, S.dim, S.n)
+    sizes, mult = np.unique(_literal_sizes(S.points, ctx.base, cap), return_counts=True)
+    return _profile(sizes, mult, S.q, S.dim, S.n)
 
 
 class GeneratorMatrix:
@@ -187,10 +198,12 @@ def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     return GeneratorMatrix(S.q, cols.T, len(row_reduce(ctx.base, cols)[1]))
 
 
-def _enumerator(sizes: np.ndarray, gm: GeneratorMatrix) -> dict[int, int]:
-    """Codewords by weight: the message u has weight n - s(u), and the zero
+def _enumerator(sizes: np.ndarray, mult: np.ndarray, gm: GeneratorMatrix) -> dict[int, int]:
+    """Codewords by weight, from the distinct sizes s(u) and the number of
+    nonzero messages u attaining each: u has weight n - s(u), and the zero
     message weight 0."""
-    counts = np.bincount(gm.n - sizes, minlength=gm.n + 1)
+    counts = np.zeros(gm.n + 1, dtype=np.int64)
+    counts[gm.n - sizes] = mult
     counts[0] += 1
     if counts[0] != gm.q ** (gm.dim - gm.rank):
         raise InternalError("zero-weight count must equal the kernel size")
@@ -201,30 +214,35 @@ def weight_enumerator(
     gm: GeneratorMatrix, ctx: CodingContext, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[int, int]:
     """Exhaustive weight counts over all q^dim messages."""
-    return _enumerator(_literal_sizes(gm.mat.T, ctx.base, cap), gm)
+    sizes, mult = np.unique(_literal_sizes(gm.mat.T, ctx.base, cap), return_counts=True)
+    return _enumerator(sizes, mult, gm)
 
 
-def _intersection_sizes(spectrum: CharacterSpectrum, q: int, dim: int, n: int) -> np.ndarray:
-    """|S meet H_u| = (n + chi_u(D)) / q for every nonzero character u."""
+def _intersection_sizes(
+    spectrum: Spectrum, q: int, dim: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """|S meet H_u| = (n + chi_u(D)) / q for the nonzero characters u, as
+    the distinct sizes and the number of characters attaining each."""
     if spectrum.v != q**dim or spectrum.k != n * (q - 1):
         raise InternalError("spectrum does not belong to this point set")
     if not spectrum.all_rational():
         raise InternalError("a scale-closed set has rational character sums")
-    shifted = n + spectrum.values[1:]
+    values, mult = spectrum.nonprincipal_values()
+    shifted = n + values
     if (shifted % q).any():
         raise InternalError("n + chi must be divisible by q")
-    return shifted // q
+    return shifted // q, mult
 
 
-def spectral_hyperplane_profile(spectrum: CharacterSpectrum, S: ProjectiveSet) -> dict[int, int]:
+def spectral_hyperplane_profile(spectrum: Spectrum, S: ProjectiveSet) -> dict[int, int]:
     """``hyperplane_profile`` from the spectrum of the set S collapses."""
-    return _profile(_intersection_sizes(spectrum, S.q, S.dim, S.n), S.q, S.dim, S.n)
+    return _profile(*_intersection_sizes(spectrum, S.q, S.dim, S.n), S.q, S.dim, S.n)
 
 
-def spectral_weight_enumerator(spectrum: CharacterSpectrum, gm: GeneratorMatrix) -> dict[int, int]:
+def spectral_weight_enumerator(spectrum: Spectrum, gm: GeneratorMatrix) -> dict[int, int]:
     """``weight_enumerator`` from the spectrum of the set whose points are
     the columns of gm."""
-    return _enumerator(_intersection_sizes(spectrum, gm.q, gm.dim, gm.n), gm)
+    return _enumerator(*_intersection_sizes(spectrum, gm.q, gm.dim, gm.n), gm)
 
 
 # -- checks tying geometry, code and set parameters together --

@@ -319,6 +319,12 @@ class GroupIndexer:
 
     # -- trace pairing between group elements and characters --
 
+    def char_index(self, idx):
+        """The dot-space index of the character of (a, b) for the indices
+        idx: ``char_index_table[idx]`` without building the table."""
+        a, b = self.split(idx)
+        return self.join(_upack(self.f1)[a], _upack(self.f2)[b])
+
     @cached_property
     def char_index_table(self) -> np.ndarray:
         """Group index of (a, b) -> dot-space index of the character
@@ -669,8 +675,7 @@ class Tower:
         fixed points, so each ratio class is one orbit of |H| = |K1*| |K2*| / e
         elements."""
         e = self.params.e
-        ord1, ord2 = self.f1.order, self.f2.order
-        if ord1 * ord2 % e or ord1 + ord2 + e * (ord1 * ord2 // e) != self.params.v - 1:
+        if self.orbit_sizes.sum() != self.params.v - 1:
             raise InternalError("the H-orbit sizes do not add up to v - 1")
         t = np.arange(e, dtype=np.int64)
         j = t * pow(self._norm_exponents[1], -1, e) % e
@@ -680,6 +685,24 @@ class Tower:
         ix = self.indexer
         heads = np.array([ix.join(1, 0), ix.join(0, 1)], dtype=np.int64)
         return readonly(np.concatenate([heads, ix.join(1, self.f2.antilog[j])]))
+
+    @cached_property
+    def orbit_sizes(self) -> np.ndarray:
+        """The size of each orbit of ``orbit_representatives``: |K1*|, |K2*|,
+        then |K1*| |K2*| / e for each ratio class."""
+        e = self.params.e
+        ord1, ord2 = self.f1.order, self.f2.order
+        if ord1 * ord2 % e:
+            raise InternalError("e does not divide |K1*| |K2*|")
+        return readonly(np.array([ord1, ord2] + [ord1 * ord2 // e] * e, dtype=np.int64))
+
+    def orbit_of(self, idx) -> np.ndarray:
+        """The position in ``orbit_representatives`` of the H-orbit of each
+        nonzero index: 0 for K1* x 0, 1 for 0 x K2*, 2 + t for ratio class t."""
+        x, y = self.indexer.split(np.asarray(idx, dtype=np.int64))
+        n1, n2 = self.norm_dlogs
+        t = (n2[self.f2.dlog[y]] - n1[self.f1.dlog[x]]) % self.params.e
+        return np.where(y == 0, 0, np.where(x == 0, 1, 2 + t))
 
     def _ratio_membership(self, space: Subspace) -> np.ndarray:
         """Boolean array over middle-field dlogs t: antilog(t) in space."""

@@ -2,12 +2,26 @@
 
 Nothing here trusts the construction: expected parameters are recomputed
 from the closed forms, membership is re-tested, and every count is an
-exact integer.  Character sums are computed by the dimension-wise transform
-of ``denpds.transform``: for p = 2 every sum is an integer, computed as
-one; for odd p the transform keeps, for every character, the counts of
-each p-th root of unity, and a sum is a rational integer exactly when all
-nonzero root powers occur equally often.  No floating point is used
-anywhere.
+exact integer.  No floating point is used anywhere.
+
+Character sums have two routes, and every spectral check, the Delsarte
+dual and ``denpds.coding`` read either through the same few methods
+(``principal``, ``all_rational``, ``nonprincipal_values``,
+``nonprincipal_sum``):
+
+* ``character_spectrum``, the transform route: all v sums by the
+  dimension-wise transform of ``denpds.transform``.  For p = 2 every sum is
+  an integer, computed as one; for odd p the transform keeps, for every
+  character, the counts of each p-th root of unity, and a sum is a rational
+  integer exactly when all nonzero root powers occur equally often.
+* ``orbit_spectrum``, the orbit route: for a set that the multiplier group
+  H (``Tower.multiplier_generators``) fixes, the spectrum is constant on
+  the e + 2 H-orbits, so one literal sum per orbit, in O(k), gives all of
+  it, each with its orbit size as multiplicity.
+
+The CLI reads the orbit spectrum of a set H fixes and the transform's of a
+set H moves (``spectrum_of``); ``verify_pds`` also checks the orbit sums
+against the transform wherever it computes both.
 
 The difference profile has two routes: ``transform_profile`` derives it
 from the character spectrum (the route ``verify_pds`` takes), and
@@ -109,8 +123,23 @@ def difference_profile(
     return DifferenceProfile(counts, k, v)
 
 
+def _require_spectrum_cap(v: int, cap: int) -> None:
+    if v > cap:
+        raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
+
+
+class _SpectrumReadout:
+    """What the spectral checks read of a spectrum, on either route:
+    ``principal``, ``all_rational()``, ``nonprincipal_values()`` and
+    ``nonprincipal_sum()``."""
+
+    def nonprincipal_value_counts(self) -> dict[int, int]:
+        """Rational nonprincipal sum -> number of characters attaining it."""
+        return {int(a): int(b) for a, b in zip(*self.nonprincipal_values())}
+
+
 @dataclass
-class CharacterSpectrum:
+class CharacterSpectrum(_SpectrumReadout):
     """Exact character sums for all v characters, in the form of
     ``denpds.transform``.
 
@@ -130,10 +159,17 @@ class CharacterSpectrum:
     def v(self) -> int:
         return self.counts.shape[-1]
 
-    def nonprincipal_value_counts(self) -> dict[int, int]:
-        vals = self.values[1:][self.rational[1:]]
-        uniq, cnt = np.unique(vals, return_counts=True)
-        return {int(a): int(b) for a, b in zip(uniq, cnt)}
+    @property
+    def principal(self) -> int:
+        return int(self.values[0])
+
+    def nonprincipal_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rational nonprincipal sums, and how many characters
+        attain each."""
+        return np.unique(self.values[1:][self.rational[1:]], return_counts=True)
+
+    def nonprincipal_sum(self) -> int:
+        return int(self.values[1:][self.rational[1:]].sum())
 
     def all_rational(self) -> bool:
         return bool(self.rational.all())
@@ -145,8 +181,7 @@ def character_spectrum(
     cap: int = DEFAULT_SPECTRUM_CAP,
 ) -> CharacterSpectrum:
     v, p = indexer.v, indexer.p
-    if v > cap:
-        raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
+    _require_spectrum_cap(v, cap)
     idx = pds.elements
     counts = tf.forward(tf.indicator(idx, v, p))
     values, rational = tf.values(counts)
@@ -155,6 +190,113 @@ def character_spectrum(
     if values[0] != len(idx) or not rational[0]:
         raise InternalError("principal character must sum to |D|")
     return CharacterSpectrum(counts, values, rational, len(idx))
+
+
+@dataclass
+class OrbitSpectrum(_SpectrumReadout):
+    """The character sums of a set that the multiplier group H fixes, one
+    per H-orbit of ``Tower.orbit_representatives``: every character whose
+    label is ``char_index_table[g]`` for g in the i-th orbit attains
+    ``values[i]``, and there are ``tower.orbit_sizes[i]`` of them.  Every
+    sum is rational, and the principal one is k."""
+
+    tower: Tower = field(repr=False)
+    values: np.ndarray
+    k: int
+
+    @property
+    def v(self) -> int:
+        return self.tower.params.v
+
+    @property
+    def principal(self) -> int:
+        return self.k
+
+    def nonprincipal_values(self) -> tuple[np.ndarray, np.ndarray]:
+        uniq, inverse = np.unique(self.values, return_inverse=True)
+        counts = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(counts, inverse, self.tower.orbit_sizes)
+        return uniq, counts
+
+    def nonprincipal_sum(self) -> int:
+        return int(self.values @ self.tower.orbit_sizes)
+
+    def all_rational(self) -> bool:
+        return True
+
+    def by_element(self) -> np.ndarray:
+        """The sum at the label of every group index, k at index 0: what
+        ``character_spectrum(...).values[char_index_table]`` holds."""
+        orbits = self.tower.orbit_of(np.arange(1, self.v, dtype=np.int64))
+        return np.concatenate([[self.k], self.values[orbits]])
+
+    def support(self, value: int) -> np.ndarray:
+        """The nonzero group indices whose character attains value: the
+        union of the orbits at value."""
+        tower, at = self.tower, self.values == value
+        ix, e = tower.indexer, tower.params.e
+        axes = [
+            ix.join(np.arange(1, tower.f1.size), 0),  # (a, 0), a != 0
+            ix.join(0, np.arange(1, tower.f2.size)),  # (0, b), b != 0
+        ]
+        # ratio class t mod e of every middle-field dlog
+        ratio_ok = at[2:][np.arange(tower.mid.order) % e]
+        return np.concatenate([axes[i] for i in (0, 1) if at[i]] + [tower._ratio_indices(ratio_ok)])
+
+
+Spectrum = CharacterSpectrum | OrbitSpectrum
+
+
+def _orbit_sums(idx: np.ndarray, labels: np.ndarray, p: int, n: int) -> np.ndarray:
+    """chi_l(D) = sum over d in D of zeta_p^<l, d> for each label l, with
+    <l, d> the dot product of the base-p digit strings, one chunk of D at
+    a time: for p = 2, k - 2 #{d : popcount(l & d) odd}; for odd p, from
+    the count of each residue of <l, d> mod p, which must agree over the
+    nonzero residues."""
+    c = len(labels)
+    if p == 2:
+
+        def odd(rng):
+            return np.count_nonzero(np.bitwise_count(labels[:, None] & idx[rng[0] : rng[1]]) & 1, axis=1)
+
+        return len(idx) - 2 * sum(sweep(len(idx), 8 * c, odd), np.zeros(c, dtype=np.int64))
+    places = p ** np.arange(n, dtype=np.int64)
+    label_digits = labels[:, None] // places % p
+    offsets = p * np.arange(c, dtype=np.int64)[:, None]
+
+    def residues(rng):
+        dots = label_digits @ (idx[rng[0] : rng[1]] // places[:, None] % p) % p
+        return np.bincount((dots + offsets).ravel(), minlength=c * p)
+
+    counts = sum(sweep(len(idx), 8 * (n + 2 * c), residues), np.zeros(c * p, dtype=np.int64))
+    counts = counts.reshape(c, p)
+    if (counts[:, 2:] != counts[:, 1:2]).any():
+        raise InternalError("a set that H fixes has an irrational character sum")
+    return counts[:, 0] - counts[:, 1]
+
+
+def orbit_spectrum(pds: PdsSet, tower: Tower) -> OrbitSpectrum:
+    """chi_l(D) at the label l = ``char_index_table[rep]`` of each H-orbit
+    representative, literally in O(k) each (``_orbit_sums``).
+
+    Sound only for a set that H fixes (``check_multiplier_invariance``):
+    each h in H is an additive automorphism of G, self-adjoint under the
+    trace form, so hD = D gives chi_hg(D) = chi_g(D).  H contains the
+    diagonal GF(p)*, which permutes the nonzero powers of zeta_p, so every
+    sum of such a set is rational; an irrational one is an InternalError."""
+    ix = tower.indexer
+    labels = ix.char_index(tower.orbit_representatives)
+    return OrbitSpectrum(tower, _orbit_sums(pds.elements, labels, ix.p, ix.n), pds.k)
+
+
+def spectrum_of(pds: PdsSet, tower: Tower, cap: int = DEFAULT_SPECTRUM_CAP) -> Spectrum:
+    """The spectrum the CLI's dual, code and geometry read: the
+    ``orbit_spectrum`` of a set the multiplier group fixes, else the
+    transform's.  Refused above the cap on either route."""
+    _require_spectrum_cap(tower.params.v, cap)
+    if check_multiplier_invariance(pds, tower).passed:
+        return orbit_spectrum(pds, tower)
+    return character_spectrum(pds, tower.indexer, cap)
 
 
 def transform_profile(spectrum: CharacterSpectrum) -> DifferenceProfile:
@@ -255,7 +397,7 @@ def check_pds(
 
 
 def check_two_valued(
-    spectrum: CharacterSpectrum,
+    spectrum: Spectrum,
     expected: pm.SrgParams,
 ) -> CheckItem:
     """Nonprincipal sums must take exactly the two predicted values with
@@ -268,7 +410,7 @@ def check_two_valued(
     }
     witnesses: list = []
     ok = True
-    if not spectrum.all_rational():
+    if not spectrum.all_rational():  # only the transform's spectrum can be irrational
         ok = False
         bad = np.flatnonzero(~spectrum.rational)[:5]
         witnesses.extend({"character": int(b), "irrational": True} for b in bad)
@@ -278,11 +420,11 @@ def check_two_valued(
     if got != want:
         ok = False
         details["observed"] = {str(a): b for a, b in sorted(got.items())}
-    if int(spectrum.values[0]) != expected.k:
+    if spectrum.principal != expected.k:
         ok = False
-        details["principal"] = int(spectrum.values[0])
+        details["principal"] = spectrum.principal
     # orthogonality: nonprincipal sums add to -|D| since 0 is not in D
-    if int(spectrum.values[1:][spectrum.rational[1:]].sum()) != -expected.k and ok:
+    if spectrum.nonprincipal_sum() != -expected.k and ok:
         ok = False
         details["orthogonality"] = "failed"
     return CheckItem("two-valued-spectrum", ok, details=details, witnesses=witnesses)
@@ -292,7 +434,7 @@ def check_case_split(
     pds: PdsSet,
     tower: Tower,
     indexer: GroupIndexer,
-    spectrum: CharacterSpectrum,
+    spectrum: Spectrum,
     R: Subspace,
 ) -> CheckItem:
     """Verify which characters attain which value, character by character.
@@ -300,7 +442,9 @@ def check_case_split(
     For the primal set the character labelled (a, b) attains the negative
     value exactly when (a != 0, b = 0) or both coordinates are nonzero and
     the norm ratio falls in R-perp; dually for the dual set, with the
-    positive value on (a != 0, b = 0) or ratio in R.
+    positive value on (a != 0, b = 0) or ratio in R.  The principal
+    character is predicted to attain k.  An ``OrbitSpectrum`` is compared
+    orbit by orbit, and expanded to every character only on failure.
     """
     if pds.provenance not in ("primal", "dual", "delsarte-dual"):
         return _skip("case-split", "only defined for primal/dual provenance")
@@ -313,16 +457,31 @@ def check_case_split(
         in_space = tower._ratio_membership(R)
         special_value = theta
     other_value = theta if special_value == tau else tau
-    # observed and predicted values, both indexed by the character's label
-    values = spectrum.values[indexer.char_index_table]
-    predicted = np.full(indexer.v, other_value, dtype=np.int64)
-    # principal character
-    predicted[0] = exp.k
-    # a != 0, b = 0
-    predicted[indexer.join(np.arange(1, indexer.sz1), 0)] = special_value
-    # both nonzero: ratio test
-    predicted[tower._ratio_indices(in_space)] = special_value
-    ok = bool(spectrum.rational.all()) and bool((values == predicted).all())
+    named = (("special", special_value), ("other", other_value))
+    if isinstance(spectrum, OrbitSpectrum):
+        # K1* x 0, 0 x K2*, then the ratio classes t = 0 .. e - 1; membership
+        # in a GF(q)-subspace depends on the class only
+        special = np.concatenate([[True, False], in_space[: tower.params.e]])
+        per_orbit = np.where(special, special_value, other_value)
+        ok = spectrum.principal == exp.k and bool((spectrum.values == per_orbit).all())
+        sizes = tower.orbit_sizes
+        counts = {name: int(sizes[per_orbit == v].sum()) + int(exp.k == v) for name, v in named}
+        if ok:
+            return CheckItem("case-split", ok, details=counts)
+        values = spectrum.by_element()
+        predicted = np.concatenate([[exp.k], per_orbit[tower.orbit_of(np.arange(1, indexer.v))]])
+    else:
+        # observed and predicted values, both indexed by the character's label
+        values = spectrum.values[indexer.char_index_table]
+        predicted = np.full(indexer.v, other_value, dtype=np.int64)
+        # principal character
+        predicted[0] = exp.k
+        # a != 0, b = 0
+        predicted[indexer.join(np.arange(1, indexer.sz1), 0)] = special_value
+        # both nonzero: ratio test
+        predicted[tower._ratio_indices(in_space)] = special_value
+        ok = spectrum.all_rational() and bool((values == predicted).all())
+        counts = {name: int((predicted == value).sum()) for name, value in named}
     witnesses = []
     if not ok:
         bad = np.flatnonzero(values != predicted)[:5]
@@ -330,10 +489,6 @@ def check_case_split(
             witnesses.append(
                 {"character": label, "value": int(values[b]), "want": int(predicted[b])}
             )
-    counts = {
-        "special": int((predicted == special_value).sum()),
-        "other": int((predicted == other_value).sum()),
-    }
     return CheckItem("case-split", ok, details=counts, witnesses=witnesses)
 
 
@@ -405,7 +560,7 @@ def orbit_common_neighbors(pds: PdsSet, tower: Tower) -> CheckItem:
     return _neighbor_item(pds, tower.indexer, tower.orbit_representatives)
 
 
-def eigen_check(expected: pm.SrgParams, spectrum: CharacterSpectrum) -> CheckItem:
+def eigen_check(expected: pm.SrgParams, spectrum: Spectrum) -> CheckItem:
     """The two observed sums must be the roots of
     x^2 + (mu - lam) x + (mu - k)."""
     obs = sorted(spectrum.nonprincipal_value_counts())
@@ -443,11 +598,13 @@ def clique_certificate(pds: PdsSet, tower: Tower) -> CheckItem:
 def delsarte_dual(
     pds: PdsSet,
     indexer: GroupIndexer,
-    spectrum: CharacterSpectrum | None = None,
+    spectrum: Spectrum | None = None,
     cap: int = DEFAULT_SPECTRUM_CAP,
 ) -> PdsSet:
     """Collect the characters attaining the positive value and pull them
-    back to group elements through the trace pairing."""
+    back to group elements through the trace pairing.  Without a spectrum
+    the transform's is computed; an ``OrbitSpectrum`` gives the dual as the
+    union of the orbits at the positive value (``OrbitSpectrum.support``)."""
     exp = expected_params(pds)
     if not pm.is_perfect_square(exp.delta):
         raise DeltaNotSquareError("delta is not a perfect square")
@@ -459,9 +616,12 @@ def delsarte_dual(
     theta, tau = exp.eigenvalues
     if not vals <= {theta, tau}:
         raise SpectrumNotTwoValuedError("spectrum values %s unexpected" % sorted(vals))
-    # the labels of the characters attaining theta; label 0 is the principal one
-    elems = np.flatnonzero(spectrum.values[indexer.char_index_table] == theta)
-    elems = elems[elems != 0]
+    if isinstance(spectrum, OrbitSpectrum):
+        elems = spectrum.support(theta)
+    else:
+        # the labels of the characters attaining theta; label 0 is the principal one
+        elems = np.flatnonzero(spectrum.values[indexer.char_index_table] == theta)
+        elems = elems[elems != 0]
     claimed = pm.delsarte_dual_params(exp)
     if len(elems) != claimed.k:
         raise InternalError("dual has size %d, expected %d" % (len(elems), claimed.k))
@@ -562,13 +722,17 @@ def verify_pds(
     spectrum by the exact transform (``transform_profile``), not from the
     literal sweep of ``difference_profile``.  ``check_multiplier_invariance``
     runs on every set, gated only by the table cap, and is listed only when
-    it fails.  ``common-neighbors`` is skipped for a cap when v is above the
-    profile cap or the neighbor cap is 0; otherwise, when H fixes the set,
-    one literal count per H-orbit covers all v - 1 targets
-    (``orbit_common_neighbors``), and when H moves it, the check is skipped
-    and the failed invariance item decides the verdict.  ``threads`` is
-    accepted and ignored, since every sweep runs serially;
-    ``perfbench/child.py`` still passes it."""
+    it fails.  The spectral checks (``two-valued-spectrum``, ``case-split``,
+    ``eigenvalues``) read the ``orbit_spectrum`` of a set that H fixes and
+    the transform's spectrum of a set H moves; where the transform runs for
+    the profile too, the orbit sums must equal it at every representative,
+    or an InternalError is raised.  ``common-neighbors`` is skipped for a
+    cap when v is above the profile cap or the neighbor cap is 0;
+    otherwise, when H fixes the set, one literal count per H-orbit covers
+    all v - 1 targets (``orbit_common_neighbors``), and when H moves it,
+    the check is skipped and the failed invariance item decides the
+    verdict.  ``threads`` is accepted and ignored, since every sweep runs
+    serially; ``perfbench/child.py`` still passes it."""
     indexer = tower.indexer
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
@@ -581,12 +745,25 @@ def verify_pds(
         "k": pds.k,
     }
     v = tower.params.v
-    # the profile is derived from the spectrum, so the spectrum is computed
-    # when either cap admits v; each cap still gates only its own checks
+    invariance = check_multiplier_invariance(pds, tower)
+    # the profile comes from the transform, so the transform runs when the
+    # profile cap admits v, and when the spectrum cap does for a set H
+    # moves; the spectral checks of a set H fixes read its orbit spectrum,
+    # checked against the transform whenever both exist
     either = max(caps.profile, caps.spectrum)
-    spectrum = character_spectrum(pds, indexer, cap=either) if v <= either else None
+    transform = None
+    if v <= caps.profile or (v <= caps.spectrum and not invariance.passed):
+        transform = character_spectrum(pds, indexer, cap=either)
+    spectrum = transform
+    if invariance.passed and v <= either:
+        spectrum = orbit_spectrum(pds, tower)
+        if transform is not None:
+            labels = indexer.char_index(tower.orbit_representatives)
+            same = np.array_equal(transform.values[labels], spectrum.values)
+            if not (same and transform.rational[labels].all()):
+                raise InternalError("the orbit sums differ from the transform")
     if v <= caps.profile:
-        report.add(check_pds(pds, indexer, transform_profile(spectrum), exp))
+        report.add(check_pds(pds, indexer, transform_profile(transform), exp))
     else:
         report.add(_skip("pds-differences", "cap"))
     if v <= caps.spectrum:
@@ -601,7 +778,6 @@ def verify_pds(
         report.add(_skip("case-split", "cap"))
         report.add(_skip("eigenvalues", "cap"))
     report.add(clique_certificate(pds, tower))
-    invariance = check_multiplier_invariance(pds, tower)
     if not invariance.passed:
         report.add(invariance)
     if v > caps.profile or caps.neighbor == 0:

@@ -45,14 +45,37 @@ def exchange_bits_0_and_2(g: np.ndarray) -> np.ndarray:
     return g ^ (flip | flip << 2)
 
 
-def orbit_labels(tower: Tower) -> np.ndarray:
-    """For every nonzero group index g (entry g - 1), its orbit under the
-    multiplier group, read off the norm tables: 0 for K1* x 0, 1 for
-    0 x K2*, and 2 + t for norm ratio class t mod e."""
-    x, y = tower.indexer.split(np.arange(1, tower.params.v, dtype=np.int64))
-    n1, n2 = tower.norm_dlogs
-    t = (n2[tower.f2.dlog[y]] - n1[tower.f1.dlog[x]]) % tower.params.e
-    return np.where(y == 0, 0, np.where(x == 0, 1, 2 + t))
+def assert_same_text(got: str, want: str, *context) -> None:
+    """got == want, asserted on a bool so that pytest builds no diff of two
+    long documents: a failure names the first differing offset and shows
+    about 80 characters of each side from just before it."""
+    same = got == want
+    if same:
+        return
+    lo, hi = 0, min(len(got), len(want))
+    while lo < hi:  # the longest common prefix, by bisection in C-speed slices
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == want[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    start = max(lo - 20, 0)
+    assert same, "%sfirst difference at offset %d (lengths %d, %d): got %r, want %r" % (
+        "%s: " % (context,) if context else "", lo, len(got), len(want),
+        got[start : start + 80], want[start : start + 80],
+    )
+
+
+def transform_items(pds: PdsSet, tower: Tower, R) -> dict:
+    """The spectral items of the transform route, by name: the check
+    functions on ``character_spectrum``."""
+    spectrum = vf.character_spectrum(pds, tower.indexer)
+    exp = vf.expected_params(pds)
+    return {
+        "two-valued-spectrum": vf.check_two_valued(spectrum, exp),
+        "case-split": vf.check_case_split(pds, tower, tower.indexer, spectrum, R),
+        "eigenvalues": vf.eigen_check(exp, spectrum),
+    }
 
 
 def digit_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:

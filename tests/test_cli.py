@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import exchange_bits_0_and_2
+from denpds import cli
+
+from conftest import assert_same_text, exchange_bits_0_and_2, transform_items
 
 CLI = [sys.executable, "-m", "denpds.cli"]
 
@@ -119,6 +121,94 @@ def _moved_set_file(tmp_path):
     doc["elements"] = ix.dlog_pairs(exchange_bits_0_and_2(g)).tolist()
     out.write_text(json.dumps(doc))
     return str(out)
+
+
+def _must_not_run(*_):
+    raise AssertionError("this route must not run")
+
+
+def test_sets_the_multiplier_group_fixes_need_no_transform(grid, tmp_path, monkeypatch, capsys):
+    """With the transform made to fail, verify and dual on 2,1,2,4,1 primal
+    (v = 2^18, above the profile cap), and dual, code and geometry on every
+    grid set, still exit 0 and print the transform route's documents, as
+    computed before: these sets are certified from their e + 2 orbit sums."""
+    from denpds import coding as cd
+    from denpds import transform
+    from denpds import verify as vf
+
+    expected = []  # (argv, output file or None for stdout, text, stderr)
+    tower = grid.tower(2, 1, 2, 4, 1)
+    pds, R = grid.pds(2, 1, 2, 4, 1)
+    report = vf.verify_pds(pds, tower, R)
+    by_transform = transform_items(pds, tower, R)
+    report.items = [by_transform.get(it.name, it) for it in report.items]
+    flags = ["-p", "2", "-m", "2", "-l", "4", "-r", "1"]
+    expected.append((["verify", *flags], None, report.to_json(), ""))
+    dual = vf.delsarte_dual(pds, tower.indexer)
+    out = tmp_path / "dual-large.json"
+    stderr = "delsarte dual: k=%d\n" % dual.k
+    expected.append((["dual", *flags, "-o", str(out)], out, dual.to_json(tower), stderr))
+    for i, (tower, pds, _, _) in enumerate(grid.instances()):
+        set_file = tmp_path / ("%d.json" % i)
+        set_file.write_text(pds.to_json(tower))
+        spectrum = grid.spectrum(pds, tower)
+        dual = vf.delsarte_dual(pds, tower.indexer, spectrum)
+        out = tmp_path / ("%d-dual.json" % i)
+        argv = ["dual", "--set", str(set_file), "-o", str(out)]
+        expected.append((argv, out, dual.to_json(tower), "delsarte dual: k=%d\n" % dual.k))
+        ctx = cd.CodingContext(tower)
+        S = cd.to_projective_set(pds, ctx)
+        for command in ("code", "geometry"):
+            out = tmp_path / ("%d-%s.json" % (i, command))
+            argv = [command, "--set", str(set_file), "-o", str(out)]
+            assert cli.main(argv) == 0
+            doc = json.loads(out.read_text())
+            if command == "code":
+                enum = cd.spectral_weight_enumerator(spectrum, cd.build_code(S, ctx))
+                assert doc["weight_enumerator"] == {str(w): c for w, c in sorted(enum.items())}
+            else:
+                profile = cd.spectral_hyperplane_profile(spectrum, S)
+                assert doc["hyperplane_profile"] == {str(h): c for h, c in sorted(profile.items())}
+            expected.append((argv, out, out.read_text(), ""))
+    capsys.readouterr()
+    monkeypatch.setattr(transform, "forward", _must_not_run)
+    for argv, path, text, err in expected:
+        code = cli.main(argv)
+        stdout, stderr = capsys.readouterr()
+        assert (code, stderr) == (0, err), argv
+        assert_same_text(stdout if path is None else path.read_text(), text, argv)
+
+
+def test_a_moved_set_takes_the_transform_route(tmp_path, monkeypatch, capsys):
+    """dual, code and geometry on a set file the multiplier group moves
+    print the transform route's documents, as before, and read no orbit
+    sums."""
+    from denpds import coding as cd
+    from denpds import verify as vf
+    from denpds.construct import read_set_file
+
+    path = _moved_set_file(tmp_path)
+    with open(path, "rb") as fh:
+        tower, pds = read_set_file(fh.read())
+    assert not vf.check_multiplier_invariance(pds, tower).passed
+    spectrum = vf.character_spectrum(pds, tower.indexer)
+    ctx = cd.CodingContext(tower)
+    S = cd.to_projective_set(pds, ctx)
+    monkeypatch.setattr(vf, "orbit_spectrum", _must_not_run, raising=False)
+    out = tmp_path / "out.json"
+    assert cli.main(["dual", "--set", path, "-o", str(out)]) == 0
+    dual = vf.delsarte_dual(pds, tower.indexer, spectrum)
+    assert_same_text(out.read_text(), dual.to_json(tower))
+    assert capsys.readouterr() == ("", "delsarte dual: k=45\n")
+    assert cli.main(["code", "--set", path, "-o", str(out)]) == 0
+    enum = cd.weight_enumerator(cd.build_code(S, ctx), ctx)
+    doc = json.loads(out.read_text())
+    assert doc["ok"] and doc["weight_enumerator"] == {str(w): c for w, c in sorted(enum.items())}
+    assert cli.main(["geometry", "--set", path, "-o", str(out)]) == 0
+    profile = cd.hyperplane_profile(S, ctx)
+    doc = json.loads(out.read_text())
+    assert doc["ok"]
+    assert doc["hyperplane_profile"] == {str(h): c for h, c in sorted(profile.items())}
 
 
 def test_neighbor_cap_skip_behavior(tmp_path):

@@ -25,7 +25,7 @@ from denpds.errors import (
 from denpds.ff import build_field, prime_factors
 from denpds.verify import GroupIndexer, delsarte_dual, verify_pds
 
-from conftest import GRID_G1, digit_table, orbit_labels, pair_set, poly_mul, poly_pow
+from conftest import GRID_G1, digit_table, pair_set, poly_mul, poly_pow
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +198,7 @@ def test_multiplier_orbits_are_the_ratio_classes(tp):
     is exactly its class: the e + 2 orbits are the two axes and the norm
     ratio classes, and they partition the v - 1 nonzero indices."""
     tw = Tower(TowerParams(*tp))
-    labels = orbit_labels(tw)
+    labels = tw.orbit_of(np.arange(1, tw.params.v))
     reps = tw.orbit_representatives
     assert len(reps) == tw.params.e + 2 and not reps.flags.writeable
     assert np.array_equal(labels[reps - 1], np.arange(len(reps)))

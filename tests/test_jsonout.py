@@ -16,6 +16,8 @@ from denpds.construct import PdsSet, Tower, TowerParams, pds_from_json_dict
 from denpds.jsonout import RowStrings, dumps, plain
 from denpds.verify import delsarte_dual
 
+from conftest import assert_same_text
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "denpds"
 
 
@@ -34,8 +36,8 @@ def test_set_files_match_json_dumps_on_grid(grid):
         dual = delsarte_dual(pds, grid.indexer(tower), grid.spectrum(pds, tower))
         for one in (pds, dual):
             text = one.to_json(tower)
-            assert text == reference(one._json_doc(tower))
-            assert text == canonical(text), (tower.params, one.provenance)
+            assert_same_text(text, reference(one._json_doc(tower)), tower.params, one.provenance)
+            assert_same_text(text, canonical(text), tower.params, one.provenance)
 
 
 @pytest.mark.parametrize("tp, families", [((2, 1, 2, 4, 1), ("primal", "delsarte-dual")),
@@ -50,8 +52,7 @@ def test_set_files_match_json_dumps_at_scale(grid, tp, families):
             "delsarte-dual": delsarte_dual(pds, grid.indexer(tower), grid.spectrum(pds, tower))}
     for family in families:
         doc = sets[family]._json_doc(tower)
-        same = sets[family].to_json(tower) == reference(doc)  # no diff of megabytes on failure
-        assert same, family
+        assert_same_text(sets[family].to_json(tower), reference(doc), family)
         pairs = plain(doc)["elements"]
         assert len(pairs) == sets[family].k
         assert all(a < b for a, b in zip(pairs, pairs[1:])), family
@@ -64,19 +65,19 @@ def test_empty_set_and_zero_coordinates():
     empty = PdsSet(tp, "primal", [], claimed)
     text = empty.to_json(tower)
     assert json.loads(text)["elements"] == []
-    assert text == reference(empty._json_doc(tower))
+    assert_same_text(text, reference(empty._json_doc(tower)))
     # (0, 1), (1, 0) and (1, 1): a zero coordinate has the dlog -1
     mixed = PdsSet(tp, "primal", ix.join(np.array([0, 1, 1]), np.array([1, 0, 1])), claimed)
     text = mixed.to_json(tower)
     assert json.loads(text)["elements"] == [[-1, 0], [0, -1], [0, 0]]
-    assert text == reference(mixed._json_doc(tower))
+    assert_same_text(text, reference(mixed._json_doc(tower)))
 
 
 def test_set_file_round_trip_is_byte_identical(grid):
     for tower, pds, _, _ in grid.instances():
         text = pds.to_json(tower)
         tower2, back = pds_from_json_dict(json.loads(text))
-        assert back.to_json(tower2) == text
+        assert_same_text(back.to_json(tower2), text, tower.params)
 
 
 def test_code_and_geometry_documents_on_grid(grid, tmp_path):
@@ -92,7 +93,7 @@ def test_code_and_geometry_documents_on_grid(grid, tmp_path):
             out = tmp_path / command
             assert cli.main([command, "--set", str(set_file), "-o", str(out)]) == 0, tp
             text = out.read_text()
-            assert text == canonical(text), (tp, family, command)
+            assert_same_text(text, canonical(text), tp, family, command)
             doc = json.loads(text)
             if command == "code":
                 assert doc["generator_rows"] == C.build_code(S, ctx).mat.tolist()
@@ -104,17 +105,17 @@ def test_writer_shapes_and_row_strings():
     for shape in [(0,), (1,), (4,), (0, 2), (3, 0), (1, 1), (5, 2), (2, 3, 2)]:
         a = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape) - 2
         doc = {"b": [a, {"c": a}], "a": a, "e": {}, "f": [], "s": 'x"\n', "0-d": np.array(-7)}
-        assert dumps(doc) == reference(doc), shape
+        assert_same_text(dumps(doc), reference(doc), shape)
     rows = RowStrings(np.array([[1, 0, 2], [0, 0, 1]]))
     doc = {"points": rows, "n": 2}
     assert json.loads(dumps(doc))["points"] == ["1 0 2", "0 0 1"]
-    assert dumps(doc) == reference(doc)
+    assert_same_text(dumps(doc), reference(doc))
     for empty in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
         doc = {"points": RowStrings(empty)}
-        assert dumps(doc) == reference(doc)
+        assert_same_text(dumps(doc), reference(doc))
     # a string that held the parent writer's array stand-in, beside an array
     doc = {"x": "\0" + "0\0", "y": np.zeros(2, dtype=np.int64)}
-    assert dumps(doc) == reference(doc)
+    assert_same_text(dumps(doc), reference(doc))
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from denpds.jsonout import RowStrings, dumps, plain  # noqa: E402
 
+from conftest import assert_same_text  # noqa: E402
+
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
 VALUES = st.one_of(st.integers(-3, 40), st.integers(-(2**63), 2**63 - 1))
 
@@ -30,4 +32,4 @@ VALUES = st.one_of(st.integers(-3, 40), st.integers(-(2**63), 2**63 - 1))
 )
 def test_writer_matches_json_dumps_on_random_documents(a, rows, extra):
     for doc in (a, {"a": a, "x": extra}, [extra, a, {"r": RowStrings(rows)}]):
-        assert dumps(doc) == json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+        assert_same_text(dumps(doc), json.dumps(plain(doc), sort_keys=True, indent=2) + "\n")

@@ -9,12 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from denpds import coding as C
 from denpds import params as P
 from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
+from denpds.jsonout import dumps
 from denpds.errors import CapExceededError, SpectrumNotTwoValuedError
 
-from conftest import GRID_G1, digit_table, exchange_bits_0_and_2, orbit_labels, pair_set, with_pairs
+from conftest import (
+    GRID_G1,
+    digit_table,
+    exchange_bits_0_and_2,
+    pair_set,
+    transform_items,
+    with_pairs,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "denpds"
 
@@ -267,7 +276,7 @@ def test_orbit_counts_equal_the_transform_profile(grid):
         assert V.check_multiplier_invariance(pds, tower).passed, (tower.params, pds.provenance)
         counts = V._common_counts(pds, tower.orbit_representatives, tower.indexer)
         profile = V.transform_profile(V.character_spectrum(pds, tower.indexer)).counts
-        expanded = counts[orbit_labels(tower)]
+        expanded = counts[tower.orbit_of(np.arange(1, tower.params.v))]
         assert np.array_equal(expanded, profile[1:]), (tower.params, pds.provenance)
 
 
@@ -284,6 +293,86 @@ def test_orbit_route_runs_unsampled_above_the_neighbor_cap():
         cn = report.items[-1]
         assert cn.name == "common-neighbors"
         assert cn.details == {"pairs_checked": 3**10 - 1, "degree": pds.k, "sampled": False}
+
+
+LARGE = [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)]
+
+
+def test_orbit_spectrum_is_the_spectrum(grid):
+    """The e + 2 orbit sums, expanded to every group element, are the
+    transform's sum at that element's label, element by element: for every
+    grid and dense set of both families, its complement and its Delsarte
+    dual, and for the primal sets of the two large towers (v = 2^18 and
+    7^6) with theirs.  The Delsarte dual, the weight enumerator and the
+    hyperplane profile read off the orbits are the transform route's."""
+    towers = [tp + (r,) for tp in GRID_G1 for r in range(tp[2] + 1)] + DENSE
+    cases = [(tp, fam) for tp in towers for fam in ("primal", "dual")]
+    cases += [(tp, "primal") for tp in LARGE]
+    for tp, fam in cases:
+        tower = grid.tower(*tp)
+        ix = tower.indexer
+        ctx = C.CodingContext(tower)
+        for pds in _with_complement_and_dual(tower, grid.pds(*tp, fam)[0]):
+            where = (tp, pds.provenance)
+            assert V.check_multiplier_invariance(pds, tower).passed, where
+            transform = V.character_spectrum(pds, ix)
+            orbits = V.orbit_spectrum(pds, tower)
+            assert transform.all_rational(), where
+            assert np.array_equal(orbits.by_element(), transform.values[ix.char_index_table]), where
+            assert orbits.nonprincipal_value_counts() == transform.nonprincipal_value_counts()
+            assert orbits.nonprincipal_sum() == transform.nonprincipal_sum()
+            dual, want = (V.delsarte_dual(pds, ix, one) for one in (orbits, transform))
+            assert dual.provenance == want.provenance, where
+            assert np.array_equal(dual.elements, want.elements), where
+            S = C.to_projective_set(pds, ctx)
+            gm = C.build_code(S, ctx)
+            for fn, arg in ((C.spectral_hyperplane_profile, S), (C.spectral_weight_enumerator, gm)):
+                assert fn(orbits, arg) == fn(transform, arg), (where, fn.__name__)
+
+
+def _invariant_sets(grid):
+    """(tower, set, R) for every H-invariant set the tests build: the grid
+    sets with their complements and Delsarte duals, the 56 ratio-set
+    mutants of ``test_mutants_only_the_counts_catch`` with R, and the empty
+    set and the set with 0 added, at p = 2 and p = 3."""
+    for tower, pds, R, _ in grid.instances():
+        for one in _with_complement_and_dual(tower, pds):
+            yield tower, one, R
+    for family, r in (("primal", 2), ("dual", 1)):
+        tower = grid.tower(2, 1, 3, 1, r)
+        for triple in itertools.combinations(range(7), 3):
+            yield tower, _ratio_set_mutant(tower, triple, family), tower.default_subspace()
+    for tp in ((2, 1, 2, 1, 1), (3, 1, 2, 1, 1)):
+        tower = grid.tower(*tp)
+        for fam in ("primal", "dual"):
+            D, R = grid.pds(*tp, fam)
+            for elements in ([], np.append(D.elements, 0)):
+                yield tower, PdsSet(D.params, D.provenance, elements, D.claimed, D.subspace_rows), R
+
+
+def test_orbit_route_reports_equal_the_transform_reports(grid):
+    """On every H-invariant set, ``verify_pds``'s spectral items, which read
+    the orbit spectrum, and the check functions given the orbit spectrum
+    print what the same functions print on the transform's spectrum,
+    failures, witnesses and counts included."""
+    failed = 0
+    for tower, pds, R in _invariant_sets(grid):
+        where = (tower.params, pds.provenance, pds.k)
+        assert V.check_multiplier_invariance(pds, tower).passed, where
+        want = {name: dumps(it.as_dict()) for name, it in transform_items(pds, tower, R).items()}
+        report = V.verify_pds(pds, tower, R)
+        got = {it.name: dumps(it.as_dict()) for it in report.items if it.name in want}
+        assert got == want, where
+        orbits = V.orbit_spectrum(pds, tower)
+        exp = V.expected_params(pds)
+        direct = {
+            "two-valued-spectrum": V.check_two_valued(orbits, exp),
+            "case-split": V.check_case_split(pds, tower, tower.indexer, orbits, R),
+            "eigenvalues": V.eigen_check(exp, orbits),
+        }
+        assert {name: dumps(it.as_dict()) for name, it in direct.items()} == want, where
+        failed += not direct["case-split"].passed
+    assert failed >= 2 * 28 + 8  # the non-line mutants and the empty and 0-holding sets
 
 
 def _ratio_set_mutant(tower, classes, family):
