@@ -24,11 +24,18 @@ arithmetic of its own; only ``ff`` knows the packed <-> digit encoding.  A
 ``Subspace``, like a ``PdsSet``, holds its elements as a sorted read-only
 int64 array.
 
+The multiplier group H = {(lam, mu) : N1(lam) / N2(mu) in GF(q)*} has
+e + 2 orbits on G minus 0: the two axes and the e norm-ratio classes.
+``Tower.orbit_union`` and ``Tower.by_orbit`` are the only code that maps
+orbits to indices.
+
 Two independent routes build the primal set:
 
 * ``build_D``: the norm-ratio membership test.  Both coordinate norms are
-  pulled back through the subfield embeddings into the middle field and
-  their ratio is tested against the materialized subspace R.
+  pulled back through the subfield embeddings into the middle field, the
+  ratio classes are tested against the materialized subspace R
+  (``ratio_classes``), and the set is the union of one axis and those
+  classes (``orbit_union``).
 * ``build_D_cosets``: the multiplicative-coset union over compatible
   generators alpha, beta whose norms agree on a common middle-field
   generator gamma.
@@ -704,9 +711,33 @@ class Tower:
         t = (n2[self.f2.dlog[y]] - n1[self.f1.dlog[x]]) % self.params.e
         return np.where(y == 0, 0, np.where(x == 0, 1, 2 + t))
 
-    def _ratio_membership(self, space: Subspace) -> np.ndarray:
-        """Boolean array over middle-field dlogs t: antilog(t) in space."""
-        return readonly(in_sorted(self.mid.antilog, space.elements))
+    def orbit_union(self, mask) -> np.ndarray:
+        """The indices of the union of the H-orbits i with mask[i], mask
+        running over the e + 2 orbits in ``orbit_representatives`` order:
+        (x, y) in K1* x K2* lies in ratio class t = n2(y) - n1(x) mod e of
+        the norm dlogs (``orbit_of``)."""
+        mask = np.asarray(mask, dtype=bool)
+        ix, e = self.indexer, self.params.e
+        axes = [
+            ix.join(np.arange(1, self.f1.size), 0),  # (a, 0), a != 0
+            ix.join(0, np.arange(1, self.f2.size)),  # (0, b), b != 0
+        ]
+        g1, g2 = self.norm_dlogs
+        i, j = np.nonzero(mask[2:][(g2[None, :] - g1[:, None]) % e])
+        ratio = ix.join(self.f1.antilog[i], self.f2.antilog[j])
+        return np.concatenate([axes[a] for a in (0, 1) if mask[a]] + [ratio])
+
+    def by_orbit(self, per_orbit: np.ndarray, at_zero: int) -> np.ndarray:
+        """The length-v vector holding at_zero at index 0 and per_orbit[i]
+        at every index of the i-th H-orbit (``orbit_of``)."""
+        orbits = self.orbit_of(np.arange(1, self.params.v, dtype=np.int64))
+        return np.concatenate([[at_zero], per_orbit[orbits]])
+
+    def ratio_classes(self, space: Subspace) -> np.ndarray:
+        """Over the ratio classes t = 0 .. e - 1: g^t in space.  g^e
+        generates GF(q)*, so membership in a GF(q)-subspace depends only on
+        t mod e."""
+        return in_sorted(self.mid.antilog[: self.params.e], space.elements)
 
     # -- subspace constructors --
 
@@ -780,19 +811,12 @@ class Tower:
         negated = np.sort(self.indexer.neg(pds.elements))
         return bool(np.array_equal(negated, pds.elements))
 
-    def _ratio_indices(self, ratio_ok: np.ndarray) -> np.ndarray:
-        """Indices of the elements with both coordinates nonzero whose norm
-        ratio t (a middle-field dlog) has ratio_ok[t]."""
-        g1, g2 = self.norm_dlogs
-        i, j = np.nonzero(ratio_ok[(g2[None, :] - g1[:, None]) % self.mid.order])
-        return self.indexer.join(self.f1.antilog[i], self.f2.antilog[j])
-
     def build_D(self, R: Subspace | None = None) -> PdsSet:
-        """Norm-ratio construction of the primal set."""
+        """Norm-ratio construction of the primal set: K1* x 0 and the ratio
+        classes in R."""
         R = self.check_rank(R)
-        ratio = self._ratio_indices(self._ratio_membership(R))
-        axis = self.indexer.join(np.arange(1, self.f1.size), 0)  # (a, 0), a != 0
-        return self._finish(np.concatenate([ratio, axis]), "primal", self.params.primal_params(), R)
+        idx = self.orbit_union(np.concatenate([[True, False], self.ratio_classes(R)]))
+        return self._finish(idx, "primal", self.params.primal_params(), R)
 
     def build_D_cosets(self, R: Subspace | None = None) -> PdsSet:
         """Coset-union construction; independent of the norm-ratio route."""
@@ -817,11 +841,11 @@ class Tower:
         return self._finish(idx, "primal", tp.primal_params(), R)
 
     def build_D_dual(self, R: Subspace | None = None) -> PdsSet:
-        """Norm-ratio construction of the dual set (complement membership)."""
+        """Norm-ratio construction of the dual set: 0 x K2* and the ratio
+        classes outside R-perp."""
         R = self.check_rank(R)
-        ratio = self._ratio_indices(~self._ratio_membership(dual_subspace(R)))
-        axis = self.indexer.join(0, np.arange(1, self.f2.size))  # (0, b), b != 0
-        return self._finish(np.concatenate([ratio, axis]), "dual", self.params.dual_params(), R)
+        idx = self.orbit_union(np.concatenate([[False, True], ~self.ratio_classes(dual_subspace(R))]))
+        return self._finish(idx, "dual", self.params.dual_params(), R)
 
     def complement(self, pds: PdsSet) -> PdsSet:
         elems = np.setdiff1d(np.arange(1, self.params.v), pds.elements, assume_unique=True)

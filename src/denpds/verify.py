@@ -20,23 +20,26 @@ dual and ``denpds.coding`` read either through the same few methods
   it, each with its orbit size as multiplicity.
 
 The CLI reads the orbit spectrum of a set H fixes and the transform's of a
-set H moves (``spectrum_of``); ``verify_pds`` also checks the orbit sums
-against the transform wherever it computes both.
+set H moves (``spectrum_of``).
 
 The difference profile has two routes: ``transform_profile`` derives it
-from the character spectrum (the route ``verify_pds`` takes), and
-``difference_profile`` counts them literally, with the kernel of the
-common-neighbour count: c(g) = #{d in D : d - g in D} for every g.
+from the character spectrum, and ``difference_profile`` counts it
+literally, with the kernel of the common-neighbour count:
+c(g) = #{d in D : d - g in D} for every g.  ``srg_common_neighbors`` is
+the literal sweep of all v - 1 common-neighbour targets, for v up to its
+cap.
 
-The common-neighbour count is literal too, but needs only one target per
-orbit of the multiplier group H (``Tower.multiplier_generators``), which
-fixes every set of both families: ``check_multiplier_invariance`` tests
-hD = D for both generators, and when it holds ``orbit_common_neighbors``
-counts the e + 2 orbit representatives for all v - 1 targets.  A set that H
-moves has already failed that check, so ``verify_pds`` skips its
-common-neighbour count.  ``srg_common_neighbors`` is the literal sweep of
-all v - 1 targets, for v up to its cap.  No check samples, and every sweep
-runs serially, one chunk at a time (``ff.sweep``).
+``verify_pds`` takes one route per set.  The multiplier group H fixes
+every set of both families, and ``check_multiplier_invariance`` tests
+hD = D for both generators.  When it holds, the set is certified from its
+e + 2 orbits alone: one literal count per orbit representative gives the
+whole difference profile and the common-neighbour count for all v - 1
+targets, and the spectral checks read the e + 2 orbit sums; ``Tower``
+spreads per-orbit values over the group (``Tower.by_orbit``,
+``Tower.orbit_union``).  A set that H moves has already failed that check:
+its profile and spectrum come from the transform, and its common-neighbour
+count is skipped.  No check samples, and every sweep runs serially, one
+chunk at a time (``ff.sweep``).
 """
 
 from __future__ import annotations
@@ -227,21 +230,12 @@ class OrbitSpectrum(_SpectrumReadout):
     def by_element(self) -> np.ndarray:
         """The sum at the label of every group index, k at index 0: what
         ``character_spectrum(...).values[char_index_table]`` holds."""
-        orbits = self.tower.orbit_of(np.arange(1, self.v, dtype=np.int64))
-        return np.concatenate([[self.k], self.values[orbits]])
+        return self.tower.by_orbit(self.values, self.k)
 
     def support(self, value: int) -> np.ndarray:
         """The nonzero group indices whose character attains value: the
         union of the orbits at value."""
-        tower, at = self.tower, self.values == value
-        ix, e = tower.indexer, tower.params.e
-        axes = [
-            ix.join(np.arange(1, tower.f1.size), 0),  # (a, 0), a != 0
-            ix.join(0, np.arange(1, tower.f2.size)),  # (0, b), b != 0
-        ]
-        # ratio class t mod e of every middle-field dlog
-        ratio_ok = at[2:][np.arange(tower.mid.order) % e]
-        return np.concatenate([axes[i] for i in (0, 1) if at[i]] + [tower._ratio_indices(ratio_ok)])
+        return self.tower.orbit_union(self.values == value)
 
 
 Spectrum = CharacterSpectrum | OrbitSpectrum
@@ -443,45 +437,36 @@ def check_case_split(
     value exactly when (a != 0, b = 0) or both coordinates are nonzero and
     the norm ratio falls in R-perp; dually for the dual set, with the
     positive value on (a != 0, b = 0) or ratio in R.  The principal
-    character is predicted to attain k.  An ``OrbitSpectrum`` is compared
-    orbit by orbit, and expanded to every character only on failure.
+    character is predicted to attain k.  The prediction is one value per
+    H-orbit; an ``OrbitSpectrum`` is compared orbit by orbit, and either
+    spectrum is compared at every character's label (``Tower.by_orbit``)
+    when that fails or when it is the transform's.
     """
     if pds.provenance not in ("primal", "dual", "delsarte-dual"):
         return _skip("case-split", "only defined for primal/dual provenance")
     exp = expected_params(pds)
     theta, tau = exp.eigenvalues
     if pds.provenance == "primal":
-        in_space = tower._ratio_membership(dual_subspace(R))
+        in_space = tower.ratio_classes(dual_subspace(R))
         special_value = tau  # (a != 0, b = 0) and ratio-in-space characters
     else:
-        in_space = tower._ratio_membership(R)
+        in_space = tower.ratio_classes(R)
         special_value = theta
     other_value = theta if special_value == tau else tau
+    # K1* x 0, 0 x K2*, then the ratio classes t = 0 .. e - 1
+    per_orbit = np.where(np.concatenate([[True, False], in_space]), special_value, other_value)
+    sizes = tower.orbit_sizes
     named = (("special", special_value), ("other", other_value))
+    counts = {name: int(sizes[per_orbit == v].sum()) + int(exp.k == v) for name, v in named}
     if isinstance(spectrum, OrbitSpectrum):
-        # K1* x 0, 0 x K2*, then the ratio classes t = 0 .. e - 1; membership
-        # in a GF(q)-subspace depends on the class only
-        special = np.concatenate([[True, False], in_space[: tower.params.e]])
-        per_orbit = np.where(special, special_value, other_value)
-        ok = spectrum.principal == exp.k and bool((spectrum.values == per_orbit).all())
-        sizes = tower.orbit_sizes
-        counts = {name: int(sizes[per_orbit == v].sum()) + int(exp.k == v) for name, v in named}
-        if ok:
-            return CheckItem("case-split", ok, details=counts)
-        values = spectrum.by_element()
-        predicted = np.concatenate([[exp.k], per_orbit[tower.orbit_of(np.arange(1, indexer.v))]])
+        if spectrum.principal == exp.k and (spectrum.values == per_orbit).all():
+            return CheckItem("case-split", True, details=counts)
+        values, ok = spectrum.by_element(), False
     else:
-        # observed and predicted values, both indexed by the character's label
-        values = spectrum.values[indexer.char_index_table]
-        predicted = np.full(indexer.v, other_value, dtype=np.int64)
-        # principal character
-        predicted[0] = exp.k
-        # a != 0, b = 0
-        predicted[indexer.join(np.arange(1, indexer.sz1), 0)] = special_value
-        # both nonzero: ratio test
-        predicted[tower._ratio_indices(in_space)] = special_value
-        ok = spectrum.all_rational() and bool((values == predicted).all())
-        counts = {name: int((predicted == value).sum()) for name, value in named}
+        # the observed value at every character's label
+        values, ok = spectrum.values[indexer.char_index_table], spectrum.all_rational()
+    predicted = tower.by_orbit(per_orbit, exp.k)
+    ok = ok and bool((values == predicted).all())
     witnesses = []
     if not ok:
         bad = np.flatnonzero(values != predicted)[:5]
@@ -496,12 +481,12 @@ def _neighbor_item(
     pds: PdsSet,
     indexer: GroupIndexer,
     targets: np.ndarray,
+    cn: np.ndarray,
 ) -> CheckItem:
-    """The common-neighbors item from literal counts at ``targets``, which
-    stand for all v - 1 nonzero elements."""
+    """The common-neighbors item from the literal counts cn at ``targets``
+    (``_common_counts``), which stand for all v - 1 nonzero elements."""
     exp = expected_params(pds)
     member = _membership(pds, indexer.v)
-    cn = _common_counts(pds, targets, indexer)
     want = np.where(member[targets], exp.lam, exp.mu)
     bad = np.flatnonzero(cn != want)
     ok = len(bad) == 0 and int(member.sum()) == exp.k
@@ -529,7 +514,8 @@ def srg_common_neighbors(
     v = indexer.v
     if v > cap:
         return _skip("common-neighbors", "cap")
-    return _neighbor_item(pds, indexer, np.arange(1, v, dtype=np.int64))
+    targets = np.arange(1, v, dtype=np.int64)
+    return _neighbor_item(pds, indexer, targets, _common_counts(pds, targets, indexer))
 
 
 def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
@@ -549,15 +535,6 @@ def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
             witnesses.append({"element": pairs[0], "multiplier": [a, b], "image": pairs[1]})
     details = {"generators": [list(g) for g in gens]}
     return CheckItem("multiplier-invariance", not witnesses, details=details, witnesses=witnesses)
-
-
-def orbit_common_neighbors(pds: PdsSet, tower: Tower) -> CheckItem:
-    """The common-neighbors item from one literal count per H-orbit
-    (``Tower.orbit_representatives``), covering all v - 1 targets.  Sound
-    only for a set that H fixes (``check_multiplier_invariance``): each h in
-    H is an additive automorphism of G, so hD = D gives c(hg) = c(g), and
-    membership in D is constant on orbits."""
-    return _neighbor_item(pds, tower.indexer, tower.orbit_representatives)
 
 
 def eigen_check(expected: pm.SrgParams, spectrum: Spectrum) -> CheckItem:
@@ -718,21 +695,19 @@ def verify_pds(
 ) -> SrgCheckReport:
     """Run every oracle that fits under the caps and collect a report.
 
-    The difference profile of ``pds-differences`` comes from the character
-    spectrum by the exact transform (``transform_profile``), not from the
-    literal sweep of ``difference_profile``.  ``check_multiplier_invariance``
-    runs on every set, gated only by the table cap, and is listed only when
-    it fails.  The spectral checks (``two-valued-spectrum``, ``case-split``,
-    ``eigenvalues``) read the ``orbit_spectrum`` of a set that H fixes and
-    the transform's spectrum of a set H moves; where the transform runs for
-    the profile too, the orbit sums must equal it at every representative,
-    or an InternalError is raised.  ``common-neighbors`` is skipped for a
-    cap when v is above the profile cap or the neighbor cap is 0;
-    otherwise, when H fixes the set, one literal count per H-orbit covers
-    all v - 1 targets (``orbit_common_neighbors``), and when H moves it,
-    the check is skipped and the failed invariance item decides the
-    verdict.  ``threads`` is accepted and ignored, since every sweep runs
-    serially; ``perfbench/child.py`` still passes it."""
+    ``check_multiplier_invariance`` runs on every set, gated only by the
+    table cap, and is listed only when it fails.  A set that H fixes takes
+    the orbit route, and no transform runs: up to the profile cap one
+    literal count c(g) per H-orbit gives both ``pds-differences`` (spread
+    by ``Tower.by_orbit``) and ``common-neighbors``, and the spectral checks
+    read its ``orbit_spectrum``.  This is exact: hD = D for both generators
+    gives c(hg) = c(g) and chi_hg(D) = chi_g(D).  A set H moves takes the
+    transform route (``character_spectrum``, ``transform_profile``), and
+    its ``common-neighbors`` is skipped, since the failed invariance item
+    decides the verdict.  ``common-neighbors`` is skipped for a cap when v
+    is above the profile cap or the neighbor cap is 0.  ``threads`` is
+    accepted and ignored, since every sweep runs serially;
+    ``perfbench/child.py`` still passes it."""
     indexer = tower.indexer
     exp = expected_params(pds)
     report = SrgCheckReport(caps=caps)
@@ -746,24 +721,19 @@ def verify_pds(
     }
     v = tower.params.v
     invariance = check_multiplier_invariance(pds, tower)
-    # the profile comes from the transform, so the transform runs when the
-    # profile cap admits v, and when the spectrum cap does for a set H
-    # moves; the spectral checks of a set H fixes read its orbit spectrum,
-    # checked against the transform whenever both exist
-    either = max(caps.profile, caps.spectrum)
-    transform = None
-    if v <= caps.profile or (v <= caps.spectrum and not invariance.passed):
-        transform = character_spectrum(pds, indexer, cap=either)
-    spectrum = transform
-    if invariance.passed and v <= either:
-        spectrum = orbit_spectrum(pds, tower)
-        if transform is not None:
-            labels = indexer.char_index(tower.orbit_representatives)
-            same = np.array_equal(transform.values[labels], spectrum.values)
-            if not (same and transform.rational[labels].all()):
-                raise InternalError("the orbit sums differ from the transform")
+    reps = tower.orbit_representatives
+    if invariance.passed:
+        if v <= caps.profile:
+            counts = _common_counts(pds, reps, indexer)
+            profile = DifferenceProfile(tower.by_orbit(counts, 0), pds.k, v)
+        if v <= caps.spectrum:
+            spectrum = orbit_spectrum(pds, tower)
+    elif v <= max(caps.profile, caps.spectrum):
+        spectrum = character_spectrum(pds, indexer, cap=max(caps.profile, caps.spectrum))
+        if v <= caps.profile:
+            profile = transform_profile(spectrum)
     if v <= caps.profile:
-        report.add(check_pds(pds, indexer, transform_profile(transform), exp))
+        report.add(check_pds(pds, indexer, profile, exp))
     else:
         report.add(_skip("pds-differences", "cap"))
     if v <= caps.spectrum:
@@ -783,7 +753,7 @@ def verify_pds(
     if v > caps.profile or caps.neighbor == 0:
         report.add(_skip("common-neighbors", "cap"))
     elif invariance.passed:
-        report.add(orbit_common_neighbors(pds, tower))
+        report.add(_neighbor_item(pds, indexer, reps, counts))
     else:
         report.add(_skip("common-neighbors", "set not H-invariant"))
     return report

@@ -67,11 +67,12 @@ def assert_same_text(got: str, want: str, *context) -> None:
 
 
 def transform_items(pds: PdsSet, tower: Tower, R) -> dict:
-    """The spectral items of the transform route, by name: the check
-    functions on ``character_spectrum``."""
+    """The items of the transform route, by name: the check functions on
+    ``character_spectrum`` and on the profile derived from it."""
     spectrum = vf.character_spectrum(pds, tower.indexer)
     exp = vf.expected_params(pds)
     return {
+        "pds-differences": vf.check_pds(pds, tower.indexer, vf.transform_profile(spectrum)),
         "two-valued-spectrum": vf.check_two_valued(spectrum, exp),
         "case-split": vf.check_case_split(pds, tower, tower.indexer, spectrum, R),
         "eigenvalues": vf.eigen_check(exp, spectrum),

@@ -129,9 +129,10 @@ def _must_not_run(*_):
 
 def test_sets_the_multiplier_group_fixes_need_no_transform(grid, tmp_path, monkeypatch, capsys):
     """With the transform made to fail, verify and dual on 2,1,2,4,1 primal
-    (v = 2^18, above the profile cap), and dual, code and geometry on every
-    grid set, still exit 0 and print the transform route's documents, as
-    computed before: these sets are certified from their e + 2 orbit sums."""
+    (v = 2^18, above the profile cap), and verify (json and text), dual,
+    code and geometry on every grid set, still exit 0 and print the
+    transform route's documents, or for verify what it prints unpatched:
+    these sets are certified from their e + 2 orbit counts and sums."""
     from denpds import coding as cd
     from denpds import transform
     from denpds import verify as vf
@@ -141,7 +142,7 @@ def test_sets_the_multiplier_group_fixes_need_no_transform(grid, tmp_path, monke
     pds, R = grid.pds(2, 1, 2, 4, 1)
     report = vf.verify_pds(pds, tower, R)
     by_transform = transform_items(pds, tower, R)
-    report.items = [by_transform.get(it.name, it) for it in report.items]
+    report.items = [it if it.skipped else by_transform.get(it.name, it) for it in report.items]
     flags = ["-p", "2", "-m", "2", "-l", "4", "-r", "1"]
     expected.append((["verify", *flags], None, report.to_json(), ""))
     dual = vf.delsarte_dual(pds, tower.indexer)
@@ -156,6 +157,11 @@ def test_sets_the_multiplier_group_fixes_need_no_transform(grid, tmp_path, monke
         out = tmp_path / ("%d-dual.json" % i)
         argv = ["dual", "--set", str(set_file), "-o", str(out)]
         expected.append((argv, out, dual.to_json(tower), "delsarte dual: k=%d\n" % dual.k))
+        for fmt in ("json", "text"):
+            argv = ["verify", "--set", str(set_file), "--format", fmt]
+            capsys.readouterr()
+            assert cli.main(argv) == 0
+            expected.append((argv, None, capsys.readouterr().out, ""))
         ctx = cd.CodingContext(tower)
         S = cd.to_projective_set(pds, ctx)
         for command in ("code", "geometry"):

@@ -276,8 +276,7 @@ def test_orbit_counts_equal_the_transform_profile(grid):
         assert V.check_multiplier_invariance(pds, tower).passed, (tower.params, pds.provenance)
         counts = V._common_counts(pds, tower.orbit_representatives, tower.indexer)
         profile = V.transform_profile(V.character_spectrum(pds, tower.indexer)).counts
-        expanded = counts[tower.orbit_of(np.arange(1, tower.params.v))]
-        assert np.array_equal(expanded, profile[1:]), (tower.params, pds.provenance)
+        assert np.array_equal(tower.by_orbit(counts, 0), profile), (tower.params, pds.provenance)
 
 
 def test_orbit_route_runs_unsampled_above_the_neighbor_cap():
@@ -318,7 +317,8 @@ def test_orbit_spectrum_is_the_spectrum(grid):
             transform = V.character_spectrum(pds, ix)
             orbits = V.orbit_spectrum(pds, tower)
             assert transform.all_rational(), where
-            assert np.array_equal(orbits.by_element(), transform.values[ix.char_index_table]), where
+            expanded = tower.by_orbit(orbits.values, pds.k)
+            assert np.array_equal(expanded, transform.values[ix.char_index_table]), where
             assert orbits.nonprincipal_value_counts() == transform.nonprincipal_value_counts()
             assert orbits.nonprincipal_sum() == transform.nonprincipal_sum()
             dual, want = (V.delsarte_dual(pds, ix, one) for one in (orbits, transform))
@@ -351,9 +351,10 @@ def _invariant_sets(grid):
 
 
 def test_orbit_route_reports_equal_the_transform_reports(grid):
-    """On every H-invariant set, ``verify_pds``'s spectral items, which read
-    the orbit spectrum, and the check functions given the orbit spectrum
-    print what the same functions print on the transform's spectrum,
+    """On every H-invariant set, ``verify_pds``'s pds-differences, which
+    reads the e + 2 orbit counts, and its spectral items, which read the
+    orbit spectrum, and the check functions given the orbit spectrum print
+    what the same functions print on the transform's profile and spectrum,
     failures, witnesses and counts included."""
     failed = 0
     for tower, pds, R in _invariant_sets(grid):
@@ -370,26 +371,73 @@ def test_orbit_route_reports_equal_the_transform_reports(grid):
             "case-split": V.check_case_split(pds, tower, tower.indexer, orbits, R),
             "eigenvalues": V.eigen_check(exp, orbits),
         }
-        assert {name: dumps(it.as_dict()) for name, it in direct.items()} == want, where
+        assert {name: dumps(it.as_dict()) for name, it in direct.items()} == {
+            name: want[name] for name in direct
+        }, where
         failed += not direct["case-split"].passed
     assert failed >= 2 * 28 + 8  # the non-line mutants and the empty and 0-holding sets
 
 
 def _ratio_set_mutant(tower, classes, family):
-    """The set of ``family`` whose ratio part is built from the ratio classes
-    ``classes`` (middle-field dlogs) instead of R or R-perp, with the
+    """The set of ``family`` whose ratio part is the union of the ratio
+    classes ``classes`` (t mod e) for the primal family, and of the other
+    classes for the dual family, instead of those R or R-perp gives, with the
     family's axis: H-invariant and of the family's size whenever
     ``classes`` has the size of R or R-perp."""
-    ok = np.zeros(tower.mid.order, dtype=bool)
-    ok[list(classes)] = True
-    ix, tp = tower.indexer, tower.params
+    ratio = np.zeros(tower.params.e, dtype=bool)
+    ratio[list(classes)] = True
+    tp = tower.params
     if family == "primal":
-        ratio, axis = tower._ratio_indices(ok), ix.join(np.arange(1, tower.f1.size), 0)
-        claimed = tp.primal_params()
+        mask, claimed = np.concatenate([[True, False], ratio]), tp.primal_params()
     else:
-        ratio, axis = tower._ratio_indices(~ok), ix.join(0, np.arange(1, tower.f2.size))
-        claimed = tp.dual_params()
-    return PdsSet(tp, family, np.concatenate([ratio, axis]), claimed)
+        mask, claimed = np.concatenate([[False, True], ~ratio]), tp.dual_params()
+    return PdsSet(tp, family, tower.orbit_union(mask), claimed)
+
+
+def _orbit_union_sets(grid):
+    """(tower, set, mask) for every mask over the e + 2 H-orbits of the
+    grid towers with e + 2 <= 7, and 64 seeded masks on 2,1,3,1 (e = 7),
+    each as the union of its orbits and with 0 added: 640 sets."""
+    rng = random.Random(20)
+    for p, s, m, ell in GRID_G1:
+        tower = grid.tower(p, s, m, ell, 1)
+        width = tower.params.e + 2
+        if width <= 7:
+            masks = list(itertools.product((False, True), repeat=width))
+        else:
+            masks = [[rng.random() < 0.5 for _ in range(width)] for _ in range(64)]
+        for mask in masks:
+            union = tower.orbit_union(mask)
+            for elements in (union, np.append(union, 0)):
+                yield tower, PdsSet(tower.params, "primal", elements, tower.params.primal_params()), mask
+
+
+def test_every_orbit_union_is_certified_from_its_orbits(grid):
+    """On every union of H-orbits of ``_orbit_union_sets``, most of them not
+    a PDS: it is exactly the orbits of its mask (``Tower.orbit_of``), H
+    fixes it, the e + 2 literal counts at the orbit representatives, spread
+    by ``Tower.by_orbit``, are its difference profile (literal for
+    v <= 1024, else from the transform), and its orbit spectrum, spread to
+    every element, is the transform's sum at each element's label."""
+    sets = 0
+    for tower, pds, mask in _orbit_union_sets(grid):
+        ix, where = tower.indexer, (tower.params, mask, pds.k)
+        assert V.check_multiplier_invariance(pds, tower).passed, where
+        # the nonzero elements lie in the mask's orbits and fill them
+        nonzero = pds.elements[pds.elements != 0]
+        assert np.array(mask)[tower.orbit_of(nonzero)].all(), where
+        assert len(nonzero) == tower.orbit_sizes[np.array(mask, dtype=bool)].sum(), where
+        counts = V._common_counts(pds, tower.orbit_representatives, ix)
+        spectrum = V.character_spectrum(pds, ix)
+        if tower.params.v <= 1024:
+            profile = V.difference_profile(pds, ix)
+        else:
+            profile = V.transform_profile(spectrum)
+        assert np.array_equal(tower.by_orbit(counts, 0), profile.counts), where
+        by_label = spectrum.values[ix.char_index_table]
+        assert np.array_equal(V.orbit_spectrum(pds, tower).by_element(), by_label), where
+        sets += 1
+    assert sets == 640
 
 
 def test_mutants_only_the_counts_catch():
