@@ -35,7 +35,7 @@ import numpy as np
 from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, in_sorted, row_reduce, sweep
+from .ff import FiniteField, embed, in_sorted, sweep
 from .verify import CheckItem, Spectrum
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -61,8 +61,8 @@ class CodingContext:
         names the element of smallest index that some scalar moves out."""
         f1, f2, ix = self.tower.f1, self.tower.f2, self.tower.indexer
         a, b = ix.split(pds.elements)
-        # one row per embedded scalar of GF(q)*
-        s1, s2 = (embed(self.base, f).forward[1:, None] for f in (f1, f2))
+        # one row per embedded scalar of GF(q)* but 1, which fixes every set
+        s1, s2 = (embed(self.base, f).forward[2:, None] for f in (f1, f2))
         leaves = ~in_sorted(ix.join(f1.mul(s1, a), f2.mul(s2, b)), pds.elements).all(axis=0)
         if leaves.any():
             g = pds.elements[leaves.argmax()]
@@ -155,7 +155,7 @@ def _profile(sizes: np.ndarray, mult: np.ndarray, q: int, dim: int, n: int) -> d
     counts //= q - 1
     if counts.sum() != (q**dim - 1) // (q - 1):
         raise InternalError("hyperplane count mismatch")
-    return {int(h): int(c) for h, c in enumerate(counts) if c}
+    return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
 
 
 def hyperplane_profile(
@@ -183,7 +183,8 @@ class GeneratorMatrix:
         return self.mat.shape[1]
 
     def row_strings(self) -> list[str]:
-        return [" ".join(str(int(c)) for c in row) for row in self.mat]
+        words = np.array([str(c) for c in range(self.q)], dtype=object)
+        return [" ".join(words[row].tolist()) for row in self.mat]
 
 
 def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
@@ -195,7 +196,7 @@ def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     first = (step != 0).argmax(axis=1)  # first coordinate in which two neighbours differ
     if not (step[np.arange(len(step)), first] > 0).all():
         raise InternalError("generator columns are not distinct and sorted")
-    return GeneratorMatrix(S.q, cols.T, len(row_reduce(ctx.base, cols)[1]))
+    return GeneratorMatrix(S.q, cols.T, ff.rank(ctx.base, cols))
 
 
 def _enumerator(sizes: np.ndarray, mult: np.ndarray, gm: GeneratorMatrix) -> dict[int, int]:
@@ -207,7 +208,7 @@ def _enumerator(sizes: np.ndarray, mult: np.ndarray, gm: GeneratorMatrix) -> dic
     counts[0] += 1
     if counts[0] != gm.q ** (gm.dim - gm.rank):
         raise InternalError("zero-weight count must equal the kernel size")
-    return {int(w): int(c) for w, c in enumerate(counts) if c}
+    return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
 
 
 def weight_enumerator(

@@ -667,12 +667,15 @@ class Tower:
         return (1, c1 * pow(c2, -1, e) % e), (0, e)
 
     def multiply(self, idx, a: int, b: int) -> np.ndarray:
-        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y)."""
+        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y);
+        a factor alpha^0 or beta^0 = 1 is skipped."""
         x, y = self.indexer.split(idx)
         f1, f2 = self.f1, self.f2
-        return self.indexer.join(
-            f1.mul(x, f1.antilog[a % f1.order]), f2.mul(y, f2.antilog[b % f2.order])
-        )
+        if a % f1.order:
+            x = f1.mul(x, f1.antilog[a % f1.order])
+        if b % f2.order:
+            y = f2.mul(y, f2.antilog[b % f2.order])
+        return self.indexer.join(x, y)
 
     @cached_property
     def orbit_representatives(self) -> np.ndarray:

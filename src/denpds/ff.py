@@ -43,8 +43,8 @@ tables: a ``SubfieldEmbedding`` is the linear map of the digit rows of the
 powers of its root, and records the exponent ``w`` with which it maps the
 small generator's powers, checked on every power, so the norm onto a
 subfield is a multiplication of discrete logs.  Every table is built by a
-forward map; ``row_reduce``, Gauss-Jordan elimination over a field, serves
-only the rank of a code.  Everything is exact integer work;
+forward map; ``rank``, elimination on distinct row keys, serves only the
+rank of a code.  Everything is exact integer work;
 there is no floating point and no randomness anywhere.
 """
 
@@ -457,27 +457,37 @@ class FiniteField:
 # -- linear algebra over a field --
 
 
-def row_reduce(field: FiniteField, mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a matrix of packed elements of ``field``,
-    and its pivot columns (the rank of a code's generator matrix); each
-    pivot clears its column in every other row with one vectorized
-    expression."""
-    m = np.array(mat, dtype=np.int64)
-    pivots: list[int] = []
-    for c in range(m.shape[1]):
-        r = len(pivots)
-        if r == m.shape[0]:
+def rank(field: FiniteField, mat) -> int:
+    """The rank of a matrix of packed elements of ``field``.  Each row is
+    one base-q key, q = field.size, its first entry least significant; as
+    q = p^n, a key is also the row's packed digit string over GF(p), so
+    rows add by ``digitwise``.  Each step clears the leading column with
+    the first row that has a nonzero entry there (only the q multiples of
+    that row's tail are ever subtracted), drops the column, and keeps the
+    distinct nonzero rows.  Every step keeps the row space, and after it at
+    most q^c rows of c columns remain.  A wide matrix is read transposed."""
+    m = np.asarray(mat, dtype=np.int64)
+    if m.shape[1] > m.shape[0]:
+        m = m.T
+    q, cols = field.size, m.shape[1]
+    if q**cols >= 1 << 63:
+        raise ValueError("row keys of %d^%d do not fit int64" % (q, cols))
+    keys = m @ _place_values(q, cols)
+    found = 0
+    for c in range(cols - 1, -1, -1):  # c columns are left after this step
+        lead, keys = keys % q, keys // q
+        nz = np.flatnonzero(lead)
+        if len(nz):
+            w = _place_values(q, c)
+            tail = field.mul(field.inv(int(lead[nz[0]])), keys[nz[0]] // w % q)
+            multiples = field.mul(np.arange(q)[:, None], tail) @ w
+            keys = digitwise(keys, multiples[lead], -1, field.p, field.n * c)
+            found += 1
+        keys = sorted_unique(keys)
+        keys = keys[keys != 0]
+        if not len(keys):
             break
-        nz = np.flatnonzero(m[r:, c])
-        if not len(nz):
-            continue
-        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        m[r] = field.mul(field.inv(int(m[r, c])), m[r])
-        factor = m[:, c].copy()
-        factor[r] = 0
-        m = field.sub(m, field.mul(factor[:, None], m[r]))
-        pivots.append(c)
-    return m, pivots
+    return found
 
 
 class SubfieldEmbedding:

@@ -125,11 +125,8 @@ def _render(x, nl: str, out: list) -> None:
     n = a.ndim
     # ends[index] = how many of the lists around the value end with it
     ends = np.zeros(a.shape, dtype=np.intp)
-    last = np.ones(a.shape, dtype=bool)
-    for axis in reversed(range(n)):
-        at_end = np.arange(a.shape[axis]) == a.shape[axis] - 1
-        last = last & at_end.reshape([-1 if j == axis else 1 for j in range(n)])
-        ends += last
+    for t in range(1, n + 1):  # the innermost t lists end where their t axes do
+        ends[(...,) + (-1,) * t] += 1
     ind = [nl + "  " * d for d in range(n + 1)]  # ind[d]: items of a depth-d list at d + 1
     if spaced:
         head = "[" + ind[1] + '"'

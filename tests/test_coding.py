@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from denpds import cli
 from denpds import coding as C
 from denpds import ff
 from denpds import params as P
@@ -250,15 +251,50 @@ def reference_rank(mat, qa):
 
 
 def test_rank_matches_the_row_loop():
-    """Random matrices over GF(2), GF(3), GF(4) and GF(9), full rank and
-    not, tall and wide."""
+    """Random matrices over GF(2), GF(3), GF(4), GF(5) and GF(9): full rank
+    and deficient, tall with repeated rows, wide, and with zero rows and
+    columns; plus zero matrices and matrices with no rows or columns."""
     rng = np.random.default_rng(3)
-    for p, s in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+    for p, s in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
         base = ff.build_field(p, s)
         qa = Tables(base)
-        for rows, cols, rank in [(9, 4, 4), (9, 6, 3), (4, 9, 2), (5, 5, 5), (12, 6, 1)]:
+        shapes = [(9, 4, 4), (9, 6, 3), (4, 9, 2), (4, 9, 4), (5, 5, 5), (12, 6, 1), (40, 7, 3), (3, 11, 3)]
+        for rows, cols, rank in shapes:
             mat = qa.dot(rng.integers(0, qa.q, (rows, rank)), rng.integers(0, qa.q, (rank, cols)))
-            assert len(ff.row_reduce(base, mat)[1]) == reference_rank(mat, qa), (p, s, rows, cols)
+            repeated = mat[rng.integers(0, rows, 3 * rows)]
+            padded = np.zeros((rows + 2, cols + 2), dtype=np.int64)
+            padded[1:-1, 1:-1] = mat
+            for m in (mat, repeated, padded, padded.T):
+                assert ff.rank(base, m) == reference_rank(m, qa), (p, s, m.shape)
+        for rows, cols in [(0, 0), (0, 5), (5, 0), (1, 1), (6, 4), (4, 6)]:
+            assert ff.rank(base, np.zeros((rows, cols), dtype=np.int64)) == 0
+        assert ff.rank(base, np.eye(6, dtype=np.int64)) == 6
+
+
+def test_code_rank_matches_the_row_loop_on_grid(grid):
+    """The rank of the generator matrix of every grid set, every r and
+    both families, the rank-deficient r = 0 sets among them."""
+    deficient = 0
+    for tower, pds, _, family in grid.instances():
+        ctx = C.CodingContext(tower)
+        gm = C.build_code(C.to_projective_set(pds, ctx), ctx)
+        assert gm.rank == reference_rank(gm.mat.T, Tables(ctx.base)), (tower.params, family)
+        deficient += gm.rank < gm.dim
+    assert deficient  # e.g. 2,1,2,1,0 primal: n = 3, rank 2 of dim 6
+
+
+def test_code_matrix_out_is_the_generator_matrix(tmp_path):
+    """CLI ``code --matrix-out`` writes each row of the generator matrix as
+    its entries' ``str``, joined by spaces, on q = 2, 3 and 4 towers."""
+    for p, s in [(2, 1), (3, 1), (2, 2)]:
+        out = tmp_path / ("gm_%d_%d.txt" % (p, s))
+        argv = ["code", "-p", str(p), "-s", str(s), "-m", "2", "-l", "1", "-r", "1", "--family", "dual"]
+        assert cli.main(argv + ["-o", str(tmp_path / "code.json"), "--matrix-out", str(out)]) == 0
+        tower = Tower(TowerParams(p, s, 2, 1, 1))
+        ctx = C.CodingContext(tower)
+        gm = C.build_code(C.to_projective_set(tower.build_D_dual(tower.default_subspace()), ctx), ctx)
+        want = "".join(" ".join(str(int(c)) for c in row) + "\n" for row in gm.mat)
+        assert out.read_text() == want, (p, s)
 
 
 def random_points(rng, q, dim, count):
