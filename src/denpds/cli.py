@@ -9,7 +9,8 @@ randomness (there is no seed because there is nothing to seed; the
 
 Bad input of every kind, argument parsing included, raises ``UsageError``;
 ``main`` alone reports it, as one ``error: ...`` line on stderr, and exits
-2.  ``grid`` refuses more than ``GRID_ROWS`` rows before it builds one.
+2.  ``grid`` refuses more than ``GRID_ROWS`` rows before it builds one, and
+a key given twice (``l`` and ``ell`` are one key).
 
 Caps may also be set through environment variables DENPDS_TABLE_CAP,
 DENPDS_PROFILE_CAP, DENPDS_SPECTRUM_CAP, DENPDS_NEIGHBOR_CAP and
@@ -52,12 +53,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text, path: str | None) -> None:
+    """Write a string, or each string of an iterable, to path or stdout."""
+    parts = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _cap(args, name: str, default: int) -> int:
@@ -224,6 +227,8 @@ def _emit_grid(args) -> int:
             raise UsageError("grid entries look like key=value")
         if key not in ("p", "s", "m", "l", "ell", "r"):
             raise UsageError("unknown grid key %s" % key)
+        if key in spec or {"l": "ell", "ell": "l"}.get(key) in spec:  # l and ell are one key
+            raise UsageError("grid key %s given twice" % key)
         spec[key] = val
     try:
         ps = _parse_range(spec.get("p", "2"))
@@ -371,12 +376,12 @@ def cmd_geometry(args) -> int:
 
 def cmd_export_graph(args) -> int:
     tower, pds, _, caps, _ = _load_or_build(args)
-    edges = vf.cayley_edges(pds, tower.indexer, cap=caps.profile)
+    chunks = vf.cayley_edge_chunks(pds, tower.indexer, cap=caps.profile)  # refuses before any output
     dimacs = args.graph_format == "dimacs"
-    head, edge, base = ("p edge %d %d", "e %d %d", 1) if dimacs else ("%d %d", "%d %d", 0)
-    lines = [head % (tower.params.v, len(edges))]
-    lines.extend(edge % (u + base, w + base) for u, w in edges)
-    _write("\n".join(lines) + "\n", args.output)
+    head, edge, base = ("p edge %d %d\n", "e %d %d\n", 1) if dimacs else ("%d %d\n", "%d %d\n", 0)
+    v = tower.params.v
+    lines = (edge * len(c) % tuple((c + base).ravel().tolist()) for c in chunks)  # one format per chunk
+    _write(itertools.chain([head % (v, v * pds.k // 2)], lines), args.output)
     return EXIT_OK
 
 

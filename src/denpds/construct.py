@@ -5,9 +5,9 @@ K2 = GF(q^(m*(ell+1))), realized over a concrete middle field GF(q^m) that
 embeds into both.  A set is stored as a sorted array of group indices: the
 element (a, b) has index packed(a) + |K1| packed(b).  Each ``Tower`` owns
 one ``GroupIndexer``, ``Tower.indexer``, whose ``split`` and ``join`` are
-the only code that applies this encoding; the tower's own tables (norm
-pullbacks, compatible generators, representatives of the orbits of the
-multiplier group) and the indexer's (trace pairing) are built on first use,
+the only code that applies this encoding; the tower's tables (norm
+pullbacks, compatible generators, multiplier-group orbits), the indexer's
+(trace pairing) and a set's (``PdsSet.member``) are built on first use,
 once per instance, as read-only arrays.
 Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
@@ -26,8 +26,8 @@ int64 array.
 
 The multiplier group H = {(lam, mu) : N1(lam) / N2(mu) in GF(q)*} has
 e + 2 orbits on G minus 0: the two axes and the e norm-ratio classes.
-``Tower.orbit_union`` and ``Tower.by_orbit`` are the only code that maps
-orbits to indices.
+Every map between orbits and indices (``Tower.orbit_union``,
+``Tower.by_orbit``) is one gather from ``Tower.orbit_table``.
 
 Two independent routes build the primal set:
 
@@ -360,6 +360,13 @@ class PdsSet:
         if len(elems) and (elems[0] < 0 or elems[-1] >= self.params.v):
             raise ValueError("set elements must be group indices below %d" % self.params.v)
         object.__setattr__(self, "elements", readonly(elems))
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """The read-only indicator of the set over the v group indices."""
+        member = np.zeros(self.params.v, dtype=bool)
+        member[self.elements] = True
+        return readonly(member)
 
     @property
     def k(self) -> int:
@@ -706,35 +713,32 @@ class Tower:
             raise InternalError("e does not divide |K1*| |K2*|")
         return readonly(np.array([ord1, ord2] + [ord1 * ord2 // e] * e, dtype=np.int64))
 
-    def orbit_of(self, idx) -> np.ndarray:
-        """The position in ``orbit_representatives`` of the H-orbit of each
-        nonzero index: 0 for K1* x 0, 1 for 0 x K2*, 2 + t for ratio class t."""
-        x, y = self.indexer.split(np.asarray(idx, dtype=np.int64))
-        n1, n2 = self.norm_dlogs
-        t = (n2[self.f2.dlog[y]] - n1[self.f1.dlog[x]]) % self.params.e
-        return np.where(y == 0, 0, np.where(x == 0, 1, 2 + t))
+    @cached_property
+    def orbit_table(self) -> np.ndarray:
+        """The position in ``orbit_representatives`` of the H-orbit of every
+        index: 0 for K1* x 0, 1 for 0 x K2*, 2 + t for the ratio class
+        t = n2(y) - n1(x) mod e of the norm dlogs; e + 2 at index 0."""
+        e = self.params.e
+        # norm dlogs mod e of the packed coordinates (dlog[0] = -1 reads an entry overwritten below)
+        n1, n2 = (n[f.dlog] % e for n, f in zip(self.norm_dlogs, (self.f1, self.f2)))
+        # row y, column x; row y is row n2(y) of the e possible rows
+        table = (np.subtract.outer(np.arange(e), n1, dtype=np.intp) % e + 2)[n2]
+        table[0], table[:, 0], table[0, 0] = 0, 1, e + 2
+        table = readonly(table.ravel())
+        sizes, at_reps = np.bincount(table[1:], minlength=e + 2), table[self.orbit_representatives]
+        if not (np.array_equal(sizes, self.orbit_sizes) and np.array_equal(at_reps, np.arange(e + 2))):
+            raise InternalError("the orbit table disagrees with the orbit sizes or representatives")
+        return table
 
     def orbit_union(self, mask) -> np.ndarray:
-        """The indices of the union of the H-orbits i with mask[i], mask
-        running over the e + 2 orbits in ``orbit_representatives`` order:
-        (x, y) in K1* x K2* lies in ratio class t = n2(y) - n1(x) mod e of
-        the norm dlogs (``orbit_of``)."""
-        mask = np.asarray(mask, dtype=bool)
-        ix, e = self.indexer, self.params.e
-        axes = [
-            ix.join(np.arange(1, self.f1.size), 0),  # (a, 0), a != 0
-            ix.join(0, np.arange(1, self.f2.size)),  # (0, b), b != 0
-        ]
-        g1, g2 = self.norm_dlogs
-        i, j = np.nonzero(mask[2:][(g2[None, :] - g1[:, None]) % e])
-        ratio = ix.join(self.f1.antilog[i], self.f2.antilog[j])
-        return np.concatenate([axes[a] for a in (0, 1) if mask[a]] + [ratio])
+        """The ascending indices of the union of the H-orbits i with mask[i],
+        mask running over the e + 2 orbits in ``orbit_representatives`` order."""
+        return np.flatnonzero(np.append(np.asarray(mask, dtype=bool), False)[self.orbit_table])
 
     def by_orbit(self, per_orbit: np.ndarray, at_zero: int) -> np.ndarray:
         """The length-v vector holding at_zero at index 0 and per_orbit[i]
-        at every index of the i-th H-orbit (``orbit_of``)."""
-        orbits = self.orbit_of(np.arange(1, self.params.v, dtype=np.int64))
-        return np.concatenate([[at_zero], per_orbit[orbits]])
+        at every index of the i-th H-orbit."""
+        return np.append(per_orbit, at_zero)[self.orbit_table]
 
     def ratio_classes(self, space: Subspace) -> np.ndarray:
         """Over the ratio classes t = 0 .. e - 1: g^t in space.  g^e

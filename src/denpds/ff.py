@@ -7,8 +7,8 @@ by y is the n x n matrix whose row i holds the digits of y x^i
 (``_mul_matrix``), so a product is a row times a matrix mod p.  On whole
 arrays of packed values every GF(p)-linear map is one function,
 ``linear_map(x, mat, p)`` = packed(digits(x) @ mat mod p), which unpacks
-the digit rows one chunk at a time through ``sweep``, the package's one
-chunker (the literal sweeps of ``verify`` and ``coding`` use it too).  No
+the digit rows one chunk at a time through ``sweep`` on the ranges of
+``chunks``, the package's one chunker (every literal sweep uses it).  No
 table of digit rows is kept, and no other module unpacks digits.
 Everything about the field is found on that representation,
 deterministically:
@@ -234,12 +234,16 @@ def digitwise(a, b, sign: int, p: int, n: int):
 CHUNK_BYTES = 8 << 20
 
 
-def sweep(total: int, row_bytes: int, fn) -> list:
-    """[fn((lo, hi)) for consecutive ranges covering range(total)], each of
-    as many rows as CHUNK_BYTES holds at ``row_bytes`` a row (at least one),
-    in order."""
+def chunks(total: int, row_bytes: int):
+    """Consecutive ranges (lo, hi) covering range(total), lazily, each of
+    as many rows as CHUNK_BYTES holds at ``row_bytes`` a row (at least one)."""
     chunk = max(1, CHUNK_BYTES // max(row_bytes, 1))
-    return [fn((lo, min(lo + chunk, total))) for lo in range(0, total, chunk)]
+    return ((lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
+
+
+def sweep(total: int, row_bytes: int, fn) -> list:
+    """[fn(rng) for rng in chunks(total, row_bytes)], in order."""
+    return list(map(fn, chunks(total, row_bytes)))
 
 
 @cache

@@ -7,7 +7,7 @@ exact integer.  No floating point is used anywhere.
 Character sums have two routes, and every spectral check, the Delsarte
 dual and ``denpds.coding`` read either through the same few methods
 (``principal``, ``all_rational``, ``nonprincipal_values``,
-``nonprincipal_sum``):
+``nonprincipal_sum``; by group element, ``by_element`` and ``support``):
 
 * ``character_spectrum``, the transform route: all v sums by the
   dimension-wise transform of ``denpds.transform``.  For p = 2 every sum is
@@ -34,12 +34,12 @@ every set of both families, and ``check_multiplier_invariance`` tests
 hD = D for both generators.  When it holds, the set is certified from its
 e + 2 orbits alone: one literal count per orbit representative gives the
 whole difference profile and the common-neighbour count for all v - 1
-targets, and the spectral checks read the e + 2 orbit sums; ``Tower``
-spreads per-orbit values over the group (``Tower.by_orbit``,
-``Tower.orbit_union``).  A set that H moves has already failed that check:
-its profile and spectrum come from the transform, and its common-neighbour
-count is skipped.  No check samples, and every sweep runs serially, one
-chunk at a time (``ff.sweep``).
+targets, and the spectral checks read the e + 2 orbit sums, spread over
+the group by one gather from ``Tower.orbit_table`` (``Tower.by_orbit``).
+A set that H moves has already failed that check: its profile and
+spectrum come from the transform, and its common-neighbour count is
+skipped.  Literal counts read ``PdsSet.member``.  No check samples, and
+every sweep runs serially, one chunk at a time (``ff.chunks``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import (
     InternalError,
     SpectrumNotTwoValuedError,
 )
-from .ff import in_sorted, sweep
+from .ff import chunks, in_sorted, sweep
 from .jsonout import dumps
 
 DEFAULT_PROFILE_CAP = 1 << 16
@@ -88,17 +88,11 @@ class DifferenceProfile:
         return int(self.counts.sum())
 
 
-def _membership(pds: PdsSet, v: int) -> np.ndarray:
-    member = np.zeros(v, dtype=bool)
-    member[pds.elements] = True
-    return member
-
-
 def _common_counts(pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer) -> np.ndarray:
     """c(g) = #{d in D : d - g in D} for every g in targets, counted
     literally from the membership indicator of D, one chunk of targets at a
     time."""
-    idx, member = pds.elements, _membership(pds, indexer.v)
+    idx, member = pds.elements, pds.member
     # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
     per_target = len(idx) * 8 * (1 if indexer.p == 2 else indexer.n)
 
@@ -157,6 +151,7 @@ class CharacterSpectrum(_SpectrumReadout):
     values: np.ndarray
     rational: np.ndarray
     k: int
+    indexer: GroupIndexer = field(repr=False)
 
     @property
     def v(self) -> int:
@@ -177,6 +172,14 @@ class CharacterSpectrum(_SpectrumReadout):
     def all_rational(self) -> bool:
         return bool(self.rational.all())
 
+    def by_element(self) -> np.ndarray:
+        """The sum at the label of every group index, k at index 0."""
+        return self.values[self.indexer.char_index_table]
+
+    def support(self, value: int) -> np.ndarray:
+        """The nonzero group indices whose (rational) sum is value."""
+        return np.flatnonzero(self.by_element()[1:] == value) + 1
+
 
 def character_spectrum(
     pds: PdsSet,
@@ -192,7 +195,7 @@ def character_spectrum(
     # |D| leaves no count for the nonzero powers
     if values[0] != len(idx) or not rational[0]:
         raise InternalError("principal character must sum to |D|")
-    return CharacterSpectrum(counts, values, rational, len(idx))
+    return CharacterSpectrum(counts, values, rational, len(idx), indexer)
 
 
 @dataclass
@@ -228,8 +231,7 @@ class OrbitSpectrum(_SpectrumReadout):
         return True
 
     def by_element(self) -> np.ndarray:
-        """The sum at the label of every group index, k at index 0: what
-        ``character_spectrum(...).values[char_index_table]`` holds."""
+        """The sum at the label of every group index, k at index 0."""
         return self.tower.by_orbit(self.values, self.k)
 
     def support(self, value: int) -> np.ndarray:
@@ -368,7 +370,7 @@ def check_pds(
     if len(idx) != exp.k:
         ok = False
         details["size"] = len(idx)
-    member = _membership(pds, indexer.v)
+    member = pds.member
     c = profile.counts
     bad_in = np.flatnonzero(member & (c != exp.lam))
     off = ~member
@@ -439,8 +441,8 @@ def check_case_split(
     positive value on (a != 0, b = 0) or ratio in R.  The principal
     character is predicted to attain k.  The prediction is one value per
     H-orbit; an ``OrbitSpectrum`` is compared orbit by orbit, and either
-    spectrum is compared at every character's label (``Tower.by_orbit``)
-    when that fails or when it is the transform's.
+    spectrum is compared at every character's label (``by_element`` against
+    ``Tower.by_orbit``) when that fails or when it is the transform's.
     """
     if pds.provenance not in ("primal", "dual", "delsarte-dual"):
         return _skip("case-split", "only defined for primal/dual provenance")
@@ -461,12 +463,8 @@ def check_case_split(
     if isinstance(spectrum, OrbitSpectrum):
         if spectrum.principal == exp.k and (spectrum.values == per_orbit).all():
             return CheckItem("case-split", True, details=counts)
-        values, ok = spectrum.by_element(), False
-    else:
-        # the observed value at every character's label
-        values, ok = spectrum.values[indexer.char_index_table], spectrum.all_rational()
-    predicted = tower.by_orbit(per_orbit, exp.k)
-    ok = ok and bool((values == predicted).all())
+    values, predicted = spectrum.by_element(), tower.by_orbit(per_orbit, exp.k)
+    ok = spectrum.all_rational() and bool((values == predicted).all())
     witnesses = []
     if not ok:
         bad = np.flatnonzero(values != predicted)[:5]
@@ -486,10 +484,9 @@ def _neighbor_item(
     """The common-neighbors item from the literal counts cn at ``targets``
     (``_common_counts``), which stand for all v - 1 nonzero elements."""
     exp = expected_params(pds)
-    member = _membership(pds, indexer.v)
-    want = np.where(member[targets], exp.lam, exp.mu)
+    want = np.where(pds.member[targets], exp.lam, exp.mu)
     bad = np.flatnonzero(cn != want)
-    ok = len(bad) == 0 and int(member.sum()) == exp.k
+    ok = len(bad) == 0 and pds.k == exp.k
     witnesses = [
         {
             "vertex": indexer.dlog_pairs(targets[b]).tolist(),
@@ -498,7 +495,7 @@ def _neighbor_item(
         }
         for b in bad[:5]
     ]
-    details = {"pairs_checked": indexer.v - 1, "degree": int(member.sum()), "sampled": False}
+    details = {"pairs_checked": indexer.v - 1, "degree": pds.k, "sampled": False}
     return CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
 
 
@@ -579,9 +576,10 @@ def delsarte_dual(
     cap: int = DEFAULT_SPECTRUM_CAP,
 ) -> PdsSet:
     """Collect the characters attaining the positive value and pull them
-    back to group elements through the trace pairing.  Without a spectrum
-    the transform's is computed; an ``OrbitSpectrum`` gives the dual as the
-    union of the orbits at the positive value (``OrbitSpectrum.support``)."""
+    back to group elements through the trace pairing (the spectrum's
+    ``support``).  Without a spectrum the transform's is computed; an
+    ``OrbitSpectrum`` gives the dual as the union of the orbits at the
+    positive value."""
     exp = expected_params(pds)
     if not pm.is_perfect_square(exp.delta):
         raise DeltaNotSquareError("delta is not a perfect square")
@@ -593,12 +591,7 @@ def delsarte_dual(
     theta, tau = exp.eigenvalues
     if not vals <= {theta, tau}:
         raise SpectrumNotTwoValuedError("spectrum values %s unexpected" % sorted(vals))
-    if isinstance(spectrum, OrbitSpectrum):
-        elems = spectrum.support(theta)
-    else:
-        # the labels of the characters attaining theta; label 0 is the principal one
-        elems = np.flatnonzero(spectrum.values[indexer.char_index_table] == theta)
-        elems = elems[elems != 0]
+    elems = spectrum.support(theta)
     claimed = pm.delsarte_dual_params(exp)
     if len(elems) != claimed.k:
         raise InternalError("dual has size %d, expected %d" % (len(elems), claimed.k))
@@ -612,13 +605,14 @@ def delsarte_dual(
 # -- graph export --
 
 
-def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_CAP) -> np.ndarray:
-    """Undirected edge array (E, 2), each edge once with the smaller index
-    first, sorted lexicographically."""
-    v = indexer.v
+def cayley_edge_chunks(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_CAP):
+    """Edges (u, w), u < w, in lexicographic order, as a lazy sequence of (E_i, 2)
+    arrays, one chunk of u at a time; the cap, 0 not in D and D = -D are checked first."""
+    v, idx = indexer.v, pds.elements
     if v > cap:
         raise CapExceededError("graph export: v=%d above cap %d" % (v, cap))
-    idx = pds.elements
+    if (pds.k and idx[0] == 0) or not np.array_equal(np.sort(indexer.neg(idx)), idx):
+        raise InternalError("edge count must be v k / 2")
 
     def one(rng):
         u = np.arange(*rng, dtype=np.int64)[:, None]
@@ -626,10 +620,12 @@ def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_
         keep = u < w
         return np.stack([np.broadcast_to(u, w.shape)[keep], w[keep]], axis=1)
 
-    edges = np.concatenate(sweep(v, len(idx) * 8, one))
-    if 2 * len(edges) != v * len(idx):
-        raise InternalError("edge count must be v k / 2")
-    return edges
+    return map(one, chunks(v, len(idx) * 8))
+
+
+def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_CAP) -> np.ndarray:
+    """Undirected edge array (E, 2): every chunk of ``cayley_edge_chunks``."""
+    return np.concatenate(list(cayley_edge_chunks(pds, indexer, cap)))
 
 
 # The checks of the defining property; a run that skipped all three (for a

@@ -308,6 +308,19 @@ def test_export_graph_formats(tmp_path):
     assert dlines[1].startswith("e ")
 
 
+def test_export_graph_refuses_a_set_holding_zero(tmp_path):
+    """The refusal comes before any output: exit 1, one error line and no
+    output file."""
+    path, out = tmp_path / "set.json", tmp_path / "graph.txt"
+    assert run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["elements"].insert(0, [-1, -1])
+    path.write_text(json.dumps(doc))
+    res = run("export-graph", "--set", str(path), "-o", str(out))
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: edge count must be v k / 2\n")
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1"]
     a, b = run(*args), run(*args)
@@ -677,6 +690,16 @@ def test_empty_subspace_exps_get_the_rank_check():
     assert res.returncode == 2
     assert res.stderr == "error: invalid subspace: subspace has rank 0 but the tower expects r=1\n"
     assert run("verify", "-p", "2", "-m", "2", "-l", "1", "-r", "0", "--subspace-exps", "").returncode == 0
+
+
+@pytest.mark.parametrize("command", [["grid"], ["params", "--grid"]])
+@pytest.mark.parametrize(
+    "keys, repeated", [(["m=2", "m=3"], "m"), (["l=1", "ell=2"], "ell"), (["ell=1", "l=1"], "l")]
+)
+def test_a_grid_key_given_twice_exits_two(command, keys, repeated):
+    res = run(*command, "p=2", *keys, "r=1")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: grid key %s given twice\n" % repeated
 
 
 def test_unknown_grid_key_exits_two():

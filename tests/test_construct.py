@@ -198,10 +198,13 @@ def test_multiplier_orbits_are_the_ratio_classes(tp):
     is exactly its class: the e + 2 orbits are the two axes and the norm
     ratio classes, and they partition the v - 1 nonzero indices."""
     tw = Tower(TowerParams(*tp))
-    labels = tw.orbit_of(np.arange(1, tw.params.v))
+    table, e = tw.orbit_table, tw.params.e
+    labels = table[1:]
     reps = tw.orbit_representatives
-    assert len(reps) == tw.params.e + 2 and not reps.flags.writeable
-    assert np.array_equal(labels[reps - 1], np.arange(len(reps)))
+    assert len(reps) == e + 2 and not reps.flags.writeable
+    assert tw.orbit_table is table and not table.flags.writeable
+    assert table[0] == e + 2
+    assert np.array_equal(table[reps], np.arange(e + 2))
     for label, rep in enumerate(reps.tolist()):
         orbit = np.array([rep])
         while True:
@@ -211,6 +214,29 @@ def test_multiplier_orbits_are_the_ratio_classes(tp):
                 break
             orbit = grown
         assert np.array_equal(orbit, np.flatnonzero(labels == label) + 1), (tp, label)
+
+
+@pytest.mark.parametrize(
+    "tp", [(p, s, m, ell, 1) for p, s, m, ell in GRID_G1] + [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)]
+)
+def test_the_multiplier_group_fixes_every_orbit_label(tp):
+    """Both generators of H map every index into its own class of
+    ``orbit_table``, and the classes have the ``orbit_sizes``.  H acts
+    freely on K1* x K2* and transitively on each axis, so each class is
+    exactly one orbit."""
+    tw = Tower(TowerParams(*tp))
+    table, g = tw.orbit_table, np.arange(tw.params.v)
+    for a, b in tw.multiplier_generators:
+        assert np.array_equal(table[tw.multiply(g, a, b)], table), (tp, a, b)
+    assert np.array_equal(np.bincount(table[1:]), tw.orbit_sizes)
+
+
+def test_member_is_the_read_only_indicator(grid):
+    for tower, pds, _, _ in grid.instances():
+        member = pds.member
+        assert pds.member is member and not member.flags.writeable
+        assert len(member) == tower.params.v
+        assert np.array_equal(np.flatnonzero(member), pds.elements)
 
 
 def test_tower_owns_one_indexer_and_the_encoding(grid):

@@ -14,7 +14,7 @@ from denpds import params as P
 from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.jsonout import dumps
-from denpds.errors import CapExceededError, SpectrumNotTwoValuedError
+from denpds.errors import CapExceededError, InternalError, SpectrumNotTwoValuedError
 
 from conftest import (
     GRID_G1,
@@ -302,8 +302,9 @@ def test_orbit_spectrum_is_the_spectrum(grid):
     transform's sum at that element's label, element by element: for every
     grid and dense set of both families, its complement and its Delsarte
     dual, and for the primal sets of the two large towers (v = 2^18 and
-    7^6) with theirs.  The Delsarte dual, the weight enumerator and the
-    hyperplane profile read off the orbits are the transform route's."""
+    7^6) with theirs; so is the support of each value on both routes.  The
+    Delsarte dual, the weight enumerator and the hyperplane profile read
+    off the orbits are the transform route's."""
     towers = [tp + (r,) for tp in GRID_G1 for r in range(tp[2] + 1)] + DENSE
     cases = [(tp, fam) for tp in towers for fam in ("primal", "dual")]
     cases += [(tp, "primal") for tp in LARGE]
@@ -317,8 +318,13 @@ def test_orbit_spectrum_is_the_spectrum(grid):
             transform = V.character_spectrum(pds, ix)
             orbits = V.orbit_spectrum(pds, tower)
             assert transform.all_rational(), where
-            expanded = tower.by_orbit(orbits.values, pds.k)
-            assert np.array_equal(expanded, transform.values[ix.char_index_table]), where
+            by_label = transform.values[ix.char_index_table]
+            assert np.array_equal(orbits.by_element(), by_label), where
+            assert np.array_equal(transform.by_element(), by_label), where
+            for value in np.unique(orbits.values).tolist():
+                support = orbits.support(value)
+                assert np.array_equal(support, transform.support(value)), (where, value)
+                assert np.array_equal(support, np.flatnonzero(by_label[1:] == value) + 1), (where, value)
             assert orbits.nonprincipal_value_counts() == transform.nonprincipal_value_counts()
             assert orbits.nonprincipal_sum() == transform.nonprincipal_sum()
             dual, want = (V.delsarte_dual(pds, ix, one) for one in (orbits, transform))
@@ -397,7 +403,8 @@ def _ratio_set_mutant(tower, classes, family):
 def _orbit_union_sets(grid):
     """(tower, set, mask) for every mask over the e + 2 H-orbits of the
     grid towers with e + 2 <= 7, and 64 seeded masks on 2,1,3,1 (e = 7),
-    each as the union of its orbits and with 0 added: 640 sets."""
+    each as the union of its orbits (strictly ascending, as
+    ``Tower.orbit_union`` returns it) and with 0 added: 640 sets."""
     rng = random.Random(20)
     for p, s, m, ell in GRID_G1:
         tower = grid.tower(p, s, m, ell, 1)
@@ -408,13 +415,14 @@ def _orbit_union_sets(grid):
             masks = [[rng.random() < 0.5 for _ in range(width)] for _ in range(64)]
         for mask in masks:
             union = tower.orbit_union(mask)
+            assert (np.diff(union) > 0).all(), (tower.params, mask)
             for elements in (union, np.append(union, 0)):
                 yield tower, PdsSet(tower.params, "primal", elements, tower.params.primal_params()), mask
 
 
 def test_every_orbit_union_is_certified_from_its_orbits(grid):
     """On every union of H-orbits of ``_orbit_union_sets``, most of them not
-    a PDS: it is exactly the orbits of its mask (``Tower.orbit_of``), H
+    a PDS: it is exactly the orbits of its mask (``Tower.orbit_table``), H
     fixes it, the e + 2 literal counts at the orbit representatives, spread
     by ``Tower.by_orbit``, are its difference profile (literal for
     v <= 1024, else from the transform), and its orbit spectrum, spread to
@@ -425,7 +433,7 @@ def test_every_orbit_union_is_certified_from_its_orbits(grid):
         assert V.check_multiplier_invariance(pds, tower).passed, where
         # the nonzero elements lie in the mask's orbits and fill them
         nonzero = pds.elements[pds.elements != 0]
-        assert np.array(mask)[tower.orbit_of(nonzero)].all(), where
+        assert np.array(mask)[tower.orbit_table[nonzero]].all(), where
         assert len(nonzero) == tower.orbit_sizes[np.array(mask, dtype=bool)].sum(), where
         counts = V._common_counts(pds, tower.orbit_representatives, ix)
         spectrum = V.character_spectrum(pds, ix)
@@ -672,6 +680,20 @@ def test_cayley_edges(d64, ix64):
     assert np.array_equal(V.cayley_edges(D3, ix), reference_edges(D3, ix))
 
 
+def test_cayley_edges_refuse_zero_and_asymmetry_first():
+    """A set holding 0, or with D != -D, is refused when its chunks are
+    asked for, before any edge is built; {1, 6} in 3,1,2,1,1 is refused
+    although its directed count, 486 + 243, is v k / 2."""
+    tower = Tower(TowerParams(3, 1, 2, 1, 1))
+    D = tower.build_D()
+    chunks = V.cayley_edge_chunks(D, tower.indexer)
+    assert np.array_equal(np.concatenate(list(chunks)), V.cayley_edges(D, tower.indexer))
+    for elements in ([1, 6], np.append(D.elements, 0)):
+        bad = PdsSet(D.params, "primal", elements, D.claimed)
+        with pytest.raises(InternalError, match="edge count must be v k / 2"):
+            V.cayley_edge_chunks(bad, tower.indexer)
+
+
 @pytest.mark.parametrize("family", ["primal", "dual"])
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_cayley_graph_against_networkx(r, family):
@@ -703,17 +725,17 @@ def _named(node, name: str) -> bool:
 
 
 def test_one_chunker():
-    """Only ff.sweep divides CHUNK_BYTES, and nothing in the package, ff.sweep
-    included, names ThreadPoolExecutor or concurrent.futures: every literal
-    sweep and every linear map takes its chunk ranges from it and runs them
-    serially."""
+    """Only ff.chunks divides CHUNK_BYTES, and nothing in the package,
+    ff.chunks included, names ThreadPoolExecutor or concurrent.futures:
+    every literal sweep, every linear map and the graph export take their
+    chunk ranges from it and run them serially."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
         if path.name == "ff.py":
-            sweep = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "sweep")
-            allowed = {id(n) for n in ast.walk(sweep)}
+            chunker = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "chunks")
+            allowed = {id(n) for n in ast.walk(chunker)}
         for node in ast.walk(tree):
             divides = (
                 id(node) not in allowed
