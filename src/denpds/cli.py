@@ -5,7 +5,14 @@ export-graph.  Every run is deterministic: field models, subspaces and
 orderings are fixed by the build rules, and nothing in the pipeline draws
 randomness (there is no seed because there is nothing to seed; the
 ``--seedless`` flag merely asserts this contract).  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 resource cap exceeded.
+1 verification failure, 2 usage error, 3 resource cap exceeded, 141
+(128 + SIGPIPE) stdout closed by its reader, with nothing on stderr.
+
+The set files and the ``verify``, ``code`` and ``geometry`` documents go
+out through ``jsonout.dump``, their large arrays one slice at a time, to
+the ``-o`` file or to stdout alike.  ``params`` and ``grid`` render their
+small documents whole first: past the digit limit an int cannot be
+printed, and that must end in a usage error before any byte is written.
 
 Bad input of every kind, argument parsing included, raises ``UsageError``;
 ``main`` alone reports it, as one ``error: ...`` line on stderr, and exits
@@ -21,6 +28,7 @@ non-negative integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -33,12 +41,13 @@ from . import verify as vf
 from .construct import PdsSet, Tower, TowerParams, read_set_file
 from .errors import CapExceededError, DenpdsError, NotASubspaceError
 from .ff import DEFAULT_TABLE_CAP
-from .jsonout import RowStrings, dumps
+from .jsonout import RowStrings, dump, dumps
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 128 + 13  # the status of a process that SIGPIPE ends
 
 # the most rows one grid prints; a larger grid is refused before any row is built
 GRID_ROWS = 1 << 16
@@ -53,14 +62,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write(text, path: str | None) -> None:
-    """Write a string, or each string of an iterable, to path or stdout."""
-    parts = [text] if isinstance(text, str) else text
+@contextlib.contextmanager
+def _opened(path: str | None):
+    """The text file at path, or stdout for None and "-"."""
     if path is None or path == "-":
-        sys.stdout.writelines(parts)
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.writelines(parts)
+            yield fh
+
+
+def _write(text, path: str | None) -> None:
+    """Write a string, or each string of an iterable, to path or stdout."""
+    with _opened(path) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+def _dump(doc, path: str | None) -> None:
+    """Write the JSON document doc to path or stdout."""
+    with _opened(path) as fh:
+        dump(doc, fh)
 
 
 def _cap(args, name: str, default: int) -> int:
@@ -278,7 +299,7 @@ def _emit_grid(args) -> int:
 
 def cmd_construct(args) -> int:
     tower, pds, _, _, _ = _load_or_build(args)
-    _write(pds.to_json(tower), args.output)
+    _dump(pds.json_doc(tower), args.output)
     tp = tower.params
     basis = [list(row) for row in pds.subspace_rows]
     print("constructed %s set: k=%d v=%d basis=%s%s" % (
@@ -290,8 +311,10 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     tower, pds, R, caps, _ = _load_or_build(args)
     report = vf.verify_pds(pds, tower, R, caps=caps)
-    text = report.to_text() if args.format == "text" else report.to_json()
-    _write(text, args.output)
+    if args.format == "text":
+        _write(report.to_text(), args.output)
+    else:
+        _dump(report.as_dict(), args.output)
     if report.verdict == "INCONCLUSIVE":
         raise CapExceededError("none of %s ran" % ", ".join(vf.SUBSTANTIVE_CHECKS))
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -300,7 +323,7 @@ def cmd_verify(args) -> int:
 def cmd_dual(args) -> int:
     tower, pds, _, caps, _ = _load_or_build(args)
     dual = vf.delsarte_dual(pds, tower.indexer, vf.spectrum_of(pds, tower, cap=caps.spectrum))
-    _write(dual.to_json(tower), args.output)
+    _dump(dual.json_doc(tower), args.output)
     print("delsarte dual: k=%d" % dual.k, file=sys.stderr)
     return EXIT_OK
 
@@ -334,7 +357,7 @@ def _coding_finish(args, doc: dict, checks) -> int:
     """Add the checks and the verdict to a code or geometry document, write
     it and give its exit code."""
     doc.update(checks=[c.as_dict() for c in checks], ok=all(c.passed for c in checks))
-    _write(dumps(doc), args.output)
+    _dump(doc, args.output)
     return EXIT_OK if doc["ok"] else EXIT_VERIFY
 
 
@@ -383,6 +406,18 @@ def cmd_export_graph(args) -> int:
     lines = (edge * len(c) % tuple((c + base).ravel().tolist()) for c in chunks)  # one format per chunk
     _write(itertools.chain([head % (v, v * pds.k // 2)], lines), args.output)
     return EXIT_OK
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device, so that the
+    interpreter's last flush of what stdout still buffers succeeds quietly."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: nothing flushes to it
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 @functools.cache  # one parser per process: building it costs about 3 ms
@@ -472,7 +507,12 @@ def main(argv=None) -> int:
             if missing:
                 alternative = "--grid" if args.command == "params" else "--set FILE"
                 raise UsageError("missing %s (or use %s)" % (", ".join(missing), alternative))
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            # a closed pipe shows here, however the command ended, and not at
+            # the interpreter's exit; its BrokenPipeError replaces the error
+            sys.stdout.flush()
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -482,6 +522,9 @@ def main(argv=None) -> int:
     except DenpdsError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VERIFY
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_PIPE
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -106,7 +106,13 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
         raise InternalError(
             "collapse gave %d points, expected %d" % (len(points), want)
         )
-    return ProjectiveSet(ctx.q, ctx.dim, points[:, None] // places[::-1] % ctx.q)
+    # one digit column at a time, most significant first, each contiguous:
+    # the (n, dim) points are the transpose of a (dim, n) array
+    digits = np.empty((ctx.dim, len(points)), dtype=np.int64)
+    for column, place in zip(digits, places[::-1]):
+        np.floor_divide(points, place, out=column)
+        column %= ctx.q
+    return ProjectiveSet(ctx.q, ctx.dim, digits.T)
 
 
 def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarray:
@@ -190,11 +196,12 @@ class GeneratorMatrix:
 def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     """Columns in lexicographic coordinate order, the order of S.points;
     distinct normalized points are pairwise independent by construction, so
-    asserting that the points strictly ascend re-asserts both."""
+    asserting that the points strictly ascend re-asserts both.  They ascend
+    as their base-q keys (first coordinate most significant) do, one int64
+    each, so no (n, dim) difference array is built."""
     cols = S.points
-    step = np.diff(cols, axis=0)
-    first = (step != 0).argmax(axis=1)  # first coordinate in which two neighbours differ
-    if not (step[np.arange(len(step)), first] > 0).all():
+    keys = cols @ ctx.q ** np.arange(S.dim - 1, -1, -1, dtype=np.int64)
+    if not (np.diff(keys) > 0).all():
         raise InternalError("generator columns are not distinct and sorted")
     return GeneratorMatrix(S.q, cols.T, ff.rank(ctx.base, cols))
 

@@ -376,7 +376,7 @@ class PdsSet:
     def degenerate(self) -> bool:
         return self.params.degenerate
 
-    def _json_doc(self, tower: "Tower") -> dict:
+    def json_doc(self, tower: "Tower") -> dict:
         """The set file, with the (k, 2) array of dlog pairs in
         lexicographic order as ``elements``.  Each log lies in [-1, |K| - 1),
         so the key (i + 1) |K2| + (j + 1) of the pair (i, j) is a distinct
@@ -401,7 +401,7 @@ class PdsSet:
         }
 
     def to_json(self, tower: "Tower") -> str:
-        return dumps(self._json_doc(tower))
+        return dumps(self.json_doc(tower))
 
 
 def _dlog_pair_array(raw) -> np.ndarray:

@@ -517,17 +517,19 @@ def srg_common_neighbors(
 
 def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
     """hD = D for both generators h of the multiplier group H
-    (``Tower.multiplier_generators``), literally: the k images, sorted,
-    against D.  Every provenance of either family is H-invariant, so a set
-    that H moves is none of them; each witness is an element d with hd
-    outside D."""
+    (``Tower.multiplier_generators``), literally: the membership of the k
+    images in D, gathered from ``PdsSet.member``.  hD inside D is hD = D,
+    as h permutes G and so |hD| = |D|.  Every provenance of either family
+    is H-invariant, so a set that H moves is none of them; each witness is
+    the first element d with hd outside D."""
     idx = pds.elements
     gens = tower.multiplier_generators
     witnesses = []
     for a, b in gens:
         image = tower.multiply(idx, a, b)
-        if not np.array_equal(np.sort(image), idx):
-            d = np.flatnonzero(~np.isin(image, idx, assume_unique=True))[0]
+        outside = ~pds.member[image]
+        if outside.any():
+            d = outside.argmax()
             pairs = tower.indexer.dlog_pairs(np.array([idx[d], image[d]])).tolist()
             witnesses.append({"element": pairs[0], "multiplier": [a, b], "image": pairs[1]})
     details = {"generators": [list(g) for g in gens]}

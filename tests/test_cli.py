@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, round trips, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -306,6 +307,51 @@ def test_export_graph_formats(tmp_path):
     dlines = dim.stdout.strip().splitlines()
     assert dlines[0] == "p edge 64 96"
     assert dlines[1].startswith("e ")
+
+
+def test_stdout_holds_the_bytes_of_the_output_file(tmp_path):
+    """On one grid job, each document command writes the same bytes to
+    stdout as to its -o file."""
+    set_file = tmp_path / "set.json"
+    build = ["-p", "2", "-m", "2", "-l", "1", "-r", "1", "--family", "dual"]
+    argvs = {"construct": ["construct", *build]}
+    for command in ("dual", "verify", "code", "geometry"):
+        argvs[command] = [command, "--set", str(set_file)]
+    for command, argv in argvs.items():
+        out = set_file if command == "construct" else tmp_path / command
+        to_file = subprocess.run(CLI + argv + ["-o", str(out)], capture_output=True)
+        to_stdout = subprocess.run(CLI + argv, capture_output=True)
+        assert to_file.returncode == to_stdout.returncode == 0, command
+        assert to_file.stdout == b"" and to_stdout.stdout == out.read_bytes(), command
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, read", [
+    (["construct", "-p", "2", "-m", "2", "-l", "4", "-r", "1"], 100),
+    (["dual", "-p", "2", "-m", "2", "-l", "4", "-r", "1"], 100),
+    (["export-graph", "-p", "2", "-s", "2", "-m", "2", "-l", "1", "-r", "1"], 100),
+    (["params", "-p", "2", "-m", "2", "-l", "1", "-r", "1"], 0),
+    (["verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--profile-cap", "1", "--spectrum-cap", "1"], 0),
+], ids=["construct", "dual", "export-graph", "params", "verify-inconclusive"])
+def test_a_closed_stdout_ends_the_command_quietly(argv, read, unbuffered):
+    """A reader that closes stdout after 100 bytes (of the 2.9 MB set file
+    of 2,1,2,4,1, of its 5.9 MB Delsarte dual, of an 18 MB edge list in
+    four chunks), or before the first (of a short table that stdout still
+    buffers at exit, of an INCONCLUSIVE verify report that stdout still
+    buffers when the cap error is raised), ends the command with status
+    141, 128 + SIGPIPE, and nothing on stderr, with stdout buffered or not.
+    Unbuffered, a write that the close cuts short is not an error, so each
+    long output is several writes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(CLI + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert len(head) == read and err == b""
 
 
 def test_export_graph_refuses_a_set_holding_zero(tmp_path):

@@ -1,6 +1,8 @@
-"""Property test of the JSON writer against json.dumps on random integer
-arrays inside random documents."""
+"""Property tests of the JSON writer against json.dumps on random integer
+arrays inside random documents, and of ``dump`` against ``dumps`` in every
+slicing."""
 
+import io
 import json
 
 import numpy as np
@@ -10,7 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from denpds.jsonout import RowStrings, dumps, plain  # noqa: E402
+from denpds import ff, jsonout  # noqa: E402
+from denpds.jsonout import RowStrings, dump, dumps, plain  # noqa: E402
 
 from conftest import assert_same_text  # noqa: E402
 
@@ -33,3 +36,34 @@ VALUES = st.one_of(st.integers(-3, 40), st.integers(-(2**63), 2**63 - 1))
 def test_writer_matches_json_dumps_on_random_documents(a, rows, extra):
     for doc in (a, {"a": a, "x": extra}, [extra, a, {"r": RowStrings(rows)}]):
         assert_same_text(dumps(doc), json.dumps(plain(doc), sort_keys=True, indent=2) + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+                 elements=VALUES),
+    rows=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                    elements=st.integers(0, 10**6)),
+    digits=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
+                      elements=st.integers(0, 2)),
+    slice_values=st.sampled_from([1, 2, 3, 5, 16, None]),
+)
+def test_dump_writes_what_dumps_returns_in_every_slicing(a, rows, digits, slice_values):
+    """Slices of 1 to 16 values split rows longer than a slice (and, with
+    None, the default bound leaves every array one slice); empty and 0-d
+    arrays have no slices.  Wide values take the format route, and the
+    digits 0..2 in slices of 16 the token table.  The text is dumps's, and
+    so json.dumps's."""
+    docs = (a, {"a": a, "r": RowStrings(rows), "t": a.T},
+            [rows, a, {"x": [digits, RowStrings(digits.reshape(len(digits), -1))]}])
+    saved = jsonout.VALUE_BYTES
+    if slice_values is not None:  # the chunker gives slices of slice_values values
+        jsonout.VALUE_BYTES = ff.CHUNK_BYTES // slice_values
+    try:
+        for doc in docs:
+            sink = io.StringIO()
+            dump(doc, sink)
+            assert_same_text(sink.getvalue(), dumps(doc), slice_values)
+            assert_same_text(dumps(doc), json.dumps(plain(doc), sort_keys=True, indent=2) + "\n")
+    finally:
+        jsonout.VALUE_BYTES = saved
