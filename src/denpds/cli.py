@@ -9,10 +9,12 @@ randomness (there is no seed because there is nothing to seed; the
 (128 + SIGPIPE) stdout closed by its reader, with nothing on stderr.
 
 The set files and the ``verify``, ``code`` and ``geometry`` documents go
-out through ``jsonout.dump``, their large arrays one slice at a time, to
-the ``-o`` file or to stdout alike.  ``params`` and ``grid`` render their
-small documents whole first: past the digit limit an int cannot be
-printed, and that must end in a usage error before any byte is written.
+out through ``jsonout.dump``, and the ``--matrix-out`` text and the edges
+of ``export-graph`` through ``jsonout.slices``: their arrays one slice at
+a time, to the ``-o`` file or to stdout alike.  ``params`` and ``grid``
+render their small documents whole first: past the digit limit an int
+cannot be printed, and that must end in a usage error before any byte is
+written.
 
 Bad input of every kind, argument parsing included, raises ``UsageError``;
 ``main`` alone reports it, as one ``error: ...`` line on stderr, and exits
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import math
 import os
@@ -41,7 +44,7 @@ from . import verify as vf
 from .construct import PdsSet, Tower, TowerParams, read_set_file
 from .errors import CapExceededError, DenpdsError, NotASubspaceError
 from .ff import DEFAULT_TABLE_CAP
-from .jsonout import RowStrings, dump, dumps
+from .jsonout import RowStrings, dump, dumps, slices
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -64,12 +67,19 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _opened(path: str | None):
-    """The text file at path, or stdout for None and "-"."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
+    """The text file at path, or stdout for None and "-": under
+    PYTHONUNBUFFERED through a buffered writer, which retries a raw write
+    that the reader's close cuts short and so raises BrokenPipeError."""
+    if path is not None and path != "-":
         with open(path, "w") as fh:
             yield fh
+    elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout.flush()
+        with open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                  errors=sys.stdout.errors, closefd=False) as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _write(text, path: str | None) -> None:
@@ -380,7 +390,7 @@ def cmd_code(args) -> int:
     )
     code = _coding_finish(args, doc, checks)
     if args.matrix_out:
-        _write("\n".join(gm.row_strings()) + "\n", args.matrix_out)
+        _write((part() for part in slices(gm.mat, "", (" ", "\n", "\n"))), args.matrix_out)
     return code
 
 
@@ -400,11 +410,12 @@ def cmd_geometry(args) -> int:
 def cmd_export_graph(args) -> int:
     tower, pds, _, caps, _ = _load_or_build(args)
     chunks = vf.cayley_edge_chunks(pds, tower.indexer, cap=caps.profile)  # refuses before any output
-    dimacs = args.graph_format == "dimacs"
-    head, edge, base = ("p edge %d %d\n", "e %d %d\n", 1) if dimacs else ("%d %d\n", "%d %d\n", 0)
-    v = tower.params.v
-    lines = (edge * len(c) % tuple((c + base).ravel().tolist()) for c in chunks)  # one format per chunk
-    _write(itertools.chain([head % (v, v * pds.k // 2)], lines), args.output)
+    v, dimacs = tower.params.v, args.graph_format == "dimacs"
+    head = ("p edge %d %d\n" if dimacs else "%d %d\n") % (v, v * pds.k // 2)
+    start = "e " if dimacs else ""  # each edge line's; DIMACS counts vertices from 1
+    seps = (" ", "\n" + start, "\n")
+    parts = (part() for c in chunks if len(c) for part in slices(c + dimacs, start, seps))
+    _write(itertools.chain([head], parts), args.output)
     return EXIT_OK
 
 

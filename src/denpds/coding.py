@@ -35,7 +35,7 @@ import numpy as np
 from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, in_sorted, sweep
+from .ff import FiniteField, embed, sweep
 from .verify import CheckItem, Spectrum
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -63,7 +63,7 @@ class CodingContext:
         a, b = ix.split(pds.elements)
         # one row per embedded scalar of GF(q)* but 1, which fixes every set
         s1, s2 = (embed(self.base, f).forward[2:, None] for f in (f1, f2))
-        leaves = ~in_sorted(ix.join(f1.mul(s1, a), f2.mul(s2, b)), pds.elements).all(axis=0)
+        leaves = ~pds.member[ix.join(f1.mul(s1, a), f2.mul(s2, b))].all(axis=0)
         if leaves.any():
             g = pds.elements[leaves.argmax()]
             raise NotScaleClosedError(
@@ -187,10 +187,6 @@ class GeneratorMatrix:
     @property
     def n(self) -> int:
         return self.mat.shape[1]
-
-    def row_strings(self) -> list[str]:
-        words = np.array([str(c) for c in range(self.q)], dtype=object)
-        return [" ".join(words[row].tolist()) for row in self.mat]
 
 
 def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:

@@ -815,8 +815,7 @@ class Tower:
     def is_symmetric(self, pds: PdsSet) -> bool:
         if self.params.p == 2:
             return True
-        negated = np.sort(self.indexer.neg(pds.elements))
-        return bool(np.array_equal(negated, pds.elements))
+        return bool(pds.member[self.indexer.neg(pds.elements)].all())
 
     def build_D(self, R: Subspace | None = None) -> PdsSet:
         """Norm-ratio construction of the primal set: K1* x 0 and the ratio
@@ -855,7 +854,7 @@ class Tower:
         return self._finish(idx, "dual", self.params.dual_params(), R)
 
     def complement(self, pds: PdsSet) -> PdsSet:
-        elems = np.setdiff1d(np.arange(1, self.params.v), pds.elements, assume_unique=True)
+        elems = np.flatnonzero(~pds.member[1:]) + 1
         claimed = pm.complement_params(pds.claimed)
         if pds.provenance not in COMPLEMENT_TAG:
             raise ValueError("cannot complement provenance %r" % pds.provenance)

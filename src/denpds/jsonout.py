@@ -1,4 +1,5 @@
-"""The one writer of pretty-printed JSON.
+"""The one writer of pretty-printed JSON, and the one renderer of integer
+arrays as text.
 
 ``dumps(doc)`` is ``json.dumps(plain(doc), sort_keys=True, indent=2) + "\\n"``
 byte for byte, written in one recursive pass: dict keys sorted, strings
@@ -6,16 +7,16 @@ escaped by ``json``'s own ASCII encoder, ints by ``int.__repr__``.  A
 document may hold integer numpy arrays, which stand for (nested) lists of
 ints, and ``RowStrings``, an integer matrix that stands for one string per
 row.  Those are the large parts of set files and of the ``code`` and
-``geometry`` documents, and they are rendered straight from numpy, in
-slices of a bounded number of values (``_blocks``): every element becomes
-its decimal string followed by the separator that the number of lists
-ending at it calls for, looked up in one table of (value, separator)
-strings when the array's values span less than a slice, else written by
-one printf-style format per slice.  ``dump(doc, fp)`` writes each slice of
-an array of several slices as soon as it is rendered, so a file never
-waits on the whole document; ``dumps`` is ``dump`` into a ``StringIO``.  No
-document holds a float: the writer refuses one with TypeError, as it
-refuses every object that json.dumps refuses.
+``geometry`` documents, all 2-D, and ``slices`` renders them straight from
+numpy, in slices of a bounded number of values (``_blocks``): a head, then
+every value's decimal string followed by one of three separators (inside
+a row, at a row's end, at the last row's end).  The CLI writes the
+``--matrix-out`` text and the edge lists of ``export-graph`` through the
+same function.  ``dump(doc, fp)`` writes each slice of an array of several
+slices as soon as it is rendered, so a file never waits on the whole
+document; ``dumps`` is ``dump`` into a ``StringIO``.  No document holds a
+float: the writer refuses one with TypeError, as it refuses every object
+that json.dumps refuses.
 """
 
 from __future__ import annotations
@@ -140,43 +141,52 @@ def _emit(x, nl: str, out: list, flush) -> None:
 
 def _render(x, nl: str, out: list, flush) -> None:
     """Append the text of the array or ``RowStrings`` x, the value on a
-    line that nl begins, to out, one slice of ``_blocks`` at a time; when x
-    has more than one slice, flush() follows each."""
+    line that nl begins, to out, one slice of ``slices`` at a time; when x
+    has more than one slice, flush() follows each.  No output holds an
+    array that is empty or not 2-D; one takes the list path."""
     spaced = isinstance(x, RowStrings)
     a = np.asarray(x.rows if spaced else x)
     if a.dtype.kind not in "iu" or (spaced and a.ndim != 2):
         raise TypeError("cannot write a %d-dimensional %s array" % (a.ndim, a.dtype))
-    if a.size == 0 or a.ndim == 0:  # no values to slice
+    if a.ndim != 2 or a.size == 0:
         _emit(_plain_leaf(x), nl, out, flush)
         return
-    n = a.ndim
-    ind = [nl + "  " * d for d in range(n + 1)]  # ind[d]: items of a depth-d list at d + 1
+    row, item = nl + "  ", nl + "    "
     if spaced:
-        head = "[" + ind[1] + '"'
-        seps = [" ", '",' + ind[1] + '"', '"' + nl + "]"]
+        parts = slices(a, "[" + row + '"', (" ", '",' + row + '"', '"' + nl + "]"))
     else:
-        head = "[" + "".join(ind[d] + "[" for d in range(1, n)) + ind[n]
-        seps = []
-        for t in range(n + 1):
-            close = "".join(ind[d] + "]" for d in range(n - 1, n - 1 - t, -1))
-            reopen = "," + "".join(ind[d] + "[" for d in range(n - t, n)) + ind[n]
-            seps.append(close if t == n else close + reopen)
-    rows = a.reshape(-1, a.shape[-1])
-    blocks = list(_blocks(*rows.shape))
+        parts = slices(a, "[" + row + "[" + item,
+                       ("," + item, row + "]," + row + "[" + item, row + "]" + nl + "]"))
+    for part in parts:  # a slice's tokens are gone when part() returns, before any write
+        out.append(part())
+        if len(parts) > 1:
+            flush()
+
+
+def slices(a: np.ndarray, head: str, seps: tuple[str, str, str]) -> list:
+    """The text of the nonempty 2-D integer array a: head, then each value
+    in decimal followed by seps[0] inside a row, seps[1] at a row's end and
+    seps[2] at the last row's end, as one callable per slice of ``_blocks``
+    that returns the slice's text; so a caller knows the slice count before
+    it renders one.  A value's token comes from one table of (value,
+    separator) strings when that table is no longer than a slice, else
+    from one printf-style format per slice."""
+    nrows, ncols = a.shape
+    blocks = list(_blocks(nrows, ncols))
     r0, r1, c0, c1 = blocks[0]  # the longest slice
     lo = int(a.min())
     width = int(a.max()) - lo + 1
-    if width * len(seps) <= (r1 - r0) * (c1 - c0):  # a table of every token, no longer than a slice
+    if width * len(seps) <= (r1 - r0) * (c1 - c0):
         table = np.array([s + sep for s in map(str, range(lo, lo + width)) for sep in seps], dtype=object)
-        render = functools.partial(_table_text, table, lo, len(seps))
+        text = functools.partial(_table_text, table, lo)
     else:
-        render = functools.partial(_format_text, [s.replace("%", "%%") for s in seps])
-    out.append(head)
+        text = functools.partial(_format_text, [s.replace("%", "%%") for s in seps])
+    parts = []
     for r0, r1, c0, c1 in blocks:
-        # the slice's tokens are gone when render returns, before any write
-        out.append(render(rows[r0:r1, c0:c1], _row_ends(a.shape, r0, r1) if c1 == rows.shape[1] else None))
-        if len(blocks) > 1:
-            flush()
+        # the separators after each row of the slice but its last, and after its last
+        mid, end = (0, 0) if c1 < ncols else (1, 1 + (r1 == nrows))
+        parts.append(functools.partial(text, "" if parts else head, a[r0:r1, c0:c1], mid, end))
+    return parts
 
 
 def _blocks(nrows: int, ncols: int):
@@ -188,38 +198,20 @@ def _blocks(nrows: int, ncols: int):
             yield r0, r1, c0, c1
 
 
-def _row_ends(shape: tuple, r0: int, r1: int) -> np.ndarray:
-    """For rows r0..r1-1 of the last axis: how many lists end with each, the
-    row itself and the outer lists whose axes end there."""
-    r = np.arange(r0 + 1, r1 + 1)
-    ends = np.ones(r1 - r0, dtype=np.intp)
-    period = 1
-    for d in reversed(shape[:-1]):
-        period *= d
-        ends += r % period == 0
-    return ends
-
-
-def _table_text(table: np.ndarray, lo: int, nsep: int, block: np.ndarray, ends) -> str:
-    """The text of block, a value's token at (value - lo) nsep + ends in
-    table; ends (one per row) is None when no row ends in the block."""
+def _table_text(table: np.ndarray, lo: int, head: str, block: np.ndarray, mid: int, end: int) -> str:
+    """head and the text of block, with seps[mid] after each row but the
+    last and seps[end] after that: a value's token followed by seps[j] is
+    table[3 (value - lo) + j]."""
     key = block.astype(np.int64)
     key -= lo
-    key *= nsep
-    if ends is not None:
-        key[:, -1] += ends
-    return "".join(table[key].ravel().tolist())
+    key *= 3
+    key[:-1, -1] += mid
+    key[-1, -1] += end
+    return head + "".join(table[key].ravel().tolist())
 
 
-def _format_text(seps: list, block: np.ndarray, ends) -> str:
-    """The text of block by one printf-style format: each value's %d and
-    its separator, seps[0] inside a row and seps[ends] after its last."""
-    nrows, ncols = block.shape
-    inner = ("%d" + seps[0]) * (ncols - 1) + "%d"
-    if ends is None:
-        fmt = inner + seps[0]
-    elif nrows == 1:
-        fmt = inner + seps[int(ends[0])]
-    else:
-        fmt = "".join(np.array([inner + s for s in seps], dtype=object)[ends].tolist())
-    return fmt % tuple(block.ravel().tolist())
+def _format_text(seps: list, head: str, block: np.ndarray, mid: int, end: int) -> str:
+    """``_table_text`` by one printf-style format of %d and separators."""
+    inner = ("%d" + seps[0]) * (block.shape[1] - 1) + "%d"
+    fmt = (inner + seps[mid]) * (block.shape[0] - 1) + inner + seps[end]
+    return head + fmt % tuple(block.ravel().tolist())

@@ -57,7 +57,7 @@ from .errors import (
     InternalError,
     SpectrumNotTwoValuedError,
 )
-from .ff import chunks, in_sorted, sweep
+from .ff import chunks, sweep
 from .jsonout import dumps
 
 DEFAULT_PROFILE_CAP = 1 << 16
@@ -356,13 +356,11 @@ def check_pds(
     profile: DifferenceProfile,
     expected: pm.SrgParams | None = None,
 ) -> CheckItem:
-    """Exact difference-count test plus the parameter identity."""
+    """Exact difference-count test against the expected parameters."""
     exp = expected_params(pds) if expected is None else expected
     details: dict = {"expected": exp.as_dict()}
     witnesses: list = []
     ok = True
-    if not exp.identity_holds():
-        return CheckItem("pds-differences", False, details={"reason": "identity fails"})
     if pds.claimed != exp:
         ok = False
         details["claim_mismatch"] = pds.claimed.as_dict()
@@ -565,8 +563,8 @@ def clique_certificate(pds: PdsSet, tower: Tower) -> CheckItem:
         clique, forbidden, size = left, right, sz1
     else:
         clique, forbidden, size = right, left, sz2
-    clique_ok = bool(in_sorted(clique, pds.elements).all())
-    empty_ok = not in_sorted(forbidden, pds.elements).any()
+    clique_ok = bool(pds.member[clique].all())
+    empty_ok = not pds.member[forbidden].any()
     details = {"clique_size": size, "differences_inside": clique_ok, "bound_holds": empty_ok}
     return CheckItem("clique", clique_ok and empty_ok, details=details)
 
@@ -613,7 +611,7 @@ def cayley_edge_chunks(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PR
     v, idx = indexer.v, pds.elements
     if v > cap:
         raise CapExceededError("graph export: v=%d above cap %d" % (v, cap))
-    if (pds.k and idx[0] == 0) or not np.array_equal(np.sort(indexer.neg(idx)), idx):
+    if (pds.k and idx[0] == 0) or not pds.member[indexer.neg(idx)].all():
         raise InternalError("edge count must be v k / 2")
 
     def one(rng):

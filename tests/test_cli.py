@@ -8,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from denpds import cli
+from denpds import cli, ff, jsonout
+from denpds import coding as cd
+from denpds import verify as vf
+from denpds.construct import Tower, TowerParams
 
 from conftest import assert_same_text, exchange_bits_0_and_2, transform_items
 
@@ -332,16 +335,18 @@ def test_stdout_holds_the_bytes_of_the_output_file(tmp_path):
     (["export-graph", "-p", "2", "-s", "2", "-m", "2", "-l", "1", "-r", "1"], 100),
     (["params", "-p", "2", "-m", "2", "-l", "1", "-r", "1"], 0),
     (["verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "--profile-cap", "1", "--spectrum-cap", "1"], 0),
-], ids=["construct", "dual", "export-graph", "params", "verify-inconclusive"])
+    (["grid", "p=2", "m=1..30", "l=1..10", "--format", "json"], 100),
+], ids=["construct", "dual", "export-graph", "params", "verify-inconclusive", "grid"])
 def test_a_closed_stdout_ends_the_command_quietly(argv, read, unbuffered):
     """A reader that closes stdout after 100 bytes (of the 2.9 MB set file
-    of 2,1,2,4,1, of its 5.9 MB Delsarte dual, of an 18 MB edge list in
-    four chunks), or before the first (of a short table that stdout still
-    buffers at exit, of an INCONCLUSIVE verify report that stdout still
-    buffers when the cap error is raised), ends the command with status
-    141, 128 + SIGPIPE, and nothing on stderr, with stdout buffered or not.
-    Unbuffered, a write that the close cuts short is not an error, so each
-    long output is several writes."""
+    of 2,1,2,4,1, of its 5.9 MB Delsarte dual, of an 18 MB edge list, of a
+    4.4 MB grid that goes out in one write), or before the first (of a
+    short table that stdout still buffers at exit, of an INCONCLUSIVE
+    verify report that stdout still buffers when the cap error is raised),
+    ends the command with status 141, 128 + SIGPIPE, and nothing on stderr,
+    with stdout buffered or not.  Unbuffered, stdout's raw file takes a
+    write that the close cuts short for a whole one, so the CLI writes
+    through a buffered writer that retries the rest."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
@@ -352,6 +357,39 @@ def test_a_closed_stdout_ends_the_command_quietly(argv, read, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
     assert len(head) == read and err == b""
+
+
+@pytest.mark.parametrize("slice_values", [1, 5, 4096])
+@pytest.mark.parametrize("tp, family", [((2, 1, 2, 1, 1), "dual"), ((3, 1, 2, 1, 1), "primal")])
+def test_edge_lists_and_matrix_text_in_many_slices(tmp_path, monkeypatch, tp, family, slice_values):
+    """``export-graph`` (edge list and DIMACS) and ``code --matrix-out``,
+    with the edges in chunks of a few vertices and every array in slices
+    of 1 or 5 values (rows cut) or 4096 (rows whole, and the token table
+    for the matrix), write one line per edge and per matrix row."""
+    tower = Tower(TowerParams(*tp))
+    pds = tower.build_D() if family == "primal" else tower.build_D_dual()
+    edges = vf.cayley_edges(pds, tower.indexer).tolist()
+    ctx = cd.CodingContext(tower)
+    mat = cd.build_code(cd.to_projective_set(pds, ctx), ctx).mat
+    v = tower.params.v
+    head = "%d %d\n" % (v, len(edges))
+    want = {
+        "edgelist": head + "".join("%d %d\n" % (u, w) for u, w in edges),
+        "dimacs": "p edge " + head + "".join("e %d %d\n" % (u + 1, w + 1) for u, w in edges),
+        "matrix": "".join(" ".join(map(str, row)) + "\n" for row in mat.tolist()),
+    }
+    monkeypatch.setattr(ff, "CHUNK_BYTES", 1 << 12)  # edge chunks of 4096 / (8 k) vertices
+    monkeypatch.setattr(jsonout, "VALUE_BYTES", ff.CHUNK_BYTES // slice_values)
+    build = ["-p", str(tp[0]), "-s", str(tp[1]), "-m", str(tp[2]), "-l", str(tp[3]), "-r", str(tp[4]),
+             "--family", family]
+    for fmt in ("edgelist", "dimacs"):
+        out = tmp_path / fmt
+        assert cli.main(["export-graph", *build, "--graph-format", fmt, "-o", str(out)]) == 0
+        assert_same_text(out.read_text(), want[fmt], fmt)
+    out = tmp_path / "matrix"
+    assert cli.main(["code", *build, "-o", str(tmp_path / "code.json"), "--matrix-out", str(out)]) == 0
+    assert_same_text(out.read_text(), want["matrix"])
+    assert v > 2 * (ff.CHUNK_BYTES // (8 * pds.k))  # three chunks of edges or more
 
 
 def test_export_graph_refuses_a_set_holding_zero(tmp_path):
@@ -561,7 +599,8 @@ def test_non_integer_scalar_exits_two_naming_the_field(tmp_path, command, sectio
 
 def test_empty_set_file_round_trips_and_fails(tmp_path):
     """An empty set is written with "elements": [] and read back as an
-    empty set; verify reports a failed PDS (exit 1), not a malformed file."""
+    empty set; verify reports a failed PDS (exit 1), not a malformed file,
+    and export-graph writes a graph with no edge."""
     from denpds.construct import PdsSet, Tower, TowerParams, pds_from_json_dict
 
     tower = Tower(TowerParams(2, 1, 2, 1, 1))
@@ -575,6 +614,8 @@ def test_empty_set_file_round_trips_and_fails(tmp_path):
     res = run("verify", "--set", str(path), "--format", "text")
     assert res.returncode == 1, res.stderr
     assert res.stdout.splitlines()[-1] == "RESULT: FAIL"
+    res = run("export-graph", "--set", str(path))
+    assert (res.returncode, res.stdout, res.stderr) == (0, "64 0\n", "")
 
 
 def test_other_field_model_exits_one(tmp_path):

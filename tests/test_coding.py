@@ -8,7 +8,7 @@ import pytest
 
 from denpds import cli
 from denpds import coding as C
-from denpds import ff
+from denpds import ff, jsonout
 from denpds import params as P
 from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
@@ -341,6 +341,40 @@ def test_literal_routes_stay_under_32_mb():
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20, peak
+
+
+def test_matrix_out_holds_one_slice(tmp_path, monkeypatch):
+    """``code --matrix-out`` on the benchmark's 2,1,4,1,3 dual job, a
+    12 x 7650 matrix of 91,800 bytes of text, in slices of 512 values: the
+    command peaks within one slice (512 values at the default
+    ``VALUE_BYTES``) of the same command without the flag, and from the
+    renderer's call to the command's end it holds one slice, not the
+    matrix."""
+    slice_bytes = 512 * jsonout.VALUE_BYTES
+    monkeypatch.setattr(jsonout, "VALUE_BYTES", ff.CHUNK_BYTES // 512)
+    marks = []  # (current, peak) when the renderer is called; the peak restarts there
+
+    def mark(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return render(*args)
+
+    render = cli.slices
+    monkeypatch.setattr(cli, "slices", mark)
+    argv = ["code", "-p", "2", "-m", "4", "-l", "1", "-r", "3", "--family", "dual",
+            "-o", str(tmp_path / "code.json")]
+    peaks = []
+    for extra in ([], [], ["--matrix-out", str(tmp_path / "matrix.txt")]):  # the first fills caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (start, before), = marks
+    assert (tmp_path / "matrix.txt").stat().st_size == 91800
+    assert max(before, peaks[2]) <= peaks[1] + slice_bytes, (before, peaks)
+    assert peaks[2] - start <= slice_bytes, (start, peaks[2])
 
 
 def test_weight_enumerator_64(setup64):

@@ -278,6 +278,7 @@ def test_build_sizes_and_invariants(t64, t729):
     D3 = t729.build_D()
     assert D3.k == 168
     assert t729.is_symmetric(D3)
+    assert not t729.is_symmetric(PdsSet(D3.params, "primal", [1, 2, 6], D3.claimed))  # -6 is 3
     # no element of the primal set has first coordinate zero
     assert not any(a == -1 for a, _ in pair_set(t64, D))
     # r = 0 boundary

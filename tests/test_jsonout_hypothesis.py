@@ -1,6 +1,6 @@
 """Property tests of the JSON writer against json.dumps on random integer
-arrays inside random documents, and of ``dump`` against ``dumps`` in every
-slicing."""
+arrays inside random documents, of ``dump`` against ``dumps`` in every
+slicing, and of the slice renderer against a naive join."""
 
 import io
 import json
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from denpds import ff, jsonout  # noqa: E402
-from denpds.jsonout import RowStrings, dump, dumps, plain  # noqa: E402
+from denpds.jsonout import RowStrings, dump, dumps, plain, slices  # noqa: E402
 
 from conftest import assert_same_text  # noqa: E402
 
@@ -65,5 +65,39 @@ def test_dump_writes_what_dumps_returns_in_every_slicing(a, rows, digits, slice_
             dump(doc, sink)
             assert_same_text(sink.getvalue(), dumps(doc), slice_values)
             assert_same_text(dumps(doc), json.dumps(plain(doc), sort_keys=True, indent=2) + "\n")
+    finally:
+        jsonout.VALUE_BYTES = saved
+
+
+def joined(a: np.ndarray, head: str, seps) -> str:
+    """head, then each value of the 2-D array a followed by seps[0] inside
+    a row, seps[1] after a row and seps[2] after the last row."""
+    return head + seps[1].join(seps[0].join(map(str, row)) for row in a.tolist()) + seps[2]
+
+
+SEPARATORS = st.text(alphabet="%d ,e\n", max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                 elements=VALUES),
+    digits=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                      elements=st.integers(-1, 1)),
+    head=SEPARATORS,
+    seps=st.tuples(SEPARATORS, SEPARATORS, SEPARATORS),
+    slice_values=st.integers(1, 16),
+)
+def test_slices_join_to_the_naive_text(a, digits, head, seps, slice_values):
+    """Slices of 1 to 16 values cut rows and split them; wide values take
+    the format route, and the digits -1..1 in slices of 9 or more the token
+    table.  A separator may hold the format's own '%'."""
+    saved = jsonout.VALUE_BYTES
+    jsonout.VALUE_BYTES = ff.CHUNK_BYTES // slice_values
+    try:
+        for arr in (a, digits):
+            parts = slices(arr, head, seps)
+            assert len(parts) >= arr.size / slice_values
+            assert_same_text("".join(part() for part in parts), joined(arr, head, seps), slice_values)
     finally:
         jsonout.VALUE_BYTES = saved

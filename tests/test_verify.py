@@ -683,12 +683,13 @@ def test_cayley_edges(d64, ix64):
 def test_cayley_edges_refuse_zero_and_asymmetry_first():
     """A set holding 0, or with D != -D, is refused when its chunks are
     asked for, before any edge is built; {1, 6} in 3,1,2,1,1 is refused
-    although its directed count, 486 + 243, is v k / 2."""
+    although its directed count, 486 + 243, is v k / 2, and so is
+    {1, 2, 6}, which holds -1 and -2 but not -6."""
     tower = Tower(TowerParams(3, 1, 2, 1, 1))
     D = tower.build_D()
     chunks = V.cayley_edge_chunks(D, tower.indexer)
     assert np.array_equal(np.concatenate(list(chunks)), V.cayley_edges(D, tower.indexer))
-    for elements in ([1, 6], np.append(D.elements, 0)):
+    for elements in ([1, 6], [1, 2, 6], np.append(D.elements, 0)):
         bad = PdsSet(D.params, "primal", elements, D.claimed)
         with pytest.raises(InternalError, match="edge count must be v k / 2"):
             V.cayley_edge_chunks(bad, tower.indexer)
