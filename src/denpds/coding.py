@@ -58,7 +58,10 @@ class CodingContext:
 
     def check_scale_closed(self, pds: PdsSet) -> None:
         """The diagonal GF(q)* action must permute the set; a violation
-        names the element of smallest index that some scalar moves out."""
+        names the element of smallest index that some scalar moves out.
+        GF(2)* = {1} moves nothing."""
+        if self.base.size == 2:
+            return
         f1, f2, ix = self.tower.f1, self.tower.f2, self.tower.indexer
         a, b = ix.split(pds.elements)
         # one row per embedded scalar of GF(q)* but 1, which fixes every set

@@ -6,12 +6,14 @@ embeds into both.  A set is stored as a sorted array of group indices: the
 element (a, b) has index packed(a) + |K1| packed(b).  Each ``Tower`` owns
 one ``GroupIndexer``, ``Tower.indexer``, whose ``split`` and ``join`` are
 the only code that applies this encoding; the tower's tables (norm
-pullbacks, compatible generators, multiplier-group orbits), the indexer's
-(trace pairing) and a set's (``PdsSet.member``) are built on first use,
-once per instance, as read-only arrays.
+pullbacks, compatible generators, multiplier-group orbits) and the
+indexer's (trace pairing) are built on first use, once per instance, as
+read-only arrays.  A set's indicator, ``PdsSet.member``, is built with the
+set, and its ``elements`` are read off it.
 Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
-the zero coordinate.
+the zero coordinate; ``read_set_file`` decodes them from a file's bytes in
+bounded slices.
 
 Norms are exponent arithmetic: each embedding of the middle field maps its
 generator's powers g^k to G^(t w k) (``ff.SubfieldEmbedding.w``), so the
@@ -49,7 +51,8 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -65,6 +68,7 @@ from .ff import (
     DEFAULT_TABLE_CAP,
     FiniteField,
     build_field,
+    chunks,
     digitwise,
     embed,
     in_sorted,
@@ -347,26 +351,26 @@ class PdsSet:
 
     ``elements`` is a sorted, duplicate-free, read-only int64 array of
     group indices (see ``GroupIndexer``); any integer sequence given here
-    is normalized to that form."""
+    is normalized to that form by marking it in ``member`` and reading the
+    marks back, in O(k + v)."""
 
     params: TowerParams
     provenance: str  # primal | dual | complement | delsarte-dual
     elements: np.ndarray
     claimed: pm.SrgParams
     subspace_rows: tuple = ()  # GF(p) coefficient rows of the R basis used
+    # the read-only indicator of the set over the v group indices
+    member: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        elems = sorted_unique(self.elements)
-        if len(elems) and (elems[0] < 0 or elems[-1] >= self.params.v):
+        elems = np.asarray(self.elements, dtype=np.int64)
+        # checked before marking: a negative index would mark from the end
+        if len(elems) and (elems.min() < 0 or elems.max() >= self.params.v):
             raise ValueError("set elements must be group indices below %d" % self.params.v)
-        object.__setattr__(self, "elements", readonly(elems))
-
-    @cached_property
-    def member(self) -> np.ndarray:
-        """The read-only indicator of the set over the v group indices."""
         member = np.zeros(self.params.v, dtype=bool)
-        member[self.elements] = True
-        return readonly(member)
+        member[elems] = True
+        object.__setattr__(self, "member", readonly(member))
+        object.__setattr__(self, "elements", readonly(np.flatnonzero(member)))
 
     @property
     def k(self) -> int:
@@ -382,11 +386,17 @@ class PdsSet:
         so the key (i + 1) |K2| + (j + 1) of the pair (i, j) is a distinct
         number below v that orders the pairs: marking the keys in a table
         of v flags and reading them back sorts them in O(v)."""
-        pairs = tower.indexer.dlog_pairs(self.elements) + 1
+        a, b = tower.indexer.split(self.elements)
+        key = tower.f1.dlog[a]
+        key += 1
+        key *= tower.f2.size
+        key += tower.f2.dlog[b]
+        key += 1
         marked = np.zeros(self.params.v, dtype=bool)
-        marked[pairs[:, 0] * tower.f2.size + pairs[:, 1]] = True
-        i, j = np.divmod(np.flatnonzero(marked), tower.f2.size)
-        pairs = np.stack([i - 1, j - 1], axis=-1)
+        marked[key] = True
+        pairs = np.empty((self.k, 2), np.int64)
+        np.divmod(np.flatnonzero(marked), tower.f2.size, out=(pairs[:, 0], pairs[:, 1]))
+        pairs -= 1
         return {
             "type": "pds-set",
             "version": 1,
@@ -420,12 +430,18 @@ def _dlog_pair_array(raw) -> np.ndarray:
 
 # the whitespace JSON allows between tokens
 _JSON_WS = b" \t\n\r"
+_SPACES = re.compile(rb"[ \t\n\r]*")
+
+# What one byte of element text costs while its slice is decoded, in bytes:
+# its copies, the uint8 and bool arrays over it, the number edges and the
+# values.  The chunker's CHUNK_BYTES at this rate gives slices of 256 KiB.
+TEXT_BYTES = 32
 
 
-def _split_elements(data: bytes) -> tuple[dict, bytes] | None:
+def _split_elements(data: bytes) -> tuple[dict, tuple[int, int]] | None:
     """A set file's bytes as its header, the document parsed with NaN in
-    place of the top-level ``elements`` value, and the text of that value;
-    None where the split is not sure of both.
+    place of the top-level ``elements`` value, and the (start, end) offsets
+    of that value in data; None where the split is not sure of both.
 
     The value is taken to run from the colon after the first
     ``"elements"`` to the next quote or brace, less trailing whitespace and
@@ -443,8 +459,11 @@ def _split_elements(data: bytes) -> tuple[dict, bytes] | None:
     ends = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
     if not ends:
         return None
-    value = data[start:min(ends)].rstrip(_JSON_WS).removesuffix(b",")
-    header = data[:start] + b"NaN" + data[start + len(value):]
+    end = min(ends)
+    while end > start and data[end - 1] in _JSON_WS:
+        end -= 1
+    end -= data.startswith(b",", end - 1, end)
+    header = data[:start] + b"NaN" + data[end:]
     stand_in, constants = object(), []
 
     def constant(name):
@@ -457,33 +476,72 @@ def _split_elements(data: bytes) -> tuple[dict, bytes] | None:
         return None
     if constants != ["NaN"] or not isinstance(doc, dict) or doc.get("elements") is not stand_in:
         return None
-    return doc, value
+    return doc, (start, end)
 
 
-def _pairs_from_json_text(value: bytes) -> np.ndarray | None:
-    """What ``_dlog_pair_array(json.loads(value))`` gives, read straight
-    from the bytes, or None where this reader declines and leaves the value
-    to ``json``.  It reads only ``[[n,n],...]`` with JSON whitespace between
-    tokens, each n an integer of at most 18 digits (so it fits int64), the
-    form every set file is written in; a number split by whitespace, a
-    leading zero, a misplaced minus, a fraction, an exponent, a literal or
-    a string is declined."""
-    compact = value.translate(None, _JSON_WS)
-    skeleton = compact.translate(None, b"-0123456789")
-    k = (len(skeleton) - 1) // 4
-    if skeleton != b"[" + (b"[,]," * k)[:-1] + b"]" or compact[:1] != b"[" or compact[-1:] != b"]":
+def _pairs_from_json_text(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """What ``_dlog_pair_array(json.loads(data[start:end]))`` gives, read
+    straight from the bytes, or None where this reader declines and leaves
+    the value to ``json``.  It reads only ``[[n,n],...]`` with JSON
+    whitespace between tokens, each n an integer of at most 18 digits (so
+    it fits int64), the form every set file is written in; a number split
+    by whitespace, a leading zero, a misplaced minus, a fraction, an
+    exponent, a literal or a string is declined.
+
+    The pairs between the outer brackets are decoded one slice at a time
+    (``_pair_slices``) into one (k, 2) array, k one less than the count of
+    closing brackets, so no copy of the whole text is ever made."""
+    head = _SPACES.match(data, start, end).end()  # the outer [
+    close = data.rfind(b"]", head, end)  # the outer ]
+    if not data.startswith(b"[", head, end) or close < 0 or _SPACES.match(data, close + 1, end).end() != end:
         return None
-    if k == 0:
-        return np.empty((0, 2), np.int64)
+    k = data.count(b"]", head, close)
+    last = max(data.rfind(b"]", head, close) + 1, head + 1)  # just after the last pair
+    if _SPACES.match(data, last, close).end() != close:
+        return None  # something but whitespace after the last pair, or in []
+    # a slice's pairs are its ]s, and the k ]s before the outer one are all in slices
+    out = np.empty((k, 2), np.int64)
+    row = 0
+    for lo, hi in _pair_slices(data, head + 1, last):
+        pairs = _decode_pairs(data[lo:hi], b"" if lo == head + 1 else b",")
+        if pairs is None:
+            return None
+        out[row:row + len(pairs)] = pairs
+        row += len(pairs)
+    return out
+
+
+def _pair_slices(data: bytes, lo: int, hi: int):
+    """Consecutive ranges covering data[lo:hi], each cut just after a ``]``:
+    the chunker's ranges at TEXT_BYTES a byte, each stretched to the next
+    ``]`` at or after its end (hi ends just after one)."""
+    pos = lo
+    for _, end in chunks(hi - lo, TEXT_BYTES):
+        if lo + end > pos:
+            cut = data.find(b"]", lo + end - 1, hi) + 1
+            yield pos, cut
+            pos = cut
+
+
+def _decode_pairs(text: bytes, lead: bytes) -> np.ndarray | None:
+    """The (n, 2) pairs of a slice of element text, or None where it is not
+    lead followed by ``[n,n],...,[n,n]`` with JSON whitespace between
+    tokens; ``_pairs_from_json_text`` names what is declined.  The first
+    slice has no lead, every other one a comma."""
+    compact = text.translate(None, _JSON_WS)
+    skeleton = compact.translate(None, b"-0123456789")
+    k = (len(skeleton) - len(lead) + 1) // 4
+    if skeleton != lead + (b"[,]," * k)[:-1]:
+        return None
     # past the skeleton check every byte is JSON whitespace, a bracket, a
     # comma, a minus (45) or a digit (48..57): 45..57 are the number bytes
-    numeric = (np.frombuffer(value, np.uint8) - np.uint8(45)) < 13
+    numeric = (np.frombuffer(text, np.uint8) - np.uint8(45)) < 13
     if np.count_nonzero(numeric[1:] > numeric[:-1]) != 2 * k:
         return None  # more numbers than the compact text has: one was split
     c = np.frombuffer(compact, np.uint8)
     numeric = (c - np.uint8(45)) < 13
     edges = np.flatnonzero(numeric[1:] != numeric[:-1])
-    if len(edges) != 4 * k:
+    if len(edges) != 4 * k:  # an even count: the text ends with ], so it starts with no number
         return None
     first, last = edges[0::2] + 1, edges[1::2]
     before, after = c[first - 1], c[last + 1]
@@ -559,16 +617,18 @@ def read_set_file(data: bytes, table_cap: int = DEFAULT_TABLE_CAP, check=None) -
     (those of ``pds_from_json_dict``, in its order) and then
     check(tower, provenance), if given, run before any element is decoded.
 
-    The elements are decoded from the bytes by numpy.  Where that reader
-    declines, the file is read as ``open`` and ``json.load`` read it and its
-    elements as ``pds_from_json_dict`` reads them, so every refusal is
-    theirs, down to the message."""
+    The elements are decoded from the bytes by numpy, in slices of a
+    bounded number of bytes (``TEXT_BYTES`` a byte of text), into one
+    (k, 2) array.  Where that reader declines on any slice, the file is
+    read as ``open`` and ``json.load`` read it and its elements as
+    ``pds_from_json_dict`` reads them, so every refusal is theirs, down to
+    the message."""
     split = _split_elements(data)
     doc = split[0] if split else _parse_text(data)
     tower = _check_header(doc, table_cap)
     if check is not None:
         check(tower, doc["provenance"])
-    pairs = _pairs_from_json_text(split[1]) if split else None
+    pairs = _pairs_from_json_text(data, *split[1]) if split else None
     if pairs is None:
         if split:  # the whole file has the header just checked
             doc = _parse_text(data)

@@ -858,6 +858,24 @@ def test_corrupt_elements_are_read_after_the_enum_cap(tmp_path, tower, refusals)
         assert res.stderr.splitlines() == [line], command
 
 
+def test_the_enum_cap_refuses_on_the_header_alone(tmp_path, monkeypatch, capsys):
+    """code and geometry on a set file above the enum cap exit 3 with the
+    element decoders made to fail: neither is called.  Below the cap the
+    same file reaches the first of them."""
+    from denpds import construct
+
+    path = tmp_path / "set.json"
+    assert cli.main(["construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(construct, "_pairs_from_json_text", _must_not_run)
+    monkeypatch.setattr(construct, "_dlog_pair_array", _must_not_run)
+    for command in ("code", "geometry"):
+        assert cli.main([command, "--set", str(path), "--enum-cap", "32"]) == 3
+        assert capsys.readouterr().err.startswith("resource cap exceeded: "), command
+        with pytest.raises(AssertionError, match="must not run"):
+            cli.main([command, "--set", str(path)])
+
+
 def test_code_flags_refuse_before_building_the_set(monkeypatch, capsys):
     from denpds import cli, construct
 

@@ -428,3 +428,12 @@ def test_set_normalization_matches_np_unique(t729):
     assert PdsSet(D.params, D.provenance, [], D.claimed).k == 0
     with pytest.raises(ValueError):
         PdsSet(D.params, D.provenance, [-1, 5], D.claimed)
+
+
+@pytest.mark.parametrize("outside", [[-1], [5, -1], [729], [5, 729], [-729]])
+def test_set_refuses_indices_outside_the_group(t729, outside):
+    """-1 would mark index v - 1 and -729 index 0, so the range is checked
+    before any element is marked."""
+    D = t729.build_D()
+    with pytest.raises(ValueError, match="^set elements must be group indices below 729$"):
+        PdsSet(D.params, D.provenance, outside, D.claimed)

@@ -1,17 +1,21 @@
 """Reading set files from bytes: ``read_set_file`` must give what
 ``json.loads`` and ``pds_from_json_dict`` give, the same set or the same
 error, and must decode every set file the program writes without falling
-back to ``json``."""
+back to ``json``, in slices of a bounded number of bytes."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from denpds import construct, ff
 from denpds.construct import (
     PdsSet,
     Tower,
     TowerParams,
+    _dlog_pair_array,
     _pairs_from_json_text,
     _split_elements,
     pds_from_json_dict,
@@ -48,7 +52,7 @@ def test_every_grid_set_is_read_from_bytes(grid):
             for data in (text.encode(), json.dumps(json.loads(text)).encode()):
                 split = _split_elements(data)
                 assert split is not None, (tower.params, one.provenance)
-                assert _pairs_from_json_text(split[1]) is not None, (tower.params, one.provenance)
+                assert _pairs_from_json_text(data, *split[1]) is not None, (tower.params, one.provenance)
                 got = assert_same(data)
                 assert np.array_equal(got[2], one.elements), (tower.params, one.provenance)
 
@@ -127,7 +131,7 @@ def test_element_text_is_read_as_json_reads_it(small_file, value, decoded):
     data = _with_elements(small_file, value)
     assert_same(data)
     split = _split_elements(data)
-    read = split is not None and _pairs_from_json_text(split[1]) is not None
+    read = split is not None and _pairs_from_json_text(data, *split[1]) is not None
     assert read == decoded
 
 
@@ -192,3 +196,139 @@ def test_empty_elements_read_from_bytes():
     text = PdsSet(D.params, D.provenance, [], D.claimed, D.subspace_rows).to_json(tower)
     _, back = read_set_file(text.encode())
     assert back.k == 0 and back.elements.dtype == np.int64
+
+
+@pytest.fixture
+def slices(monkeypatch):
+    """The text of every slice the bytes decoder decodes, in order."""
+    seen, decode = [], construct._decode_pairs
+
+    def recorded(text, lead):
+        seen.append(text)
+        return decode(text, lead)
+
+    monkeypatch.setattr(construct, "_decode_pairs", recorded)
+    return seen
+
+
+def _slice_bytes(monkeypatch, nbytes: int) -> None:
+    """Slices of nbytes of element text, each stretched to the next ]."""
+    monkeypatch.setattr(ff, "CHUNK_BYTES", nbytes * construct.TEXT_BYTES)
+
+
+def _decoded(data: bytes):
+    """The bytes decoder's pairs for the set file data, None where the
+    split or the decoder declines."""
+    split = _split_elements(data)
+    return None if split is None else _pairs_from_json_text(data, *split[1])
+
+
+def test_every_grid_set_is_read_in_slices(grid, monkeypatch, slices):
+    """Every grid set file, as written and as one line, in slices of a
+    quarter of its element text: three slices or more, which join to the
+    element list, and the pairs json reads."""
+    for tower, pds, _, _ in grid.instances():
+        text = pds.to_json(tower)
+        for data in (text.encode(), json.dumps(json.loads(text)).encode()):
+            start, end = _split_elements(data)[1]
+            _slice_bytes(monkeypatch, (end - start) // 4)
+            slices.clear()
+            got = _decoded(data)
+            elements = json.loads(data)["elements"]
+            assert len(slices) >= 3, (tower.params, pds.provenance, len(slices))
+            assert json.loads(b"[" + b"".join(slices) + b"]") == elements
+            assert np.array_equal(got, _dlog_pair_array(elements)), (tower.params, pds.provenance)
+
+
+def _element_text(pairs: list, at: int, planted: str, sep: str = ",") -> str:
+    """The text of the pairs as a JSON list, with planted put in as one
+    more item before pairs[at]."""
+    return "[" + sep.join(pairs[:at] + [planted] + pairs[at:]) + "]"
+
+
+# each declined element text of the form [item, ...] and its items
+PLANTED = [value[1:-1] for value, decoded in ELEMENT_TEXTS if not decoded and value[:1] + value[-1:] == "[]"]
+
+
+def _pairs_and_cut(small_file: str, slices: list) -> tuple[list, int]:
+    """The small file's 18 pairs as texts, and the first at > 1 at which
+    the list of them, in slices of 16 bytes, is cut just after pairs[at - 1].
+    Text put in after pairs[:at] leaves the slices before it as they are."""
+    pairs = ["[%d,%d]" % tuple(pair) for pair in json.loads(small_file)["elements"]]
+    slices.clear()
+    assert _decoded(_with_elements(small_file, "[%s]" % ",".join(pairs))) is not None
+    cuts = set(itertools.accumulate(map(len, slices)))  # offsets after the list's [
+    return pairs, next(at for at in range(2, len(pairs)) if len(",".join(pairs[:at])) in cuts)
+
+
+@pytest.mark.parametrize("planted", PLANTED, ids=repr)
+def test_a_defect_in_any_slice_declines(small_file, monkeypatch, slices, planted):
+    """Each declined element text, put among the 18 pairs of the small
+    file as its first pair, just after a slice cut and as its last pair:
+    the decoder declines and both routes agree."""
+    _slice_bytes(monkeypatch, 16)
+    pairs, at = _pairs_and_cut(small_file, slices)
+    for where in (0, at, len(pairs)):
+        slices.clear()
+        data = _with_elements(small_file, _element_text(pairs, where, planted))
+        assert _decoded(data) is None, where
+        if where == at and _split_elements(data) is not None:  # a quote ends the split's value
+            assert slices[-1].startswith(("," + planted).encode())
+        assert_same(data)
+
+
+@pytest.mark.parametrize("sep", [",", "\n ,\n", " ,", ", ", "\t,\r\n"], ids=repr)
+def test_whitespace_around_a_cut_is_read(small_file, monkeypatch, slices, sep):
+    """Pairs joined by JSON whitespace and a comma: every cut falls just
+    after a pair, before the separator, and the pairs are read."""
+    _slice_bytes(monkeypatch, 16)
+    elements = json.loads(small_file)["elements"]
+    data = _with_elements(small_file, "[%s]" % sep.join("[%d,%d]" % tuple(pair) for pair in elements))
+    got = _decoded(data)
+    assert len(slices) >= 3 and all(text.endswith(b"]") for text in slices)
+    assert all(text.lstrip(b" \t\n\r").startswith(b",") for text in slices[1:])
+    assert got is not None and got.tolist() == elements
+    assert_same(data)
+
+
+def test_a_missing_comma_at_a_cut_declines(small_file, monkeypatch, slices):
+    """Two pairs with nothing or only whitespace between them, just at a
+    cut: the slice after the cut lacks its comma, and json refuses."""
+    _slice_bytes(monkeypatch, 16)
+    pairs, at = _pairs_and_cut(small_file, slices)
+    for gap in ("", " \n "):
+        value = "[%s%s%s]" % (",".join(pairs[:at]), gap, ",".join(pairs[at:]))
+        data = _with_elements(small_file, value)
+        slices.clear()
+        assert _decoded(data) is None and slices[-1].startswith((gap + pairs[at]).encode()), gap
+        assert issubclass(assert_same(data)[0], ValueError)
+
+
+def _traced_peak(read) -> int:
+    """The tracemalloc peak of read(), after one untraced call."""
+    read()
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_holds_one_slice_of_text(monkeypatch):
+    """The 2,1,2,3,1 dual set file (k = 10,965, v = 2^14, 357 kB) in
+    slices of 2 kB: the reader peaks within 48 bytes an element (the
+    (k, 2) pairs and the index arithmetic on them), v (the indicator),
+    CHUNK_BYTES (one slice's work) and 64 KiB (header and tower).  Read in
+    one slice, as before slicing, it holds copies of the whole text and
+    passes that bound."""
+    tower = Tower(TowerParams(2, 1, 2, 3, 1))
+    data = tower.build_D_dual().to_json(tower).encode()
+    monkeypatch.setattr(ff, "CHUNK_BYTES", 1 << 16)
+    _, pds = read_set_file(data)
+    k, v = pds.k, tower.params.v
+    bound = 48 * k + v + ff.CHUNK_BYTES + (64 << 10)
+    assert len(data) > 3 * ff.CHUNK_BYTES // construct.TEXT_BYTES  # three slices or more
+    assert _traced_peak(lambda: read_set_file(data)) <= bound
+    _slice_bytes(monkeypatch, len(data))
+    assert _traced_peak(lambda: read_set_file(data)) > bound
