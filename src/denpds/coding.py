@@ -15,17 +15,18 @@ all end in the same two histogram tails, ``_profile`` and ``_enumerator``:
 
 * literal: ``_literal_sizes`` sweeps all q^dim messages, and ``np.unique``
   counts the sizes (``hyperplane_profile``, ``weight_enumerator``);
-* transform and orbits: ``_intersection_sizes`` reads s off a character
-  spectrum, since a scale-closed set D of n(q - 1) elements has
+* transform and orbits: ``_intersection_sizes`` reads s off a
+  ``verify.Spectrum``, since a scale-closed set D of n(q - 1) elements has
   s(u) = (n + chi_u(D)) / q, each value with the number of characters
-  attaining it (``spectral_hyperplane_profile``,
-  ``spectral_weight_enumerator``).  ``verify.character_spectrum`` gives all
-  q^dim sums; ``verify.orbit_spectrum``, for a set the multiplier group
-  fixes, gives e + 2 sums with the orbit sizes.
+  attaining it, summed over the spectrum's classes
+  (``spectral_hyperplane_profile``, ``spectral_weight_enumerator``).  Its
+  classes are the q^dim characters on the transform route
+  (``verify.character_spectrum``) and the e + 2 orbits of the multiplier
+  group on the orbit route (``verify.orbit_spectrum``).
 
-The CLI reads the orbit spectrum of a set the multiplier group fixes and
-the transform's otherwise (``verify.spectrum_of``); the tests compare every
-route with the literal one.
+The CLI reads the orbit route for a set the multiplier group fixes and
+the transform route otherwise (``verify.spectrum_of``); the tests compare
+every route with the literal one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import ff, params as pm
 from .construct import PdsSet, Tower
-from .errors import CapExceededError, InternalError, NotScaleClosedError
+from .errors import CapExceededError, DenpdsError, InternalError, NotScaleClosedError
 from .ff import FiniteField, embed, sweep
 from .verify import CheckItem, Spectrum
 
@@ -99,7 +100,7 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     a, b = ctx.tower.indexer.split(pds.elements)
     keys = ctx.keys1[a] * ctx.shift + ctx.keys2[b]
     if not keys.all():
-        raise InternalError("cannot normalize a zero vector")
+        raise DenpdsError("the set holds the identity (-1, -1), which is no projective point")
     places = ctx.q ** np.arange(ctx.dim, dtype=np.int64)
     # the leading digit is 1 when the key is below twice its top place value
     top = places[np.searchsorted(places, keys, side="right") - 1]

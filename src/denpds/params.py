@@ -67,9 +67,6 @@ class SrgParams:
             raise DeltaNotSquareError("delta %d is not a perfect square" % self.delta)
         return self
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
-
     def as_dict(self) -> dict:
         return {"v": self.v, "k": self.k, "lambda": self.lam, "mu": self.mu}
 

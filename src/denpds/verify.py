@@ -4,30 +4,30 @@ Nothing here trusts the construction: expected parameters are recomputed
 from the closed forms, membership is re-tested, and every count is an
 exact integer.  No floating point is used anywhere.
 
-Character sums have two routes, and every spectral check, the Delsarte
-dual and ``denpds.coding`` read either through the same few methods
+Character sums have two routes, and both give one ``Spectrum``: one sum
+per class of characters, with the class sizes, read by every spectral
+check, the Delsarte dual and ``denpds.coding`` through the same methods
 (``principal``, ``all_rational``, ``nonprincipal_values``,
 ``nonprincipal_sum``; by group element, ``by_element`` and ``support``):
 
 * ``character_spectrum``, the transform route: all v sums by the
-  dimension-wise transform of ``denpds.transform``.  For p = 2 every sum is
-  an integer, computed as one; for odd p the transform keeps, for every
-  character, the counts of each p-th root of unity, and a sum is a rational
-  integer exactly when all nonzero root powers occur equally often.
+  dimension-wise transform of ``denpds.transform``, one class per
+  character.  For p = 2 every sum is an integer, computed as one; for odd
+  p the transform keeps, for every character, the counts of each p-th root
+  of unity, and a sum is a rational integer exactly when all nonzero root
+  powers occur equally often.
 * ``orbit_spectrum``, the orbit route: for a set that the multiplier group
   H (``Tower.multiplier_generators``) fixes, the spectrum is constant on
-  the e + 2 H-orbits, so one literal sum per orbit, in O(k), gives all of
-  it, each with its orbit size as multiplicity.
+  the e + 2 H-orbits, the classes, so one literal sum per orbit, in O(k),
+  gives all of it.  The CLI reads it for a set H fixes and the
+  transform's for a set H moves (``spectrum_of``).
 
-The CLI reads the orbit spectrum of a set H fixes and the transform's of a
-set H moves (``spectrum_of``).
-
-The difference profile has two routes: ``transform_profile`` derives it
-from the character spectrum, and ``difference_profile`` counts it
-literally, with the kernel of the common-neighbour count:
-c(g) = #{d in D : d - g in D} for every g.  ``srg_common_neighbors`` is
-the literal sweep of all v - 1 common-neighbour targets, for v up to its
-cap.
+A difference profile is an int64 array of v counts, with two routes:
+``transform_profile`` derives it from the transform's spectrum, and
+``difference_profile`` counts it literally, with the kernel of the
+common-neighbour count: c(g) = #{d in D : d - g in D} for every g.
+``srg_common_neighbors`` is the literal sweep of all v - 1
+common-neighbour targets, for v up to its cap.
 
 ``verify_pds`` takes one route per set.  The multiplier group H fixes
 every set of both families, and ``check_multiplier_invariance`` tests
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -75,19 +76,6 @@ class Caps:
         return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
 
 
-@dataclass
-class DifferenceProfile:
-    """c(g) = number of ordered pairs of distinct set elements with
-    difference g, for every group index g."""
-
-    counts: np.ndarray
-    k: int
-    v: int
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def _common_counts(pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer) -> np.ndarray:
     """c(g) = #{d in D : d - g in D} for every g in targets, counted
     literally from the membership indicator of D, one chunk of targets at a
@@ -107,17 +95,18 @@ def difference_profile(
     pds: PdsSet,
     indexer: GroupIndexer,
     cap: int = DEFAULT_PROFILE_CAP,
-) -> DifferenceProfile:
-    """c(g) for every group index g, counted literally."""
+) -> np.ndarray:
+    """The difference profile, counted literally: c(g), the number of
+    ordered pairs of distinct set elements with difference g, for every
+    group index g, as int64."""
     v = indexer.v
     if v > cap:
         raise CapExceededError("profile oracle: v=%d above cap %d" % (v, cap))
-    k = pds.k
     counts = _common_counts(pds, np.arange(v, dtype=np.int64), indexer)
-    if counts[0] != k:
+    if counts[0] != pds.k:
         raise InternalError("self-differences must account for index 0 exactly")
     counts[0] = 0
-    return DifferenceProfile(counts, k, v)
+    return counts
 
 
 def _require_spectrum_cap(v: int, cap: int) -> None:
@@ -125,67 +114,83 @@ def _require_spectrum_cap(v: int, cap: int) -> None:
         raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
 
 
-class _SpectrumReadout:
-    """What the spectral checks read of a spectrum, on either route:
-    ``principal``, ``all_rational()``, ``nonprincipal_values()`` and
-    ``nonprincipal_sum()``."""
+@dataclass
+class Spectrum:
+    """Exact character sums, one per class of characters, on either route.
+
+    Class i holds ``sizes[i]`` characters, each of which sums to
+    ``values[i]``, a rational integer when ``rational[i]``; class ``zero``
+    is the principal character alone, whose sum is k = |D|.  ``table()``
+    is the class of the character that each group index labels (the trace
+    pairing), a table built on first use.  On the transform route
+    (``character_spectrum``) each of the v labels is a class, ``sizes`` is
+    a broadcast 1, ``table()`` is ``GroupIndexer.char_index_table`` and
+    ``counts`` is the transform's raw form (``denpds.transform``).  On the
+    orbit route (``orbit_spectrum``) the classes are the e + 2 H-orbits,
+    then the principal class, and ``table()`` is ``Tower.orbit_table``.
+    """
+
+    values: np.ndarray
+    rational: np.ndarray
+    sizes: np.ndarray
+    k: int
+    zero: int
+    route: str  # "transform" or "orbit"
+    table: Callable[[], np.ndarray] = field(repr=False)
+    counts: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def v(self) -> int:
+        return int(self.sizes.sum())
+
+    @property
+    def principal(self) -> int:
+        return int(self.values[self.zero])
+
+    def _nonprincipal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values and sizes of the rational nonprincipal classes."""
+        keep = self.rational.copy()
+        keep[self.zero] = False
+        return self.values[keep], self.sizes[keep]
+
+    def nonprincipal_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rational nonprincipal sums, and how many characters
+        attain each."""
+        values, sizes = self._nonprincipal()
+        uniq, counts = np.unique(values, return_counts=True)
+        # that counts each class once; a class of s characters adds s - 1
+        more = sizes != 1
+        np.add.at(counts, np.searchsorted(uniq, values[more]), sizes[more] - 1)
+        return uniq, counts
 
     def nonprincipal_value_counts(self) -> dict[int, int]:
         """Rational nonprincipal sum -> number of characters attaining it."""
         return {int(a): int(b) for a, b in zip(*self.nonprincipal_values())}
 
-
-@dataclass
-class CharacterSpectrum(_SpectrumReadout):
-    """Exact character sums for all v characters, in the form of
-    ``denpds.transform``.
-
-    ``counts`` has the narrowest width that holds k, ``values`` is int64.
-    For p = 2 ``counts`` is the vector of sums itself.  For odd p
-    ``counts[j, g]`` is the number of set elements x with <g, x> = j; the
-    sum is a rational integer exactly when counts over j = 1..p-1 agree,
-    and then equals counts[0, g] - counts[1, g].
-    """
-
-    counts: np.ndarray
-    values: np.ndarray
-    rational: np.ndarray
-    k: int
-    indexer: GroupIndexer = field(repr=False)
-
-    @property
-    def v(self) -> int:
-        return self.counts.shape[-1]
-
-    @property
-    def principal(self) -> int:
-        return int(self.values[0])
-
-    def nonprincipal_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rational nonprincipal sums, and how many characters
-        attain each."""
-        return np.unique(self.values[1:][self.rational[1:]], return_counts=True)
-
     def nonprincipal_sum(self) -> int:
-        return int(self.values[1:][self.rational[1:]].sum())
+        values, sizes = self._nonprincipal()
+        return int(values @ sizes)
 
     def all_rational(self) -> bool:
         return bool(self.rational.all())
 
     def by_element(self) -> np.ndarray:
         """The sum at the label of every group index, k at index 0."""
-        return self.values[self.indexer.char_index_table]
+        return self.values[self.table()]
 
     def support(self, value: int) -> np.ndarray:
-        """The nonzero group indices whose (rational) sum is value."""
-        return np.flatnonzero(self.by_element()[1:] == value) + 1
+        """The nonzero group indices whose character attains value."""
+        mask = self.values == value
+        mask[self.zero] = False
+        return np.flatnonzero(mask[self.table()])
 
 
 def character_spectrum(
     pds: PdsSet,
     indexer: GroupIndexer,
     cap: int = DEFAULT_SPECTRUM_CAP,
-) -> CharacterSpectrum:
+) -> Spectrum:
+    """All v character sums by the transform, one class per label."""
     v, p = indexer.v, indexer.p
     _require_spectrum_cap(v, cap)
     idx = pds.elements
@@ -195,52 +200,8 @@ def character_spectrum(
     # |D| leaves no count for the nonzero powers
     if values[0] != len(idx) or not rational[0]:
         raise InternalError("principal character must sum to |D|")
-    return CharacterSpectrum(counts, values, rational, len(idx), indexer)
-
-
-@dataclass
-class OrbitSpectrum(_SpectrumReadout):
-    """The character sums of a set that the multiplier group H fixes, one
-    per H-orbit of ``Tower.orbit_representatives``: every character whose
-    label is ``char_index_table[g]`` for g in the i-th orbit attains
-    ``values[i]``, and there are ``tower.orbit_sizes[i]`` of them.  Every
-    sum is rational, and the principal one is k."""
-
-    tower: Tower = field(repr=False)
-    values: np.ndarray
-    k: int
-
-    @property
-    def v(self) -> int:
-        return self.tower.params.v
-
-    @property
-    def principal(self) -> int:
-        return self.k
-
-    def nonprincipal_values(self) -> tuple[np.ndarray, np.ndarray]:
-        uniq, inverse = np.unique(self.values, return_inverse=True)
-        counts = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(counts, inverse, self.tower.orbit_sizes)
-        return uniq, counts
-
-    def nonprincipal_sum(self) -> int:
-        return int(self.values @ self.tower.orbit_sizes)
-
-    def all_rational(self) -> bool:
-        return True
-
-    def by_element(self) -> np.ndarray:
-        """The sum at the label of every group index, k at index 0."""
-        return self.tower.by_orbit(self.values, self.k)
-
-    def support(self, value: int) -> np.ndarray:
-        """The nonzero group indices whose character attains value: the
-        union of the orbits at value."""
-        return self.tower.orbit_union(self.values == value)
-
-
-Spectrum = CharacterSpectrum | OrbitSpectrum
+    sizes, table = np.broadcast_to(1, v), lambda: indexer.char_index_table
+    return Spectrum(values, rational, sizes, len(idx), 0, "transform", table, counts)
 
 
 def _orbit_sums(idx: np.ndarray, labels: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -271,9 +232,10 @@ def _orbit_sums(idx: np.ndarray, labels: np.ndarray, p: int, n: int) -> np.ndarr
     return counts[:, 0] - counts[:, 1]
 
 
-def orbit_spectrum(pds: PdsSet, tower: Tower) -> OrbitSpectrum:
+def orbit_spectrum(pds: PdsSet, tower: Tower) -> Spectrum:
     """chi_l(D) at the label l = ``char_index_table[rep]`` of each H-orbit
-    representative, literally in O(k) each (``_orbit_sums``).
+    representative, literally in O(k) each (``_orbit_sums``), and k for the
+    principal class.
 
     Sound only for a set that H fixes (``check_multiplier_invariance``):
     each h in H is an additive automorphism of G, self-adjoint under the
@@ -282,7 +244,9 @@ def orbit_spectrum(pds: PdsSet, tower: Tower) -> OrbitSpectrum:
     sum of such a set is rational; an irrational one is an InternalError."""
     ix = tower.indexer
     labels = ix.char_index(tower.orbit_representatives)
-    return OrbitSpectrum(tower, _orbit_sums(pds.elements, labels, ix.p, ix.n), pds.k)
+    values = np.append(_orbit_sums(pds.elements, labels, ix.p, ix.n), pds.k)
+    rational, sizes = np.ones(len(values), dtype=bool), np.append(tower.orbit_sizes, 1)
+    return Spectrum(values, rational, sizes, pds.k, len(values) - 1, "orbit", lambda: tower.orbit_table)
 
 
 def spectrum_of(pds: PdsSet, tower: Tower, cap: int = DEFAULT_SPECTRUM_CAP) -> Spectrum:
@@ -295,15 +259,15 @@ def spectrum_of(pds: PdsSet, tower: Tower, cap: int = DEFAULT_SPECTRUM_CAP) -> S
     return character_spectrum(pds, tower.indexer, cap)
 
 
-def transform_profile(spectrum: CharacterSpectrum) -> DifferenceProfile:
-    """The difference profile of the set whose spectrum is given, by the
-    convolution theorem: c(h) = inverse(chi * conj(chi))(h) / v, less the
-    k self-differences at h = 0.  Equal to ``difference_profile``."""
+def transform_profile(spectrum: Spectrum) -> np.ndarray:
+    """The difference profile of the set whose transform-route spectrum is
+    given, by the convolution theorem: c(h) = inverse(chi * conj(chi))(h) / v,
+    less the k self-differences at h = 0.  Equal to ``difference_profile``."""
     counts = tf.difference_counts(spectrum.counts, spectrum.k)
     if counts[0] != spectrum.k:
         raise InternalError("self-differences must account for index 0 exactly")
     counts[0] = 0
-    return DifferenceProfile(counts, spectrum.k, spectrum.v)
+    return counts
 
 
 @dataclass
@@ -353,10 +317,11 @@ def expected_params(pds: PdsSet) -> pm.SrgParams:
 def check_pds(
     pds: PdsSet,
     indexer: GroupIndexer,
-    profile: DifferenceProfile,
+    profile: np.ndarray,
     expected: pm.SrgParams | None = None,
 ) -> CheckItem:
-    """Exact difference-count test against the expected parameters."""
+    """Exact difference-count test of a difference profile against the
+    expected parameters."""
     exp = expected_params(pds) if expected is None else expected
     details: dict = {"expected": exp.as_dict()}
     witnesses: list = []
@@ -369,15 +334,16 @@ def check_pds(
         ok = False
         details["size"] = len(idx)
     member = pds.member
-    c = profile.counts
+    c = profile
     bad_in = np.flatnonzero(member & (c != exp.lam))
     off = ~member
     off[0] = False
     bad_out = np.flatnonzero(off & (c != exp.mu))
     sym_bad = np.flatnonzero(c != c[indexer.neg(np.arange(indexer.v))])
-    if profile.total() != exp.k * (exp.k - 1):
+    total = int(c.sum())
+    if total != exp.k * (exp.k - 1):
         ok = False
-        details["total"] = profile.total()
+        details["total"] = total
     for g in bad_in[:5]:
         witnesses.append({"element": indexer.dlog_pairs(g).tolist(), "count": int(c[g]), "want": exp.lam})
     for g in bad_out[:5]:
@@ -438,9 +404,9 @@ def check_case_split(
     the norm ratio falls in R-perp; dually for the dual set, with the
     positive value on (a != 0, b = 0) or ratio in R.  The principal
     character is predicted to attain k.  The prediction is one value per
-    H-orbit; an ``OrbitSpectrum`` is compared orbit by orbit, and either
+    H-orbit; an orbit-route spectrum is compared class by class, and a
     spectrum is compared at every character's label (``by_element`` against
-    ``Tower.by_orbit``) when that fails or when it is the transform's.
+    ``Tower.by_orbit``) when that fails or on the transform route.
     """
     if pds.provenance not in ("primal", "dual", "delsarte-dual"):
         return _skip("case-split", "only defined for primal/dual provenance")
@@ -458,9 +424,8 @@ def check_case_split(
     sizes = tower.orbit_sizes
     named = (("special", special_value), ("other", other_value))
     counts = {name: int(sizes[per_orbit == v].sum()) + int(exp.k == v) for name, v in named}
-    if isinstance(spectrum, OrbitSpectrum):
-        if spectrum.principal == exp.k and (spectrum.values == per_orbit).all():
-            return CheckItem("case-split", True, details=counts)
+    if spectrum.route == "orbit" and np.array_equal(spectrum.values, np.append(per_orbit, exp.k)):
+        return CheckItem("case-split", True, details=counts)
     values, predicted = spectrum.by_element(), tower.by_orbit(per_orbit, exp.k)
     ok = spectrum.all_rational() and bool((values == predicted).all())
     witnesses = []
@@ -577,9 +542,8 @@ def delsarte_dual(
 ) -> PdsSet:
     """Collect the characters attaining the positive value and pull them
     back to group elements through the trace pairing (the spectrum's
-    ``support``).  Without a spectrum the transform's is computed; an
-    ``OrbitSpectrum`` gives the dual as the union of the orbits at the
-    positive value."""
+    ``support``).  Without a spectrum the transform's is computed; on the
+    orbit route the dual is the union of the orbits at the positive value."""
     exp = expected_params(pds)
     if not pm.is_perfect_square(exp.delta):
         raise DeltaNotSquareError("delta is not a perfect square")
@@ -721,7 +685,7 @@ def verify_pds(
     if invariance.passed:
         if v <= caps.profile:
             counts = _common_counts(pds, reps, indexer)
-            profile = DifferenceProfile(tower.by_orbit(counts, 0), pds.k, v)
+            profile = tower.by_orbit(counts, 0)
         if v <= caps.spectrum:
             spectrum = orbit_spectrum(pds, tower)
     elif v <= max(caps.profile, caps.spectrum):

@@ -92,12 +92,12 @@ def test_criterion_05_spot_values(grid):
     """The (2,1,2,1,1) instance: parameters, spectrum, dual, classification."""
     tower = grid.tower(2, 1, 2, 1, 1)
     pds, R = grid.pds(2, 1, 2, 1, 1, "primal")
-    assert pds.claimed.as_tuple() == (64, 18, 2, 6)
+    assert pds.claimed == P.SrgParams(64, 18, 2, 6)
     assert pds.k == 18
     spec = grid.spectrum(pds, tower)
     assert set(spec.nonprincipal_value_counts()) == {2, -6}
     dual, _ = grid.pds(2, 1, 2, 1, 1, "dual")
-    assert dual.claimed.as_tuple() == (64, 45, 32, 30)
+    assert dual.claimed == P.SrgParams(64, 45, 32, 30)
     cls = P.classify_type(pds.claimed)
     assert (cls.kind, cls.n, cls.r) == ("negative-latin", 8, 2)
 

@@ -405,6 +405,53 @@ def test_export_graph_refuses_a_set_holding_zero(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["code", "geometry"])
+def test_code_and_geometry_refuse_a_set_holding_zero(tmp_path, command):
+    """The identity is no projective point: the refusal names it as a fault
+    of the input, with exit 1 and no output file."""
+    path, out = tmp_path / "set.json", tmp_path / "out.json"
+    assert run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["elements"] = [[-1, -1]]
+    path.write_text(json.dumps(doc))
+    res = run(command, "--set", str(path), "-o", str(out))
+    want = "error: the set holds the identity (-1, -1), which is no projective point\n"
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", want)
+    assert not out.exists()
+
+
+def test_verify_and_dual_build_only_the_tables_they_read(grid, tmp_path, monkeypatch, capsys):
+    """verify and dual on the primal set files of the two large towers
+    (v = 2^18 and 7^6) read their e + 2 orbit sums: verify builds neither
+    ``Tower.orbit_table`` nor ``GroupIndexer.char_index_table``, and dual
+    builds the orbit table once, for the support of the positive value."""
+    from denpds.construct import GroupIndexer
+
+    paths = []
+    for tp in [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)]:
+        paths.append(tmp_path / ("%d.json" % tp[0]))
+        paths[-1].write_text(grid.pds(*tp)[0].to_json(grid.tower(*tp)))
+    builds = {}
+
+    def counting(name, build):
+        def counted(owner):
+            builds[name] += 1
+            return build(owner)
+
+        return counted
+
+    for cls, name in ((Tower, "orbit_table"), (GroupIndexer, "char_index_table")):
+        table = vars(cls)[name]
+        monkeypatch.setattr(table, "func", counting(name, table.func))
+    for path in paths:
+        out = str(tmp_path / "dual.json")
+        for argv, want in ((["verify", "--set", str(path)], (0, 0)), (["dual", "--set", str(path), "-o", out], (1, 0))):
+            builds.update(orbit_table=0, char_index_table=0)
+            assert cli.main(argv) == 0, argv
+            assert (builds["orbit_table"], builds["char_index_table"]) == want, argv
+    capsys.readouterr()
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1"]
     a, b = run(*args), run(*args)

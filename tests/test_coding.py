@@ -12,7 +12,7 @@ from denpds import ff, jsonout
 from denpds import params as P
 from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
-from denpds.errors import CapExceededError, InternalError, NotScaleClosedError
+from denpds.errors import CapExceededError, DenpdsError, InternalError, NotScaleClosedError
 
 from conftest import digit_table, poly_mul
 
@@ -112,11 +112,13 @@ def test_projective_points_by_integer_key_on_grid(grid):
 
 def test_identity_in_the_set_is_refused(setup729):
     """The identity is scale-closed but no projective point: the collapse
-    refuses it rather than dropping it."""
+    refuses it rather than dropping it, as a fault of the input, not of the
+    implementation."""
     _, ctx, D = setup729
     with_zero = PdsSet(D.params, D.provenance, np.append(D.elements, 0), D.claimed, D.subspace_rows)
-    with pytest.raises(InternalError, match="zero vector"):
+    with pytest.raises(DenpdsError, match=r"holds the identity \(-1, -1\)") as refused:
         C.to_projective_set(with_zero, ctx)
+    assert not isinstance(refused.value, InternalError)
 
 
 def test_build_code_requires_sorted_distinct_points(setup64):

@@ -273,7 +273,7 @@ def test_tower_owns_one_indexer_and_the_encoding(grid):
 
 def test_build_sizes_and_invariants(t64, t729):
     D = t64.build_D()
-    assert D.k == 18 and D.claimed.as_tuple() == (64, 18, 2, 6)
+    assert D.k == 18 and D.claimed == P.SrgParams(64, 18, 2, 6)
     assert (-1, -1) not in pair_set(t64, D)
     D3 = t729.build_D()
     assert D3.k == 168
@@ -334,7 +334,7 @@ def test_rank_mismatch_rejected(t64):
 
 def test_dual_set_and_boundaries(t64):
     Dd = t64.build_D_dual()
-    assert Dd.k == 45 and Dd.claimed.as_tuple() == (64, 45, 32, 30)
+    assert Dd.k == 45 and Dd.claimed == P.SrgParams(64, 45, 32, 30)
     assert not any(b == -1 for _, b in pair_set(t64, Dd))
     # r = m: the dual is everything with nonzero second coordinate
     tm = Tower(TowerParams(2, 1, 2, 1, 2))
@@ -352,7 +352,7 @@ def test_complement_involution(t64):
     C = t64.complement(D)
     assert C.k == 64 - 18 - 1
     assert np.array_equal(t64.complement(C).elements, D.elements)
-    assert C.claimed.as_tuple() == (64, 45, 32, 30)
+    assert C.claimed == P.SrgParams(64, 45, 32, 30)
 
 
 def test_pds_json_roundtrip(t64):

@@ -17,14 +17,14 @@ SWEEP = [
 
 
 def test_primal_spot_values():
-    assert P.denniston_params(2, 2, 1, 1).as_tuple() == (64, 18, 2, 6)
-    assert P.denniston_params(3, 2, 1, 1).as_tuple() == (729, 168, 27, 42)
+    assert P.denniston_params(2, 2, 1, 1) == P.SrgParams(64, 18, 2, 6)
+    assert P.denniston_params(3, 2, 1, 1) == P.SrgParams(729, 168, 27, 42)
     assert P.denniston_params(2, 2, 1, 1).eigenvalues == (2, -6)
     assert P.denniston_params(3, 2, 1, 1).eigenvalues == (6, -21)
 
 
 def test_dual_spot_values():
-    assert P.dual_denniston_params(2, 2, 1, 1).as_tuple() == (64, 45, 32, 30)
+    assert P.dual_denniston_params(2, 2, 1, 1) == P.SrgParams(64, 45, 32, 30)
     # r = m reduces to the complement of the r = 0 degenerate family
     for q, m, ell in [(2, 2, 1), (3, 2, 1), (2, 3, 1)]:
         dual = P.dual_denniston_params(q, m, ell, m)
@@ -34,13 +34,13 @@ def test_dual_spot_values():
 
 def test_complement_spot_values_and_involution():
     sp = P.denniston_params(2, 2, 1, 1)
-    assert P.complement_params(sp).as_tuple() == (64, 45, 32, 30)
+    assert P.complement_params(sp) == P.SrgParams(64, 45, 32, 30)
     sp3 = P.denniston_params(3, 2, 1, 1)
     comp3 = P.complement_params(sp3)
     # cross-check by eigenvalues: complement spectrum is {-1-tau, -1-theta}
     theta, tau = sp3.eigenvalues
     assert set(comp3.eigenvalues) == {-1 - tau, -1 - theta}
-    assert comp3.as_tuple() == (729, 560, 433, 420)
+    assert comp3 == P.SrgParams(729, 560, 433, 420)
     for q, m, ell in SWEEP:
         for r in range(m + 1):
             sp = P.denniston_params(q, m, ell, r)
@@ -49,7 +49,7 @@ def test_complement_spot_values_and_involution():
 
 def test_delsarte_dual_spot_values():
     sp = P.denniston_params(2, 2, 1, 1)
-    assert P.delsarte_dual_params(sp).as_tuple() == (64, 45, 32, 30)
+    assert P.delsarte_dual_params(sp) == P.SrgParams(64, 45, 32, 30)
     with pytest.raises(DeltaNotSquareError):
         P.delsarte_dual_params(P.SrgParams(5, 2, 0, 1))  # pentagon: delta = 5
 
@@ -96,7 +96,7 @@ def test_code_cross_identities_on_sweep():
 
 def test_dictionary_formula_on_spot_instance():
     got = P.lemma_dictionary_params(2, 6, 18, 12, 8)
-    assert got.as_tuple() == (64, 18, 2, 6)
+    assert got == P.SrgParams(64, 18, 2, 6)
     # mu = k^2 + k - k q (w1 + w2) + q^2 w1 w2 with the spot numbers
     assert 18 * 18 + 18 - 18 * 2 * 20 + 4 * 96 == 6
     assert 18 * 18 + 3 * 18 - 2 * 20 - 18 * 2 * 20 + 4 * 96 == 2

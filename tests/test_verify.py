@@ -109,13 +109,13 @@ def test_two_element_set_profile():
     claimed = P.SrgParams(729, 2, 0, 0)  # placeholder claim; profile only
     pds = PdsSet(tower.params, "primal", [g, neg], claimed)
     prof = V.difference_profile(pds, ix)
-    assert prof.total() == 2
-    nz = np.flatnonzero(prof.counts)
+    assert prof.sum() == 2
+    nz = np.flatnonzero(prof)
     assert len(nz) == 2
     dd, weights = digit_table(3, 6)
     double = int(((dd[g] * 2) % 3) @ weights)
     assert set(nz) == {double, int(((3 - dd[g] * 2) % 3) @ weights)}
-    assert all(prof.counts[z] == 1 for z in nz)
+    assert all(prof[z] == 1 for z in nz)
 
 
 def test_profile_spot_values(d64, ix64):
@@ -124,13 +124,13 @@ def test_profile_spot_values(d64, ix64):
     idx = D.elements
     member = np.zeros(64, dtype=bool)
     member[idx] = True
-    assert set(prof.counts[member].tolist()) == {2}
+    assert set(prof[member].tolist()) == {2}
     off = ~member
     off[0] = False
-    assert set(prof.counts[off].tolist()) == {6}
-    assert prof.total() == 18 * 17 == 2 * 18 + 6 * 45
+    assert set(prof[off].tolist()) == {6}
+    assert prof.sum() == 18 * 17 == 2 * 18 + 6 * 45
     # symmetry c(g) = c(-g)
-    assert (prof.counts == prof.counts[ix64.neg(np.arange(64))]).all()
+    assert (prof == prof[ix64.neg(np.arange(64))]).all()
 
 
 def test_profile_cap():
@@ -275,7 +275,7 @@ def test_orbit_counts_equal_the_transform_profile(grid):
     for tower, pds in sets:
         assert V.check_multiplier_invariance(pds, tower).passed, (tower.params, pds.provenance)
         counts = V._common_counts(pds, tower.orbit_representatives, tower.indexer)
-        profile = V.transform_profile(V.character_spectrum(pds, tower.indexer)).counts
+        profile = V.transform_profile(V.character_spectrum(pds, tower.indexer))
         assert np.array_equal(tower.by_orbit(counts, 0), profile), (tower.params, pds.provenance)
 
 
@@ -441,7 +441,7 @@ def test_every_orbit_union_is_certified_from_its_orbits(grid):
             profile = V.difference_profile(pds, ix)
         else:
             profile = V.transform_profile(spectrum)
-        assert np.array_equal(tower.by_orbit(counts, 0), profile.counts), where
+        assert np.array_equal(tower.by_orbit(counts, 0), profile), where
         by_label = spectrum.values[ix.char_index_table]
         assert np.array_equal(V.orbit_spectrum(pds, tower).by_element(), by_label), where
         sets += 1
@@ -563,13 +563,13 @@ def test_delsarte_dual_matches_construction(d64, t64, ix64):
     D, R = d64
     dd = V.delsarte_dual(D, ix64)
     assert dd.provenance == "delsarte-dual"
-    assert dd.claimed.as_tuple() == (64, 45, 32, 30)
+    assert dd.claimed == P.SrgParams(64, 45, 32, 30)
     assert np.array_equal(dd.elements, t64.build_D_dual(R).elements)
     # double dual returns the original set, correctly relabelled
     dd2 = V.delsarte_dual(dd, ix64)
     assert dd2.provenance == "primal"
     assert np.array_equal(dd2.elements, D.elements)
-    assert dd2.claimed.as_tuple() == (64, 18, 2, 6)
+    assert dd2.claimed == P.SrgParams(64, 18, 2, 6)
     assert V.expected_params(dd2) == dd2.claimed
 
 
@@ -705,7 +705,8 @@ def test_cayley_graph_against_networkx(r, family):
     tower = Tower(TowerParams(2, 1, 2, 1, r))
     pds = tower.build_D() if family == "primal" else tower.build_D_dual()
     closed_form = P.denniston_params if family == "primal" else P.dual_denniston_params
-    v, k, lam, mu = closed_form(2, 2, 1, r).as_tuple()
+    sp = closed_form(2, 2, 1, r)
+    v, k, lam, mu = sp.v, sp.k, sp.lam, sp.mu
     G = nx.Graph()
     G.add_nodes_from(range(v))
     G.add_edges_from(V.cayley_edges(pds, tower.indexer).tolist())
