@@ -10,13 +10,16 @@ row.  Those are the large parts of set files and of the ``code`` and
 ``geometry`` documents, all 2-D, and ``slices`` renders them straight from
 numpy, in slices of a bounded number of values (``_blocks``): a head, then
 every value's decimal string followed by one of three separators (inside
-a row, at a row's end, at the last row's end).  The CLI writes the
-``--matrix-out`` text and the edge lists of ``export-graph`` through the
-same function.  ``dump(doc, fp)`` writes each slice of an array of several
-slices as soon as it is rendered, so a file never waits on the whole
-document; ``dumps`` is ``dump`` into a ``StringIO``.  No document holds a
-float: the writer refuses one with TypeError, as it refuses every object
-that json.dumps refuses.
+a row, at a row's end, at the last row's end).  An array whose values are
+all single digits 0..9, as every GF(q) symbol matrix with q <= 10 is,
+renders each slice as one byte array from a row template; any other
+array takes a table of (value, separator) tokens or a %d format.  The
+CLI writes the ``--matrix-out`` text and the edge lists of
+``export-graph`` through the same function.  ``dump(doc, fp)`` writes
+each slice of an array of several slices as soon as it is rendered, so a
+file never waits on the whole document; ``dumps`` is ``dump`` into a
+``StringIO``.  No document holds a float: the writer refuses one with
+TypeError, as it refuses every object that json.dumps refuses.
 """
 
 from __future__ import annotations
@@ -168,15 +171,18 @@ def slices(a: np.ndarray, head: str, seps: tuple[str, str, str]) -> list:
     in decimal followed by seps[0] inside a row, seps[1] at a row's end and
     seps[2] at the last row's end, as one callable per slice of ``_blocks``
     that returns the slice's text; so a caller knows the slice count before
-    it renders one.  A value's token comes from one table of (value,
-    separator) strings when that table is no longer than a slice, else
-    from one printf-style format per slice."""
+    it renders one.  When every value is one digit, 0..9, a slice is one
+    byte array (``_digit_text``); otherwise a value's token comes from one
+    table of (value, separator) strings when that table is no longer than
+    a slice, else from one printf-style format per slice."""
     nrows, ncols = a.shape
     blocks = list(_blocks(nrows, ncols))
     r0, r1, c0, c1 = blocks[0]  # the longest slice
-    lo = int(a.min())
-    width = int(a.max()) - lo + 1
-    if width * len(seps) <= (r1 - r0) * (c1 - c0):
+    lo, hi = int(a.min()), int(a.max())
+    width = hi - lo + 1
+    if 0 <= lo and hi <= 9:
+        text = functools.partial(_digit_text, [s.encode() for s in seps])
+    elif width * len(seps) <= (r1 - r0) * (c1 - c0):
         table = np.array([s + sep for s in map(str, range(lo, lo + width)) for sep in seps], dtype=object)
         text = functools.partial(_table_text, table, lo)
     else:
@@ -196,6 +202,27 @@ def _blocks(nrows: int, ncols: int):
     for r0, r1 in chunks(nrows, ncols * VALUE_BYTES):
         for c0, c1 in chunks(ncols, VALUE_BYTES):
             yield r0, r1, c0, c1
+
+
+def _digit_text(seps: list, head: str, block: np.ndarray, mid: int, end: int) -> str:
+    """head and the text of block, whose values are 0..9, with seps[mid]
+    after each row but the last and seps[end] after that, as one uint8
+    array decoded once: head, then every row from one template of digit
+    places and separators, value + 48 written into the places, and
+    seps[end] over the last row's seps[mid]; seps are UTF-8 bytes."""
+    nrows, ncols = block.shape
+    head = head.encode()
+    step = 1 + len(seps[0])
+    row = (b"0" + seps[0]) * (ncols - 1) + b"0" + seps[mid]
+    size = len(head) + nrows * len(row)  # the text with seps[mid] after the last row
+    n = size - len(seps[mid]) + len(seps[end])
+    buf = np.empty(max(size, n), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    rows = buf[len(head) : size].reshape(nrows, len(row))
+    rows[:] = np.frombuffer(row, dtype=np.uint8)
+    np.add(block, 48, out=rows[:, : (ncols - 1) * step + 1 : step], casting="unsafe")
+    buf[size - len(seps[mid]) : n] = np.frombuffer(seps[end], dtype=np.uint8)
+    return str(buf.data[:n], "utf-8")
 
 
 def _table_text(table: np.ndarray, lo: int, head: str, block: np.ndarray, mid: int, end: int) -> str:

@@ -55,6 +55,7 @@ from .construct import DELSARTE_TAG, GroupIndexer, PdsSet, Subspace, Tower, dual
 from .errors import (
     CapExceededError,
     DeltaNotSquareError,
+    DenpdsError,
     InternalError,
     SpectrumNotTwoValuedError,
 )
@@ -571,12 +572,18 @@ def delsarte_dual(
 
 def cayley_edge_chunks(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_CAP):
     """Edges (u, w), u < w, in lexicographic order, as a lazy sequence of (E_i, 2)
-    arrays, one chunk of u at a time; the cap, 0 not in D and D = -D are checked first."""
+    arrays, one chunk of u at a time; the cap, 0 not in D and D = -D are checked
+    first, and a set that fails either is refused as a fault of the input."""
     v, idx = indexer.v, pds.elements
     if v > cap:
         raise CapExceededError("graph export: v=%d above cap %d" % (v, cap))
-    if (pds.k and idx[0] == 0) or not pds.member[indexer.neg(idx)].all():
-        raise InternalError("edge count must be v k / 2")
+    if pds.k and idx[0] == 0:
+        raise DenpdsError("the set holds the identity (-1, -1), which is no edge of a simple graph")
+    neg = indexer.neg(idx)
+    missing = np.flatnonzero(~pds.member[neg])
+    if len(missing):
+        d, minus_d = indexer.dlog_pairs(np.array([idx[missing[0]], neg[missing[0]]])).tolist()
+        raise DenpdsError("the set holds (%d, %d) but not its negative (%d, %d)" % (*d, *minus_d))
 
     def one(rng):
         u = np.arange(*rng, dtype=np.int64)[:, None]

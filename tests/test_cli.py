@@ -392,16 +392,71 @@ def test_edge_lists_and_matrix_text_in_many_slices(tmp_path, monkeypatch, tp, fa
     assert v > 2 * (ff.CHUNK_BYTES // (8 * pds.k))  # three chunks of edges or more
 
 
+@pytest.mark.parametrize("tp", [(2, 1, 2, 1, 1), (3, 1, 2, 1, 1)])
+def test_symbol_matrices_take_the_byte_route(tmp_path, monkeypatch, tp):
+    """The route of each slice the CLI renders: the GF(q) symbols of
+    ``geometry``'s points, ``code``'s generator_rows and its --matrix-out
+    are single digits and take the byte route; the set files of
+    ``construct`` and ``dual`` hold -1 and take the token table or the
+    format."""
+    routes = []
+    for name in ("_digit_text", "_table_text", "_format_text"):
+        def counted(*args, _text=getattr(jsonout, name), _name=name):
+            routes.append(_name)
+            return _text(*args)
+        monkeypatch.setattr(jsonout, name, counted)
+
+    def taken(*argv):
+        routes.clear()
+        assert cli.main(list(argv)) == 0, argv
+        return sorted(routes)
+
+    build = ["-p", str(tp[0]), "-s", str(tp[1]), "-m", str(tp[2]), "-l", str(tp[3]), "-r", str(tp[4])]
+    primal, dual, delsarte = (tmp_path / (name + ".json") for name in ("primal", "dual", "delsarte"))
+    set_routes = (
+        taken("construct", *build, "-o", str(primal)),
+        taken("construct", *build, "--family", "dual", "-o", str(dual)),
+        taken("dual", "--set", str(primal), "-o", str(delsarte)),
+    )
+    for route, path in zip(set_routes, (primal, dual, delsarte)):
+        assert route and set(route) <= {"_table_text", "_format_text"}, route
+        assert -1 in np.array(json.loads(path.read_text())["elements"])
+    for path in (primal, dual):
+        assert taken("geometry", "--set", str(path), "-o", str(tmp_path / "geometry.json")) == ["_digit_text"]
+        assert taken("code", "--set", str(path), "-o", str(tmp_path / "code.json"),
+                     "--matrix-out", str(tmp_path / "matrix.txt")) == ["_digit_text"] * 2
+
+
 def test_export_graph_refuses_a_set_holding_zero(tmp_path):
-    """The refusal comes before any output: exit 1, one error line and no
-    output file."""
+    """The identity is no edge of a simple graph: the refusal names it as a
+    fault of the input and comes before any output, with exit 1, one error
+    line and no output file."""
     path, out = tmp_path / "set.json", tmp_path / "graph.txt"
     assert run("construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", str(path)).returncode == 0
     doc = json.loads(path.read_text())
     doc["elements"].insert(0, [-1, -1])
     path.write_text(json.dumps(doc))
     res = run("export-graph", "--set", str(path), "-o", str(out))
-    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: edge count must be v k / 2\n")
+    want = "error: the set holds the identity (-1, -1), which is no edge of a simple graph\n"
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", want)
+    assert not out.exists()
+
+
+def test_export_graph_refuses_a_set_not_closed_under_negation(tmp_path):
+    """The 3,1,2,1,1 set file without one element of a +- pair: the refusal
+    names, as dlog pairs, the element left without its negative, with exit
+    1, one error line and no output file."""
+    path, out = tmp_path / "set.json", tmp_path / "graph.txt"
+    assert run("construct", "-p", "3", "-m", "2", "-l", "1", "-r", "1", "-o", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    ix = Tower(TowerParams(3, 1, 2, 1, 1)).indexer
+    gone = doc["elements"].pop(0)  # its negative stays, the one element without one
+    minus = ix.dlog_pairs(ix.neg(ix.from_dlog_pairs(np.array([gone])))).tolist()[0]
+    assert minus in doc["elements"]
+    path.write_text(json.dumps(doc))
+    res = run("export-graph", "--set", str(path), "-o", str(out))
+    want = "error: the set holds (%d, %d) but not its negative (%d, %d)\n" % (*minus, *gone)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", want)
     assert not out.exists()
 
 

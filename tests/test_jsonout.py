@@ -14,7 +14,7 @@ import pytest
 from denpds import cli
 from denpds import coding as C
 from denpds.construct import PdsSet, Tower, TowerParams, pds_from_json_dict
-from denpds.jsonout import RowStrings, dumps, plain
+from denpds.jsonout import RowStrings, dump, dumps, plain, slices
 from denpds.verify import delsarte_dual
 
 from conftest import assert_same_text
@@ -93,6 +93,35 @@ def test_the_cli_writer_holds_no_whole_document(grid, tmp_path):
     assert size == 5858134
     assert peak <= size / 2, (peak, size)
     assert_same_text(out.read_text(), dual.to_json(tower))
+
+
+class LengthSink:
+    """A text file that keeps only the number of characters written to it."""
+
+    size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
+
+def test_dump_of_a_digit_matrix_holds_about_one_slice():
+    """A random 0/1 matrix of 16 slices, as a JSON array and as row
+    strings, dumped into a sink that keeps nothing: the writer's
+    tracemalloc peak stays within two and a half times the text of one
+    slice, whose bytes and string it holds at once."""
+    a = np.random.default_rng(1).integers(0, 2, size=(8192, 64))
+    count = len(slices(a, "", ("", "", "")))
+    assert count == 16
+    for doc in ({"generator_rows": a}, {"points": RowStrings(a)}):
+        sink = LengthSink()
+        tracemalloc.start()
+        try:
+            dump(doc, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(dumps(doc))
+        assert peak <= 2.5 * sink.size / count, (peak, sink.size / count)
 
 
 def test_set_file_round_trip_is_byte_identical(grid):

@@ -14,7 +14,7 @@ from denpds import params as P
 from denpds import verify as V
 from denpds.construct import PdsSet, Tower, TowerParams
 from denpds.jsonout import dumps
-from denpds.errors import CapExceededError, InternalError, SpectrumNotTwoValuedError
+from denpds.errors import CapExceededError, DenpdsError, InternalError, SpectrumNotTwoValuedError
 
 from conftest import (
     GRID_G1,
@@ -681,18 +681,27 @@ def test_cayley_edges(d64, ix64):
 
 
 def test_cayley_edges_refuse_zero_and_asymmetry_first():
-    """A set holding 0, or with D != -D, is refused when its chunks are
-    asked for, before any edge is built; {1, 6} in 3,1,2,1,1 is refused
-    although its directed count, 486 + 243, is v k / 2, and so is
-    {1, 2, 6}, which holds -1 and -2 but not -6."""
+    """A set holding 0, or with D != -D, is refused as a fault of the input
+    when its chunks are asked for, before any edge is built; {1, 6} in
+    3,1,2,1,1 is refused although its directed count, 486 + 243, is v k / 2,
+    and so is {1, 2, 6}, which holds -1 and -2 but not -6.  The refusal
+    names the identity, or the first element whose negative is missing,
+    as dlog pairs."""
     tower = Tower(TowerParams(3, 1, 2, 1, 1))
+    ix = tower.indexer
     D = tower.build_D()
     chunks = V.cayley_edge_chunks(D, tower.indexer)
     assert np.array_equal(np.concatenate(list(chunks)), V.cayley_edges(D, tower.indexer))
-    for elements in ([1, 6], [1, 2, 6], np.append(D.elements, 0)):
+    for elements, first in (([1, 6], 1), ([1, 2, 6], 6), (np.append(D.elements, 0), None)):
         bad = PdsSet(D.params, "primal", elements, D.claimed)
-        with pytest.raises(InternalError, match="edge count must be v k / 2"):
-            V.cayley_edge_chunks(bad, tower.indexer)
+        if first is None:
+            want = "the set holds the identity (-1, -1), which is no edge of a simple graph"
+        else:
+            d, minus_d = ix.dlog_pairs(np.array([first, ix.neg(first)])).tolist()
+            want = "the set holds (%d, %d) but not its negative (%d, %d)" % (*d, *minus_d)
+        with pytest.raises(DenpdsError) as info:
+            V.cayley_edge_chunks(bad, ix)
+        assert str(info.value) == want and not isinstance(info.value, InternalError)
 
 
 @pytest.mark.parametrize("family", ["primal", "dual"])
