@@ -4,7 +4,10 @@ Group elements are coordinatized over GF(q) by the power bases of the two
 deterministic field generators: an element (a, b) has one base-q key, the
 coordinates of a then those of b, first coordinate most significant.  A
 scale-closed set collapses to one projective point per GF(q)* orbit, the
-orbit's one element whose leading base-q digit is 1.
+orbit's one element whose leading base-q digit is 1.  Each scalar is
+applied by one product table per field, and the points' coordinates are
+gathered from a table of the coordinates of every key of each field, one
+byte a coordinate for q <= 256.
 
 The hyperplane profile and the weight enumerator are histograms of one
 quantity, s(u) = |S meet u-perp| for every nonzero u in GF(q)^dim: the
@@ -42,6 +45,16 @@ from .verify import CheckItem, Spectrum
 DEFAULT_ENUM_CAP = 1 << 16
 
 
+def _key_digits(q: int, width: int) -> np.ndarray:
+    """The width base-q digits of every key below q^width, most significant
+    first, as a (width, q^width) table, of one byte a digit where q <= 256."""
+    keys = np.arange(q**width, dtype=np.int64)
+    table = np.empty((width, len(keys)), dtype=np.uint8 if q <= 256 else np.int64)
+    for row, place in zip(table, q ** np.arange(width - 1, -1, -1, dtype=np.int64)):
+        row[:] = keys // place % q
+    return table
+
+
 class CodingContext:
     """Coordinate keys and scalar action for one tower; GF(q) symbols are
     packed elements of ``base``.  The key of (a, b) is keys1[a] * shift +
@@ -56,6 +69,8 @@ class CodingContext:
         self.keys1 = tower.f1.coords_table(tp.s)
         self.keys2 = tower.f2.coords_table(tp.s)
         self.shift = self.q ** (tp.deg2 // tp.s)
+        # the GF(q) coordinates of every key of each field, most significant first
+        self.digits1, self.digits2 = (_key_digits(self.q, f.n // tp.s) for f in (tower.f1, tower.f2))
 
     def check_scale_closed(self, pds: PdsSet) -> None:
         """The diagonal GF(q)* action must permute the set; a violation
@@ -65,9 +80,11 @@ class CodingContext:
             return
         f1, f2, ix = self.tower.f1, self.tower.f2, self.tower.indexer
         a, b = ix.split(pds.elements)
-        # one row per embedded scalar of GF(q)* but 1, which fixes every set
-        s1, s2 = (embed(self.base, f).forward[2:, None] for f in (f1, f2))
-        leaves = ~pds.member[ix.join(f1.mul(s1, a), f2.mul(s2, b))].all(axis=0)
+        leaves = np.zeros(pds.k, dtype=bool)
+        # each embedded scalar of GF(q)* but 1, which fixes every set, as
+        # one product table per field
+        for s1, s2 in zip(*(embed(self.base, f).forward[2:] for f in (f1, f2))):
+            leaves |= ~pds.member[ix.join(f1.product_table(s1)[a], f2.product_table(s2)[b])]
         if leaves.any():
             g = pds.elements[leaves.argmax()]
             raise NotScaleClosedError(
@@ -110,12 +127,13 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
         raise InternalError(
             "collapse gave %d points, expected %d" % (len(points), want)
         )
-    # one digit column at a time, most significant first, each contiguous:
-    # the (n, dim) points are the transpose of a (dim, n) array
-    digits = np.empty((ctx.dim, len(points)), dtype=np.int64)
-    for column, place in zip(digits, places[::-1]):
-        np.floor_divide(points, place, out=column)
-        column %= ctx.q
+    # the coordinates of each field's part of the key, gathered from its
+    # table one coordinate at a time: the (n, dim) points are the transpose
+    # of a (dim, n) array
+    digits = np.empty((ctx.dim, len(points)), dtype=ctx.digits1.dtype)
+    cut = len(ctx.digits1)
+    np.take(ctx.digits1, points // ctx.shift, axis=1, out=digits[:cut], mode="clip")
+    np.take(ctx.digits2, points % ctx.shift, axis=1, out=digits[cut:], mode="clip")
     return ProjectiveSet(ctx.q, ctx.dim, digits.T)
 
 
@@ -132,7 +150,7 @@ def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarra
     q = base.size
     if q**dim > cap:
         raise CapExceededError("message sweep above cap %d" % cap)
-    G = points.T
+    G = points.T.astype(np.int64)  # digitwise on narrow digits would wrap for odd p
     c = 0
     while c < dim and q ** (c + 1) * n * 8 <= ff.CHUNK_BYTES:
         c += 1
@@ -200,7 +218,7 @@ def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     as their base-q keys (first coordinate most significant) do, one int64
     each, so no (n, dim) difference array is built."""
     cols = S.points
-    keys = cols @ ctx.q ** np.arange(S.dim - 1, -1, -1, dtype=np.int64)
+    keys = ff.row_keys(cols[:, ::-1], ctx.q)
     if not (np.diff(keys) > 0).all():
         raise InternalError("generator columns are not distinct and sorted")
     return GeneratorMatrix(S.q, cols.T, ff.rank(ctx.base, cols))

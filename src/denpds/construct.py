@@ -13,7 +13,12 @@ set, and its ``elements`` are read off it.
 Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
 the zero coordinate; ``read_set_file`` decodes them from a file's bytes in
-bounded slices.
+bounded slices, each number by place value.  Every map of a set's
+elements that holds one operand fixed (the generators of the multiplier
+group in ``Tower.multiply``, logs to indices, negation for odd p) is one
+gather per coordinate from a table over that coordinate's field, built
+with the field's own arithmetic (``FiniteField.product_table``), so no
+step does digit or log arithmetic once per element.
 
 Norms are exponent arithmetic: each embedding of the middle field maps its
 generator's powers g^k to G^(t w k) (``ff.SubfieldEmbedding.w``), so the
@@ -296,7 +301,8 @@ class GroupIndexer:
 
     def split(self, idx):
         """The packed coordinates (a, b) of the indices idx."""
-        return idx % self.sz1, idx // self.sz1
+        b, a = np.divmod(idx, self.sz1)
+        return a, b
 
     def join(self, a, b):
         """The indices of the packed coordinates (a, b); inverts ``split``."""
@@ -311,7 +317,18 @@ class GroupIndexer:
         return digitwise(a, b, -1, self.p, self.n)
 
     def neg(self, a):
-        return digitwise(0, a, -1, self.p, self.n)
+        """-a: for odd p one gather per coordinate from each field's table
+        of negatives."""
+        if self.p == 2:
+            return digitwise(0, a, -1, self.p, self.n)
+        neg1, neg2 = self._negatives
+        x, y = self.split(a)
+        return self.join(neg1[x], neg2[y])
+
+    @cached_property
+    def _negatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each field's negatives, indexed by packed value."""
+        return tuple(readonly(f.neg(np.arange(f.size))) for f in (self.f1, self.f2))
 
     # -- discrete-log pairs: set files and witnesses --
 
@@ -323,10 +340,13 @@ class GroupIndexer:
 
     def from_dlog_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Indices of the (k, 2) discrete-log pairs; the inverse of ``dlog_pairs``."""
-        i, j = pairs[:, 0], pairs[:, 1]
-        return self.join(
-            np.where(i < 0, 0, self.f1.antilog[i]), np.where(j < 0, 0, self.f2.antilog[j])
-        )
+        exp1, exp2 = self._antilogs
+        return self.join(exp1[pairs[:, 0]], exp2[pairs[:, 1]])
+
+    @cached_property
+    def _antilogs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each field's antilog with 0 appended, which the log -1 of zero reads."""
+        return tuple(readonly(np.append(f.antilog, 0)) for f in (self.f1, self.f2))
 
     # -- trace pairing between group elements and characters --
 
@@ -432,6 +452,11 @@ def _dlog_pair_array(raw) -> np.ndarray:
 _JSON_WS = b" \t\n\r"
 _SPACES = re.compile(rb"[ \t\n\r]*")
 
+# the value of each byte as a decimal digit, 0 for every other byte
+_DIGIT_VALUES = np.zeros(256, np.int64)
+_DIGIT_VALUES[48:58] = np.arange(10)
+readonly(_DIGIT_VALUES)
+
 # What one byte of element text costs while its slice is decoded, in bytes:
 # its copies, the uint8 and bool arrays over it, the number edges and the
 # values.  The chunker's CHUNK_BYTES at this rate gives slices of 256 KiB.
@@ -500,15 +525,15 @@ def _pairs_from_json_text(data: bytes, start: int, end: int) -> np.ndarray | Non
     if _SPACES.match(data, last, close).end() != close:
         return None  # something but whitespace after the last pair, or in []
     # a slice's pairs are its ]s, and the k ]s before the outer one are all in slices
-    out = np.empty((k, 2), np.int64)
+    columns = np.empty((2, k), np.int64)  # the pairs' first and second logs
     row = 0
     for lo, hi in _pair_slices(data, head + 1, last):
         pairs = _decode_pairs(data[lo:hi], b"" if lo == head + 1 else b",")
         if pairs is None:
             return None
-        out[row:row + len(pairs)] = pairs
+        columns[:, row:row + len(pairs)] = pairs.T
         row += len(pairs)
-    return out
+    return columns.T
 
 
 def _pair_slices(data: bytes, lo: int, hi: int):
@@ -539,25 +564,32 @@ def _decode_pairs(text: bytes, lead: bytes) -> np.ndarray | None:
     if np.count_nonzero(numeric[1:] > numeric[:-1]) != 2 * k:
         return None  # more numbers than the compact text has: one was split
     c = np.frombuffer(compact, np.uint8)
-    numeric = (c - np.uint8(45)) < 13
-    edges = np.flatnonzero(numeric[1:] != numeric[:-1])
-    if len(edges) != 4 * k:  # an even count: the text ends with ], so it starts with no number
-        return None
-    first, last = edges[0::2] + 1, edges[1::2]
-    before, after = c[first - 1], c[last + 1]
-    minus = c[first] == 45
-    digit = first + minus
+    # the structural bytes past the lead, one row [ , ] , per pair, the last
+    # row's comma standing at the end of the text: slot j of a pair is the
+    # number between its marks j and j + 1, kept in row j of (2, n) arrays
+    marks = np.append(np.flatnonzero((c - np.uint8(45)) >= 13)[len(lead):], len(c)).reshape(k, 4)
+    opens, ends = np.ascontiguousarray(marks[:, :2].T), np.ascontiguousarray(marks[:, 1:3].T)
+    size = ends - opens
+    size -= 1
+    minus = c[opens + 1] == 45
+    digits = size - minus
     if not (
-        ((before == 91) | (before == 44)).all()  # each number is one slot of a pair:
-        and ((after == 44) | (after == 93)).all()  # after [ or , and before , or ]
-        and np.count_nonzero(c == 45) == np.count_nonzero(minus)  # a minus leads
-        and (digit <= last).all()  # and a digit follows it
-        and not ((c[digit] == 48) & (digit < last)).any()  # no leading zero
-        and (last - digit < 18).all()
+        size.sum() == len(c) - 4 * k - len(lead) + 1  # every number byte is in a slot
+        and compact.count(b"-") == np.count_nonzero(minus)  # a minus leads its slot
+        and digits.min() >= 1
+        and digits.max() <= 18  # so the value fits int64
+        and not ((c[ends - digits] == 48) & (digits > 1)).any()  # no leading zero
     ):
         return None
-    spaced = compact.translate(bytes.maketrans(b"[],", b"   "))
-    return np.fromstring(spaced, np.int64, sep=" ").reshape(-1, 2)
+    # by place value: the byte t + 1 places before each slot's end, or the
+    # slot's opening mark, worth 0, where the slot is shorter
+    values, at = np.zeros((2, k), np.int64), np.empty((2, k), np.int64)
+    for t in range(int(digits.max())):
+        np.subtract(ends, t + 1, out=at)
+        np.maximum(at, opens, out=at)
+        values += (_DIGIT_VALUES * 10**t).take(c.take(at))
+    np.negative(values, out=values, where=minus)
+    return values.T
 
 
 def _json_integers(doc: dict, section: str, keys=None) -> dict:
@@ -592,9 +624,9 @@ def _check_header(doc, table_cap: int) -> "Tower":
 def _set_from_pairs(doc: dict, tower: "Tower", pairs: np.ndarray) -> PdsSet:
     """The set of a checked header and its (k, 2) element pairs, after the
     checks of the exponents, the claimed parameters and the subspace rows."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    if not ((-1 <= i) & (i < tower.f1.order) & (-1 <= j) & (j < tower.f2.order)).all():
-        raise ValueError("element exponents out of range")
+    for logs, f in zip(pairs.T, (tower.f1, tower.f2)):
+        if logs.min(initial=-1) < -1 or logs.max(initial=-1) >= f.order:
+            raise ValueError("element exponents out of range")
     c = _json_integers(doc, "claimed", ("v", "k", "lambda", "mu"))
     return PdsSet(
         tower.params,
@@ -734,14 +766,15 @@ class Tower:
         return (1, c1 * pow(c2, -1, e) % e), (0, e)
 
     def multiply(self, idx, a: int, b: int) -> np.ndarray:
-        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y);
-        a factor alpha^0 or beta^0 = 1 is skipped."""
+        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y):
+        one gather per coordinate from the field's table of products by the
+        fixed factor; a factor alpha^0 or beta^0 = 1 is skipped."""
         x, y = self.indexer.split(idx)
         f1, f2 = self.f1, self.f2
         if a % f1.order:
-            x = f1.mul(x, f1.antilog[a % f1.order])
+            x = f1.product_table(f1.antilog[a % f1.order])[x]
         if b % f2.order:
-            y = f2.mul(y, f2.antilog[b % f2.order])
+            y = f2.product_table(f2.antilog[b % f2.order])[y]
         return self.indexer.join(x, y)
 
     @cached_property

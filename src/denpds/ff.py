@@ -37,9 +37,11 @@ Python ints or int64 arrays alike.  Every table of a field is a read-only
 int64 array and an attribute of the field: ``antilog`` and ``dlog`` are
 built with it, ``x_powers``, ``trace_table`` and ``coords_table(d)`` on
 first use.  ``build_field`` and ``embed`` intern their results, so each
-table is built once per process.  All multiplicative structure (norms,
-coset indexing, order computations) is plain exponent arithmetic on those
-tables: a ``SubfieldEmbedding`` is the linear map of the digit rows of the
+table is built once per process.  A map that holds one factor fixed is
+one gather from ``product_table(c)``, the products by c of every packed
+value, which ``mul`` builds for the caller.  All multiplicative structure
+(norms, coset indexing, order computations) is plain exponent arithmetic
+on those tables: a ``SubfieldEmbedding`` is the linear map of the digit rows of the
 powers of its root, and records the exponent ``w`` with which it maps the
 small generator's powers, checked on every power, so the norm onto a
 subfield is a multiplication of discrete logs.  Every table is built by a
@@ -379,6 +381,11 @@ class FiniteField:
         out *= (x != 0) & (y != 0)
         return out if out.ndim else int(out)
 
+    def product_table(self, c) -> np.ndarray:
+        """c x for every packed value x, indexed by x: a map that holds one
+        factor fixed, as one gather."""
+        return self.mul(np.arange(self.size, dtype=np.int64), c)
+
     def inv(self, x):
         """The inverse of a nonzero x; zero maps to zero."""
         x = np.asarray(x)
@@ -461,22 +468,40 @@ class FiniteField:
 # -- linear algebra over a field --
 
 
+def row_keys(mat: np.ndarray, q: int) -> np.ndarray:
+    """Each row of the (n, c) matrix mat of digits below q as one base-q
+    int64 key, its first entry least significant: by Horner's rule over the
+    columns, one chunk of rows at a time, so a matrix of narrow digits is
+    never copied to int64."""
+    n, cols = mat.shape
+    if q**cols >= 1 << 63:
+        raise ValueError("row keys of %d^%d do not fit int64" % (q, cols))
+    out = np.zeros(n, dtype=np.int64)
+
+    def one(rng):
+        key = out[rng[0] : rng[1]]
+        for column in mat[rng[0] : rng[1]].T[::-1]:
+            key *= q
+            key += column
+
+    sweep(n, 8 * cols, one)
+    return out
+
+
 def rank(field: FiniteField, mat) -> int:
     """The rank of a matrix of packed elements of ``field``.  Each row is
-    one base-q key, q = field.size, its first entry least significant; as
-    q = p^n, a key is also the row's packed digit string over GF(p), so
-    rows add by ``digitwise``.  Each step clears the leading column with
+    one base-q key (``row_keys``), q = field.size, its first entry least
+    significant; as q = p^n, a key is also the row's packed digit string
+    over GF(p), so rows add by ``digitwise``.  Each step clears the leading column with
     the first row that has a nonzero entry there (only the q multiples of
     that row's tail are ever subtracted), drops the column, and keeps the
     distinct nonzero rows.  Every step keeps the row space, and after it at
     most q^c rows of c columns remain.  A wide matrix is read transposed."""
-    m = np.asarray(mat, dtype=np.int64)
+    m = np.asarray(mat)
     if m.shape[1] > m.shape[0]:
         m = m.T
     q, cols = field.size, m.shape[1]
-    if q**cols >= 1 << 63:
-        raise ValueError("row keys of %d^%d do not fit int64" % (q, cols))
-    keys = m @ _place_values(q, cols)
+    keys = row_keys(m, q)
     found = 0
     for c in range(cols - 1, -1, -1):  # c columns are left after this step
         lead, keys = keys % q, keys // q

@@ -19,8 +19,9 @@ check, the Delsarte dual and ``denpds.coding`` through the same methods
 * ``orbit_spectrum``, the orbit route: for a set that the multiplier group
   H (``Tower.multiplier_generators``) fixes, the spectrum is constant on
   the e + 2 H-orbits, the classes, so one literal sum per orbit, in O(k),
-  gives all of it.  The CLI reads it for a set H fixes and the
-  transform's for a set H moves (``spectrum_of``).
+  gives all of it.  For odd p each element's exponent is two gathers from
+  tables over the two fields (``_orbit_sums``).  The CLI reads it for a
+  set H fixes and the transform's for a set H moves (``spectrum_of``).
 
 A difference profile is an int64 array of v counts, with two routes:
 ``transform_profile`` derives it from the transform's spectrum, and
@@ -205,30 +206,43 @@ def character_spectrum(
     return Spectrum(values, rational, sizes, len(idx), 0, "transform", table, counts)
 
 
-def _orbit_sums(idx: np.ndarray, labels: np.ndarray, p: int, n: int) -> np.ndarray:
-    """chi_l(D) = sum over d in D of zeta_p^<l, d> for each label l, with
-    <l, d> the dot product of the base-p digit strings, one chunk of D at
-    a time: for p = 2, k - 2 #{d : popcount(l & d) odd}; for odd p, from
-    the count of each residue of <l, d> mod p, which must agree over the
-    nonzero residues."""
-    c = len(labels)
+def _orbit_sums(idx: np.ndarray, reps: np.ndarray, indexer: GroupIndexer) -> np.ndarray:
+    """chi_g(D) = sum over d in D of zeta_p^(Tr1(g1 d1) + Tr2(g2 d2)) for each
+    group element g = (g1, g2) of reps, the character of label
+    ``char_index(g)``, one chunk of D at a time.  For p = 2 it is
+    k - 2 #{d : popcount(l & d) odd}, l the label and the exponent the dot
+    product <l, d> of the digit strings.  For odd p each trace term is read
+    from a table over its field (the trace of the product by g_i), and the
+    sum is counted by residue mod p: the counts must agree over the nonzero
+    residues."""
+    c, p = len(reps), indexer.p
     if p == 2:
+        labels = indexer.char_index(reps)
 
         def odd(rng):
             return np.count_nonzero(np.bitwise_count(labels[:, None] & idx[rng[0] : rng[1]]) & 1, axis=1)
 
         return len(idx) - 2 * sum(sweep(len(idx), 8 * c, odd), np.zeros(c, dtype=np.int64))
-    places = p ** np.arange(n, dtype=np.int64)
-    label_digits = labels[:, None] // places % p
-    offsets = p * np.arange(c, dtype=np.int64)[:, None]
+    a, b = indexer.split(idx)
+    # row i of each table: Tr(g x) for the coordinate g of reps[i] in that field and every x
+    tables = [
+        np.stack([f.trace_table[f.product_table(g)] for g in part.tolist()])
+        for f, part in zip((indexer.f1, indexer.f2), indexer.split(reps))
+    ]
+    # a sum of two traces lies in [0, 2p - 2]; rep i counts it from i (2p - 1) on
+    offsets = (2 * p - 1) * np.arange(c, dtype=np.int64)[:, None]
 
     def residues(rng):
-        dots = label_digits @ (idx[rng[0] : rng[1]] // places[:, None] % p) % p
-        return np.bincount((dots + offsets).ravel(), minlength=c * p)
+        lo, hi = rng
+        exps = tables[0][:, a[lo:hi]]
+        exps += tables[1][:, b[lo:hi]]
+        exps += offsets
+        return np.bincount(exps.ravel(), minlength=c * (2 * p - 1))
 
-    counts = sum(sweep(len(idx), 8 * (n + 2 * c), residues), np.zeros(c * p, dtype=np.int64))
-    counts = counts.reshape(c, p)
-    if (counts[:, 2:] != counts[:, 1:2]).any():
+    counts = sum(sweep(len(idx), 16 * c, residues), np.zeros(c * (2 * p - 1), dtype=np.int64))
+    counts = counts.reshape(c, 2 * p - 1)
+    counts[:, : p - 1] += counts[:, p:]  # a sum r + p is the residue r
+    if (counts[:, 2:p] != counts[:, 1:2]).any():
         raise InternalError("a set that H fixes has an irrational character sum")
     return counts[:, 0] - counts[:, 1]
 
@@ -243,9 +257,7 @@ def orbit_spectrum(pds: PdsSet, tower: Tower) -> Spectrum:
     trace form, so hD = D gives chi_hg(D) = chi_g(D).  H contains the
     diagonal GF(p)*, which permutes the nonzero powers of zeta_p, so every
     sum of such a set is rational; an irrational one is an InternalError."""
-    ix = tower.indexer
-    labels = ix.char_index(tower.orbit_representatives)
-    values = np.append(_orbit_sums(pds.elements, labels, ix.p, ix.n), pds.k)
+    values = np.append(_orbit_sums(pds.elements, tower.orbit_representatives, tower.indexer), pds.k)
     rational, sizes = np.ones(len(values), dtype=bool), np.append(tower.orbit_sizes, 1)
     return Spectrum(values, rational, sizes, pds.k, len(values) - 1, "orbit", lambda: tower.orbit_table)
 

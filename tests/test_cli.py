@@ -507,6 +507,37 @@ def test_verify_and_dual_build_only_the_tables_they_read(grid, tmp_path, monkeyp
     capsys.readouterr()
 
 
+def test_verify_and_dual_do_no_field_arithmetic_per_element(grid, tmp_path, monkeypatch, capsys):
+    """verify and dual on the primal set files of the two large towers
+    (v = 2^18 and 7^6) map the set's elements by gathers from tables over
+    one field: no array that ``FiniteField.mul`` or ``ff.digitwise`` works
+    on while they run has more than max(|K1|, |K2|) entries."""
+    sizes = []
+    mul, digitwise = ff.FiniteField.mul, ff.digitwise
+
+    def recorded_mul(self, x, y):
+        sizes.append(np.broadcast(x, y).size)
+        return mul(self, x, y)
+
+    def recorded_digitwise(a, b, sign, p, n):
+        sizes.append(np.broadcast(a, b).size)
+        return digitwise(a, b, sign, p, n)
+
+    monkeypatch.setattr(ff.FiniteField, "mul", recorded_mul)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("denpds") and getattr(module, "digitwise", None) is digitwise:
+            monkeypatch.setattr(module, "digitwise", recorded_digitwise)
+    for tp in [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)]:
+        tower = grid.tower(*tp)
+        path, out = tmp_path / "set.json", str(tmp_path / "dual.json")
+        path.write_text(grid.pds(*tp)[0].to_json(tower))
+        for argv in (["verify", "--set", str(path)], ["dual", "--set", str(path), "-o", out]):
+            sizes.clear()
+            assert cli.main(argv) == 0, argv
+            assert sizes and max(sizes) <= max(tower.f1.size, tower.f2.size), (tp, argv, max(sizes))
+    capsys.readouterr()
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["verify", "-p", "2", "-m", "2", "-l", "1", "-r", "1"]
     a, b = run(*args), run(*args)

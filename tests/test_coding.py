@@ -171,6 +171,31 @@ def test_scale_closure_violation_detected(setup729):
             C.to_projective_set(broken, ctx)
 
 
+@pytest.mark.parametrize("tp", [(3, 1, 2, 1, 1), (2, 2, 2, 1, 1), (7, 1, 2, 1, 1)])
+def test_scale_check_names_the_literal_first_violator(grid, tp):
+    """Every tower of the grid and of ``large`` with q > 2, a few elements
+    dropped from each family's set: the scale check, one product table per
+    field and scalar, names the element of smallest index that some scalar
+    moves out, as elementwise ``FiniteField.mul`` on the coordinates finds it."""
+    tower = grid.tower(*tp)
+    ctx, ix, f1, f2 = C.CodingContext(tower), tower.indexer, tower.f1, tower.f2
+    scalars = [ff.embed(tower.base, f).forward[2:] for f in (f1, f2)]
+    for family in ("primal", "dual"):
+        D = grid.pds(*tp, family)[0]
+        for drop in (0, D.k // 3, D.k - 1):
+            kept = np.delete(D.elements, drop)
+            broken = PdsSet(D.params, D.provenance, kept, D.claimed, D.subspace_rows)
+            a, b = kept % ix.sz1, kept // ix.sz1
+            leaves = np.zeros(len(kept), dtype=bool)
+            for s1, s2 in zip(*scalars):
+                leaves |= ~broken.member[f1.mul(a, int(s1)) + ix.sz1 * f2.mul(b, int(s2))]
+            want = tuple(ix.dlog_pairs(kept[leaves.argmax()]).tolist())
+            assert leaves.any(), (tp, family, drop)
+            with pytest.raises(NotScaleClosedError, match=r"element \(%d, %d\) leaves" % want):
+                ctx.check_scale_closed(broken)
+        ctx.check_scale_closed(D)
+
+
 def test_hyperplane_profile_64(setup64):
     _, ctx, D = setup64
     S = C.to_projective_set(D, ctx)
@@ -343,6 +368,29 @@ def test_literal_routes_stay_under_32_mb():
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20, peak
+
+
+def test_points_hold_one_byte_a_digit(grid):
+    """The collapse and the code of the 2,1,2,3,1 dual set (n = k = 10,965
+    points of dim 14) peak below 8 dim bytes a point, what the digit matrix
+    alone took as int64: the points and the generator matrix are uint8 for
+    q <= 256, and the row keys are formed from them without an int64 copy."""
+    tower = grid.tower(2, 1, 2, 3, 1)
+    D, ctx = grid.pds(2, 1, 2, 3, 1, "dual")[0], C.CodingContext(tower)
+
+    def collapse_and_code():
+        S = C.to_projective_set(D, ctx)
+        return S, C.build_code(S, ctx)
+
+    S, gm = collapse_and_code()
+    assert S.points.dtype == gm.mat.dtype == np.uint8 and (S.n, S.dim) == (10965, 14)
+    tracemalloc.start()
+    try:
+        collapse_and_code()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * S.dim * S.n, peak / S.n
 
 
 def test_matrix_out_holds_one_slice(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from denpds.errors import (
     NotASubspaceError,
     TableCapExceededError,
 )
-from denpds.ff import build_field, prime_factors
+from denpds.ff import build_field, digitwise, prime_factors
 from denpds.verify import GroupIndexer, delsarte_dual, verify_pds
 
 from conftest import GRID_G1, digit_table, pair_set, poly_mul, poly_pow
@@ -229,6 +229,28 @@ def test_the_multiplier_group_fixes_every_orbit_label(tp):
     for a, b in tw.multiplier_generators:
         assert np.array_equal(table[tw.multiply(g, a, b)], table), (tp, a, b)
     assert np.array_equal(np.bincount(table[1:]), tw.orbit_sizes)
+
+
+# every grid tower and both large towers (r = 1; the maps below do not depend on r)
+GATHER_TOWERS = [(p, s, m, ell, 1) for p, s, m, ell in GRID_G1] + [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("tp", GATHER_TOWERS)
+def test_index_maps_are_the_per_element_field_arithmetic(tp):
+    """The gathers from per-field tables equal the literal arithmetic they
+    replace, on every index of G: ``Tower.multiply`` by both generators of
+    H is ``FiniteField.mul`` by alpha^a and beta^b coordinate by
+    coordinate, ``from_dlog_pairs`` inverts ``dlog_pairs``, and ``neg`` is
+    the digit-wise negation."""
+    tw = Tower(TowerParams(*tp))
+    ix, f1, f2 = tw.indexer, tw.f1, tw.f2
+    g = np.arange(ix.v, dtype=np.int64)
+    x, y = g % ix.sz1, g // ix.sz1
+    for a, b in tw.multiplier_generators:
+        want = f1.mul(x, f1.antilog[a % f1.order]) + ix.sz1 * f2.mul(y, f2.antilog[b % f2.order])
+        assert np.array_equal(tw.multiply(g, a, b), want), (tp, a, b)
+    assert np.array_equal(ix.from_dlog_pairs(ix.dlog_pairs(g)), g)
+    assert np.array_equal(ix.neg(g), digitwise(0, g, -1, ix.p, ix.n))
 
 
 def test_member_is_the_read_only_indicator(grid):

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from denpds import construct, ff
 from denpds.construct import (
@@ -332,3 +333,86 @@ def test_reading_holds_one_slice_of_text(monkeypatch):
     assert _traced_peak(lambda: read_set_file(data)) <= bound
     _slice_bytes(monkeypatch, len(data))
     assert _traced_peak(lambda: read_set_file(data)) > bound
+
+
+# -- the slice decoder against json on random element texts --
+
+NUMBERS = st.one_of(st.integers(-1, 1100), st.integers(-(10**18 - 1), 10**18 - 1))
+JSON_WS = st.text(alphabet=" \t\n\r", max_size=3)
+# slices of 1 to 48 bytes of text, each stretched to the next ]
+SLICE_BYTES = st.integers(1, 48)
+# bytes an edit puts in: JSON's own and ones it refuses in a number or between tokens
+EDIT_BYTES = "0123456789-+[],.eE \t\n\r\x0b\"xn"
+
+
+@st.composite
+def element_texts(draw):
+    """A list of integer pairs as JSON text, with random JSON whitespace
+    before every token and after the last, and the pairs."""
+    pairs = draw(st.lists(st.tuples(NUMBERS, NUMBERS), max_size=24))
+    tokens = ["["]
+    for at, pair in enumerate(pairs):
+        tokens += [","] * bool(at) + ["[", str(pair[0]), ",", str(pair[1]), "]"]
+    tokens.append("]")
+    return "".join(draw(JSON_WS) + token for token in tokens) + draw(JSON_WS), pairs
+
+
+def _by_bytes(text: str, nbytes: int):
+    """The slice decoder's pairs for the whole text as the elements value,
+    in slices of nbytes, or None where it declines."""
+    data = text.encode()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ff, "CHUNK_BYTES", nbytes * construct.TEXT_BYTES)
+        return _pairs_from_json_text(data, 0, len(data))
+
+
+def _by_json(text: str):
+    """json's reading of the text as an element list, None where refused."""
+    try:
+        return _dlog_pair_array(json.loads(text))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_texts(), SLICE_BYTES)
+def test_random_pair_lists_decode_as_json_reads_them(drawn, nbytes):
+    text, pairs = drawn
+    got = _by_bytes(text, nbytes)
+    assert got is not None
+    assert got.tolist() == [list(pair) for pair in pairs]
+    assert np.array_equal(got, _by_json(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_texts(), SLICE_BYTES, st.data())
+def test_a_one_byte_edit_declines_or_reads_as_json(drawn, nbytes, data):
+    """A byte replaced, put in or taken out anywhere in a valid element
+    text: the decoder declines, or it reads what json reads, so it never
+    accepts a text that json refuses."""
+    text = drawn[0]
+    at = data.draw(st.integers(0, len(text)))
+    byte = data.draw(st.sampled_from(EDIT_BYTES))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "replace":
+        text = text[:at] + byte + text[at + 1:]
+    else:
+        text = text[:at] + byte * (edit == "insert") + text[at + (edit == "delete"):]
+    got = _by_bytes(text, nbytes)
+    if got is not None:
+        want = _by_json(text)
+        assert want is not None, text
+        assert np.array_equal(got, want), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["[", "]", ",", "-", "0", "7", "19", "-3", " ", "\n", "1.5", "2e3", "true"]),
+                max_size=30), SLICE_BYTES)
+def test_the_decoder_never_accepts_what_json_refuses(tokens, nbytes):
+    """Random runs of brackets, commas, numbers, whitespace and literals."""
+    text = "".join(tokens)
+    got = _by_bytes(text, nbytes)
+    if got is not None:
+        want = _by_json(text)
+        assert want is not None, text
+        assert np.array_equal(got, want), text

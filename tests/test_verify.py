@@ -336,6 +336,24 @@ def test_orbit_spectrum_is_the_spectrum(grid):
                 assert fn(orbits, arg) == fn(transform, arg), (where, fn.__name__)
 
 
+@pytest.mark.parametrize("tp", [(3, 1, 2, 1, r) for r in range(3)] + [(7, 1, 2, 1, 1)])
+def test_odd_orbit_sums_are_the_transform_at_the_labels(grid, tp):
+    """For odd p, the sums that ``_orbit_sums`` reads from per-field trace
+    tables are the transform's sums at the labels of the orbit
+    representatives and of 200 random group elements, for both families
+    and the complements of the grid towers (p = 3, every r) and of the odd
+    ``large`` tower (v = 7^6)."""
+    tower = grid.tower(*tp)
+    ix = tower.indexer
+    rng = np.random.default_rng(sum(tp))
+    elements = np.concatenate([tower.orbit_representatives, rng.integers(0, ix.v, 200)])
+    for family in ("primal", "dual"):
+        D = grid.pds(*tp, family)[0]
+        for pds in (D, tower.complement(D)):
+            want = V.character_spectrum(pds, ix).values[ix.char_index(elements)]
+            assert np.array_equal(V._orbit_sums(pds.elements, elements, ix), want), (tp, pds.provenance)
+
+
 def _invariant_sets(grid):
     """(tower, set, R) for every H-invariant set the tests build: the grid
     sets with their complements and Delsarte duals, the 56 ratio-set
