@@ -216,12 +216,13 @@ def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     distinct normalized points are pairwise independent by construction, so
     asserting that the points strictly ascend re-asserts both.  They ascend
     as their base-q keys (first coordinate most significant) do, one int64
-    each, so no (n, dim) difference array is built."""
+    each, so no (n, dim) difference array is built.  The rank is found from
+    the same keys."""
     cols = S.points
     keys = ff.row_keys(cols[:, ::-1], ctx.q)
     if not (np.diff(keys) > 0).all():
         raise InternalError("generator columns are not distinct and sorted")
-    return GeneratorMatrix(S.q, cols.T, ff.rank(ctx.base, cols))
+    return GeneratorMatrix(S.q, cols.T, ff.rank_from_keys(ctx.base, keys, cols.shape[1]))
 
 
 def _enumerator(sizes: np.ndarray, mult: np.ndarray, gm: GeneratorMatrix) -> dict[int, int]:

@@ -57,7 +57,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -104,25 +103,38 @@ DELSARTE_TAG = {
 }
 
 
-@dataclass(frozen=True)
 class TowerParams:
-    """The tuple (p, s, m, ell, r) plus everything derived from it."""
+    """The tuple (p, s, m, ell, r) plus everything derived from it;
+    read-only, equal and hashed by value."""
 
-    p: int
-    s: int
-    m: int
-    ell: int
-    r: int
+    __slots__ = ("p", "s", "m", "ell", "r")
 
-    def __post_init__(self):
-        if self.p >= 1 << 64:
+    def __init__(self, p: int, s: int, m: int, ell: int, r: int):
+        if p >= 1 << 64:
             raise ValueError("p must be below 2^64")
-        if not is_prime(self.p):
+        if not is_prime(p):
             raise ValueError("p must be prime")
-        if self.s < 1 or self.m < 1 or self.ell < 1:
+        if s < 1 or m < 1 or ell < 1:
             raise ValueError("s, m, ell must be >= 1")
-        if not 0 <= self.r <= self.m:
+        if not 0 <= r <= m:
             raise ValueError("need 0 <= r <= m")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.s, self.m, self.ell, self.r) == (
+            other.p, other.s, other.m, other.ell, other.r)
+
+    def __hash__(self):
+        return hash((self.p, self.s, self.m, self.ell, self.r))
 
     @property
     def q(self) -> int:
@@ -181,16 +193,29 @@ class TowerParams:
         return {"p": self.p, "s": self.s, "m": self.m, "ell": self.ell, "r": self.r}
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A GF(q)-subspace of the middle field, fully materialized: ``elements``
-    is the sorted, read-only int64 array of its packed values."""
+    is the sorted, read-only int64 array of its packed values.  Read-only,
+    and equal only to itself."""
 
-    mid: FiniteField
-    base: FiniteField
-    basis: tuple[int, ...]  # packed middle-field elements, GF(q)-independent
-    elements: np.ndarray
-    dim: int  # over GF(q)
+    __slots__ = ("mid", "base", "basis", "elements", "dim")
+
+    def __init__(
+        self,
+        mid: FiniteField,
+        base: FiniteField,
+        basis: tuple[int, ...],  # packed middle-field elements, GF(q)-independent
+        elements: np.ndarray,
+        dim: int,  # over GF(q)
+    ):
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "dim", dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
 
     def basis_coeff_rows(self) -> list[list[int]]:
         return [list(self.mid.digits(b)) for b in self.basis]
@@ -252,15 +277,34 @@ def dual_subspace(R: Subspace) -> Subspace:
     return subspace_from_elements(mid, base, elems)
 
 
-@dataclass(frozen=True)
 class CompatiblePrimitives:
     """Generators of the two big fields whose norms pull back to one
     middle-field generator gamma: K1's own generator, and K2's generator
-    raised to beta_adjust."""
+    raised to beta_adjust.  Read-only, equal and hashed by value."""
 
-    beta_adjust: int
-    gamma_exp: int  # dlog of gamma w.r.t. the middle field's own generator
-    gamma: int  # packed
+    __slots__ = ("beta_adjust", "gamma_exp", "gamma")
+
+    def __init__(
+        self,
+        beta_adjust: int,
+        gamma_exp: int,  # dlog of gamma w.r.t. the middle field's own generator
+        gamma: int,  # packed
+    ):
+        object.__setattr__(self, "beta_adjust", beta_adjust)
+        object.__setattr__(self, "gamma_exp", gamma_exp)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.beta_adjust, self.gamma_exp, self.gamma) == (
+            other.beta_adjust, other.gamma_exp, other.gamma)
+
+    def __hash__(self):
+        return hash((self.beta_adjust, self.gamma_exp, self.gamma))
 
 
 @cache  # keyed by an interned field, which lives as long as the process anyway
@@ -365,32 +409,41 @@ class GroupIndexer:
         return readonly(self.join(_upack(self.f1)[None, :], _upack(self.f2)[:, None]).ravel())
 
 
-@dataclass(frozen=True, eq=False)
 class PdsSet:
-    """A candidate partial difference set with its provenance.
+    """A candidate partial difference set with its provenance; read-only,
+    and equal only to itself.
 
     ``elements`` is a sorted, duplicate-free, read-only int64 array of
     group indices (see ``GroupIndexer``); any integer sequence given here
-    is normalized to that form by marking it in ``member`` and reading the
-    marks back, in O(k + v)."""
+    is normalized to that form by marking it in ``member``, the read-only
+    indicator of the set over the v group indices, and reading the marks
+    back, in O(k + v)."""
 
-    params: TowerParams
-    provenance: str  # primal | dual | complement | delsarte-dual
-    elements: np.ndarray
-    claimed: pm.SrgParams
-    subspace_rows: tuple = ()  # GF(p) coefficient rows of the R basis used
-    # the read-only indicator of the set over the v group indices
-    member: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("params", "provenance", "elements", "claimed", "subspace_rows", "member")
 
-    def __post_init__(self):
-        elems = np.asarray(self.elements, dtype=np.int64)
+    def __init__(
+        self,
+        params: TowerParams,
+        provenance: str,  # primal | dual | complement | delsarte-dual
+        elements,
+        claimed: pm.SrgParams,
+        subspace_rows: tuple = (),  # GF(p) coefficient rows of the R basis used
+    ):
+        elems = np.asarray(elements, dtype=np.int64)
         # checked before marking: a negative index would mark from the end
-        if len(elems) and (elems.min() < 0 or elems.max() >= self.params.v):
-            raise ValueError("set elements must be group indices below %d" % self.params.v)
-        member = np.zeros(self.params.v, dtype=bool)
+        if len(elems) and (elems.min() < 0 or elems.max() >= params.v):
+            raise ValueError("set elements must be group indices below %d" % params.v)
+        member = np.zeros(params.v, dtype=bool)
         member[elems] = True
-        object.__setattr__(self, "member", readonly(member))
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "elements", readonly(np.flatnonzero(member)))
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "subspace_rows", subspace_rows)
+        object.__setattr__(self, "member", readonly(member))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
 
     @property
     def k(self) -> int:

@@ -500,9 +500,14 @@ def rank(field: FiniteField, mat) -> int:
     m = np.asarray(mat)
     if m.shape[1] > m.shape[0]:
         m = m.T
-    q, cols = field.size, m.shape[1]
-    keys = row_keys(m, q)
-    found = 0
+    return rank_from_keys(field, row_keys(m, field.size), m.shape[1])
+
+
+def rank_from_keys(field: FiniteField, keys: np.ndarray, cols: int) -> int:
+    """The elimination of ``rank`` on the ``row_keys`` of a matrix of
+    packed elements of ``field`` with ``cols`` columns, in any column order:
+    the order does not change the rank."""
+    q, found = field.size, 0
     for c in range(cols - 1, -1, -1):  # c columns are left after this step
         lead, keys = keys % q, keys // q
         nz = np.flatnonzero(lead)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -39,12 +38,26 @@ from .ff import chunks
 VALUE_BYTES = 256
 
 
-@dataclass(frozen=True)
 class RowStrings:
     """An integer matrix that a document holds as one JSON string per row:
-    the row's entries in decimal, joined by single spaces."""
+    the row's entries in decimal, joined by single spaces.  Read-only, and
+    not a tuple, which a document writes as a list."""
 
-    rows: np.ndarray
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows,) == (other.rows,)  # as tuples compare: one matrix is equal to itself
+
+    def __hash__(self):
+        return hash((self.rows,))
 
 
 def _plain_leaf(x):

@@ -7,7 +7,6 @@ a remainder anywhere means an implementation bug, never a user error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DeltaNotSquareError, IdentityViolatedError
 
@@ -26,14 +25,32 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
-@dataclass(frozen=True)
 class SrgParams:
-    """A (v, k, lam, mu) tuple with its derived spectral data."""
+    """A (v, k, lam, mu) tuple with its derived spectral data; read-only,
+    equal and hashed by value."""
 
-    v: int
-    k: int
-    lam: int
-    mu: int
+    __slots__ = ("v", "k", "lam", "mu")
+
+    def __init__(self, v: int, k: int, lam: int, mu: int):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.v, self.k, self.lam, self.mu) == (other.v, other.k, other.lam, other.mu)
+
+    def __hash__(self):
+        return hash((self.v, self.k, self.lam, self.mu))
+
+    def __repr__(self) -> str:
+        # IdentityViolatedError messages show it
+        return "SrgParams(v=%r, k=%r, lam=%r, mu=%r)" % (self.v, self.k, self.lam, self.mu)
 
     @property
     def beta(self) -> int:
@@ -231,11 +248,27 @@ def lemma_dictionary_params(q: int, dim: int, n: int, w1: int, w2: int) -> SrgPa
     return SrgParams(v, k, lam, mu)
 
 
-@dataclass(frozen=True)
 class Classification:
-    kind: str  # "latin" | "negative-latin" | "neither"
-    n: int | None = None
-    r: int | None = None
+    """A match against the Latin / negative Latin square templates;
+    read-only, equal and hashed by value."""
+
+    __slots__ = ("kind", "n", "r")
+
+    def __init__(self, kind: str, n: int | None = None, r: int | None = None):
+        object.__setattr__(self, "kind", kind)  # "latin" | "negative-latin" | "neither"
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.n, self.r) == (other.kind, other.n, other.r)
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.r))
 
     def describe(self) -> str:
         if self.kind == "neither":

@@ -46,7 +46,6 @@ every sweep runs serially, one chunk at a time (``ff.chunks``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -68,11 +67,33 @@ DEFAULT_SPECTRUM_CAP = 1 << 20
 DEFAULT_NEIGHBOR_CAP = 1 << 12
 
 
-@dataclass(frozen=True)
 class Caps:
-    profile: int = DEFAULT_PROFILE_CAP
-    spectrum: int = DEFAULT_SPECTRUM_CAP
-    neighbor: int = DEFAULT_NEIGHBOR_CAP
+    """The caps of ``--profile-cap``, ``--spectrum-cap`` and
+    ``--neighbor-cap``; read-only, equal and hashed by value."""
+
+    __slots__ = ("profile", "spectrum", "neighbor")
+
+    def __init__(
+        self,
+        profile: int = DEFAULT_PROFILE_CAP,
+        spectrum: int = DEFAULT_SPECTRUM_CAP,
+        neighbor: int = DEFAULT_NEIGHBOR_CAP,
+    ):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "neighbor", neighbor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.profile, self.spectrum, self.neighbor) == (
+            other.profile, other.spectrum, other.neighbor)
+
+    def __hash__(self):
+        return hash((self.profile, self.spectrum, self.neighbor))
 
     def as_dict(self) -> dict:
         return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
@@ -116,7 +137,6 @@ def _require_spectrum_cap(v: int, cap: int) -> None:
         raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
 
 
-@dataclass
 class Spectrum:
     """Exact character sums, one per class of characters, on either route.
 
@@ -132,14 +152,27 @@ class Spectrum:
     then the principal class, and ``table()`` is ``Tower.orbit_table``.
     """
 
-    values: np.ndarray
-    rational: np.ndarray
-    sizes: np.ndarray
-    k: int
-    zero: int
-    route: str  # "transform" or "orbit"
-    table: Callable[[], np.ndarray] = field(repr=False)
-    counts: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("values", "rational", "sizes", "k", "zero", "route", "table", "counts")
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        rational: np.ndarray,
+        sizes: np.ndarray,
+        k: int,
+        zero: int,
+        route: str,  # "transform" or "orbit"
+        table: Callable[[], np.ndarray],
+        counts: np.ndarray | None = None,
+    ):
+        self.values = values
+        self.rational = rational
+        self.sizes = sizes
+        self.k = k
+        self.zero = zero
+        self.route = route
+        self.table = table
+        self.counts = counts
 
     @property
     def v(self) -> int:
@@ -283,13 +316,22 @@ def transform_profile(spectrum: Spectrum) -> np.ndarray:
     return counts
 
 
-@dataclass
 class CheckItem:
-    name: str
-    passed: bool
-    skipped: str | None = None
-    details: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
+    __slots__ = ("name", "passed", "skipped", "details", "witnesses")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        skipped: str | None = None,
+        details: dict | None = None,
+        witnesses: list | None = None,
+    ):
+        self.name = name
+        self.passed = passed
+        self.skipped = skipped
+        self.details = {} if details is None else details
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def status(self) -> str:
@@ -616,11 +658,15 @@ def cayley_edges(pds: PdsSet, indexer: GroupIndexer, cap: int = DEFAULT_PROFILE_
 SUBSTANTIVE_CHECKS = ("pds-differences", "two-valued-spectrum", "common-neighbors")
 
 
-@dataclass
 class SrgCheckReport:
-    items: list[CheckItem] = field(default_factory=list)
-    caps: Caps = field(default_factory=Caps)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("items", "caps", "meta")
+
+    def __init__(
+        self, items: list[CheckItem] | None = None, caps: Caps = Caps(), meta: dict | None = None
+    ):
+        self.items = [] if items is None else items
+        self.caps = caps
+        self.meta = {} if meta is None else meta
 
     def add(self, item: CheckItem) -> None:
         self.items.append(item)

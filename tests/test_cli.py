@@ -1080,3 +1080,14 @@ with contextlib.redirect_stderr(io.StringIO()):
 """
     res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_importing_the_cli_defines_no_dataclass():
+    """The record classes are written out: a dataclass compiles its methods
+    with exec at every import, which cost most of the import time of
+    ``denpds.construct``.  A fresh interpreter that imports the CLI has not
+    loaded ``dataclasses``."""
+    code = "import denpds.cli, sys; print('dataclasses' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

@@ -293,6 +293,9 @@ def test_rank_matches_the_row_loop():
             padded[1:-1, 1:-1] = mat
             for m in (mat, repeated, padded, padded.T):
                 assert ff.rank(base, m) == reference_rank(m, qa), (p, s, m.shape)
+            for m in (mat, repeated, padded):  # keys in the column order of build_code
+                keys = ff.row_keys(m[:, ::-1], base.size)
+                assert ff.rank_from_keys(base, keys, m.shape[1]) == reference_rank(m, qa), (p, s, m.shape)
         for rows, cols in [(0, 0), (0, 5), (5, 0), (1, 1), (6, 4), (4, 6)]:
             assert ff.rank(base, np.zeros((rows, cols), dtype=np.int64)) == 0
         assert ff.rank(base, np.eye(6, dtype=np.int64)) == 6

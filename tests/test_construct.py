@@ -9,6 +9,7 @@ import pytest
 
 from denpds import params as P
 from denpds.construct import (
+    CompatiblePrimitives,
     PdsSet,
     Tower,
     TowerParams,
@@ -23,7 +24,8 @@ from denpds.errors import (
     TableCapExceededError,
 )
 from denpds.ff import build_field, digitwise, prime_factors
-from denpds.verify import GroupIndexer, delsarte_dual, verify_pds
+from denpds.jsonout import RowStrings
+from denpds.verify import Caps, CheckItem, GroupIndexer, SrgCheckReport, delsarte_dual, verify_pds
 
 from conftest import GRID_G1, digit_table, pair_set, poly_mul, poly_pow
 
@@ -287,7 +289,7 @@ def test_tower_owns_one_indexer_and_the_encoding(grid):
         R = tower.default_subspace()
         assert all(type(x) is int for x in R.basis + tower.index_set_T(R))
         assert all(type(x) is int for row in tower.build_D(R).subspace_rows for x in row)
-        assert all(type(x) is int for x in vars(tower.compatible).values())
+        assert all(type(getattr(tower.compatible, f)) is int for f in CompatiblePrimitives.__slots__)
         R = subspace_from_basis(tower.mid, tower.base, tower.mid.antilog[:1])  # numpy input
         assert type(R.basis[0]) is int
         assert json.loads(tower.build_D(R).to_json(tower))["subspace_rows"] == R.basis_coeff_rows()
@@ -459,3 +461,36 @@ def test_set_refuses_indices_outside_the_group(t729, outside):
     D = t729.build_D()
     with pytest.raises(ValueError, match="^set elements must be group indices below 729$"):
         PdsSet(D.params, D.provenance, outside, D.claimed)
+
+
+def test_records_keep_value_or_identity_equality_and_stay_read_only(t64):
+    """Parameter records are equal and hashed by value, sets and subspaces
+    only to themselves; no field of a read-only record can be assigned, and
+    the mutable check records get a fresh default list or dict each."""
+    D, R, c = t64.build_D(), t64.default_subspace(), t64.compatible
+    values = [
+        (TowerParams(2, 1, 2, 1, 1), TowerParams(2, 1, 2, 1, 1), TowerParams(2, 1, 2, 1, 0)),
+        (P.SrgParams(64, 18, 2, 6), P.SrgParams(64, 18, 2, 6), P.SrgParams(64, 45, 32, 30)),
+        (P.classify_type(D.claimed), P.Classification("negative-latin", 8, 2), P.Classification("neither")),
+        (c, CompatiblePrimitives(c.beta_adjust, c.gamma_exp, c.gamma), CompatiblePrimitives(-1, -1, -1)),
+        (Caps(), Caps(), Caps(profile=8)),
+        (RowStrings(R.elements), RowStrings(R.elements), RowStrings(D.elements)),
+    ]
+    for a, same, other in values[:-1]:
+        assert a == same and hash(a) == hash(same) and a != other, a
+    rows, same_rows, _ = values[-1]
+    assert rows == same_rows and not isinstance(rows, tuple)
+    again = PdsSet(D.params, D.provenance, D.elements, D.claimed, D.subspace_rows)
+    assert D == D and D != again and R != subspace_from_basis(R.mid, R.base, list(R.basis))
+    for record in [v[0] for v in values] + [D, R]:
+        name = type(record).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert repr(D.claimed) == "SrgParams(v=64, k=18, lam=2, mu=6)"
+    items = [CheckItem("a", True), CheckItem("b", True)]
+    assert items[0].details is not items[1].details and items[0].witnesses is not items[1].witnesses
+    reports = [SrgCheckReport(), SrgCheckReport()]
+    assert reports[0].items is not reports[1].items and reports[0].meta is not reports[1].meta
+    items[0].passed = False
+    reports[0].add(items[0])
+    assert reports[0].verdict == "FAIL" and reports[1].items == []

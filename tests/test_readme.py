@@ -1,10 +1,9 @@
 """Every backticked dotted name in README.md resolves, so a deleted or
 renamed name cannot stay documented.  A name is checked when its head is
 ``denpds`` or a class exported by ``denpds``, ``denpds.verify`` or
-``denpds.coding``; each further part must be a module, an attribute or a
-dataclass field."""
+``denpds.coding``; each further part must be a module or an attribute,
+which includes a slot of a record class."""
 
-import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -35,8 +34,6 @@ def resolves(name: str) -> bool:
         path += "." + part
         if hasattr(obj, part):
             obj = getattr(obj, part)
-        elif dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
-            obj = None  # a field has no class attribute to look into
         else:
             try:
                 obj = importlib.import_module(path)
