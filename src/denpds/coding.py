@@ -39,7 +39,7 @@ import numpy as np
 from . import ff, params as pm
 from .construct import PdsSet, Tower
 from .errors import CapExceededError, DenpdsError, InternalError, NotScaleClosedError
-from .ff import FiniteField, embed, sweep
+from .ff import FiniteField, chunks, embed
 from .verify import CheckItem, Spectrum
 
 DEFAULT_ENUM_CAP = 1 << 16
@@ -159,17 +159,16 @@ def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarra
     for row in base.neg(G[dim - c :]):
         minus_block = base.add(minus_block[:, None, :], base.mul(scalars, row)[None, :, :]).reshape(-1, n)
     heads = G[: dim - c]
-
-    def one(rng):
+    sizes = []
+    for lo, hi in chunks(q ** (dim - c), q**c * n * 8):
         # the codewords of the first dim - c rows for head keys lo..hi-1
-        keys = np.arange(*rng, dtype=np.int64)
+        keys = np.arange(lo, hi, dtype=np.int64)
         head = np.zeros((len(keys), n), dtype=np.int64)
         for t, row in enumerate(heads):
             digit = keys // q ** (dim - c - 1 - t) % q
             head = base.add(head, base.mul(digit[:, None], row))
-        return (head[:, None, :] == minus_block[None, :, :]).sum(axis=2).ravel()
-
-    return np.concatenate(sweep(q ** (dim - c), q**c * n * 8, one))[1:]
+        sizes.append((head[:, None, :] == minus_block[None, :, :]).sum(axis=2).ravel())
+    return np.concatenate(sizes)[1:]
 
 
 def _profile(sizes: np.ndarray, mult: np.ndarray, q: int, dim: int, n: int) -> dict[int, int]:

@@ -103,7 +103,7 @@ DELSARTE_TAG = {
 }
 
 
-class TowerParams:
+class TowerParams(pm.ValueRecord):
     """The tuple (p, s, m, ell, r) plus everything derived from it;
     read-only, equal and hashed by value."""
 
@@ -123,18 +123,6 @@ class TowerParams:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.s, self.m, self.ell, self.r) == (
-            other.p, other.s, other.m, other.ell, other.r)
-
-    def __hash__(self):
-        return hash((self.p, self.s, self.m, self.ell, self.r))
 
     @property
     def q(self) -> int:
@@ -193,7 +181,7 @@ class TowerParams:
         return {"p": self.p, "s": self.s, "m": self.m, "ell": self.ell, "r": self.r}
 
 
-class Subspace:
+class Subspace(pm.ReadOnly):
     """A GF(q)-subspace of the middle field, fully materialized: ``elements``
     is the sorted, read-only int64 array of its packed values.  Read-only,
     and equal only to itself."""
@@ -213,9 +201,6 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
 
     def basis_coeff_rows(self) -> list[list[int]]:
         return [list(self.mid.digits(b)) for b in self.basis]
@@ -277,7 +262,7 @@ def dual_subspace(R: Subspace) -> Subspace:
     return subspace_from_elements(mid, base, elems)
 
 
-class CompatiblePrimitives:
+class CompatiblePrimitives(pm.ValueRecord):
     """Generators of the two big fields whose norms pull back to one
     middle-field generator gamma: K1's own generator, and K2's generator
     raised to beta_adjust.  Read-only, equal and hashed by value."""
@@ -293,18 +278,6 @@ class CompatiblePrimitives:
         object.__setattr__(self, "beta_adjust", beta_adjust)
         object.__setattr__(self, "gamma_exp", gamma_exp)
         object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.beta_adjust, self.gamma_exp, self.gamma) == (
-            other.beta_adjust, other.gamma_exp, other.gamma)
-
-    def __hash__(self):
-        return hash((self.beta_adjust, self.gamma_exp, self.gamma))
 
 
 @cache  # keyed by an interned field, which lives as long as the process anyway
@@ -383,14 +356,21 @@ class GroupIndexer:
         return np.stack([self.f1.dlog[a], self.f2.dlog[b]], axis=-1)
 
     def from_dlog_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Indices of the (k, 2) discrete-log pairs; the inverse of ``dlog_pairs``."""
-        exp1, exp2 = self._antilogs
-        return self.join(exp1[pairs[:, 0]], exp2[pairs[:, 1]])
+        """Indices of the (k, 2) discrete-log pairs; the inverse of
+        ``dlog_pairs``.  The index of (a, b) is that of (a, 0) plus that of
+        (0, b), so the second gather is added into the first: one array
+        beside one temporary."""
+        first, second = self._log_indices
+        out = first[pairs[:, 0]]
+        out += second[pairs[:, 1]]
+        return out
 
     @cached_property
-    def _antilogs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each field's antilog with 0 appended, which the log -1 of zero reads."""
-        return tuple(readonly(np.append(f.antilog, 0)) for f in (self.f1, self.f2))
+    def _log_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of (g1^i, 0) and of (0, g2^j) for every log, with 0
+        appended, which the log -1 of zero reads."""
+        exp1, exp2 = (np.append(f.antilog, 0) for f in (self.f1, self.f2))
+        return readonly(self.join(exp1, 0)), readonly(self.join(0, exp2))
 
     # -- trace pairing between group elements and characters --
 
@@ -409,7 +389,7 @@ class GroupIndexer:
         return readonly(self.join(_upack(self.f1)[None, :], _upack(self.f2)[:, None]).ravel())
 
 
-class PdsSet:
+class PdsSet(pm.ReadOnly):
     """A candidate partial difference set with its provenance; read-only,
     and equal only to itself.
 
@@ -441,9 +421,6 @@ class PdsSet:
         object.__setattr__(self, "claimed", claimed)
         object.__setattr__(self, "subspace_rows", subspace_rows)
         object.__setattr__(self, "member", readonly(member))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
 
     @property
     def k(self) -> int:

@@ -7,8 +7,8 @@ by y is the n x n matrix whose row i holds the digits of y x^i
 (``_mul_matrix``), so a product is a row times a matrix mod p.  On whole
 arrays of packed values every GF(p)-linear map is one function,
 ``linear_map(x, mat, p)`` = packed(digits(x) @ mat mod p), which unpacks
-the digit rows one chunk at a time through ``sweep`` on the ranges of
-``chunks``, the package's one chunker (every literal sweep uses it).  No
+the digit rows one chunk at a time on the ranges of ``chunks``, the
+package's one chunker (every literal sweep loops over it).  No
 table of digit rows is kept, and no other module unpacks digits.
 Everything about the field is found on that representation,
 deterministically:
@@ -243,11 +243,6 @@ def chunks(total: int, row_bytes: int):
     return ((lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
 
 
-def sweep(total: int, row_bytes: int, fn) -> list:
-    """[fn(rng) for rng in chunks(total, row_bytes)], in order."""
-    return list(map(fn, chunks(total, row_bytes)))
-
-
 @cache
 def _place_values(p: int, k: int) -> np.ndarray:
     """p^0 .. p^(k-1), the weights of k packed base-p digits."""
@@ -262,16 +257,12 @@ def linear_map(x, mat, p: int) -> np.ndarray:
     x, mat = np.asarray(x, dtype=np.int64), np.asarray(mat, dtype=np.int64)
     w_in, w_out = (_place_values(p, k) for k in mat.shape)
     out = np.empty(len(x), dtype=np.int64)
-
-    def one(rng):
-        lo, hi = rng
+    for lo, hi in chunks(len(x), 8 * sum(mat.shape)):
         digits = x[lo:hi, None] // w_in
         digits %= p
         image = digits @ mat
         image %= p
         out[lo:hi] = image @ w_out
-
-    sweep(len(x), 8 * sum(mat.shape), one)
     return out
 
 
@@ -477,14 +468,11 @@ def row_keys(mat: np.ndarray, q: int) -> np.ndarray:
     if q**cols >= 1 << 63:
         raise ValueError("row keys of %d^%d do not fit int64" % (q, cols))
     out = np.zeros(n, dtype=np.int64)
-
-    def one(rng):
-        key = out[rng[0] : rng[1]]
-        for column in mat[rng[0] : rng[1]].T[::-1]:
+    for lo, hi in chunks(n, 8 * cols):
+        key = out[lo:hi]
+        for column in mat[lo:hi].T[::-1]:
             key *= q
             key += column
-
-    sweep(n, 8 * cols, one)
     return out
 
 

@@ -31,6 +31,7 @@ from json.encoder import encode_basestring_ascii as _string
 import numpy as np
 
 from .ff import chunks
+from .params import ReadOnly
 
 # What one value of an array costs while its slice is rendered, in bytes:
 # its token or int object, the pointer arrays around it and its text.  The
@@ -38,26 +39,23 @@ from .ff import chunks
 VALUE_BYTES = 256
 
 
-class RowStrings:
+class RowStrings(ReadOnly):
     """An integer matrix that a document holds as one JSON string per row:
     the row's entries in decimal, joined by single spaces.  Read-only, and
-    not a tuple, which a document writes as a list."""
+    not a tuple, which a document writes as a list.  Equal when the rows
+    are equal arrays, shape included; unhashable, as the array is."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: np.ndarray):
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rows,) == (other.rows,)  # as tuples compare: one matrix is equal to itself
+        return np.array_equal(self.rows, other.rows)
 
-    def __hash__(self):
-        return hash((self.rows,))
+    __hash__ = None
 
 
 def _plain_leaf(x):

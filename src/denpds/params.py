@@ -25,7 +25,36 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
-class SrgParams:
+class ReadOnly:
+    """Base of the read-only records: every assignment is refused, so each
+    ``__init__`` stores its fields once with ``object.__setattr__``.
+    Equality is identity unless a subclass says otherwise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+
+class ValueRecord(ReadOnly):
+    """A read-only record equal and hashed by its fields, in ``__slots__``
+    order; never equal to an instance of another class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class SrgParams(ValueRecord):
     """A (v, k, lam, mu) tuple with its derived spectral data; read-only,
     equal and hashed by value."""
 
@@ -36,17 +65,6 @@ class SrgParams:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.v, self.k, self.lam, self.mu) == (other.v, other.k, other.lam, other.mu)
-
-    def __hash__(self):
-        return hash((self.v, self.k, self.lam, self.mu))
 
     def __repr__(self) -> str:
         # IdentityViolatedError messages show it
@@ -248,7 +266,7 @@ def lemma_dictionary_params(q: int, dim: int, n: int, w1: int, w2: int) -> SrgPa
     return SrgParams(v, k, lam, mu)
 
 
-class Classification:
+class Classification(ValueRecord):
     """A match against the Latin / negative Latin square templates;
     read-only, equal and hashed by value."""
 
@@ -258,17 +276,6 @@ class Classification:
         object.__setattr__(self, "kind", kind)  # "latin" | "negative-latin" | "neither"
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.n, self.r) == (other.kind, other.n, other.r)
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.r))
 
     def describe(self) -> str:
         if self.kind == "neither":

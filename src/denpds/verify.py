@@ -59,7 +59,7 @@ from .errors import (
     InternalError,
     SpectrumNotTwoValuedError,
 )
-from .ff import chunks, sweep
+from .ff import chunks
 from .jsonout import dumps
 
 DEFAULT_PROFILE_CAP = 1 << 16
@@ -67,7 +67,7 @@ DEFAULT_SPECTRUM_CAP = 1 << 20
 DEFAULT_NEIGHBOR_CAP = 1 << 12
 
 
-class Caps:
+class Caps(pm.ValueRecord):
     """The caps of ``--profile-cap``, ``--spectrum-cap`` and
     ``--neighbor-cap``; read-only, equal and hashed by value."""
 
@@ -83,18 +83,6 @@ class Caps:
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "neighbor", neighbor)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.profile, self.spectrum, self.neighbor) == (
-            other.profile, other.spectrum, other.neighbor)
-
-    def __hash__(self):
-        return hash((self.profile, self.spectrum, self.neighbor))
-
     def as_dict(self) -> dict:
         return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
 
@@ -106,12 +94,10 @@ def _common_counts(pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer) -> n
     idx, member = pds.elements, pds.member
     # int64 bytes per target: k indices; for odd p, n bounds the digit-wise temporaries
     per_target = len(idx) * 8 * (1 if indexer.p == 2 else indexer.n)
-
-    def one(rng):
-        gs = targets[rng[0] : rng[1]]
-        return member[indexer.sub(idx[None, :], gs[:, None])].sum(axis=1)
-
-    return np.concatenate(sweep(len(targets), per_target, one))
+    counts = np.empty(len(targets), dtype=np.int64)
+    for lo, hi in chunks(len(targets), per_target):
+        counts[lo:hi] = member[indexer.sub(idx[None, :], targets[lo:hi, None])].sum(axis=1)
+    return counts
 
 
 def difference_profile(
@@ -251,11 +237,10 @@ def _orbit_sums(idx: np.ndarray, reps: np.ndarray, indexer: GroupIndexer) -> np.
     c, p = len(reps), indexer.p
     if p == 2:
         labels = indexer.char_index(reps)
-
-        def odd(rng):
-            return np.count_nonzero(np.bitwise_count(labels[:, None] & idx[rng[0] : rng[1]]) & 1, axis=1)
-
-        return len(idx) - 2 * sum(sweep(len(idx), 8 * c, odd), np.zeros(c, dtype=np.int64))
+        odd = np.zeros(c, dtype=np.int64)
+        for lo, hi in chunks(len(idx), 8 * c):
+            odd += np.count_nonzero(np.bitwise_count(labels[:, None] & idx[lo:hi]) & 1, axis=1)
+        return len(idx) - 2 * odd
     a, b = indexer.split(idx)
     # row i of each table: Tr(g x) for the coordinate g of reps[i] in that field and every x
     tables = [
@@ -264,15 +249,12 @@ def _orbit_sums(idx: np.ndarray, reps: np.ndarray, indexer: GroupIndexer) -> np.
     ]
     # a sum of two traces lies in [0, 2p - 2]; rep i counts it from i (2p - 1) on
     offsets = (2 * p - 1) * np.arange(c, dtype=np.int64)[:, None]
-
-    def residues(rng):
-        lo, hi = rng
+    counts = np.zeros(c * (2 * p - 1), dtype=np.int64)
+    for lo, hi in chunks(len(idx), 16 * c):
         exps = tables[0][:, a[lo:hi]]
         exps += tables[1][:, b[lo:hi]]
         exps += offsets
-        return np.bincount(exps.ravel(), minlength=c * (2 * p - 1))
-
-    counts = sum(sweep(len(idx), 16 * c, residues), np.zeros(c * (2 * p - 1), dtype=np.int64))
+        counts += np.bincount(exps.ravel(), minlength=c * (2 * p - 1))
     counts = counts.reshape(c, 2 * p - 1)
     counts[:, : p - 1] += counts[:, p:]  # a sum r + p is the residue r
     if (counts[:, 2:p] != counts[:, 1:2]).any():

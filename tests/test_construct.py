@@ -464,9 +464,10 @@ def test_set_refuses_indices_outside_the_group(t729, outside):
 
 
 def test_records_keep_value_or_identity_equality_and_stay_read_only(t64):
-    """Parameter records are equal and hashed by value, sets and subspaces
-    only to themselves; no field of a read-only record can be assigned, and
-    the mutable check records get a fresh default list or dict each."""
+    """Parameter records are equal and hashed by value, a row matrix is
+    equal by its rows and unhashable, sets and subspaces are equal only to
+    themselves; no field of a read-only record can be assigned, and the
+    mutable check records get a fresh default list or dict each."""
     D, R, c = t64.build_D(), t64.default_subspace(), t64.compatible
     values = [
         (TowerParams(2, 1, 2, 1, 1), TowerParams(2, 1, 2, 1, 1), TowerParams(2, 1, 2, 1, 0)),
@@ -480,6 +481,10 @@ def test_records_keep_value_or_identity_equality_and_stay_read_only(t64):
         assert a == same and hash(a) == hash(same) and a != other, a
     rows, same_rows, _ = values[-1]
     assert rows == same_rows and not isinstance(rows, tuple)
+    assert rows == RowStrings(R.elements.copy())
+    assert rows != RowStrings(R.elements + 1) and rows != RowStrings(R.elements[None, :])
+    with pytest.raises(TypeError):
+        hash(rows)
     again = PdsSet(D.params, D.provenance, D.elements, D.claimed, D.subspace_rows)
     assert D == D and D != again and R != subspace_from_basis(R.mid, R.base, list(R.basis))
     for record in [v[0] for v in values] + [D, R]:

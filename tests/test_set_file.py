@@ -335,6 +335,18 @@ def test_reading_holds_one_slice_of_text(monkeypatch):
     assert _traced_peak(lambda: read_set_file(data)) > bound
 
 
+def test_dlog_pairs_become_indices_in_one_array():
+    """On the 2,1,2,4,1 primal set (k = 87,210) ``from_dlog_pairs`` holds
+    its output and one gather beside its input: at most 16 bytes an
+    element plus 64 KiB.  Joining two gathered coordinates peaks at 24."""
+    tower = Tower(TowerParams(2, 1, 2, 4, 1))
+    pds = tower.build_D()
+    pairs = tower.indexer.dlog_pairs(pds.elements)
+    peak = _traced_peak(lambda: tower.indexer.from_dlog_pairs(pairs))
+    assert peak <= 16 * pds.k + (64 << 10)
+    assert np.array_equal(tower.indexer.from_dlog_pairs(pairs), pds.elements)
+
+
 # -- the slice decoder against json on random element texts --
 
 NUMBERS = st.one_of(st.integers(-1, 1100), st.integers(-(10**18 - 1), 10**18 - 1))

@@ -753,6 +753,34 @@ def _named(node, name: str) -> bool:
     )
 
 
+def test_one_read_only_base():
+    """Only ``params.ReadOnly`` refuses assignment and only
+    ``params.ValueRecord`` compares and hashes records by value; the one
+    other equality is ``jsonout.RowStrings``', which compares arrays and
+    leaves the record unhashable.  No other class of the package defines
+    ``__setattr__``, ``__eq__`` or ``__hash__``."""
+    allowed = {
+        ("params.py", "ReadOnly"): {"__setattr__"},
+        ("params.py", "ValueRecord"): {"__eq__", "__hash__"},
+        ("jsonout.py", "RowStrings"): {"__eq__", "__hash__"},
+    }
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = {node.name}
+                else:
+                    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                names &= {"__setattr__", "__eq__", "__hash__"}
+                if names - allowed.get((path.name, cls.name), set()):
+                    offenders.append("%s:%d %s" % (path.name, node.lineno, cls.name))
+    assert offenders == []
+
+
 def test_one_chunker():
     """Only ff.chunks divides CHUNK_BYTES, and nothing in the package,
     ff.chunks included, names ThreadPoolExecutor or concurrent.futures:
