@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -1091,3 +1092,106 @@ def test_importing_the_cli_defines_no_dataclass():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _libc(calls):
+    """A stand-in for ``ctypes.CDLL``: its handle records each mallopt call."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    handle = types.SimpleNamespace(mallopt=mallopt)
+    return lambda name: handle
+
+
+@pytest.fixture
+def fresh_policy():
+    """main as on its first call in a process, and after the test too."""
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is set on glibc only")
+def test_a_second_command_reuses_freed_heap_pages(tmp_path):
+    """By default glibc unmaps a large freed block and trims the top of
+    the heap, so each command faults in again what the one before it
+    freed: a second ``verify`` and ``dual`` of the 2,1,2,4,1 primal set
+    fault in over 3,000 pages.  With freed blocks kept in the heap the
+    second pair faults in next to none."""
+    script = """
+import contextlib, io, resource, sys
+from denpds.cli import main
+path = sys.argv[1] + "/d.json"
+def faults(argv):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0, argv
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+with contextlib.redirect_stderr(io.StringIO()):
+    faults(["construct", "-p", "2", "-m", "2", "-l", "4", "-r", "1", "-o", path])
+    pair = [[command, "--set", path, "-o", sys.argv[1] + "/out"] for command in ("verify", "dual")]
+    [faults(argv) for argv in pair]
+    print(*[faults(argv) for argv in pair])
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert sum(map(int, res.stdout.split())) < 100, res.stdout
+
+
+def test_only_main_sets_the_allocator_policy():
+    """Importing denpds and its CLI makes no mallopt call: a library must
+    not change its host's allocator.  Two calls of main make the two calls
+    once."""
+    script = """
+import ctypes, types
+calls = []
+def mallopt(param, value):
+    calls.append((param, value))
+    return 1
+ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
+import denpds, denpds.cli, os
+print(calls)
+os.confstr = lambda name: "glibc 2.36"
+for _ in range(2):
+    assert denpds.cli.main(["params", "-p", "2", "-m", "2", "-l", "1", "-r", "1"]) == 0
+print(calls)
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    after_import, after_main = res.stdout.splitlines()[0], res.stdout.splitlines()[-1]
+    assert after_import == "[]"
+    assert after_main == str([(-3, 16 << 20), (-1, 64 << 20)])
+
+
+def _raise(exc):
+    def fail(*_):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("where, fake", [
+    ("confstr", _raise(ValueError("unrecognized configuration name"))),
+    ("confstr", _raise(OSError(22, "Invalid argument"))),
+    ("confstr", lambda name: None),
+    ("CDLL", _raise(OSError("no such library"))),
+    ("CDLL", lambda name: object()),  # a handle without mallopt: AttributeError
+])
+def test_main_runs_the_same_where_the_policy_cannot_be_set(fresh_policy, monkeypatch, capsys,
+                                                           where, fake):
+    argv = ["construct", "-p", "3", "-m", "2", "-l", "1", "-r", "1", "--family", "dual"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr()
+    cli._keep_freed_heap.cache_clear()
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", _libc(calls))
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.os if where == "confstr" else cli.ctypes, where, fake)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert calls == []
