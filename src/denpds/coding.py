@@ -93,14 +93,16 @@ class CodingContext:
 
 
 class ProjectiveSet:
-    """Distinct normalized points (first nonzero coordinate 1) in PG(dim-1, q);
-    ``to_projective_set`` lists them in lexicographic order, the column order
-    ``build_code`` requires."""
+    """Distinct normalized points (first nonzero coordinate 1) in PG(dim-1, q)
+    with their base-q keys (first coordinate most significant), one int64
+    each; ``to_projective_set`` lists them in ascending key order, the
+    lexicographic column order ``build_code`` requires."""
 
-    def __init__(self, q: int, dim: int, points: np.ndarray):
+    def __init__(self, q: int, dim: int, points: np.ndarray, keys: np.ndarray):
         self.q = q
         self.dim = dim
         self.points = points
+        self.keys = keys
 
     @property
     def n(self) -> int:
@@ -134,7 +136,7 @@ def to_projective_set(pds: PdsSet, ctx: CodingContext) -> ProjectiveSet:
     cut = len(ctx.digits1)
     np.take(ctx.digits1, points // ctx.shift, axis=1, out=digits[:cut], mode="clip")
     np.take(ctx.digits2, points % ctx.shift, axis=1, out=digits[cut:], mode="clip")
-    return ProjectiveSet(ctx.q, ctx.dim, digits.T)
+    return ProjectiveSet(ctx.q, ctx.dim, digits.T, points)
 
 
 def _literal_sizes(points: np.ndarray, base: FiniteField, cap: int) -> np.ndarray:
@@ -214,14 +216,11 @@ def build_code(S: ProjectiveSet, ctx: CodingContext) -> GeneratorMatrix:
     """Columns in lexicographic coordinate order, the order of S.points;
     distinct normalized points are pairwise independent by construction, so
     asserting that the points strictly ascend re-asserts both.  They ascend
-    as their base-q keys (first coordinate most significant) do, one int64
-    each, so no (n, dim) difference array is built.  The rank is found from
-    the same keys."""
-    cols = S.points
-    keys = ff.row_keys(cols[:, ::-1], ctx.q)
-    if not (np.diff(keys) > 0).all():
+    as their keys S.keys do, so no (n, dim) difference array is built.  The
+    rank is found from the same keys."""
+    if not (np.diff(S.keys) > 0).all():
         raise InternalError("generator columns are not distinct and sorted")
-    return GeneratorMatrix(S.q, cols.T, ff.rank_from_keys(ctx.base, keys, cols.shape[1]))
+    return GeneratorMatrix(S.q, S.points.T, ff.rank_from_keys(ctx.base, S.keys, S.dim))
 
 
 def _enumerator(sizes: np.ndarray, mult: np.ndarray, gm: GeneratorMatrix) -> dict[int, int]:

@@ -335,17 +335,11 @@ class GroupIndexer:
 
     def neg(self, a):
         """-a: for odd p one gather per coordinate from each field's table
-        of negatives."""
+        of products by p - 1, since -x = (p - 1) x."""
         if self.p == 2:
             return digitwise(0, a, -1, self.p, self.n)
-        neg1, neg2 = self._negatives
         x, y = self.split(a)
-        return self.join(neg1[x], neg2[y])
-
-    @cached_property
-    def _negatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each field's negatives, indexed by packed value."""
-        return tuple(readonly(f.neg(np.arange(f.size))) for f in (self.f1, self.f2))
+        return self.join(self.f1.product_table(self.p - 1)[x], self.f2.product_table(self.p - 1)[y])
 
     # -- discrete-log pairs: set files and witnesses --
 

@@ -45,8 +45,8 @@ on those tables: a ``SubfieldEmbedding`` is the linear map of the digit rows of 
 powers of its root, and records the exponent ``w`` with which it maps the
 small generator's powers, checked on every power, so the norm onto a
 subfield is a multiplication of discrete logs.  Every table is built by a
-forward map; ``rank``, elimination on distinct row keys, serves only the
-rank of a code.  Everything is exact integer work;
+forward map; ``rank_from_keys``, elimination on distinct row keys, serves
+only the rank of a code.  Everything is exact integer work;
 there is no floating point and no randomness anywhere.
 """
 
@@ -459,42 +459,16 @@ class FiniteField:
 # -- linear algebra over a field --
 
 
-def row_keys(mat: np.ndarray, q: int) -> np.ndarray:
-    """Each row of the (n, c) matrix mat of digits below q as one base-q
-    int64 key, its first entry least significant: by Horner's rule over the
-    columns, one chunk of rows at a time, so a matrix of narrow digits is
-    never copied to int64."""
-    n, cols = mat.shape
-    if q**cols >= 1 << 63:
-        raise ValueError("row keys of %d^%d do not fit int64" % (q, cols))
-    out = np.zeros(n, dtype=np.int64)
-    for lo, hi in chunks(n, 8 * cols):
-        key = out[lo:hi]
-        for column in mat[lo:hi].T[::-1]:
-            key *= q
-            key += column
-    return out
-
-
-def rank(field: FiniteField, mat) -> int:
-    """The rank of a matrix of packed elements of ``field``.  Each row is
-    one base-q key (``row_keys``), q = field.size, its first entry least
-    significant; as q = p^n, a key is also the row's packed digit string
-    over GF(p), so rows add by ``digitwise``.  Each step clears the leading column with
-    the first row that has a nonzero entry there (only the q multiples of
-    that row's tail are ever subtracted), drops the column, and keeps the
-    distinct nonzero rows.  Every step keeps the row space, and after it at
-    most q^c rows of c columns remain.  A wide matrix is read transposed."""
-    m = np.asarray(mat)
-    if m.shape[1] > m.shape[0]:
-        m = m.T
-    return rank_from_keys(field, row_keys(m, field.size), m.shape[1])
-
-
 def rank_from_keys(field: FiniteField, keys: np.ndarray, cols: int) -> int:
-    """The elimination of ``rank`` on the ``row_keys`` of a matrix of
-    packed elements of ``field`` with ``cols`` columns, in any column order:
-    the order does not change the rank."""
+    """The rank of a matrix of packed elements of ``field`` with ``cols``
+    columns, each row given as one base-q int64 key, q = field.size, its
+    columns in any order (the order does not change the rank); as q = p^n,
+    a key is also the row's packed digit string over GF(p), so rows add by
+    ``digitwise``.  Each step clears the column of the least significant
+    digit with the first row that has a nonzero entry there (only the q
+    multiples of that row's tail are ever subtracted), drops the column,
+    and keeps the distinct nonzero rows.  Every step keeps the row space,
+    and after it at most q^c rows of c columns remain."""
     q, found = field.size, 0
     for c in range(cols - 1, -1, -1):  # c columns are left after this step
         lead, keys = keys % q, keys // q

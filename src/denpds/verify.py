@@ -596,8 +596,6 @@ def delsarte_dual(
     claimed = pm.delsarte_dual_params(exp)
     if len(elems) != claimed.k:
         raise InternalError("dual has size %d, expected %d" % (len(elems), claimed.k))
-    if pds.provenance not in DELSARTE_TAG:
-        raise ValueError("cannot dualize provenance %r" % pds.provenance)
     return PdsSet(
         pds.params, DELSARTE_TAG[pds.provenance], elems, claimed, pds.subspace_rows
     )

@@ -110,6 +110,25 @@ def test_projective_points_by_integer_key_on_grid(grid):
         assert np.array_equal(C.build_code(S, ctx).mat, want.T)
 
 
+def point_keys(points, q):
+    """The base-q key of each point, first coordinate most significant."""
+    dim = points.shape[1]
+    return points.astype(np.int64) @ q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+
+def test_collapse_keys_are_the_points_keys(grid):
+    """The keys the collapse hands ``build_code`` are the base-q keys of its
+    points and strictly ascend: every grid set and the 2,1,2,4,1 primal set
+    (v = 2^18, dim 18)."""
+    large = grid.tower(2, 1, 2, 4, 1), grid.pds(2, 1, 2, 4, 1)[0], None, "primal"
+    for tower, pds, _, family in [*grid.instances(), large]:
+        ctx = C.CodingContext(tower)
+        S = C.to_projective_set(pds, ctx)
+        assert S.keys.dtype == np.int64, (tower.params, family)
+        assert np.array_equal(S.keys, point_keys(S.points, S.q)), (tower.params, family)
+        assert (np.diff(S.keys) > 0).all(), (tower.params, family)
+
+
 def test_identity_in_the_set_is_refused(setup729):
     """The identity is scale-closed but no projective point: the collapse
     refuses it rather than dropping it, as a fault of the input, not of the
@@ -124,9 +143,9 @@ def test_identity_in_the_set_is_refused(setup729):
 def test_build_code_requires_sorted_distinct_points(setup64):
     _, ctx, D = setup64
     S = C.to_projective_set(D, ctx)
-    for points in (S.points[::-1], np.concatenate([S.points, S.points[-1:]])):
+    for take in (np.arange(S.n)[::-1], np.append(np.arange(S.n), S.n - 1)):
         with pytest.raises(InternalError):
-            C.build_code(C.ProjectiveSet(S.q, S.dim, points), ctx)
+            C.build_code(C.ProjectiveSet(S.q, S.dim, S.points[take], S.keys[take]), ctx)
 
 
 def test_scale_closure_violation_detected(setup729):
@@ -212,7 +231,7 @@ def test_hyperplane_profile_complement_inside_pg(setup64):
     have = {tuple(r) for r in S.points.tolist()}
     # the 63 points of PG(5, 2): the nonzero binary 6-tuples
     rest = np.array([r for r in itertools.product(range(2), repeat=6) if any(r) and r not in have])
-    Sc = C.ProjectiveSet(2, 6, rest)
+    Sc = C.ProjectiveSet(2, 6, rest, point_keys(rest, 2))
     prof = C.hyperplane_profile(Sc, ctx)
     # hyperplane has (q^(dim-1)-1)/(q-1) = 31 points; sizes complement to 31
     assert prof == {31 - 6: 18, 31 - 10: 45}
@@ -277,6 +296,14 @@ def reference_rank(mat, qa):
     return rank
 
 
+def keyed_rank(base, mat):
+    """``ff.rank_from_keys`` on the base-q row keys of mat, first entry most
+    significant as in ``build_code``; a wide matrix is read transposed, as
+    the keys of its rows need not fit int64 (q^42 does not for q >= 3)."""
+    m = mat.T if mat.shape[1] > mat.shape[0] else mat
+    return ff.rank_from_keys(base, point_keys(m, base.size), m.shape[1])
+
+
 def test_rank_matches_the_row_loop():
     """Random matrices over GF(2), GF(3), GF(4), GF(5) and GF(9): full rank
     and deficient, tall with repeated rows, wide, and with zero rows and
@@ -292,13 +319,10 @@ def test_rank_matches_the_row_loop():
             padded = np.zeros((rows + 2, cols + 2), dtype=np.int64)
             padded[1:-1, 1:-1] = mat
             for m in (mat, repeated, padded, padded.T):
-                assert ff.rank(base, m) == reference_rank(m, qa), (p, s, m.shape)
-            for m in (mat, repeated, padded):  # keys in the column order of build_code
-                keys = ff.row_keys(m[:, ::-1], base.size)
-                assert ff.rank_from_keys(base, keys, m.shape[1]) == reference_rank(m, qa), (p, s, m.shape)
+                assert keyed_rank(base, m) == reference_rank(m, qa), (p, s, m.shape)
         for rows, cols in [(0, 0), (0, 5), (5, 0), (1, 1), (6, 4), (4, 6)]:
-            assert ff.rank(base, np.zeros((rows, cols), dtype=np.int64)) == 0
-        assert ff.rank(base, np.eye(6, dtype=np.int64)) == 6
+            assert keyed_rank(base, np.zeros((rows, cols), dtype=np.int64)) == 0
+        assert keyed_rank(base, np.eye(6, dtype=np.int64)) == 6
 
 
 def test_code_rank_matches_the_row_loop_on_grid(grid):

@@ -401,12 +401,12 @@ def test_coords_over_intermediate_subfield():
 
 def test_field_construction_needs_no_row_reduction(monkeypatch):
     """The modulus search and the coordinate keys are forward maps: with
-    rank broken they still succeed."""
+    the row reduction broken they still succeed."""
 
     def broken(*args):
-        raise AssertionError("rank called")
+        raise AssertionError("rank_from_keys called")
 
-    monkeypatch.setattr(ff, "rank", broken)
+    monkeypatch.setattr(ff, "rank_from_keys", broken)
     assert ff._find_modulus(2, 8) == ff.build_field(2, 8).modulus
     assert ff._find_modulus(3, 4) == ff.build_field(3, 4).modulus
     fresh = ff.FiniteField(3, 4)

@@ -50,6 +50,7 @@ def test_readme_dotted_names_resolve():
 
 def test_a_stale_name_is_caught():
     assert not resolves("denpds.ff.kernel_basis")
+    assert not resolves("denpds.ff.row_keys") and not resolves("denpds.ff.rank")
     assert not resolves("GroupIndexer.index_of_char_table")
     assert not resolves("denpds.nosuchmodule")
     assert resolves("PdsSet.elements") and resolves("Tower.indexer")
