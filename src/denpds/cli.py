@@ -16,6 +16,15 @@ render their small documents whole first: past the digit limit an int
 cannot be printed, and that must end in a usage error before any byte is
 written.
 
+The command-line grammar lives in one option table (``_COMMANDS``).  A
+command line that is a command and then flags spelled in full, each value
+a word of its own that does not start with "-", is read from the table by
+``_parse_table`` into the namespace argparse would make of it.  Any other
+command line goes to the argparse parser that ``make_parser`` builds from
+the same table: help, every malformed line, ``grid`` and ``params
+--grid``.  So help and parse errors are argparse's own, and argparse is
+imported only for them.
+
 Bad input of every kind, argument parsing included, raises ``UsageError``;
 ``main`` alone reports it, as one ``error: ...`` line on stderr, and exits
 2.  ``grid`` refuses more than ``GRID_ROWS`` rows before it builds one, and
@@ -33,7 +42,6 @@ non-negative integer is a usage error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import ctypes
 import functools
@@ -42,6 +50,7 @@ import itertools
 import math
 import os
 import sys
+import types
 
 from . import coding as cd
 from . import params as pm
@@ -71,11 +80,6 @@ TRIM_THRESHOLD = 64 << 20
 
 class UsageError(Exception):
     """Bad input: ``main`` prints the message as one line and exits 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 @contextlib.contextmanager
@@ -444,80 +448,153 @@ def _discard_stdout() -> None:
     os.close(null)
 
 
-@functools.cache  # one parser per process: building it costs about 3 ms
-def make_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
+def _option(flags, dest, kind=str, default=None, help=None, metavar=None):
+    """One row of the option table: its flags (none for a positional), its
+    dest, its kind, its default, its help and its metavar.  The kind is int
+    or str for one value, a tuple of the values allowed, bool for a flag
+    that takes no value and stores True, or list for one or more values
+    (which only argparse reads)."""
+    return flags, dest, kind, default, help, metavar
+
+
+_TOWER = (
+    _option(("-p",), "p", int),
+    _option(("-s",), "s", int, 1),
+    _option(("-m",), "m", int),
+    _option(("-l", "--ell"), "ell", int),
+    _option(("-r",), "r", int),
+)
+_OUTPUT = _option(("-o", "--output"), "output")
+_TEXT_FORMAT = _option(("--format",), "format", ("json", "text"), "text")
+_CERTIFY = _TOWER + (
+    _option(("--family",), "family", ("primal", "dual"), "primal"),
+    _option(("--subspace-exps",), "subspace_exps",
+            help="comma list of generator exponents spanning R (default: 0..r-1)"),
+    _option(("--subspace-coords",), "subspace_coords",
+            help="semicolon-separated GF(p) coefficient rows spanning R"),
+    _option(("-o", "--output"), "output", help="output path (default stdout)"),
+    _option(("--format",), "format", ("json", "text"), "json"),
+    _option(("--parallel",), "parallel", int, 0,
+            "accepted and ignored (N >= 0): every sweep runs serially", "N"),
+    _option(("--seedless",), "seedless", bool, False,
+            "assert the no-randomness guarantee (always true; informational)"),
+    _option(("--table-cap",), "table_cap", int),
+    _option(("--profile-cap",), "profile_cap", int),
+    _option(("--spectrum-cap",), "spectrum_cap", int),
+    _option(("--neighbor-cap",), "neighbor_cap", int,
+            help="0 skips common-neighbors; any other value is accepted and "
+            "has no effect on verify"),
+    _option(("--enum-cap",), "enum_cap", int),
+)
+_SET = _option(("--set",), "set_file", help="constructed set JSON file")
+# the dests of the two ways to give R, which exclude each other
+_EXCLUSIVE = ("subspace_exps", "subspace_coords")
+
+# each command: its function, its line in the command list (None: not
+# listed), its options in the order --help lists them
+_COMMANDS = {
+    "params": (cmd_params, "closed-form parameter tables", _TOWER + (
+        _option(("--grid",), "grid", list, help="key=value ranges, e.g. m=2..3 r=all"),
+        _OUTPUT, _TEXT_FORMAT,
+    )),
+    "grid": (_emit_grid, "parameter rows over ranges", (
+        _option((), "grid", list, help="key=value ranges, e.g. p=2 m=2..3 r=all",
+                metavar="ranges"),
+        _OUTPUT, _TEXT_FORMAT,
+    )),
+    "construct": (cmd_construct, None, _CERTIFY),
+    "verify": (cmd_verify, None, _CERTIFY + (_SET,)),
+    "dual": (cmd_dual, None, _CERTIFY + (_SET,)),
+    "code": (cmd_code, None, _CERTIFY + (
+        _SET,
+        _option(("--matrix-out",), "matrix_out", help="also write the generator matrix as text"),
+    )),
+    "geometry": (cmd_geometry, None, _CERTIFY + (_SET,)),
+    "export-graph": (cmd_export_graph, None, _CERTIFY + (
+        _SET, _option(("--graph-format",), "graph_format", ("edgelist", "dimacs"), "edgelist"),
+    )),
+}
+
+
+def _parse_table(argv: list[str]):
+    """The namespace argparse makes of argv, read from the option table,
+    when argv is COMMAND (FLAG VALUE | --seedless)* with every flag spelled
+    in full, every value a word of its own that does not start with "-",
+    and at most one of the exclusive flags; else None, and argparse reads
+    argv, so that its help and its errors stay its own.  A value is
+    converted as argparse converts it, and a repeated flag keeps its last
+    value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    if any(not opt[0] for opt in options):  # a positional is argparse's to read
+        return None
+    by_flag = {flag: opt for opt in options for flag in opt[0]}
+    ns = {"command": argv[0], "func": func, **{opt[1]: opt[3] for opt in options}}
+    given = set()
+    rest = iter(argv[1:])
+    for flag in rest:
+        opt = by_flag.get(flag)
+        if opt is None or opt[2] is list:
+            return None
+        _, dest, kind = opt[:3]
+        if kind is bool:
+            ns[dest] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        ns[dest] = value
+        given.add(dest)
+    if given.issuperset(_EXCLUSIVE):
+        return None
+    return types.SimpleNamespace(**ns)
+
+
+@functools.cache  # built for --help and for what _parse_table declines; about 3 ms
+def make_parser():
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    ap = Parser(
         prog="denpds",
         description="Construct and exactly certify two-family difference sets, "
         "their Cayley graphs, projective point sets and two-weight codes.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    tower = argparse.ArgumentParser(add_help=False)
-    tower.add_argument("-p", type=int)
-    tower.add_argument("-s", type=int, default=1)
-    tower.add_argument("-m", type=int)
-    tower.add_argument("-l", "--ell", type=int, dest="ell")
-    tower.add_argument("-r", type=int)
-
-    common = argparse.ArgumentParser(add_help=False, parents=[tower])
-    common.add_argument("--family", choices=["primal", "dual"], default="primal")
-    basis = common.add_mutually_exclusive_group()
-    basis.add_argument(
-        "--subspace-exps", help="comma list of generator exponents spanning R (default: 0..r-1)"
-    )
-    basis.add_argument(
-        "--subspace-coords", help="semicolon-separated GF(p) coefficient rows spanning R"
-    )
-    common.add_argument("-o", "--output", help="output path (default stdout)")
-    common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument(
-        "--parallel", type=int, default=0, metavar="N",
-        help="accepted and ignored (N >= 0): every sweep runs serially",
-    )
-    common.add_argument(
-        "--seedless", action="store_true",
-        help="assert the no-randomness guarantee (always true; informational)",
-    )
-    cap_help = {
-        "neighbor": "0 skips common-neighbors; any other value is accepted and "
-        "has no effect on verify",
-    }
-    for cap in ("table", "profile", "spectrum", "neighbor", "enum"):
-        common.add_argument("--%s-cap" % cap, type=int, default=None, help=cap_help.get(cap))
-
-    sp = sub.add_parser("params", parents=[tower], help="closed-form parameter tables")
-    sp.add_argument("--grid", nargs="+", help="key=value ranges, e.g. m=2..3 r=all")
-    sp.add_argument("-o", "--output")
-    sp.add_argument("--format", choices=["json", "text"], default="text")
-    sp.set_defaults(func=cmd_params)
-
-    sg = sub.add_parser("grid", help="parameter rows over ranges")
-    sg.add_argument(
-        "grid", nargs="+", metavar="ranges", help="key=value ranges, e.g. p=2 m=2..3 r=all"
-    )
-    sg.add_argument("-o", "--output")
-    sg.add_argument("--format", choices=["json", "text"], default="text")
-    sg.set_defaults(func=_emit_grid)
-
-    for name, fn in (
-        ("construct", cmd_construct),
-        ("verify", cmd_verify),
-        ("dual", cmd_dual),
-        ("code", cmd_code),
-        ("geometry", cmd_geometry),
-        ("export-graph", cmd_export_graph),
-    ):
-        sc = sub.add_parser(name, parents=[common])
-        if name != "construct":
-            sc.add_argument("--set", dest="set_file", help="constructed set JSON file")
-        if name == "code":
-            sc.add_argument("--matrix-out", help="also write the generator matrix as text")
-        if name == "export-graph":
-            sc.add_argument(
-                "--graph-format", choices=["edgelist", "dimacs"], default="edgelist"
-            )
-        sc.set_defaults(func=fn)
+    for name, (func, help_line, options) in _COMMANDS.items():
+        sc = sub.add_parser(name, **({} if help_line is None else {"help": help_line}))
+        group = None
+        for flags, dest, kind, default, help_text, metavar in options:
+            kw = {"dest": dest, "default": default} if flags else {}
+            if kind is bool:
+                kw["action"] = "store_true"
+            elif kind is list:
+                kw["nargs"] = "+"
+            elif kind is int:
+                kw["type"] = int
+            elif kind is not str:
+                kw["choices"] = kind
+            if help_text:
+                kw["help"] = help_text
+            if metavar:
+                kw["metavar"] = metavar
+            target = sc
+            if dest in _EXCLUSIVE:
+                group = group or sc.add_mutually_exclusive_group()
+                target = group
+            target.add_argument(*flags or (dest,), **kw)
+        sc.set_defaults(func=func)
     return ap
 
 
@@ -549,8 +626,9 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = make_parser().parse_args(argv)
+        args = _parse_table(argv) or make_parser().parse_args(argv)
         if getattr(args, "parallel", 0) < 0:
             raise UsageError("--parallel must be non-negative, got %d" % args.parallel)
         if not (getattr(args, "grid", None) or getattr(args, "set_file", None)):

@@ -631,10 +631,14 @@ def _json_integers(doc: dict, section: str, keys=None) -> dict:
 
 def _check_header(doc, table_cap: int) -> "Tower":
     """The tower of a set file, after the checks that need no element, in
-    this order: a JSON object, the tower (its table cap included), the
-    field model, the provenance."""
+    this order: a JSON object, its type and version, the tower (its table
+    cap included), the field model, the provenance."""
     if not isinstance(doc, dict):
         raise ValueError("a set file is a JSON object")
+    if doc["type"] != "pds-set":
+        raise ValueError('type must be "pds-set", got %s' % json.dumps(doc["type"]))
+    if type(doc["version"]) is not int or doc["version"] != 1:
+        raise ValueError("version must be the integer 1, got %s" % json.dumps(doc["version"]))
     tower = Tower(TowerParams(**_json_integers(doc, "tower")), table_cap=table_cap)
     if doc["fields"] != tower.describe_fields():
         raise FieldMismatchError(

@@ -1,13 +1,19 @@
 """Command-line behavior: exit codes, round trips, determinism."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from denpds import cli, ff, jsonout
 from denpds import coding as cd
@@ -17,6 +23,12 @@ from denpds.construct import Tower, TowerParams
 from conftest import assert_same_text, exchange_bits_0_and_2, transform_items
 
 CLI = [sys.executable, "-m", "denpds.cli"]
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+_spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+_jobs = sys.modules.setdefault(_spec.name, importlib.util.module_from_spec(_spec))
+_spec.loader.exec_module(_jobs)
 
 
 def run(*args, **kw):
@@ -699,9 +711,14 @@ def _booleans_for_zero_and_one(doc):
         (_first_element([1]), ": elements must be pairs of integer exponents"),
         (_booleans_for_zero_and_one, ": elements must be pairs of integer exponents"),
         (_first_element([3, 1]), ": element exponents out of range"),
+        (lambda doc: doc.__setitem__("type", "nope"), ': type must be "pds-set", got "nope"'),
+        (lambda doc: doc.__setitem__("version", 2), ": version must be the integer 1, got 2"),
+        (lambda doc: doc.__setitem__("version", True), ": version must be the integer 1, got true"),
+        (_drop("type"), ": missing key 'type'"),
     ],
     ids=["invalid-json", "no-claimed", "no-fields", "string-exponent", "one-exponent",
-         "boolean-exponents", "exponent-out-of-range"],
+         "boolean-exponents", "exponent-out-of-range", "other-type", "version-2",
+         "boolean-version", "no-type"],
 )
 def test_malformed_set_file_exits_two_with_one_line(tmp_path, change, message):
     res = run("verify", "--set", _set_file_variant(tmp_path, change))
@@ -904,6 +921,179 @@ def test_help_exits_zero():
     for argv in (("--help",), ("verify", "--help")):
         res = run(*argv)
         assert res.returncode == 0 and res.stdout.startswith("usage: denpds") and res.stderr == ""
+
+
+_INT_TEXTS = ["+3", "-1", "-0", " 4", "5 ", "1_0", "1__0", "_1", "٣", "0x10", "1e3", "2.0", "",
+              "x", "--1"]
+_STR_TEXTS = ["", "0,1", "1,0;0,1", "a b", "-1", "-x", "--", "-h", "--set", "x=1", "d.json"]
+
+
+def _values(kind, well_formed):
+    """Texts for one value of an option of that kind: those argparse takes,
+    signed, padded and underscored ints among them, or any."""
+    if kind is int:
+        ints = st.integers(-9, 300)
+        good = st.one_of(ints.map(str), ints.map(" {} ".format), ints.map("+{}".format),
+                         st.integers(10, 99).map(lambda n: "%d_%d" % divmod(n, 10)))
+        return good if well_formed else st.one_of(good, st.sampled_from(_INT_TEXTS))
+    if kind in (str, list):
+        good = st.text(max_size=4).filter(lambda t: not t.startswith("-"))
+        return good if well_formed else st.one_of(good, st.sampled_from(_STR_TEXTS))
+    if well_formed:
+        return st.sampled_from(kind)
+    return st.sampled_from(list(kind) + ["", "both", "-x"])
+
+
+@st.composite
+def _option_tokens(draw, options, well_formed):
+    """One option of the table as a user may type it: exact, or else
+    abbreviated, with "=", glued to a short flag, or without a value."""
+    flags, dest, kind = draw(st.sampled_from(options))[:3]
+    if kind is bool:
+        flag = draw(st.sampled_from(flags))
+        return [flag if well_formed else draw(st.sampled_from([flag, flag[:-1], flag + "=x"]))]
+    low = 1 if well_formed or not flags else 0
+    values = [draw(_values(kind, well_formed)) for _ in range(draw(st.integers(low, 2)))]
+    if not flags:
+        return values
+    flag = draw(st.sampled_from(flags))
+    form = "exact" if well_formed else draw(st.sampled_from(["exact", "prefix", "equals", "glued"]))
+    if form == "prefix" and flag.startswith("--"):
+        flag = flag[:draw(st.integers(3, len(flag)))]
+    if values and form == "equals":
+        return [flag + "=" + values[0], *values[1:]]
+    if values and form == "glued" and not flag.startswith("--"):
+        return [flag + values[0], *values[1:]]
+    return [flag, *values[:1 if kind is not list else 2]]
+
+
+@st.composite
+def _argvs(draw):
+    """A command and its options, all well-formed or not; either may be
+    followed by a stray token."""
+    well_formed = draw(st.booleans())
+    commands = st.sampled_from(list(cli._COMMANDS))
+    if not well_formed:
+        commands = st.one_of(commands, st.sampled_from(["nonsense", "-h", "--help", "ver"]))
+    command = draw(commands)
+    options = cli._COMMANDS.get(command, (None, None, cli._TOWER))[2]
+    argv = [command] if well_formed or draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        argv += draw(_option_tokens(options, well_formed))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--", "-h", "--help", "-", "x", "-p", "--set"])))
+    return argv
+
+
+def _argparse_result(argv):
+    """vars of argparse's namespace of argv, or the usage error or help exit
+    it ends in."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli.make_parser().parse_args(argv))
+    except (cli.UsageError, SystemExit) as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_table_parser_reads_argv_as_argparse_does(argv):
+    """The table parser declines argv, or reads it exactly as argparse
+    does: the same command, function and value of every dest."""
+    ours = cli._parse_table(argv)
+    if ours is not None:
+        assert vars(ours) == _argparse_result(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *TOWER, "--format", "text", "--format", "json", "-l", "2", "--ell", "1"],
+    ["code", "--set", "d.json", "--seedless", "--seedless", "--subspace-coords", "", "-o", "x"],
+    ["export-graph", *TOWER, "--graph-format", "dimacs", "--parallel", " 2", "-s", "+1"],
+    ["params", "-p", "1_1", "-m", "2", "-l", "1", "-r", "0", "--format", "json"],
+])
+def test_repeated_and_converted_values_read_as_argparse_reads_them(argv):
+    ours = cli._parse_table(argv)
+    assert ours is not None and vars(ours) == _argparse_result(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nonsense"], ["-h"], ["verify", "-h"], ["verify", "--set=d.json"],
+    ["verify", "--se", "d.json"], ["verify", "-p2", *TOWER[2:]], ["verify", *TOWER, "--parallel", "-1"],
+    ["verify", *TOWER, "-o"], ["verify", *TOWER, "--bogus", "1"],
+    ["verify", *TOWER, "--subspace-exps", "0", "--subspace-coords", "1"],
+    ["verify", *TOWER, "--family", "both"], ["verify", *TOWER, "-p", "x"], ["verify", "--", *TOWER],
+    ["params", *TOWER, "--grid", "m=2"], ["params", *TOWER, "--grid", "+"], ["grid", "p=2"],
+    ["construct", "--set", "d.json"],
+])
+def test_the_table_parser_leaves_other_argv_to_argparse(argv):
+    """Help, abbreviations, "=" and glued forms, values starting with "-",
+    missing values, unknown or excluded flags, bad values, ``--grid`` and
+    ``grid``: argparse reads these, and alone words their help and errors."""
+    assert cli._parse_table(argv) is None
+
+
+def _readme_command_lines():
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#")[0])[1:]
+            for line in block.splitlines() if line.startswith("denpds ")]
+
+
+def test_benchmark_and_readme_command_lines_take_the_table_path(tmp_path):
+    """Every command line of the benchmark's workloads at seed 1, and of the
+    README's CLI block but ``grid``, is read by the table parser as argparse
+    reads it; and a fresh process that runs the self-test workload's
+    commands through ``main`` never builds the argparse parser."""
+    argvs = _readme_command_lines()
+    assert [argv[0] for argv in argvs if cli._parse_table(argv) is None] == ["grid"]
+    for workload in ("grid", "dense", "large", "selftest"):
+        for job in _jobs.WORKLOADS[workload]:
+            exps = _jobs.subspace_exps(Tower(TowerParams(*job.tower)), job, 1)
+            argvs += _jobs.command_argvs(job, exps, "set.json", lambda cmd: cmd + ".json")
+    for argv in argvs:
+        if argv[0] != "grid":
+            ours = cli._parse_table(argv)
+            assert ours is not None and vars(ours) == _argparse_result(argv), argv
+    script = """
+import contextlib, importlib.util, io, sys
+from denpds import cli
+from denpds.construct import Tower, TowerParams
+spec = importlib.util.spec_from_file_location("jobs", sys.argv[1])
+jobs = sys.modules["jobs"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(jobs)
+for job in jobs.WORKLOADS["selftest"]:
+    exps = jobs.subspace_exps(Tower(TowerParams(*job.tower)), job, 1)
+    out = sys.argv[2] + "/out"
+    argvs = jobs.command_argvs(job, exps, sys.argv[2] + "/set.json", lambda cmd: out)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert [cli.main(argv) for argv in argvs] == [0] * 5, job
+print(cli.make_parser.cache_info().misses)
+"""
+    res = subprocess.run([sys.executable, "-c", script, _jobs.__file__, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0\n"
+
+
+def test_a_well_formed_command_line_does_not_load_argparse(tmp_path):
+    """argparse, and the gettext it imports, load only when the table
+    parser declines argv: not for ``verify --set F``, but for ``--help``."""
+    script = """
+import contextlib, io, sys
+from denpds.cli import main
+path = sys.argv[1] + "/d.json"
+with contextlib.redirect_stderr(io.StringIO()):
+    assert main(["construct", "-p", "2", "-m", "2", "-l", "1", "-r", "1", "-o", path]) == 0
+assert main(["verify", "--set", path, "-o", sys.argv[1] + "/v.json"]) == 0
+print("argparse" in sys.modules, "gettext" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+print("argparse" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False False\nTrue\n"
 
 
 def test_empty_subspace_exps_get_the_rank_check():
