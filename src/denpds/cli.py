@@ -203,6 +203,10 @@ def _require_printable(tp: TowerParams) -> None:
 
 def cmd_params(args) -> int:
     if args.grid:
+        # the grid gives every tower: a tower flag away from its default is refused
+        given = ["/".join(opt[0]) for opt in _TOWER if getattr(args, opt[1]) != opt[3]]
+        if given:
+            raise UsageError("--grid takes no tower flags, got %s" % ", ".join(given))
         return _emit_grid(args)
     try:  # a ValueError here is a bad tower or a parameter past the digit limit
         tp = TowerParams(args.p, args.s, args.m, args.ell, args.r)

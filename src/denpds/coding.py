@@ -92,17 +92,14 @@ class CodingContext:
             )
 
 
-class ProjectiveSet:
+class ProjectiveSet(pm.ReadOnly):
     """Distinct normalized points (first nonzero coordinate 1) in PG(dim-1, q)
     with their base-q keys (first coordinate most significant), one int64
     each; ``to_projective_set`` lists them in ascending key order, the
-    lexicographic column order ``build_code`` requires."""
+    lexicographic column order ``build_code`` requires.  Read-only, and
+    equal only to itself."""
 
-    def __init__(self, q: int, dim: int, points: np.ndarray, keys: np.ndarray):
-        self.q = q
-        self.dim = dim
-        self.points = points
-        self.keys = keys
+    __slots__ = ("q", "dim", "points", "keys")
 
     @property
     def n(self) -> int:
@@ -195,13 +192,11 @@ def hyperplane_profile(
     return _profile(sizes, mult, S.q, S.dim, S.n)
 
 
-class GeneratorMatrix:
-    """dim x n matrix over GF(q); columns are the sorted normalized points."""
+class GeneratorMatrix(pm.ReadOnly):
+    """dim x n matrix over GF(q); columns are the sorted normalized points.
+    Read-only, and equal only to itself."""
 
-    def __init__(self, q: int, mat: np.ndarray, rank: int):
-        self.q = q
-        self.mat = mat
-        self.rank = rank
+    __slots__ = ("q", "mat", "rank")
 
     @property
     def dim(self) -> int:

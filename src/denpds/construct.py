@@ -118,11 +118,7 @@ class TowerParams(pm.ValueRecord):
             raise ValueError("s, m, ell must be >= 1")
         if not 0 <= r <= m:
             raise ValueError("need 0 <= r <= m")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "r", r)
+        super().__init__(p, s, m, ell, r)
 
     @property
     def q(self) -> int:
@@ -177,30 +173,20 @@ class TowerParams(pm.ValueRecord):
         neg = -pm.exact_div((q**r - 1) * (q ** (m * (ell + 1)) - 1), q**m - 1) - 1
         return pos, neg
 
-    def as_dict(self) -> dict:
-        return {"p": self.p, "s": self.s, "m": self.m, "ell": self.ell, "r": self.r}
-
 
 class Subspace(pm.ReadOnly):
-    """A GF(q)-subspace of the middle field, fully materialized: ``elements``
-    is the sorted, read-only int64 array of its packed values.  Read-only,
-    and equal only to itself."""
+    """A GF(q)-subspace of the middle field ``mid`` over its subfield
+    ``base``, fully materialized: ``basis`` is a tuple of packed,
+    GF(q)-independent middle-field elements and ``elements`` the sorted,
+    read-only int64 array of the packed values they span.  Read-only, and
+    equal only to itself."""
 
-    __slots__ = ("mid", "base", "basis", "elements", "dim")
+    __slots__ = ("mid", "base", "basis", "elements")
 
-    def __init__(
-        self,
-        mid: FiniteField,
-        base: FiniteField,
-        basis: tuple[int, ...],  # packed middle-field elements, GF(q)-independent
-        elements: np.ndarray,
-        dim: int,  # over GF(q)
-    ):
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "dim", dim)
+    @property
+    def dim(self) -> int:
+        """The dimension over GF(q)."""
+        return len(self.basis)
 
     def basis_coeff_rows(self) -> list[list[int]]:
         return [list(self.mid.digits(b)) for b in self.basis]
@@ -222,7 +208,7 @@ def subspace_from_basis(
     elems = sorted_unique(span)
     if len(elems) != base.size ** len(basis):
         raise NotASubspaceError("basis vectors are GF(q)-dependent")
-    return Subspace(mid, base, basis, readonly(elems), len(basis))
+    return Subspace(mid, base, basis, readonly(elems))
 
 
 def subspace_from_elements(
@@ -241,7 +227,7 @@ def subspace_from_elements(
             span = _extend_span(mid, scalars, span, x)
     if not np.array_equal(sorted_unique(span), elems):
         raise NotASubspaceError("%d elements that are not a GF(q)-subspace" % len(elems))
-    return Subspace(mid, base, tuple(basis), readonly(elems), len(basis))
+    return Subspace(mid, base, tuple(basis), readonly(elems))
 
 
 def dual_subspace(R: Subspace) -> Subspace:
@@ -265,19 +251,11 @@ def dual_subspace(R: Subspace) -> Subspace:
 class CompatiblePrimitives(pm.ValueRecord):
     """Generators of the two big fields whose norms pull back to one
     middle-field generator gamma: K1's own generator, and K2's generator
-    raised to beta_adjust.  Read-only, equal and hashed by value."""
+    raised to beta_adjust.  ``gamma_exp`` is the dlog of gamma with respect
+    to the middle field's own generator, and ``gamma`` is packed.
+    Read-only, equal and hashed by value."""
 
     __slots__ = ("beta_adjust", "gamma_exp", "gamma")
-
-    def __init__(
-        self,
-        beta_adjust: int,
-        gamma_exp: int,  # dlog of gamma w.r.t. the middle field's own generator
-        gamma: int,  # packed
-    ):
-        object.__setattr__(self, "beta_adjust", beta_adjust)
-        object.__setattr__(self, "gamma_exp", gamma_exp)
-        object.__setattr__(self, "gamma", gamma)
 
 
 @cache  # keyed by an interned field, which lives as long as the process anyway
@@ -409,12 +387,9 @@ class PdsSet(pm.ReadOnly):
             raise ValueError("set elements must be group indices below %d" % params.v)
         member = np.zeros(params.v, dtype=bool)
         member[elems] = True
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "elements", readonly(np.flatnonzero(member)))
-        object.__setattr__(self, "claimed", claimed)
-        object.__setattr__(self, "subspace_rows", subspace_rows)
-        object.__setattr__(self, "member", readonly(member))
+        super().__init__(
+            params, provenance, readonly(np.flatnonzero(member)), claimed, subspace_rows, readonly(member)
+        )
 
     @property
     def k(self) -> int:

@@ -47,9 +47,6 @@ class RowStrings(ReadOnly):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: np.ndarray):
-        object.__setattr__(self, "rows", rows)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

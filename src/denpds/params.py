@@ -26,11 +26,23 @@ def is_perfect_square(n: int) -> bool:
 
 
 class ReadOnly:
-    """Base of the read-only records: every assignment is refused, so each
-    ``__init__`` stores its fields once with ``object.__setattr__``.
-    Equality is identity unless a subclass says otherwise."""
+    """Base of the read-only records: ``__init__`` stores one value for each
+    field of ``__slots__``, given in that order or by the field's name, and
+    every later assignment is refused.  Equality is identity unless a
+    subclass says otherwise."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named and named.keys() <= set(fields[len(values):]):
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(
+                "%s takes one value for each of its fields %s" % (type(self).__name__, ", ".join(fields))
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -53,18 +65,15 @@ class ValueRecord(ReadOnly):
     def __hash__(self):
         return hash(self._values())
 
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
 
 class SrgParams(ValueRecord):
     """A (v, k, lam, mu) tuple with its derived spectral data; read-only,
     equal and hashed by value."""
 
     __slots__ = ("v", "k", "lam", "mu")
-
-    def __init__(self, v: int, k: int, lam: int, mu: int):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
 
     def __repr__(self) -> str:
         # IdentityViolatedError messages show it
@@ -267,15 +276,14 @@ def lemma_dictionary_params(q: int, dim: int, n: int, w1: int, w2: int) -> SrgPa
 
 
 class Classification(ValueRecord):
-    """A match against the Latin / negative Latin square templates;
+    """A match against the Latin / negative Latin square templates: ``kind``
+    is "latin", "negative-latin" or "neither", the last without n and r;
     read-only, equal and hashed by value."""
 
     __slots__ = ("kind", "n", "r")
 
     def __init__(self, kind: str, n: int | None = None, r: int | None = None):
-        object.__setattr__(self, "kind", kind)  # "latin" | "negative-latin" | "neither"
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
+        super().__init__(kind, n, r)
 
     def describe(self) -> str:
         if self.kind == "neither":

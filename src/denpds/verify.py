@@ -46,7 +46,6 @@ every sweep runs serially, one chunk at a time (``ff.chunks``).
 from __future__ import annotations
 
 import json
-from typing import Callable
 
 import numpy as np
 
@@ -79,12 +78,7 @@ class Caps(pm.ValueRecord):
         spectrum: int = DEFAULT_SPECTRUM_CAP,
         neighbor: int = DEFAULT_NEIGHBOR_CAP,
     ):
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "neighbor", neighbor)
-
-    def as_dict(self) -> dict:
-        return {"profile": self.profile, "spectrum": self.spectrum, "neighbor": self.neighbor}
+        super().__init__(profile, spectrum, neighbor)
 
 
 def _common_counts(pds: PdsSet, targets: np.ndarray, indexer: GroupIndexer) -> np.ndarray:
@@ -123,8 +117,9 @@ def _require_spectrum_cap(v: int, cap: int) -> None:
         raise CapExceededError("spectrum oracle: v=%d above cap %d" % (v, cap))
 
 
-class Spectrum:
-    """Exact character sums, one per class of characters, on either route.
+class Spectrum(pm.ReadOnly):
+    """Exact character sums, one per class of characters, on either route:
+    ``route`` is "transform" or "orbit".
 
     Class i holds ``sizes[i]`` characters, each of which sums to
     ``values[i]``, a rational integer when ``rational[i]``; class ``zero``
@@ -135,30 +130,11 @@ class Spectrum:
     a broadcast 1, ``table()`` is ``GroupIndexer.char_index_table`` and
     ``counts`` is the transform's raw form (``denpds.transform``).  On the
     orbit route (``orbit_spectrum``) the classes are the e + 2 H-orbits,
-    then the principal class, and ``table()`` is ``Tower.orbit_table``.
+    then the principal class, ``table()`` is ``Tower.orbit_table`` and
+    ``counts`` is None.  Read-only, and equal only to itself.
     """
 
     __slots__ = ("values", "rational", "sizes", "k", "zero", "route", "table", "counts")
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        rational: np.ndarray,
-        sizes: np.ndarray,
-        k: int,
-        zero: int,
-        route: str,  # "transform" or "orbit"
-        table: Callable[[], np.ndarray],
-        counts: np.ndarray | None = None,
-    ):
-        self.values = values
-        self.rational = rational
-        self.sizes = sizes
-        self.k = k
-        self.zero = zero
-        self.route = route
-        self.table = table
-        self.counts = counts
 
     @property
     def v(self) -> int:
@@ -274,7 +250,8 @@ def orbit_spectrum(pds: PdsSet, tower: Tower) -> Spectrum:
     sum of such a set is rational; an irrational one is an InternalError."""
     values = np.append(_orbit_sums(pds.elements, tower.orbit_representatives, tower.indexer), pds.k)
     rational, sizes = np.ones(len(values), dtype=bool), np.append(tower.orbit_sizes, 1)
-    return Spectrum(values, rational, sizes, pds.k, len(values) - 1, "orbit", lambda: tower.orbit_table)
+    table, zero = lambda: tower.orbit_table, len(values) - 1
+    return Spectrum(values, rational, sizes, pds.k, zero, "orbit", table, None)
 
 
 def spectrum_of(pds: PdsSet, tower: Tower, cap: int = DEFAULT_SPECTRUM_CAP) -> Spectrum:

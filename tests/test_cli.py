@@ -60,6 +60,8 @@ def test_grid_rows():
     res2 = run("params", "--grid", "p=2", "s=1", "m=2..3", "l=1", "r=all")
     assert res2.returncode == 0
     assert res2.stdout == res.stdout
+    # -s 1 is the default, which --grid accepts
+    assert run("params", "-s", "1", "--grid", "p=2", "m=2..3", "l=1", "r=all").stdout == res.stdout
 
 
 def test_usage_errors_exit_two():
@@ -74,6 +76,12 @@ def test_usage_errors_exit_two():
         res = run(*argv)
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.splitlines()[-1].endswith("error: argument --grid: expected at least one argument")
+    # the grid gives every tower: a tower flag away from its default is refused before any row
+    tower = ["-p", "3", "-m", "2", "-l", "1", "-r", "1"]
+    for flags, named in [(tower, "-p, -m, -l/--ell, -r"), (["-s", "2"], "-s"), (["--ell", "1"], "-l/--ell")]:
+        res = run("params", *flags, "--grid", "m=2", "r=1")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: --grid takes no tower flags, got %s\n" % named
 
 
 def test_construct_verify_roundtrip(tmp_path):

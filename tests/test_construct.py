@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from denpds import params as P
+from denpds.coding import CodingContext, build_code, to_projective_set
 from denpds.construct import (
     CompatiblePrimitives,
     PdsSet,
@@ -25,7 +26,16 @@ from denpds.errors import (
 )
 from denpds.ff import build_field, digitwise, prime_factors
 from denpds.jsonout import RowStrings
-from denpds.verify import Caps, CheckItem, GroupIndexer, SrgCheckReport, delsarte_dual, verify_pds
+from denpds.verify import (
+    Caps,
+    CheckItem,
+    GroupIndexer,
+    SrgCheckReport,
+    character_spectrum,
+    delsarte_dual,
+    orbit_spectrum,
+    verify_pds,
+)
 
 from conftest import GRID_G1, digit_table, pair_set, poly_mul, poly_pow
 
@@ -467,7 +477,9 @@ def test_records_keep_value_or_identity_equality_and_stay_read_only(t64):
     """Parameter records are equal and hashed by value, a row matrix is
     equal by its rows and unhashable, sets and subspaces are equal only to
     themselves; no field of a read-only record can be assigned, and the
-    mutable check records get a fresh default list or dict each."""
+    mutable check records get a fresh default list or dict each.  A record
+    takes each field once, in order or by name, and ``as_dict`` lists its
+    fields in order."""
     D, R, c = t64.build_D(), t64.default_subspace(), t64.compatible
     values = [
         (TowerParams(2, 1, 2, 1, 1), TowerParams(2, 1, 2, 1, 1), TowerParams(2, 1, 2, 1, 0)),
@@ -487,10 +499,26 @@ def test_records_keep_value_or_identity_equality_and_stay_read_only(t64):
         hash(rows)
     again = PdsSet(D.params, D.provenance, D.elements, D.claimed, D.subspace_rows)
     assert D == D and D != again and R != subspace_from_basis(R.mid, R.base, list(R.basis))
-    for record in [v[0] for v in values] + [D, R]:
-        name = type(record).__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(record, name, getattr(record, name))
+    ctx = CodingContext(t64)
+    S = to_projective_set(D, ctx)
+    derived = [character_spectrum(D, t64.indexer), orbit_spectrum(D, t64), S, build_code(S, ctx)]
+    assert [s.route for s in derived[:2]] == ["transform", "orbit"]
+    for record in [v[0] for v in values] + [D, R] + derived:
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    assert P.SrgParams(v=64, k=18, lam=2, mu=6) == P.SrgParams(64, 18, mu=6, lam=2) == values[1][0]
+    assert CompatiblePrimitives(beta_adjust=c.beta_adjust, gamma_exp=c.gamma_exp, gamma=c.gamma) == c
+    fields = "SrgParams takes one value for each of its fields v, k, lam, mu"
+    for args, named in [((64, 18, 2), {}), ((64, 18, 2, 6, 0), {}), ((64, 18, 2), {"v": 64}),
+                        ((64, 18, 2), {"nu": 6}), ((64, 18, 2, 6), {"mu": 6})]:
+        with pytest.raises(TypeError, match=fields):
+            P.SrgParams(*args, **named)
+    with pytest.raises(TypeError):
+        Caps(prof=8)
+    tower = TowerParams(2, 1, 2, 1, 1).as_dict()
+    assert list(tower.items()) == [("p", 2), ("s", 1), ("m", 2), ("ell", 1), ("r", 1)]
+    assert list(Caps().as_dict().items()) == [("profile", 1 << 16), ("spectrum", 1 << 20), ("neighbor", 1 << 12)]
     assert repr(D.claimed) == "SrgParams(v=64, k=18, lam=2, mu=6)"
     items = [CheckItem("a", True), CheckItem("b", True)]
     assert items[0].details is not items[1].details and items[0].witnesses is not items[1].witnesses

@@ -758,7 +758,9 @@ def test_one_read_only_base():
     ``params.ValueRecord`` compares and hashes records by value; the one
     other equality is ``jsonout.RowStrings``', which compares arrays and
     leaves the record unhashable.  No other class of the package defines
-    ``__setattr__``, ``__eq__`` or ``__hash__``."""
+    ``__setattr__``, ``__eq__`` or ``__hash__``.  Only ``ReadOnly.__init__``
+    stores fields with ``object.__setattr__``, and only the records that
+    validate, normalize or default their fields define an ``__init__``."""
     allowed = {
         ("params.py", "ReadOnly"): {"__setattr__"},
         ("params.py", "ValueRecord"): {"__eq__", "__hash__"},
@@ -766,9 +768,13 @@ def test_one_read_only_base():
     }
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        stores = set()
+        for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
+            if (path.name, cls.name) == ("params.py", "ReadOnly"):
+                stores = {id(n) for n in ast.walk(cls)}
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef):
                     names = {node.name}
@@ -778,6 +784,18 @@ def test_one_read_only_base():
                 names &= {"__setattr__", "__eq__", "__hash__"}
                 if names - allowed.get((path.name, cls.name), set()):
                     offenders.append("%s:%d %s" % (path.name, node.lineno, cls.name))
+        offenders += [
+            "%s:%d object.__setattr__" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and _named(node.value, "object") and id(node) not in stores
+        ]
+    own_init = {"ReadOnly", "TowerParams", "PdsSet", "Caps", "Classification"}
+    records, stack = [], [P.ReadOnly]
+    while stack:
+        records.append(stack.pop())
+        stack.extend(records[-1].__subclasses__())
+    offenders += [r.__name__ for r in records if "__init__" in vars(r) and r.__name__ not in own_init]
     assert offenders == []
 
 
