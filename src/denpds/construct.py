@@ -42,7 +42,8 @@ Two independent routes build the primal set:
   pulled back through the subfield embeddings into the middle field, the
   ratio classes are tested against the materialized subspace R
   (``ratio_classes``), and the set is the union of one axis and those
-  classes (``orbit_union``).
+  classes (``orbit_union`` of ``Tower.family_orbits``, the one statement
+  of which orbits each family's set holds).
 * ``build_D_cosets``: the multiplicative-coset union over compatible
   generators alpha, beta whose norms agree on a common middle-field
   generator gamma.
@@ -101,6 +102,9 @@ DELSARTE_TAG = {
     "complement": "complement-dual",
     "complement-dual": "complement",
 }
+# The family whose construction builds a set of each provenance: the
+# Delsarte dual of a primal set is the dual family's set.
+FAMILY = {"primal": "primal", "dual": "dual", "delsarte-dual": "dual"}
 
 
 class TowerParams(pm.ValueRecord):
@@ -394,10 +398,6 @@ class PdsSet(pm.ReadOnly):
     @property
     def k(self) -> int:
         return len(self.elements)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.params.degenerate
 
     def json_doc(self, tower: "Tower") -> dict:
         """The set file, with the (k, 2) array of dlog pairs in
@@ -713,13 +713,13 @@ class Tower:
     @cached_property
     def compatible(self) -> CompatiblePrimitives:
         """With w1, w2 the exponents of the two embeddings of the middle
-        field, Norm(alpha) pulls back to gamma = g^(1/w1) and
-        Norm(beta0^d) to g^(d/w2), so d = w2/w1 mod |mid*|, stepped by
-        |mid*| until beta = beta0^d generates K2."""
+        field, Norm(alpha) pulls back to gamma = g^c1, c1 = 1/w1
+        (``_norm_exponents``), and Norm(beta0^d) to g^(d/w2), so
+        d = w2/w1 mod |mid*|, stepped by |mid*| until beta = beta0^d
+        generates K2."""
         ordm, ord2 = self.mid.order, self.f2.order
-        w1, w2 = self.emb_mid1.w, self.emb_mid2.w
-        g = pow(w1, -1, ordm)
-        d = w2 * g % ordm or ordm
+        g = self._norm_exponents[0]
+        d = self.emb_mid2.w * g % ordm or ordm
         while math.gcd(d, ord2) != 1:
             d += ordm
             if d >= ord2:
@@ -842,6 +842,15 @@ class Tower:
         t mod e."""
         return in_sorted(self.mid.antilog[: self.params.e], space.elements)
 
+    def family_orbits(self, provenance: str, R: Subspace) -> np.ndarray:
+        """The mask over the e + 2 orbits of ``orbit_representatives`` of
+        the set that ``FAMILY[provenance]`` builds from R: K1* x 0 and the
+        ratio classes in R for the primal family, 0 x K2* and the ratio
+        classes outside R-perp for the dual family."""
+        if FAMILY[provenance] == "primal":
+            return np.concatenate([[True, False], self.ratio_classes(R)])
+        return np.concatenate([[False, True], ~self.ratio_classes(dual_subspace(R))])
+
     # -- subspace constructors --
 
     def default_subspace(self) -> Subspace:
@@ -917,7 +926,7 @@ class Tower:
         """Norm-ratio construction of the primal set: K1* x 0 and the ratio
         classes in R."""
         R = self.check_rank(R)
-        idx = self.orbit_union(np.concatenate([[True, False], self.ratio_classes(R)]))
+        idx = self.orbit_union(self.family_orbits("primal", R))
         return self._finish(idx, "primal", self.params.primal_params(), R)
 
     def build_D_cosets(self, R: Subspace | None = None) -> PdsSet:
@@ -946,7 +955,7 @@ class Tower:
         """Norm-ratio construction of the dual set: 0 x K2* and the ratio
         classes outside R-perp."""
         R = self.check_rank(R)
-        idx = self.orbit_union(np.concatenate([[False, True], ~self.ratio_classes(dual_subspace(R))]))
+        idx = self.orbit_union(self.family_orbits("dual", R))
         return self._finish(idx, "dual", self.params.dual_params(), R)
 
     def complement(self, pds: PdsSet) -> PdsSet:

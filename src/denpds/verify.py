@@ -50,10 +50,9 @@ import json
 import numpy as np
 
 from . import params as pm, transform as tf
-from .construct import DELSARTE_TAG, GroupIndexer, PdsSet, Subspace, Tower, dual_subspace
+from .construct import DELSARTE_TAG, FAMILY, GroupIndexer, PdsSet, Subspace, Tower
 from .errors import (
     CapExceededError,
-    DeltaNotSquareError,
     DenpdsError,
     InternalError,
     SpectrumNotTwoValuedError,
@@ -413,28 +412,23 @@ def check_case_split(
 ) -> CheckItem:
     """Verify which characters attain which value, character by character.
 
-    For the primal set the character labelled (a, b) attains the negative
-    value exactly when (a != 0, b = 0) or both coordinates are nonzero and
-    the norm ratio falls in R-perp; dually for the dual set, with the
-    positive value on (a != 0, b = 0) or ratio in R.  The principal
-    character is predicted to attain k.  The prediction is one value per
-    H-orbit; an orbit-route spectrum is compared class by class, and a
-    spectrum is compared at every character's label (``by_element`` against
+    The characters attaining the positive value theta are the Delsarte
+    dual, the set of the other family built from R: the character labelled
+    (a, b) is predicted to attain theta exactly on the H-orbits of
+    ``Tower.family_orbits(DELSARTE_TAG[provenance], R)``, tau on the others
+    and k at the principal character.  "special" counts the characters at
+    the value of K1* x 0.  The prediction is one value per H-orbit; an
+    orbit-route spectrum is compared class by class, and a spectrum is
+    compared at every character's label (``by_element`` against
     ``Tower.by_orbit``) when that fails or on the transform route.
     """
-    if pds.provenance not in ("primal", "dual", "delsarte-dual"):
+    if pds.provenance not in FAMILY:
         return _skip("case-split", "only defined for primal/dual provenance")
     exp = expected_params(pds)
     theta, tau = exp.eigenvalues
-    if pds.provenance == "primal":
-        in_space = tower.ratio_classes(dual_subspace(R))
-        special_value = tau  # (a != 0, b = 0) and ratio-in-space characters
-    else:
-        in_space = tower.ratio_classes(R)
-        special_value = theta
+    per_orbit = np.where(tower.family_orbits(DELSARTE_TAG[pds.provenance], R), theta, tau)
+    special_value = per_orbit[0]
     other_value = theta if special_value == tau else tau
-    # K1* x 0, 0 x K2*, then the ratio classes t = 0 .. e - 1
-    per_orbit = np.where(np.concatenate([[True, False], in_space]), special_value, other_value)
     sizes = tower.orbit_sizes
     named = (("special", special_value), ("other", other_value))
     counts = {name: int(sizes[per_orbit == v].sum()) + int(exp.k == v) for name, v in named}
@@ -472,7 +466,7 @@ def _neighbor_item(
         }
         for b in bad[:5]
     ]
-    details = {"pairs_checked": indexer.v - 1, "degree": pds.k, "sampled": False}
+    details = {"pairs_checked": indexer.v - 1, "degree": pds.k}
     return CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
 
 
@@ -533,7 +527,7 @@ def eigen_check(expected: pm.SrgParams, spectrum: Spectrum) -> CheckItem:
 def clique_certificate(pds: PdsSet, tower: Tower) -> CheckItem:
     """Certify the designated maximum clique and the emptiness assertion
     that bounds every clique by distinct coordinates."""
-    if pds.provenance not in ("primal", "dual", "delsarte-dual"):
+    if pds.provenance not in FAMILY:
         return _skip("clique", "only defined for primal/dual provenance")
     sz1, sz2 = tower.f1.size, tower.f2.size
     left = tower.indexer.join(np.arange(1, sz1), 0)  # (a, 0), a != 0
@@ -559,8 +553,6 @@ def delsarte_dual(
     ``support``).  Without a spectrum the transform's is computed; on the
     orbit route the dual is the union of the orbits at the positive value."""
     exp = expected_params(pds)
-    if not pm.is_perfect_square(exp.delta):
-        raise DeltaNotSquareError("delta is not a perfect square")
     if spectrum is None:
         spectrum = character_spectrum(pds, indexer, cap=cap)
     if not spectrum.all_rational():

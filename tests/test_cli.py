@@ -282,7 +282,7 @@ def test_common_neighbors_counts_one_target_per_orbit():
         assert res.returncode == 0
         checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
         assert "multiplier-invariance" not in checks
-        want = {"pairs_checked": 63, "degree": 18, "sampled": False}
+        want = {"pairs_checked": 63, "degree": 18}
         assert checks["common-neighbors"]["details"] == want
 
 

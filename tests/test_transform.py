@@ -49,7 +49,7 @@ def old_common_neighbors(pds, indexer):
         {"vertex": indexer.dlog_pairs(targets[b]).tolist(), "count": int(cn[b]), "want": int(want[b])}
         for b in bad[:5]
     ]
-    details = {"pairs_checked": int(len(targets)), "degree": int(member.sum()), "sampled": False}
+    details = {"pairs_checked": int(len(targets)), "degree": int(member.sum())}
     ok = len(bad) == 0 and int(member.sum()) == exp.k
     return V.CheckItem("common-neighbors", ok, details=details, witnesses=witnesses)
 

@@ -12,7 +12,7 @@ import pytest
 from denpds import coding as C
 from denpds import params as P
 from denpds import verify as V
-from denpds.construct import PdsSet, Tower, TowerParams
+from denpds.construct import DELSARTE_TAG, PdsSet, Tower, TowerParams
 from denpds.jsonout import dumps
 from denpds.errors import CapExceededError, DenpdsError, InternalError, SpectrumNotTwoValuedError
 
@@ -243,7 +243,7 @@ def test_common_neighbors(d64, ix64):
     D, _ = d64
     item = V.srg_common_neighbors(D, ix64)
     assert item.passed
-    assert item.details == {"pairs_checked": 63, "degree": 18, "sampled": False}
+    assert item.details == {"pairs_checked": 63, "degree": 18}
     assert V.srg_common_neighbors(D, ix64, cap=64).as_dict() == item.as_dict()
     # above the cap the check is skipped, not sampled
     for cap in (63, 16, 0):
@@ -291,7 +291,7 @@ def test_orbit_route_runs_unsampled_above_the_neighbor_cap():
         assert report.verdict == "PASS" and all(it.skipped is None for it in report.items)
         cn = report.items[-1]
         assert cn.name == "common-neighbors"
-        assert cn.details == {"pairs_checked": 3**10 - 1, "degree": pds.k, "sampled": False}
+        assert cn.details == {"pairs_checked": 3**10 - 1, "degree": pds.k}
 
 
 LARGE = [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)]
@@ -334,6 +334,26 @@ def test_orbit_spectrum_is_the_spectrum(grid):
             gm = C.build_code(S, ctx)
             for fn, arg in ((C.spectral_hyperplane_profile, S), (C.spectral_weight_enumerator, gm)):
                 assert fn(orbits, arg) == fn(transform, arg), (where, fn.__name__)
+
+
+def test_family_orbits_are_the_set_and_the_theta_orbits(grid):
+    """``Tower.family_orbits(provenance, R)`` is the orbit mask of the set
+    built from R, and on the mask of its Delsarte-dual provenance the set's
+    orbit sums are theta, tau on the others: for both families on every
+    grid tower and on both large towers, and for the Delsarte dual of each."""
+    towers = [tp + (r,) for tp in GRID_G1 for r in range(tp[2] + 1)] + LARGE
+    for tp in towers:
+        tower = grid.tower(*tp)
+        reps = tower.orbit_representatives
+        for fam in ("primal", "dual"):
+            pds, R = grid.pds(*tp, fam)
+            spectrum = V.orbit_spectrum(pds, tower)
+            for one in (pds, V.delsarte_dual(pds, tower.indexer, spectrum)):
+                where = (tp, fam, one.provenance)
+                assert np.array_equal(tower.family_orbits(one.provenance, R), one.member[reps]), where
+                theta = V.expected_params(one).eigenvalues[0]
+                at_theta = V.orbit_spectrum(one, tower).values[:-1] == theta
+                assert np.array_equal(tower.family_orbits(DELSARTE_TAG[one.provenance], R), at_theta), where
 
 
 @pytest.mark.parametrize("tp", [(3, 1, 2, 1, r) for r in range(3)] + [(7, 1, 2, 1, 1)])
@@ -491,7 +511,7 @@ def test_mutants_only_the_counts_catch():
             status = {it.name: it.status for it in report.items}
             assert "multiplier-invariance" not in status  # listed only when it fails
             cn = report.items[-1]
-            assert cn.details == {"pairs_checked": 511, "degree": pds.k, "sampled": False}
+            assert cn.details == {"pairs_checked": 511, "degree": pds.k}
             if triple in lines:
                 assert report.verdict == "PASS", (family, triple)
                 continue
