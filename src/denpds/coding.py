@@ -4,10 +4,11 @@ Group elements are coordinatized over GF(q) by the power bases of the two
 deterministic field generators: an element (a, b) has one base-q key, the
 coordinates of a then those of b, first coordinate most significant.  A
 scale-closed set collapses to one projective point per GF(q)* orbit, the
-orbit's one element whose leading base-q digit is 1.  Each scalar is
-applied by one product table per field, and the points' coordinates are
-gathered from a table of the coordinates of every key of each field, one
-byte a coordinate for q <= 256.
+orbit's one element whose leading base-q digit is 1.  Closure is tested on
+the generator of GF(q)* alone, by one product table per field
+(``GroupIndexer.multiply``), and the points' coordinates are gathered from
+a table of the coordinates of every key of each field, one byte a
+coordinate for q <= 256.
 
 The hyperplane profile and the weight enumerator are histograms of one
 quantity, s(u) = |S meet u-perp| for every nonzero u in GF(q)^dim: the
@@ -73,18 +74,18 @@ class CodingContext:
         self.digits1, self.digits2 = (_key_digits(self.q, f.n // tp.s) for f in (tower.f1, tower.f2))
 
     def check_scale_closed(self, pds: PdsSet) -> None:
-        """The diagonal GF(q)* action must permute the set; a violation
-        names the element of smallest index that some scalar moves out.
+        """The diagonal GF(q)* action must permute the set.  GF(q)* is
+        cyclic, so it does when its generator g does: g embeds in K1 and K2
+        as alpha^(t1 w1) and beta^(t2 w2), with t_i = |K_i*| / (q - 1) and
+        w_i the exponent of the embedding (``ff.SubfieldEmbedding.w``), and
+        the check is one ``GroupIndexer.multiply`` by that pair.  A
+        violation names the element of smallest index that g moves out.
         GF(2)* = {1} moves nothing."""
-        if self.base.size == 2:
+        if self.q == 2:
             return
-        f1, f2, ix = self.tower.f1, self.tower.f2, self.tower.indexer
-        a, b = ix.split(pds.elements)
-        leaves = np.zeros(pds.k, dtype=bool)
-        # each embedded scalar of GF(q)* but 1, which fixes every set, as
-        # one product table per field
-        for s1, s2 in zip(*(embed(self.base, f).forward[2:] for f in (f1, f2))):
-            leaves |= ~pds.member[ix.join(f1.product_table(s1)[a], f2.product_table(s2)[b])]
+        ix = self.tower.indexer
+        a, b = (f.order // (self.q - 1) * embed(self.base, f).w for f in (ix.f1, ix.f2))
+        leaves = ~pds.member[ix.multiply(pds.elements, a, b)]
         if leaves.any():
             g = pds.elements[leaves.argmax()]
             raise NotScaleClosedError(

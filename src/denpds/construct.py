@@ -14,11 +14,12 @@ Set files and witnesses name an element by its pair (i, j) of discrete
 logs with respect to the two deterministic field generators, with -1 for
 the zero coordinate; ``read_set_file`` decodes them from a file's bytes in
 bounded slices, each number by place value.  Every map of a set's
-elements that holds one operand fixed (the generators of the multiplier
-group in ``Tower.multiply``, logs to indices, negation for odd p) is one
-gather per coordinate from a table over that coordinate's field, built
-with the field's own arithmetic (``FiniteField.product_table``), so no
-step does digit or log arithmetic once per element.
+elements that holds one operand fixed (logs to indices, and products by a
+fixed factor: the generators of the multiplier group, -1 for odd p and the
+generator of GF(q)*, all through ``GroupIndexer.multiply``) is one gather
+per coordinate from a table over that coordinate's field, built with the
+field's own arithmetic (``FiniteField.product_table``), so no step does
+digit or log arithmetic once per element.
 
 Norms are exponent arithmetic: each embedding of the middle field maps its
 generator's powers g^k to G^(t w k) (``ff.SubfieldEmbedding.w``), so the
@@ -316,12 +317,26 @@ class GroupIndexer:
         return digitwise(a, b, -1, self.p, self.n)
 
     def neg(self, a):
-        """-a: for odd p one gather per coordinate from each field's table
-        of products by p - 1, since -x = (p - 1) x."""
+        """-a: for odd p the product by (alpha^(|K1*|/2), beta^(|K2*|/2)),
+        as each generator's half-order power is -1."""
         if self.p == 2:
             return digitwise(0, a, -1, self.p, self.n)
-        x, y = self.split(a)
-        return self.join(self.f1.product_table(self.p - 1)[x], self.f2.product_table(self.p - 1)[y])
+        return self.multiply(a, self.f1.order // 2, self.f2.order // 2)
+
+    def multiply(self, idx, a: int, b: int) -> np.ndarray:
+        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y),
+        alpha and beta the generators of K1 and K2: one gather per
+        coordinate from the field's table of products by the fixed factor;
+        a factor alpha^0 or beta^0 = 1 is skipped.  Every map that holds a
+        factor fixed is this one: the generators of the multiplier group,
+        -1 and the generator of GF(q)*."""
+        x, y = self.split(idx)
+        f1, f2 = self.f1, self.f2
+        if a % f1.order:
+            x = f1.product_table(f1.antilog[a % f1.order])[x]
+        if b % f2.order:
+            y = f2.product_table(f2.antilog[b % f2.order])[y]
+        return self.join(x, y)
 
     # -- discrete-log pairs: set files and witnesses --
 
@@ -614,12 +629,15 @@ def _check_header(doc, table_cap: int) -> "Tower":
         raise ValueError('type must be "pds-set", got %s' % json.dumps(doc["type"]))
     if type(doc["version"]) is not int or doc["version"] != 1:
         raise ValueError("version must be the integer 1, got %s" % json.dumps(doc["version"]))
-    tower = Tower(TowerParams(**_json_integers(doc, "tower")), table_cap=table_cap)
+    given = _json_integers(doc, "tower")
+    if set(given) != set(TowerParams.__slots__):
+        raise ValueError("tower must have exactly the keys %s" % ", ".join(TowerParams.__slots__))
+    tower = Tower(TowerParams(**given), table_cap=table_cap)
     if doc["fields"] != tower.describe_fields():
         raise FieldMismatchError(
             "set file uses a different field model than this build constructs"
         )
-    if doc["provenance"] not in COMPLEMENT_TAG:
+    if not isinstance(doc["provenance"], str) or doc["provenance"] not in COMPLEMENT_TAG:
         raise ValueError("unknown provenance %r" % (doc["provenance"],))
     return tower
 
@@ -767,18 +785,6 @@ class Tower:
         e = self.params.e
         c1, c2 = self._norm_exponents
         return (1, c1 * pow(c2, -1, e) % e), (0, e)
-
-    def multiply(self, idx, a: int, b: int) -> np.ndarray:
-        """The indices of (alpha^a x, beta^b y) for the indices idx of (x, y):
-        one gather per coordinate from the field's table of products by the
-        fixed factor; a factor alpha^0 or beta^0 = 1 is skipped."""
-        x, y = self.indexer.split(idx)
-        f1, f2 = self.f1, self.f2
-        if a % f1.order:
-            x = f1.product_table(f1.antilog[a % f1.order])[x]
-        if b % f2.order:
-            y = f2.product_table(f2.antilog[b % f2.order])[y]
-        return self.indexer.join(x, y)
 
     @cached_property
     def orbit_representatives(self) -> np.ndarray:

@@ -50,7 +50,7 @@ import json
 import numpy as np
 
 from . import params as pm, transform as tf
-from .construct import DELSARTE_TAG, FAMILY, GroupIndexer, PdsSet, Subspace, Tower
+from .construct import COMPLEMENT_TAG, DELSARTE_TAG, FAMILY, GroupIndexer, PdsSet, Subspace, Tower
 from .errors import (
     CapExceededError,
     DenpdsError,
@@ -311,20 +311,17 @@ def _skip(name: str, reason: str) -> CheckItem:
 
 
 def expected_params(pds: PdsSet) -> pm.SrgParams:
-    """Closed-form parameters for the set's provenance; the claim on the
-    set itself is never used."""
-    tp = pds.params
-    if pds.provenance == "primal":
-        return tp.primal_params()
-    if pds.provenance == "dual":
-        return tp.dual_params()
-    if pds.provenance == "delsarte-dual":
-        return pm.delsarte_dual_params(tp.primal_params())
-    if pds.provenance == "complement":
-        return pm.complement_params(tp.primal_params())
-    if pds.provenance == "complement-dual":
-        return pm.complement_params(tp.dual_params())
-    raise ValueError("unknown provenance %r" % pds.provenance)
+    """Closed-form parameters for the set's provenance: those of its family
+    (``FAMILY``), or the complement of those of the family of the set it
+    complements (``COMPLEMENT_TAG``).  The claim on the set itself is never
+    used."""
+    tp, prov = pds.params, pds.provenance
+    closed = {"primal": tp.primal_params, "dual": tp.dual_params}
+    if prov in FAMILY:
+        return closed[FAMILY[prov]]()
+    if prov in COMPLEMENT_TAG:
+        return pm.complement_params(closed[FAMILY[COMPLEMENT_TAG[prov]]]())
+    raise ValueError("unknown provenance %r" % prov)
 
 
 def check_pds(
@@ -497,7 +494,7 @@ def check_multiplier_invariance(pds: PdsSet, tower: Tower) -> CheckItem:
     gens = tower.multiplier_generators
     witnesses = []
     for a, b in gens:
-        image = tower.multiply(idx, a, b)
+        image = tower.indexer.multiply(idx, a, b)
         outside = ~pds.member[image]
         if outside.any():
             d = outside.argmax()

@@ -723,10 +723,13 @@ def _booleans_for_zero_and_one(doc):
         (lambda doc: doc.__setitem__("version", 2), ": version must be the integer 1, got 2"),
         (lambda doc: doc.__setitem__("version", True), ": version must be the integer 1, got true"),
         (_drop("type"), ": missing key 'type'"),
+        (lambda doc: doc.__setitem__("provenance", ["primal"]), ": unknown provenance ['primal']"),
+        (lambda doc: doc["tower"].__setitem__("z", 1), ": tower must have exactly the keys p, s, m, ell, r"),
+        (lambda doc: doc["tower"].__delitem__("r"), ": tower must have exactly the keys p, s, m, ell, r"),
     ],
     ids=["invalid-json", "no-claimed", "no-fields", "string-exponent", "one-exponent",
          "boolean-exponents", "exponent-out-of-range", "other-type", "version-2",
-         "boolean-version", "no-type"],
+         "boolean-version", "no-type", "list-provenance", "extra-tower-key", "no-tower-r"],
 )
 def test_malformed_set_file_exits_two_with_one_line(tmp_path, change, message):
     res = run("verify", "--set", _set_file_variant(tmp_path, change))

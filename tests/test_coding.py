@@ -148,6 +148,19 @@ def test_build_code_requires_sorted_distinct_points(setup64):
             C.build_code(C.ProjectiveSet(S.q, S.dim, S.points[take], S.keys[take]), ctx)
 
 
+def generator_images(tower):
+    """The packed images in K1 and K2 of the generator of GF(q)*."""
+    c = tower.base.primitive_packed
+    return tuple(int(ff.embed(tower.base, f).forward[c]) for f in (tower.f1, tower.f2))
+
+
+def literal_scale(tower, idx, c1, c2):
+    """The indices of (c1 x, c2 y) for the indices idx of (x, y), by
+    elementwise ``FiniteField.mul`` on the coordinates."""
+    ix = tower.indexer
+    return tower.f1.mul(idx % ix.sz1, c1) + ix.sz1 * tower.f2.mul(idx // ix.sz1, c2)
+
+
 def test_scale_closure_violation_detected(setup729):
     tower, ctx, D = setup729
     broken = PdsSet(
@@ -159,55 +172,60 @@ def test_scale_closure_violation_detected(setup729):
     )
     with pytest.raises(NotScaleClosedError):
         C.to_projective_set(broken, ctx)
-    # q = 4: three nontrivial scalars; the message names the violator of
-    # smallest index, found here by exponent arithmetic on dlog pairs
+    # q = 4: the message names the element of smallest index that the
+    # generator c of GF(4)* moves out, found here by FiniteField.mul
     tower = Tower(TowerParams(2, 2, 2, 1, 1))
     ctx = C.CodingContext(tower)
     D = tower.build_D()
-    ix = tower.indexer
-    ord1, ord2 = tower.f1.order, tower.f2.order
-    scalars = [
-        (int(tower.f1.dlog[ff.embed(tower.base, tower.f1).forward[c]]),
-         int(tower.f2.dlog[ff.embed(tower.base, tower.f2).forward[c]]))
-        for c in range(1, tower.base.size)
-    ]
+    c1, c2 = generator_images(tower)
     for drop in (0, D.k // 2, D.k - 1):
         kept = np.delete(D.elements, drop)
-        pairs = [tuple(x) for x in ix.dlog_pairs(kept).tolist()]
-        members = set(pairs)
-        leaving = [
-            g
-            for g, (i, j) in zip(kept.tolist(), pairs)
-            if any(
-                (i if i < 0 else (i + s1) % ord1, j if j < 0 else (j + s2) % ord2) not in members
-                for s1, s2 in scalars
-            )
-        ]
-        assert len(leaving) == 2  # the rest of the dropped element's GF(4)* orbit
-        want = tuple(ix.dlog_pairs(min(leaving)).tolist())
+        members = set(kept.tolist())
+        leaving = [g for g in kept.tolist() if int(literal_scale(tower, g, c1, c2)) not in members]
+        # of the dropped element's GF(4)* orbit {x, cx, c^2 x}, only c^2 x
+        # has its image under c outside the set
+        assert len(leaving) == 1
+        want = tuple(tower.indexer.dlog_pairs(leaving[0]).tolist())
         broken = PdsSet(D.params, D.provenance, kept, D.claimed, D.subspace_rows)
         with pytest.raises(NotScaleClosedError, match=r"element \(%d, %d\) leaves" % want):
             C.to_projective_set(broken, ctx)
+
+
+def test_scale_check_tests_the_generator_not_minus_one():
+    """q = 5: removing c d and -c d, c the generator of GF(5)*, leaves a
+    set that -1 = c^2 fixes and c does not.  The collapse refuses it and
+    names the smaller of d and -d, the two elements that c moves out."""
+    tower = Tower(TowerParams(5, 1, 2, 1, 1))
+    ctx, ix = C.CodingContext(tower), tower.indexer
+    D = tower.build_D()
+    c1, c2 = generator_images(tower)
+    d = D.elements[D.k // 2]
+    cd = literal_scale(tower, d, c1, c2)
+    kept = np.setdiff1d(D.elements, [cd, ix.neg(cd)])
+    assert len(kept) == D.k - 2
+    broken = PdsSet(D.params, D.provenance, kept, D.claimed, D.subspace_rows)
+    assert tower.is_symmetric(broken)
+    want = tuple(ix.dlog_pairs(min(d, ix.neg(d))).tolist())
+    with pytest.raises(NotScaleClosedError, match=r"element \(%d, %d\) leaves" % want):
+        C.to_projective_set(broken, ctx)
 
 
 @pytest.mark.parametrize("tp", [(3, 1, 2, 1, 1), (2, 2, 2, 1, 1), (7, 1, 2, 1, 1)])
 def test_scale_check_names_the_literal_first_violator(grid, tp):
     """Every tower of the grid and of ``large`` with q > 2, a few elements
     dropped from each family's set: the scale check, one product table per
-    field and scalar, names the element of smallest index that some scalar
-    moves out, as elementwise ``FiniteField.mul`` on the coordinates finds it."""
+    field by the generator c of GF(q)*, names the element of smallest index
+    that c moves out, as elementwise ``FiniteField.mul`` on the coordinates
+    finds it."""
     tower = grid.tower(*tp)
-    ctx, ix, f1, f2 = C.CodingContext(tower), tower.indexer, tower.f1, tower.f2
-    scalars = [ff.embed(tower.base, f).forward[2:] for f in (f1, f2)]
+    ctx, ix = C.CodingContext(tower), tower.indexer
+    c1, c2 = generator_images(tower)
     for family in ("primal", "dual"):
         D = grid.pds(*tp, family)[0]
         for drop in (0, D.k // 3, D.k - 1):
             kept = np.delete(D.elements, drop)
             broken = PdsSet(D.params, D.provenance, kept, D.claimed, D.subspace_rows)
-            a, b = kept % ix.sz1, kept // ix.sz1
-            leaves = np.zeros(len(kept), dtype=bool)
-            for s1, s2 in zip(*scalars):
-                leaves |= ~broken.member[f1.mul(a, int(s1)) + ix.sz1 * f2.mul(b, int(s2))]
+            leaves = ~broken.member[literal_scale(tower, kept, c1, c2)]
             want = tuple(ix.dlog_pairs(kept[leaves.argmax()]).tolist())
             assert leaves.any(), (tp, family, drop)
             with pytest.raises(NotScaleClosedError, match=r"element \(%d, %d\) leaves" % want):

@@ -220,7 +220,7 @@ def test_multiplier_orbits_are_the_ratio_classes(tp):
     for label, rep in enumerate(reps.tolist()):
         orbit = np.array([rep])
         while True:
-            images = [tw.multiply(orbit, a, b) for a, b in tw.multiplier_generators]
+            images = [tw.indexer.multiply(orbit, a, b) for a, b in tw.multiplier_generators]
             grown = np.unique(np.concatenate([orbit, *images]))
             if len(grown) == len(orbit):
                 break
@@ -239,7 +239,7 @@ def test_the_multiplier_group_fixes_every_orbit_label(tp):
     tw = Tower(TowerParams(*tp))
     table, g = tw.orbit_table, np.arange(tw.params.v)
     for a, b in tw.multiplier_generators:
-        assert np.array_equal(table[tw.multiply(g, a, b)], table), (tp, a, b)
+        assert np.array_equal(table[tw.indexer.multiply(g, a, b)], table), (tp, a, b)
     assert np.array_equal(np.bincount(table[1:]), tw.orbit_sizes)
 
 
@@ -250,17 +250,17 @@ GATHER_TOWERS = [(p, s, m, ell, 1) for p, s, m, ell in GRID_G1] + [(2, 1, 2, 4, 
 @pytest.mark.parametrize("tp", GATHER_TOWERS)
 def test_index_maps_are_the_per_element_field_arithmetic(tp):
     """The gathers from per-field tables equal the literal arithmetic they
-    replace, on every index of G: ``Tower.multiply`` by both generators of
-    H is ``FiniteField.mul`` by alpha^a and beta^b coordinate by
-    coordinate, ``from_dlog_pairs`` inverts ``dlog_pairs``, and ``neg`` is
-    the digit-wise negation."""
+    replace, on every index of G: ``GroupIndexer.multiply`` by both
+    generators of H is ``FiniteField.mul`` by alpha^a and beta^b coordinate
+    by coordinate, ``from_dlog_pairs`` inverts ``dlog_pairs``, and ``neg``
+    is the digit-wise negation."""
     tw = Tower(TowerParams(*tp))
     ix, f1, f2 = tw.indexer, tw.f1, tw.f2
     g = np.arange(ix.v, dtype=np.int64)
     x, y = g % ix.sz1, g // ix.sz1
     for a, b in tw.multiplier_generators:
         want = f1.mul(x, f1.antilog[a % f1.order]) + ix.sz1 * f2.mul(y, f2.antilog[b % f2.order])
-        assert np.array_equal(tw.multiply(g, a, b), want), (tp, a, b)
+        assert np.array_equal(ix.multiply(g, a, b), want), (tp, a, b)
     assert np.array_equal(ix.from_dlog_pairs(ix.dlog_pairs(g)), g)
     assert np.array_equal(ix.neg(g), digitwise(0, g, -1, ix.p, ix.n))
 

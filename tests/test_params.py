@@ -8,6 +8,8 @@ import pytest
 from denpds import params as P
 from denpds.errors import DeltaNotSquareError
 
+from conftest import GRID_G1
+
 SWEEP = [
     (q, m, ell)
     for q in (2, 3, 4, 5, 7, 8, 9)
@@ -168,3 +170,43 @@ def test_spectrum_values_from_towers():
     # degenerate boundaries: disjoint cliques and complete multipartite
     assert TowerParams(2, 1, 2, 1, 0).spectrum_values() == (3, -1)
     assert TowerParams(2, 1, 2, 1, 2).spectrum_values() == (0, -16)
+
+
+def test_dual_family_is_the_delsarte_dual_of_the_primal_family():
+    """The closed form of the dual family equals the Delsarte dual of the
+    primal closed form on every tuple of the sweep, degenerate ranks
+    included, so the Delsarte dual of a primal set can be held to
+    ``dual_params``."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+        for m in range(1, 6):
+            for ell in range(1, 6):
+                for r in range(m + 1):
+                    want = P.delsarte_dual_params(P.denniston_params(q, m, ell, r))
+                    assert P.dual_denniston_params(q, m, ell, r) == want, (q, m, ell, r)
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [(p, s, m, ell, r) for p, s, m, ell in GRID_G1 for r in range(m + 1)]
+    + [(2, 1, 2, 4, 1), (7, 1, 2, 1, 1)],
+)
+def test_expected_params_of_every_provenance(tower):
+    """``verify.expected_params`` on every grid tower and both ``large``
+    towers: each family's closed form, the Delsarte dual of the primal one
+    and the complement of either; an unknown provenance is refused."""
+    from denpds import verify as V
+    from denpds.construct import PdsSet, TowerParams
+
+    tp = TowerParams(*tower)
+    primal, dual = tp.primal_params(), tp.dual_params()
+    want = {
+        "primal": primal,
+        "dual": dual,
+        "delsarte-dual": P.delsarte_dual_params(primal),
+        "complement": P.complement_params(primal),
+        "complement-dual": P.complement_params(dual),
+    }
+    for provenance, params in want.items():
+        assert V.expected_params(PdsSet(tp, provenance, [], primal)) == params, provenance
+    with pytest.raises(ValueError, match="unknown provenance 'nope'"):
+        V.expected_params(PdsSet(tp, "nope", [], primal))

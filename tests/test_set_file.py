@@ -176,6 +176,24 @@ def test_header_checks_come_before_any_element(small_file):
             read_set_file(data)
 
 
+@pytest.mark.parametrize(
+    "section,change,message",
+    [
+        (None, lambda doc: doc.__setitem__("provenance", ["primal"]), "unknown provenance ['primal']"),
+        ("tower", lambda part: part.__setitem__("z", 1), "tower must have exactly the keys p, s, m, ell, r"),
+        ("tower", lambda part: part.__delitem__("r"), "tower must have exactly the keys p, s, m, ell, r"),
+    ],
+    ids=["list-provenance", "extra-tower-key", "no-tower-r"],
+)
+def test_header_fields_are_named_on_either_route(small_file, section, change, message):
+    """A provenance that is no string and a tower with other keys than
+    p, s, m, ell, r are refused by a ValueError naming the field, by the
+    bytes reader and by the whole-document reader alike."""
+    doc = json.loads(small_file)
+    change(doc if section is None else doc[section])
+    assert assert_same(json.dumps(doc).encode()) == (ValueError, message)
+
+
 def test_bad_header_bytes_take_the_whole_file_route(small_file):
     """A byte-order mark or a non-ASCII header is left to the whole-file
     route, which decodes the file as open() does: the mark is refused as
